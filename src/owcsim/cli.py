@@ -14,12 +14,18 @@ from pathlib import Path
 
 from .beam import GaussianBeam, power_through_circle, power_through_rectangle, waist_at
 from .channel import irs_gain, los_gain
-from .config import OutputSpec, SweepSpec, effective_config, load_config, parse_config
+from .config import (
+    OutputSpec,
+    SweepSpec,
+    build_default_scenario,
+    effective_config,
+    load_config,
+    parse_config,
+)
 from .geometry import Vec3, specular_reflect, steer_mirror
 from .network import (
     Scenario,
     assign_mirrors,
-    build_default_scenario,
     evaluate_scenario,
     simulate_scenario,
     sweep_snr,

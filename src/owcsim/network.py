@@ -1,17 +1,19 @@
-"""Scenario assembly, mirror assignment, per-user evaluation, and sweeps.
+"""Scenario types, mirror assignment, per-user evaluation, and sweeps.
 
-A Scenario is immutable after validation. Every user is served by one
-transmitter branch, which devotes one aimed beam to the user's receiver and
-one to each mirror assigned to that user; the total transmit power is split
-across those beams by the configured rule. Evaluations are pure functions
-of the scenario, so sweep points can be computed in any order.
+Everything here takes a built Scenario; reading a config document into one
+is the job of `config`. A Scenario is immutable after validation. Every user
+is served by one transmitter branch, which devotes one aimed beam to the
+user's receiver and one to each mirror assigned to that user; the total
+transmit power is split across those beams by the configured rule.
+Evaluations are pure functions of the scenario, so sweep points can be
+computed in any order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -135,11 +137,11 @@ class Scenario:
             )
         self._require_inside("adt.center", self.adt.center_pos)
         for b, pos in enumerate(self.adt.branch_positions()):
-            self._require_inside(f"adt branch {b}", pos)
+            self._require_inside(f"adt branch {b} (adt.center, adt.side_offset_m)", pos)
         if not self.users:
             raise ValueError("users.k must be >= 1")
         for i, user in enumerate(self.users):
-            self._require_inside(f"users[{i}].position", user.position)
+            self._require_inside(f"users.positions[{i}]", user.position)
             if not user.branches:
                 raise ValueError(f"users[{i}] must have at least one receiver branch")
         if self.p_tot <= 0.0:
@@ -165,7 +167,7 @@ class Scenario:
     def _require_inside(self, name: str, pos: Vec3) -> None:
         dx, dy, dz = self.room_dims
         if not (0.0 <= pos.x <= dx and 0.0 <= pos.y <= dy and 0.0 <= pos.z <= dz):
-            raise ValueError(f"{name}: position out of bounds {pos.as_tuple()}")
+            raise ValueError(f"{name}: position out of bounds of room.dims {pos.as_tuple()}")
 
 
 @dataclass(frozen=True)
@@ -222,9 +224,15 @@ def build_irs_panel(
     half_w = grid_m * element_width / 2.0
     half_h = grid_m * element_height / 2.0
     if center_along - half_w < 0.0 or center_along + half_w > along_span:
-        raise ValueError("irs panel exceeds the wall extent along its width")
+        raise ValueError(
+            "irs panel exceeds the wall extent along its width: irs.grid_m x "
+            "irs.element_width_m centred at irs.center_along_m must fit room.dims"
+        )
     if center_height - half_h < 0.0 or center_height + half_h > dz:
-        raise ValueError("irs panel exceeds the wall extent along its height")
+        raise ValueError(
+            "irs panel exceeds the wall extent along its height: irs.grid_m x "
+            "irs.element_height_m centred at irs.center_height_m must fit room.dims"
+        )
 
     inward = _WALL_INWARD[wall]
     plane = {"x_min": 0.0, "x_max": dx, "y_min": 0.0, "y_max": dy}[wall]
@@ -273,241 +281,6 @@ def place_users_uniform(
         Vec3(float(u * room_dims[0]), float(v * room_dims[1]), plane_z)
         for u, v in draws
     ]
-
-
-# ---------------------------------------------------------------------------
-# Default scenario and config-style overrides
-
-
-def default_settings() -> dict:
-    """Nested default configuration; every path here is overridable."""
-    return {
-        "seed": 7,
-        "room": {"dims": [5.0, 5.0, 3.0], "receiver_z": 0.0},
-        "adt": {
-            "center": None,  # null means the ceiling centre
-            "side_offset_m": 0.3,
-            "side_elevation_deg": 65.0,
-            "vcsels_per_branch": 5,
-            "beam_waist_m": 5.0e-6,
-            "wavelength_m": 1.55e-6,
-        },
-        "irs": {
-            "enabled": True,
-            "wall": "y_max",
-            "grid_m": 5,
-            "element_width_m": 0.15,
-            "element_height_m": 0.10,
-            "reflectivity": 0.95,
-            "center_height_m": 1.5,
-            "center_along_m": None,  # null means the wall midpoint
-        },
-        "users": {
-            "k": 4,
-            "positions": None,  # null means seeded uniform placement
-            "blocked": [],
-            "pd_area_m2": 2.0e-5,
-            "responsivity_a_per_w": 0.4,
-            "branch_azimuths_deg": [0.0, 90.0, 180.0, 270.0],
-            "branch_elevation_deg": 60.0,
-            "fov_deg": 25.0,
-        },
-        "noise": {
-            "rin_db_per_hz": -155.0,
-            "noise_current_density": 4.47e-12,
-            "tia_noise_figure_db": 5.0,
-            "bandwidth_b": 1.5e9,
-        },
-        "power": {
-            "p_tot_w": 0.01,
-            "eye_safety_cap_w": 1.0,
-            "split": "equal",
-            "max_mirrors_per_user": None,
-        },
-    }
-
-
-def build_default_scenario(overrides: Mapping | None = None) -> Scenario:
-    """Default indoor scenario with optional overrides merged over it.
-
-    Unknown keys are rejected with their full path; every violated
-    constraint is reported with the offending path as well.
-    """
-    settings = _merge_settings(default_settings(), dict(overrides or {}), "")
-    return _scenario_from_settings(settings)
-
-
-def _merge_settings(defaults: dict, overrides: Mapping, prefix: str) -> dict:
-    merged = dict(defaults)
-    for key, value in overrides.items():
-        path = f"{prefix}{key}"
-        if key not in defaults:
-            raise ValueError(f"unknown config key: {path}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, Mapping):
-                raise ValueError(f"{path} must be an object")
-            merged[key] = _merge_settings(defaults[key], value, f"{path}.")
-        else:
-            merged[key] = value
-    return merged
-
-
-def _number(settings: Mapping, section: str, key: str) -> float:
-    value = settings[section][key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{section}.{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _positive(settings: Mapping, section: str, key: str) -> float:
-    value = _number(settings, section, key)
-    if value <= 0.0:
-        raise ValueError(f"{section}.{key} must be positive, got {value}")
-    return value
-
-
-def _int_at_least(settings: Mapping, section: str, key: str, minimum: int) -> int:
-    value = settings[section][key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{section}.{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{section}.{key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _vec3(value: object, path: str) -> Vec3:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 3
-        or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in value)
-    ):
-        raise ValueError(f"{path} must be a list of three numbers")
-    return Vec3(float(value[0]), float(value[1]), float(value[2]))
-
-
-def _scenario_from_settings(settings: dict) -> Scenario:
-    room = settings["room"]
-    dims_raw = room["dims"]
-    dims_vec = _vec3(dims_raw, "room.dims")
-    room_dims = (dims_vec.x, dims_vec.y, dims_vec.z)
-    if min(room_dims) <= 0.0:
-        raise ValueError(f"room.dims must be positive, got {room_dims}")
-    receiver_z = _number(settings, "room", "receiver_z")
-
-    adt_cfg = settings["adt"]
-    center = (
-        Vec3(room_dims[0] / 2.0, room_dims[1] / 2.0, room_dims[2])
-        if adt_cfg["center"] is None
-        else _vec3(adt_cfg["center"], "adt.center")
-    )
-    side_elevation = _number(settings, "adt", "side_elevation_deg")
-    orientations = (Orientation(0.0, 90.0),) + tuple(
-        Orientation(az, side_elevation) for az in (0.0, 90.0, 180.0, 270.0)
-    )
-    adt = AdtSpec(
-        center_pos=center,
-        branch_orientations=orientations,
-        vcsels_per_branch=_int_at_least(settings, "adt", "vcsels_per_branch", 1),
-        beam_waist=_positive(settings, "adt", "beam_waist_m"),
-        beam_wavelength=_positive(settings, "adt", "wavelength_m"),
-        side_offset=_number(settings, "adt", "side_offset_m"),
-    )
-
-    irs_cfg = settings["irs"]
-    if not isinstance(irs_cfg["enabled"], bool):
-        raise ValueError(f"irs.enabled must be true or false, got {irs_cfg['enabled']!r}")
-    irs = None
-    if irs_cfg["enabled"]:
-        center_along = irs_cfg["center_along_m"]
-        if center_along is not None:
-            center_along = _number(settings, "irs", "center_along_m")
-        reflectivity = _number(settings, "irs", "reflectivity")
-        if not 0.0 <= reflectivity <= 1.0:
-            raise ValueError(f"irs.reflectivity must be in [0, 1], got {reflectivity}")
-        irs = build_irs_panel(
-            room_dims,
-            wall=irs_cfg["wall"],
-            grid_m=_int_at_least(settings, "irs", "grid_m", 1),
-            element_width=_positive(settings, "irs", "element_width_m"),
-            element_height=_positive(settings, "irs", "element_height_m"),
-            reflectivity=reflectivity,
-            center_height=_number(settings, "irs", "center_height_m"),
-            center_along=center_along,
-        )
-
-    seed = settings["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-
-    users_cfg = settings["users"]
-    azimuths = users_cfg["branch_azimuths_deg"]
-    if not isinstance(azimuths, (list, tuple)) or not azimuths:
-        raise ValueError("users.branch_azimuths_deg must be a nonempty list")
-    branches = default_adr_branches(
-        azimuths_deg=[float(az) for az in azimuths],
-        elevation_deg=_number(settings, "users", "branch_elevation_deg"),
-        fov_deg=_positive(settings, "users", "fov_deg"),
-        pd_area=_positive(settings, "users", "pd_area_m2"),
-        responsivity=_positive(settings, "users", "responsivity_a_per_w"),
-    )
-    k = _int_at_least(settings, "users", "k", 1)
-    if users_cfg["positions"] is None:
-        positions = place_users_uniform(k, room_dims, seed, receiver_z)
-    else:
-        raw = users_cfg["positions"]
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise ValueError("users.positions must be a nonempty list of [x, y, z]")
-        positions = [_vec3(p, f"users.positions[{i}]") for i, p in enumerate(raw)]
-        if len(positions) != k:
-            raise ValueError(
-                f"users.k ({k}) must match the number of users.positions ({len(positions)})"
-            )
-    blocked_cfg = users_cfg["blocked"]
-    if not isinstance(blocked_cfg, (list, tuple)):
-        raise ValueError("users.blocked must be a list of user indices")
-    blocked = set()
-    for index in blocked_cfg:
-        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < k:
-            raise ValueError(f"users.blocked entries must be user indices below k, got {index!r}")
-        blocked.add(index)
-    users = tuple(
-        UserSpec(pos, i in blocked, branches) for i, pos in enumerate(positions)
-    )
-
-    rin = _number(settings, "noise", "rin_db_per_hz")
-    if rin >= 0.0:
-        raise ValueError(f"noise.rin_db_per_hz must be negative, got {rin}")
-    density = _number(settings, "noise", "noise_current_density")
-    if density < 0.0:
-        raise ValueError(f"noise.noise_current_density must be nonnegative, got {density}")
-    noise = NoiseParams(
-        rin_db_per_hz=rin,
-        noise_current_density=density,
-        tia_noise_figure_db=_number(settings, "noise", "tia_noise_figure_db"),
-        bandwidth_b=_positive(settings, "noise", "bandwidth_b"),
-    )
-
-    power = settings["power"]
-    max_mirrors = power["max_mirrors_per_user"]
-    if max_mirrors is not None:
-        max_mirrors = _int_at_least(settings, "power", "max_mirrors_per_user", 1)
-    split = power["split"]
-    if split not in POWER_SPLITS:
-        raise ValueError(f"power.split must be one of {POWER_SPLITS}, got {split!r}")
-
-    return Scenario(
-        room_dims=room_dims,
-        receiver_z=receiver_z,
-        adt=adt,
-        irs=irs,
-        users=users,
-        noise=noise,
-        p_tot=_positive(settings, "power", "p_tot_w"),
-        eye_safety_cap=_positive(settings, "power", "eye_safety_cap_w"),
-        power_split=split,
-        max_mirrors_per_user=max_mirrors,
-        rng_seed=seed,
-    )
 
 
 def with_irs_grid(scenario: Scenario, grid_m: int) -> Scenario:

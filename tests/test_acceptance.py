@@ -24,7 +24,8 @@ from owcsim.geometry import (
 from owcsim.link import achievable_rate, noise_variance, sinr, thermal_noise_variance
 from owcsim.channel import ChannelGain
 from owcsim.link import NoiseParams
-from owcsim.network import assign_mirrors, build_default_scenario, sweep_snr, sweep_users
+from owcsim.config import build_default_scenario
+from owcsim.network import assign_mirrors, sweep_snr, sweep_users
 
 from oracles import best_matching_value, circle_power_quadrature, rectangle_power_quadrature
 

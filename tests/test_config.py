@@ -1,18 +1,45 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from owcsim.config import (
     DEFAULT_K_VALUES,
     DEFAULT_SNR_POINTS_DB,
+    SCHEMA,
     OutputSpec,
     SweepSpec,
+    build_default_scenario,
     effective_config,
     load_config,
     parse_config,
     write_config,
 )
-from owcsim.network import build_default_scenario
+
+SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
+
+
+def doc_rows() -> dict[str, tuple[str, str]]:
+    """Dotted key -> (accepts, default) cells of every table row in the schema doc."""
+    rows, prefix = {}, ""
+    for line in SCHEMA_DOC.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            heading = line[3:].strip()
+            prefix = "" if heading == "Top level" else heading.strip("`") + "."
+        elif line.startswith("| `"):
+            key, accepts, default = (cell.strip().strip("`") for cell in line.split("|")[1:4])
+            rows[prefix + key] = (accepts, default)
+    return rows
+
+
+def flat_keys(document: dict, prefix: str = "") -> list[str]:
+    keys = []
+    for key, value in document.items():
+        if isinstance(value, dict):
+            keys += flat_keys(value, f"{prefix}{key}.")
+        else:
+            keys.append(prefix + key)
+    return keys
 
 
 class TestParseConfig:
@@ -112,3 +139,26 @@ class TestSpecValidation:
     def test_effective_config_is_json_serialisable(self):
         scenario, sweep, output = parse_config({})
         json.dumps(effective_config(scenario, sweep, output))
+
+
+class TestSchemaTable:
+    def test_doc_keys_equal_schema(self):
+        assert sorted(doc_rows()) == sorted(SCHEMA)
+
+    def test_doc_ranges_and_defaults_equal_schema(self):
+        for path, (accepts, default) in doc_rows().items():
+            assert accepts == str(SCHEMA[path][1]), path
+            assert json.loads(default) == SCHEMA[path][0], path
+
+    def test_effective_config_emits_every_schema_key(self):
+        scenario, sweep, output = parse_config({"irs": {"enabled": True}})
+        assert sorted(flat_keys(effective_config(scenario, sweep, output))) == sorted(SCHEMA)
+
+    def test_nonfinite_numbers_rejected_in_memory(self):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="adt.beam_waist_m"):
+                parse_config({"adt": {"beam_waist_m": value}})
+
+    def test_dotted_top_level_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown config key: room.dims"):
+            parse_config({"room.dims": [5.0, 5.0, 3.0]})

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+from owcsim.config import build_default_scenario
 from owcsim.geometry import Vec3
 from owcsim.network import (
     Assignment,
     assign_mirrors,
-    build_default_scenario,
     build_irs_panel,
     evaluate_scenario,
     evaluate_user,
