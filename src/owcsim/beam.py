@@ -69,11 +69,13 @@ def power_through_circle(beam: GaussianBeam, radius: float, distance: float) -> 
     """Power through a beam-centred circular aperture perpendicular to the axis.
 
     Closed form P * (1 - exp(-2 r0^2 / w(d)^2)); bounded by the beam power.
+    It is evaluated as -P * expm1(-2 r0^2 / w(d)^2), which keeps full relative
+    accuracy for apertures much smaller than the beam.
     """
     if radius < 0.0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     w_d = waist_at(beam, distance)
-    return beam.power_pt * (1.0 - math.exp(-2.0 * radius * radius / (w_d * w_d)))
+    return beam.power_pt * -math.expm1(-2.0 * radius * radius / (w_d * w_d))
 
 
 def power_through_rectangle(

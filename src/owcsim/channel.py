@@ -6,6 +6,13 @@ reflection preserves the Gaussian profile, so the reflected field is the
 same beam continued to the total folded distance, with the finite mirror
 entering as a multiplicative intercept fraction. Receiver combining is
 select-best across the angle-diversity branches.
+
+The mirror path has two implementations. `irs_gain` is the scalar reference:
+one (transmitter branch, mirror, user) triple on `Vec3` values, taking a
+mirror already steered for it. `irs_gain_row` is the kernel the network
+evaluation runs: it steers and scores every mirror of a wall for one user at
+once on numpy columns, repeating the reference's arithmetic step for step so
+the two agree to rounding.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
+
+import numpy as np
 
 from .beam import GaussianBeam, power_through_circle, power_through_rectangle
 from .geometry import (
@@ -147,6 +156,120 @@ def irs_gain(
     return best_gain, best_index
 
 
+@dataclass(frozen=True, eq=False)
+class MirrorColumns:
+    """A wall of mirrors as columns: centre coordinates, sizes, reflectivity.
+
+    The elements' normals are not kept: `irs_gain_row` steers every mirror
+    itself.
+    """
+
+    cx: np.ndarray
+    cy: np.ndarray
+    cz: np.ndarray
+    width: np.ndarray
+    height: np.ndarray
+    reflectivity: np.ndarray
+
+    @classmethod
+    def of(cls, mirrors: Sequence[MirrorElement]) -> MirrorColumns:
+        rows = [
+            (m.center.x, m.center.y, m.center.z, m.width, m.height, m.reflectivity)
+            for m in mirrors
+        ]
+        return cls(*np.array(rows, dtype=np.float64).reshape(len(rows), 6).T.copy())
+
+    def __len__(self) -> int:
+        return len(self.cx)
+
+
+def irs_gain_row(
+    ap_branch_pos: Vec3,
+    mirrors: MirrorColumns,
+    user_pos: Vec3,
+    user_branches: Sequence[AdrBranch],
+    waist_w0: float,
+    wavelength: float,
+) -> np.ndarray:
+    """Mirror-path gain from one transmitter branch to one user via each mirror.
+
+    Vectorised form of `steer_mirror` followed by `irs_gain` for a unit-power
+    beam of the given waist and wavelength, over all mirrors at once: entry j
+    is the gain with mirror j steered to bounce the branch onto the user.
+    Pairs the reference scores 0 (zero-length leg, degenerate steering, an
+    endpoint behind the steered plane, no branch inside its field of view)
+    are exactly 0 here too. Dot and cross products are written out by
+    component in the reference's order; erf and acos go through `math`, as
+    numpy has no erf and its acos may differ from libm's in the last bit.
+    """
+    n = len(mirrors)
+    ax, ay, az = ap_branch_pos.as_tuple()
+    px, py, pz = user_pos.as_tuple()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Steering: the normal bisects the incoming and outgoing directions.
+        tx, ty, tz = mirrors.cx - ax, mirrors.cy - ay, mirrors.cz - az
+        mirror_range = np.sqrt(tx * tx + ty * ty + tz * tz)
+        inv = 1.0 / mirror_range
+        uix, uiy, uiz = tx * inv, ty * inv, tz * inv
+        lx, ly, lz = px - mirrors.cx, py - mirrors.cy, pz - mirrors.cz
+        leg_out = np.sqrt(lx * lx + ly * ly + lz * lz)
+        inv = 1.0 / leg_out
+        dx, dy, dz = lx * inv - uix, ly * inv - uiy, lz * inv - uiz
+        diff = np.sqrt(dx * dx + dy * dy + dz * dz)
+        inv = 1.0 / diff
+        nx, ny, nz = dx * inv, dy * inv, dz * inv
+        # NaN from a zero-length leg fails every comparison, so it lands here.
+        valid = (diff >= 1e-9) & (lx * nx + ly * ny + lz * nz > 0.0)
+        valid &= (ax - mirrors.cx) * nx + (ay - mirrors.cy) * ny + (az - mirrors.cz) * nz > 0.0
+
+        twice = 2.0 * (uix * nx + uiy * ny + uiz * nz)
+        rx, ry, rz = uix - nx * twice, uiy - ny * twice, uiz - nz * twice
+
+        # mirror_plane_axes: project +z (+x for near-horizontal mirrors).
+        flat = np.abs(nz) > 1.0 - 1e-9
+        along_ref = np.where(flat, nx, nz)
+        hx = np.where(flat, 1.0, 0.0) - nx * along_ref
+        hy = 0.0 - ny * along_ref
+        hz = np.where(flat, 0.0, 1.0) - nz * along_ref
+        inv = 1.0 / np.sqrt(hx * hx + hy * hy + hz * hz)
+        hx, hy, hz = hx * inv, hy * inv, hz * inv
+        wx, wy, wz = hy * nz - hz * ny, hz * nx - hx * nz, hx * ny - hy * nx
+        along_w = wx * uix + wy * uiy + wz * uiz
+        along_h = hx * uix + hy * uiy + hz * uiz
+        width_eff = mirrors.width * np.sqrt(np.maximum(0.0, 1.0 - along_w * along_w))
+        height_eff = mirrors.height * np.sqrt(np.maximum(0.0, 1.0 - along_h * along_h))
+        valid &= (width_eff > 0.0) & (height_eff > 0.0)
+
+        spread_den = math.pi * waist_w0**2
+        spread = wavelength * mirror_range / spread_den
+        scale = math.sqrt(2.0) / (waist_w0 * np.sqrt(1.0 + spread * spread))
+        erf_w = _map(math.erf, scale * (0.5 * width_eff))
+        erf_h = _map(math.erf, scale * (0.5 * height_eff))
+        # erf is odd, so the reference's erf(a) - erf(-a) is exactly erf(a) + erf(a).
+        intercept = 0.25 * (erf_w + erf_w) * (erf_h + erf_h)
+
+        spread = wavelength * (mirror_range + leg_out) / spread_den
+        w_total = waist_w0 * np.sqrt(1.0 + spread * spread)
+        beam_area = w_total * w_total
+        best = np.zeros(n)
+        for branch in user_branches:
+            bx, by, bz = branch.normal().as_tuple()
+            cosine = -(rx * bx + ry * by + rz * bz)
+            # The reference gates on acos(cosine) <= fov. More than 1e-9 from
+            # cos(fov), the angle is too (|d acos / dc| >= 1), so comparing
+            # cosines decides the same; nearer the edge, take acos as it does.
+            fov = branch.fov_half_angle_rad()
+            cos_fov = math.cos(fov)
+            seen = cosine > cos_fov
+            edge = np.abs(cosine - cos_fov) <= 1e-9
+            seen[edge] = _map(math.acos, np.clip(cosine[edge], -1.0, 1.0)) <= fov
+            radius = branch.aperture_radius()
+            captured = -np.expm1(-2.0 * radius * radius / beam_area)
+            gain = mirrors.reflectivity * np.minimum(intercept, captured)
+            best = np.maximum(best, np.where(seen, gain, 0.0))
+    return np.where(valid, best, 0.0)
+
+
 def total_gain(
     h_los: float,
     nlos_contributions: Sequence[float],
@@ -180,6 +303,10 @@ def _best_branch(
         if captured > best_gain:
             best_gain, best_index = captured, index
     return best_gain, best_index
+
+
+def _map(fn, values: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, values.tolist()), np.float64, len(values))
 
 
 def _projected_scale(axis: Vec3, beam_dir: Vec3) -> float:

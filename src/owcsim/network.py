@@ -7,20 +7,34 @@ user's receiver and one to each mirror assigned to that user; the total
 transmit power is split across those beams by the configured rule.
 Evaluations are pure functions of the scenario, so sweep points can be
 computed in any order.
+
+A Scenario picks each user's serving transmitter branch once
+(`Scenario.serving_branches`). An evaluation fills the (user, mirror) gain
+matrix with one `channel.irs_gain_row` kernel call per user; assignment and
+per-user evaluation read the matrix. The scalar `channel.irs_gain` is the
+reference the kernel is tested against, and runs here only once per user, to
+find the receiver branch serving the mirror path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .beam import GaussianBeam
-from .channel import AdrBranch, ChannelGain, irs_gain, los_gain, total_gain
+from .channel import (
+    AdrBranch,
+    ChannelGain,
+    MirrorColumns,
+    irs_gain,
+    irs_gain_row,
+    los_gain,
+    total_gain,
+)
 from .geometry import (
-    GeometryError,
     MirrorElement,
     Orientation,
     Vec3,
@@ -126,6 +140,12 @@ class Scenario:
     power_split: str
     max_mirrors_per_user: int | None
     rng_seed: int
+    # Filled by `serving_branches` on first use. A declared slot, unlike a
+    # cached_property, gives the instance no __dict__, which would slow every
+    # attribute read in the per-point loop.
+    _serving: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         dx, dy, dz = self.room_dims
@@ -163,6 +183,14 @@ class Scenario:
             raise ValueError("power.max_mirrors_per_user must be >= 1 or null")
         if self.rng_seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.rng_seed}")
+
+    @property
+    def serving_branches(self) -> tuple[int, ...]:
+        """`serving_branch_index` of every user, computed once per scenario."""
+        if self._serving is None:
+            serving = tuple(serving_branch_index(self, i) for i in range(len(self.users)))
+            object.__setattr__(self, "_serving", serving)
+        return self._serving
 
     def _require_inside(self, name: str, pos: Vec3) -> None:
         dx, dy, dz = self.room_dims
@@ -359,44 +387,46 @@ def serving_branch_index(scenario: Scenario, user_index: int) -> int:
     return min(range(len(positions)), key=lambda b: (distances[b], b))
 
 
-def irs_gain_matrix(scenario: Scenario) -> list[list[float]]:
-    """Reflected-path gain per (user, mirror), each mirror steered per pair."""
+def irs_gain_matrix(scenario: Scenario) -> np.ndarray:
+    """Reflected-path gain per (user, mirror), each mirror steered per pair.
+
+    Returns a (users, mirrors) float64 array, one `irs_gain_row` kernel call
+    per user from its serving transmitter branch.
+    """
     if scenario.irs is None:
-        return [[] for _ in scenario.users]
-    positions = scenario.adt.branch_positions()
-    matrix = []
-    for user_index, user in enumerate(scenario.users):
-        branch_pos = positions[serving_branch_index(scenario, user_index)]
-        row = []
-        for mirror in scenario.irs.elements:
-            try:
-                normal = steer_mirror(branch_pos, mirror.center, user.position)
-            except GeometryError:
-                # Forward pass-through: no mirror orientation can serve the pair.
-                row.append(0.0)
-                continue
-            gain, _ = irs_gain(
-                branch_pos,
-                replace(mirror, normal=normal),
-                user.position,
-                user.branches,
-                _aimed_beam(scenario, branch_pos, mirror.center),
-            )
-            row.append(gain)
-        matrix.append(row)
-    return matrix
+        return np.zeros((len(scenario.users), 0))
+    mirrors = MirrorColumns.of(scenario.irs.elements)
+    gains = np.empty((len(scenario.users), len(mirrors)))
+    for user_index, branch in enumerate(scenario.serving_branches):
+        gains[user_index] = _gain_row(scenario, mirrors, user_index, branch)
+    return gains
+
+
+def _gain_row(
+    scenario: Scenario, mirrors: MirrorColumns, user_index: int, branch: int
+) -> np.ndarray:
+    user = scenario.users[user_index]
+    return irs_gain_row(
+        scenario.adt.branch_positions()[branch],
+        mirrors,
+        user.position,
+        user.branches,
+        scenario.adt.beam_waist,
+        scenario.adt.beam_wavelength,
+    )
 
 
 def assign_mirrors(
     scenario: Scenario,
-    gains: Sequence[Sequence[float]],
+    gains: Sequence[Sequence[float]] | np.ndarray,
     max_per_user: int | None = None,
 ) -> Assignment:
     """Greedy assignment: repeatedly grant the largest remaining gain.
 
     Mirrors stay disjoint across users and each user holds at most
     max_per_user mirrors (unlimited when None). Ties break toward the lowest
-    (user index, mirror index). Zero-gain pairs are never assigned.
+    (user index, mirror index). Zero-gain pairs are never assigned. `gains`
+    is a (users, mirrors) array or a list of equal-length rows.
     """
     if len(gains) != len(scenario.users):
         raise ValueError(
@@ -405,40 +435,36 @@ def assign_mirrors(
     widths = {len(row) for row in gains}
     if len(widths) > 1:
         raise ValueError("dimension mismatch: gains rows have unequal lengths")
+    matrix = np.asarray(gains, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError(f"dimension mismatch: gains must be 2-D, got shape {matrix.shape}")
     if max_per_user is not None and max_per_user < 1:
         raise ValueError(f"max_per_user must be >= 1 or None, got {max_per_user}")
+    bad = np.argwhere(~(matrix >= 0.0))
+    if len(bad):
+        user_index, mirror_index = bad[0]
+        raise ValueError(
+            f"gains must be nonnegative, got {float(matrix[user_index, mirror_index])} "
+            f"at ({user_index}, {mirror_index})"
+        )
 
-    entries = []
-    for user_index, row in enumerate(gains):
-        for mirror_index, gain in enumerate(row):
-            if gain < 0.0:
-                raise ValueError(
-                    f"gains must be nonnegative, got {gain} at "
-                    f"({user_index}, {mirror_index})"
-                )
-            if gain > 0.0:
-                entries.append((-gain, user_index, mirror_index))
-    entries.sort()
-
+    users, mirrors = np.nonzero(matrix > 0.0)
+    order = np.lexsort((mirrors, users, -matrix[users, mirrors]))
     cap = math.inf if max_per_user is None else max_per_user
-    taken: set[int] = set()
+    taken = [False] * matrix.shape[1]
     counts = [0] * len(gains)
     assigned: list[list[int]] = [[] for _ in gains]
-    for _neg_gain, user_index, mirror_index in entries:
-        if mirror_index in taken or counts[user_index] >= cap:
+    for user_index, mirror_index in zip(users[order].tolist(), mirrors[order].tolist()):
+        if taken[mirror_index] or counts[user_index] >= cap:
             continue
-        taken.add(mirror_index)
+        taken[mirror_index] = True
         counts[user_index] += 1
         assigned[user_index].append(mirror_index)
     return Assignment(tuple(tuple(sorted(m)) for m in assigned))
 
 
 def scenario_assignment(scenario: Scenario) -> Assignment:
-    if scenario.irs is None:
-        return Assignment(tuple(() for _ in scenario.users))
-    return assign_mirrors(
-        scenario, irs_gain_matrix(scenario), scenario.max_mirrors_per_user
-    )
+    return assign_mirrors(scenario, irs_gain_matrix(scenario), scenario.max_mirrors_per_user)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +481,20 @@ class _UserPlan:
     responsivity: float
 
 
-def _plan_user(scenario: Scenario, assignment: Assignment, user_index: int) -> _UserPlan:
+def _plan_user(
+    scenario: Scenario,
+    assignment: Assignment,
+    user_index: int,
+    branch: int,
+    gain_row: np.ndarray | None,
+) -> _UserPlan:
+    """Direct gain, plus each assigned mirror's gain read from `gain_row`.
+
+    The scalar `irs_gain` runs once, on the best assigned mirror, for the
+    receiver branch that serves the mirror path.
+    """
     user = scenario.users[user_index]
-    branch_pos = scenario.adt.branch_positions()[serving_branch_index(scenario, user_index)]
+    branch_pos = scenario.adt.branch_positions()[branch]
     h_los, los_branch = los_gain(
         branch_pos,
         user.position,
@@ -466,25 +503,22 @@ def _plan_user(scenario: Scenario, assignment: Assignment, user_index: int) -> _
         user.blocked,
         room_dims=scenario.room_dims,
     )
-    nlos: list[float] = []
-    best_nlos_gain = 0.0
-    best_nlos_branch: int | None = None
-    for mirror_index in assignment.per_user[user_index]:
-        mirror = scenario.irs.elements[mirror_index]
+    mirrors = assignment.per_user[user_index]
+    nlos = [float(gain_row[m]) for m in mirrors]
+    nlos_branch: int | None = None
+    if mirrors:
+        mirror = scenario.irs.elements[mirrors[nlos.index(max(nlos))]]
         steered = replace(
             mirror, normal=steer_mirror(branch_pos, mirror.center, user.position)
         )
-        gain, branch = irs_gain(
+        _, nlos_branch = irs_gain(
             branch_pos,
             steered,
             user.position,
             user.branches,
             _aimed_beam(scenario, branch_pos, mirror.center),
         )
-        nlos.append(gain)
-        if gain > best_nlos_gain:
-            best_nlos_gain, best_nlos_branch = gain, branch
-    combined = total_gain(h_los, nlos, los_branch, best_nlos_branch)
+    combined = total_gain(h_los, nlos, los_branch, nlos_branch)
     beam_gains = (() if user.blocked else (h_los,)) + tuple(nlos)
     return _UserPlan(beam_gains, not user.blocked, combined, user.branches[0].responsivity)
 
@@ -515,16 +549,42 @@ def _finish(plan: _UserPlan, scenario: Scenario, p_tot: float) -> LinkResult:
     return LinkResult(received, sigma2, gamma, rate, plan.gain)
 
 
-def evaluate_user(scenario: Scenario, assignment: Assignment, user_index: int) -> LinkResult:
-    """Full link for one user: gains, power split, noise, SNR, and rate."""
-    plan = _plan_user(scenario, assignment, user_index)
+def evaluate_user(
+    scenario: Scenario,
+    assignment: Assignment,
+    user_index: int,
+    branch: int | None = None,
+    gain_row: np.ndarray | None = None,
+) -> LinkResult:
+    """Full link for one user: gains, power split, noise, SNR, and rate.
+
+    `branch` and `gain_row` are the user's serving transmitter branch and
+    its row of `irs_gain_matrix`; they are computed here when not given.
+    """
+    if branch is None:
+        branch = scenario.serving_branches[user_index]
+    if gain_row is None and scenario.irs is not None:
+        gain_row = _gain_row(
+            scenario, MirrorColumns.of(scenario.irs.elements), user_index, branch
+        )
+    plan = _plan_user(scenario, assignment, user_index, branch, gain_row)
     return _finish(plan, scenario, scenario.p_tot)
 
 
 def evaluate_scenario(scenario: Scenario) -> list[LinkResult]:
     """Assignment plus per-user link results for the whole scenario."""
-    assignment = scenario_assignment(scenario)
-    return [evaluate_user(scenario, assignment, i) for i in range(len(scenario.users))]
+    return _evaluate(scenario, scenario.serving_branches, irs_gain_matrix(scenario))
+
+
+def _evaluate(
+    scenario: Scenario, serving: Sequence[int], gains: np.ndarray
+) -> list[LinkResult]:
+    """Assign mirrors from a precomputed gain matrix, then evaluate each user."""
+    assignment = assign_mirrors(scenario, gains, scenario.max_mirrors_per_user)
+    return [
+        evaluate_user(scenario, assignment, i, serving[i], gains[i])
+        for i in range(len(scenario.users))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +627,11 @@ def sweep_snr(
     rows = []
     for label in variants:
         variant = _variant_scenario(scenario, label)
-        assignment = scenario_assignment(variant)
+        gains = irs_gain_matrix(variant)
+        assignment = assign_mirrors(variant, gains, variant.max_mirrors_per_user)
         plans = [
-            _plan_user(variant, assignment, i) for i in range(len(variant.users))
+            _plan_user(variant, assignment, i, branch, gains[i])
+            for i, branch in enumerate(variant.serving_branches)
         ]
         for db in points:
             p_tot = power_for_transmit_snr(variant.noise, responsivity, db)
@@ -583,7 +645,8 @@ def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
 
     User draws are nested prefixes of one seeded stream, so growing K keeps
     every existing user in place and the curves stay nondecreasing under
-    dedicated-beam service.
+    dedicated-beam service. A user's serving branch and gain row depend on
+    that user alone, so both are computed once for the largest K and sliced.
     """
     ks = [int(k) for k in k_values]
     if not ks:
@@ -597,14 +660,18 @@ def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
         max(ks), scenario.room_dims, scenario.rng_seed, scenario.receiver_z
     )
     template = scenario.users[0].branches
+    users = tuple(UserSpec(position, False, template) for position in positions)
+    variants = []
+    for label, variant in (
+        ("none", replace(with_panel, irs=None, users=users)),
+        (irs_label, replace(with_panel, users=users)),
+    ):
+        variants.append((label, variant, variant.serving_branches, irs_gain_matrix(variant)))
     rows = []
     for k in ks:
-        users = tuple(UserSpec(positions[i], False, template) for i in range(k))
-        for label, variant in (
-            ("none", replace(with_panel, irs=None, users=users)),
-            (irs_label, replace(with_panel, users=users)),
-        ):
-            rates = [result.rate for result in evaluate_scenario(variant)]
+        for label, variant, serving, gains in variants:
+            prefix = replace(variant, users=users[:k])
+            rates = [result.rate for result in _evaluate(prefix, serving, gains[:k])]
             rows.append(ResultRow(float(k), label, sum_rate(rates), tuple(rates)))
     return ResultTable.from_rows(rows)
 

@@ -101,6 +101,18 @@ class TestPowerThroughCircle:
         r0 = math.sqrt(20e-6 / math.pi)
         assert rel_err(power_through_circle(b, r0, 3.0), 1.4528220319e-4) < 1e-9
 
+    def test_tiny_aperture_matches_series(self):
+        # x = 2 r0^2 / w^2 << 1: the capture P (1 - e^-x) is P (x - x^2/2) to
+        # within x^2/6 relative, far below 1e-15 here; 1 - exp(-x) would lose
+        # about 1e-16 / x of it to cancellation.
+        b = beam(power=0.8)
+        w = waist_at(b, 3.0)
+        for x in (1e-14, 1e-11, 1e-8):
+            r0 = w * math.sqrt(x / 2.0)
+            x = 2.0 * r0 * r0 / (w * w)
+            series = b.power_pt * (x - x * x / 2.0)
+            assert rel_err(power_through_circle(b, r0, 3.0), series) < 1e-15
+
     def test_wide_aperture_captures_everything(self):
         b = beam(power=0.42)
         for d in (0.0, 1.0, 4.0):

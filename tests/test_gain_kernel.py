@@ -1,0 +1,237 @@
+"""The vectorised mirror-gain kernel against the scalar reference path.
+
+`irs_gain_row` must give, for every mirror, what `steer_mirror` followed by
+`irs_gain` gives for that one pair: nonzero gains to 1e-12 relative and
+zeros in exactly the same places.
+"""
+
+import math
+import random
+from dataclasses import replace
+
+from owcsim.beam import GaussianBeam
+from owcsim.channel import AdrBranch, MirrorColumns, irs_gain, irs_gain_row
+from owcsim.config import build_default_scenario
+from owcsim.geometry import (
+    GeometryError,
+    MirrorElement,
+    Orientation,
+    Vec3,
+    incidence_angle,
+    specular_reflect,
+    steer_mirror,
+)
+from owcsim.network import (
+    UserSpec,
+    default_adr_branches,
+    irs_gain_matrix,
+    serving_branch_index,
+)
+
+RTOL = 1e-12
+WAIST = 5e-6
+WAVELENGTH = 1.55e-6
+UP = Vec3(0.0, 0.0, 1.0)
+
+
+def scalar_gain(ap, mirror, user, branches, waist=WAIST, wavelength=WAVELENGTH):
+    try:
+        normal = steer_mirror(ap, mirror.center, user)
+    except GeometryError:
+        return 0.0
+    beam = GaussianBeam(waist, wavelength, 1.0, ap, UP)
+    return irs_gain(ap, replace(mirror, normal=normal), user, branches, beam)[0]
+
+
+def assert_row_matches(ap, mirrors, user, branches, waist=WAIST, wavelength=WAVELENGTH):
+    row = irs_gain_row(ap, MirrorColumns.of(mirrors), user, branches, waist, wavelength)
+    assert row.shape == (len(mirrors),)
+    expected = [scalar_gain(ap, m, user, branches, waist, wavelength) for m in mirrors]
+    for j, (got, want) in enumerate(zip(row.tolist(), expected)):
+        if want == 0.0 or got == 0.0:
+            assert got == want, f"mirror {j}: kernel {got!r}, scalar {want!r}"
+        else:
+            assert abs(got - want) <= RTOL * want, f"mirror {j}: kernel {got!r}, scalar {want!r}"
+    return row, expected
+
+
+def assert_matrix_matches(scenario):
+    matrix = irs_gain_matrix(scenario)
+    assert matrix.shape == (len(scenario.users), len(scenario.irs.elements))
+    positions = scenario.adt.branch_positions()
+    for i, user in enumerate(scenario.users):
+        ap = positions[serving_branch_index(scenario, i)]
+        for j, mirror in enumerate(scenario.irs.elements):
+            want = scalar_gain(
+                ap, mirror, user.position, user.branches,
+                scenario.adt.beam_waist, scenario.adt.beam_wavelength,
+            )
+            got = float(matrix[i, j])
+            if want == 0.0 or got == 0.0:
+                assert got == want, f"({i}, {j}): kernel {got!r}, scalar {want!r}"
+            else:
+                assert abs(got - want) <= RTOL * want, f"({i}, {j}): {got!r} vs {want!r}"
+    return matrix
+
+
+def wall_mirror(center, normal=Vec3(0.0, -1.0, 0.0), size=(0.15, 0.10), reflectivity=0.95):
+    return MirrorElement(center, normal, size[0], size[1], reflectivity)
+
+
+def one_branch(elevation=90.0, fov=90.0, azimuth=0.0):
+    return (AdrBranch(Orientation(azimuth, elevation), fov, 2e-5, 0.4),)
+
+
+class TestRandomScenarios:
+    def test_random_rooms_and_walls(self):
+        rng = random.Random(2024)
+        for _ in range(12):
+            dims = [rng.uniform(3.0, 8.0), rng.uniform(3.0, 8.0), rng.uniform(2.5, 4.0)]
+            grid = rng.randint(1, 7)
+            width, height = rng.uniform(0.05, 0.3), rng.uniform(0.05, 0.3)
+            k = rng.randint(1, 5)
+            doc = {
+                "room": {"dims": dims},
+                "adt": {
+                    "center": [rng.uniform(1.0, dims[0] - 1.0),
+                               rng.uniform(1.0, dims[1] - 1.0), dims[2]],
+                    "beam_waist_m": rng.uniform(2e-6, 2e-5),
+                    "wavelength_m": rng.uniform(4e-7, 2e-6),
+                },
+                "irs": {
+                    "wall": rng.choice(["x_min", "x_max", "y_min", "y_max"]),
+                    "grid_m": grid,
+                    "element_width_m": width,
+                    "element_height_m": height,
+                    "center_height_m": rng.uniform(grid * height / 2 + 0.01,
+                                                   dims[2] - grid * height / 2 - 0.01),
+                    "reflectivity": rng.uniform(0.5, 1.0),
+                },
+                "users": {
+                    "k": k,
+                    "positions": [[rng.uniform(0.05, dims[0] - 0.05),
+                                   rng.uniform(0.05, dims[1] - 0.05), 0.0]
+                                  for _ in range(k)],
+                    "fov_deg": rng.uniform(20.0, 80.0),
+                },
+            }
+            matrix = assert_matrix_matches(build_default_scenario(doc))
+            assert matrix.dtype == float
+
+    def test_every_transmitter_branch_not_only_the_serving_one(self):
+        s = build_default_scenario({"irs": {"grid_m": 6}})
+        for ap in s.adt.branch_positions():
+            for user in s.users:
+                assert_row_matches(ap, s.irs.elements, user.position, user.branches)
+
+    def test_single_mirror_grid(self):
+        s = build_default_scenario({"irs": {"grid_m": 1}})
+        matrix = assert_matrix_matches(s)
+        assert matrix.shape == (4, 1)
+        assert (matrix > 0.0).any()
+
+    def test_zero_reflectivity_gives_zero_gains(self):
+        s = build_default_scenario({"irs": {"reflectivity": 0.0}})
+        matrix = assert_matrix_matches(s)
+        assert not matrix.any()
+
+    def test_small_mirrors_where_the_intercept_binds(self):
+        # Millimetre mirrors catch less of the beam than a large photodiode
+        # would, so min(intercept, captured) takes the intercept.
+        s = build_default_scenario(
+            {
+                "irs": {"grid_m": 4, "element_width_m": 2e-3, "element_height_m": 1e-3},
+                "users": {"pd_area_m2": 1e-4, "fov_deg": 80.0},
+            }
+        )
+        assert (assert_matrix_matches(s) > 0.0).any()
+
+    def test_receiver_branch_sets_differ_per_user(self):
+        base = build_default_scenario({"irs": {"grid_m": 5}})
+        branch_sets = (
+            default_adr_branches(),
+            default_adr_branches((45.0,), elevation_deg=30.0, fov_deg=60.0),
+            default_adr_branches((0.0, 120.0, 240.0), elevation_deg=75.0, fov_deg=40.0),
+            default_adr_branches((10.0, 100.0), elevation_deg=10.0, fov_deg=89.0),
+        )
+        users = tuple(
+            UserSpec(user.position, False, branches)
+            for user, branches in zip(base.users, branch_sets)
+        )
+        assert_matrix_matches(replace(base, users=users))
+
+
+class TestEdgeGeometry:
+    def test_arrival_exactly_on_fov_boundary(self):
+        ap, user = Vec3(2.5, 2.5, 3.0), Vec3(1.7, 3.9, 0.0)
+        mirror = wall_mirror(Vec3(2.3, 5.0, 1.5))
+        normal = steer_mirror(ap, mirror.center, user)
+        arrival = specular_reflect((mirror.center - ap).normalized(), normal)
+        probe = one_branch(elevation=70.0, fov=45.0, azimuth=100.0)[0]
+        angle = incidence_angle(arrival, probe.normal())
+        # Find a FOV in degrees whose radians land exactly on the angle.
+        fov_deg = math.degrees(angle)
+        while math.radians(fov_deg) < angle:
+            fov_deg = math.nextafter(fov_deg, 90.0)
+        while math.radians(fov_deg) > angle:
+            fov_deg = math.nextafter(fov_deg, 0.0)
+        assert math.radians(fov_deg) == angle
+        on_edge = (replace(probe, fov_half_angle_deg=fov_deg),)
+        row, _ = assert_row_matches(ap, [mirror], user, on_edge)
+        assert row[0] > 0.0  # the boundary is inside the field of view
+        just_outside = (replace(probe, fov_half_angle_deg=math.nextafter(fov_deg, 0.0)),)
+        row, _ = assert_row_matches(ap, [mirror], user, just_outside)
+        assert row[0] == 0.0
+
+    def test_user_and_transmitter_behind_the_mirror_plane(self):
+        # The wall faces -y into the room; both ends sit on its far side.
+        mirrors = [wall_mirror(Vec3(2.0 + 0.2 * j, 5.0, 1.5)) for j in range(5)]
+        for ap, user in (
+            (Vec3(2.5, 2.5, 3.0), Vec3(2.2, 6.0, 0.5)),
+            (Vec3(2.5, 6.5, 3.0), Vec3(2.2, 3.0, 0.0)),
+            (Vec3(2.5, 6.5, 3.0), Vec3(2.2, 7.0, 0.0)),
+        ):
+            assert_row_matches(ap, mirrors, user, default_adr_branches(fov_deg=89.0))
+
+    def test_degenerate_steering(self):
+        # Transmitter, mirror and user in a line: u_out == u_in, gain 0.
+        ap, center = Vec3(1.0, 1.0, 3.0), Vec3(2.0, 2.0, 2.0)
+        mirrors = [wall_mirror(center)]
+        for offset in (0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6):
+            user = Vec3(3.0 + offset, 3.0, 1.0)
+            assert_row_matches(ap, mirrors, user, one_branch())
+        row, _ = assert_row_matches(ap, mirrors, Vec3(3.0, 3.0, 1.0), one_branch())
+        assert row[0] == 0.0
+
+    def test_zero_length_leg(self):
+        center = Vec3(2.0, 5.0, 1.5)
+        mirrors = [wall_mirror(center), wall_mirror(Vec3(2.15, 5.0, 1.5))]
+        row, _ = assert_row_matches(Vec3(2.5, 2.5, 3.0), mirrors, center, one_branch())
+        assert row[0] == 0.0
+        row, _ = assert_row_matches(center, mirrors, Vec3(2.5, 2.5, 0.0), one_branch())
+        assert row[0] == 0.0
+
+    def test_near_horizontal_steered_normal(self):
+        # A ceiling mirror between a transmitter and a user at equal height
+        # is steered to face straight down: mirror_plane_axes falls back to +x.
+        center = Vec3(2.0, 2.0, 3.0)
+        mirrors = [MirrorElement(center, Vec3(0.0, 0.0, -1.0), 0.15, 0.10, 0.95)]
+        ap = Vec3(1.0, 2.0, 1.0)
+        flat = []
+        for tilt in (0.0, 1e-10, 3e-5, 6e-5, 8e-5, 1e-4, 1e-3):
+            user = Vec3(3.0, 2.0 + tilt, 1.0)
+            row, _ = assert_row_matches(ap, mirrors, user, one_branch())
+            assert row[0] > 0.0
+            flat.append(abs(steer_mirror(ap, center, user).z) > 1.0 - 1e-9)
+        assert True in flat and False in flat
+
+    def test_empty_wall(self):
+        row = irs_gain_row(Vec3(2.5, 2.5, 3.0), MirrorColumns.of([]), Vec3(1.0, 1.0, 0.0),
+                           one_branch(), WAIST, WAVELENGTH)
+        assert row.shape == (0,)
+
+
+def test_matrix_without_wall_is_empty():
+    s = build_default_scenario({"irs": {"enabled": False}})
+    assert irs_gain_matrix(s).shape == (4, 0)
+

@@ -1,12 +1,17 @@
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import owcsim.network
 from owcsim.config import build_default_scenario
 from owcsim.geometry import Vec3
+from owcsim.link import sum_rate
 from owcsim.network import (
     Assignment,
+    UserSpec,
     assign_mirrors,
     build_irs_panel,
     evaluate_scenario,
@@ -15,6 +20,7 @@ from owcsim.network import (
     place_users_uniform,
     power_for_transmit_snr,
     scenario_assignment,
+    serving_branch_index,
     simulate_scenario,
     sweep_snr,
     sweep_users,
@@ -22,6 +28,8 @@ from owcsim.network import (
     with_irs_grid,
     without_irs,
 )
+
+from owcsim.output import ResultRow, ResultTable
 
 from oracles import best_matching_value
 
@@ -223,6 +231,39 @@ class TestAssignMirrors:
             optimum = best_matching_value(gains)
             assert greedy >= 0.5 * optimum - 1e-12
 
+    def test_nan_gain_rejected(self):
+        s = self.scenario_with_users(2)
+        with pytest.raises(ValueError, match=r"nonnegative, got nan at \(1, 0\)"):
+            assign_mirrors(s, np.array([[0.5, 0.2], [math.nan, 0.1]]))
+
+    def test_three_dimensional_gains_rejected(self):
+        s = self.scenario_with_users(2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            assign_mirrors(s, np.zeros((2, 3, 2)))
+
+    def test_list_and_array_inputs_agree_with_planted_ties(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            n_users = rng.randint(1, 5)
+            n_mirrors = rng.randint(0, 9)
+            levels = [0.0, 0.25, 0.5, rng.random()]  # few values, so many ties
+            gains = [[rng.choice(levels) for _ in range(n_mirrors)] for _ in range(n_users)]
+            cap = rng.choice([1, 2, 3, None])
+            s = self.scenario_with_users(n_users)
+            from_list = assign_mirrors(s, gains, max_per_user=cap)
+            from_array = assign_mirrors(s, np.array(gains).reshape(n_users, n_mirrors), cap)
+            assert from_list == from_array
+            # Ties go to the lowest (user, mirror): replay the greedy by hand.
+            entries = sorted(
+                (-g, u, m) for u, row in enumerate(gains) for m, g in enumerate(row) if g > 0.0
+            )
+            taken, expected = set(), [[] for _ in gains]
+            for _, u, m in entries:
+                if m not in taken and (cap is None or len(expected[u]) < cap):
+                    taken.add(m)
+                    expected[u].append(m)
+            assert from_list.per_user == tuple(tuple(sorted(m)) for m in expected)
+
     def test_duplicate_assignment_rejected(self):
         with pytest.raises(ValueError, match="more than one user"):
             Assignment(((0, 1), (1,)))
@@ -275,6 +316,32 @@ class TestEvaluateUser:
             result = evaluate_user(s, assignment, i)
             assert 0.0 <= result.received_optical_power <= s.p_tot
 
+    def test_standalone_call_matches_scenario_evaluation(self):
+        s = build_default_scenario({"irs": {"grid_m": 10}})
+        assignment = scenario_assignment(s)
+        results = evaluate_scenario(s)
+        for i in range(len(s.users)):
+            assert evaluate_user(s, assignment, i) == results[i]
+
+    def test_evaluate_scenario_runs_scalar_path_at_most_once_per_user(self, monkeypatch):
+        # The gain matrix comes from the vectorised kernel; the scalar
+        # reference only finds each user's mirror-path receiver branch.
+        calls = {"irs_gain": 0, "serving_branch_index": 0}
+        for name in calls:
+            original = getattr(owcsim.network, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owcsim.network, name, counted)
+        s = build_default_scenario({"irs": {"grid_m": 10}})
+        results = evaluate_scenario(s)
+        assert len(s.users) == 4
+        assert any(r.gain.h_nlos > 0.0 for r in results)
+        assert calls["irs_gain"] <= len(s.users)
+        assert calls["serving_branch_index"] == len(s.users)
+
     def test_los_priority_split(self):
         base = build_default_scenario(None)
         prio = build_default_scenario({"power": {"split": "los_priority"}})
@@ -303,9 +370,22 @@ class TestStructure:
         assert bigger.irs.panel_center == s.irs.panel_center
         assert bigger.irs.element_size == s.irs.element_size
 
+    def test_serving_branches_cached_per_scenario(self):
+        s = build_default_scenario({"users": {"k": 4}})
+        fresh = replace(s)
+        assert s.serving_branches == tuple(
+            serving_branch_index(s, i) for i in range(len(s.users))
+        )
+        assert s == fresh and hash(s) == hash(fresh)  # the cache is not compared
+        moved = UserSpec(Vec3(0.3, 4.7, 0.0), False, s.users[0].branches)
+        other = replace(s, users=(moved,) + s.users[1:])
+        assert other.serving_branches[1:] == s.serving_branches[1:]
+        assert other.serving_branches[0] == serving_branch_index(other, 0)
+
     def test_gain_matrix_shape_and_range(self):
         s = build_default_scenario(None)
         matrix = irs_gain_matrix(s)
+        assert isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
         assert len(matrix) == 4
         assert all(len(row) == 25 for row in matrix)
         assert all(0.0 <= g <= 0.95 for row in matrix for g in row)
@@ -372,6 +452,27 @@ class TestSweepUsers:
         small = rows[("none", 3.0)].user_rates_bps
         large = rows[("none", 4.0)].user_rates_bps
         assert large[:3] == small  # same users, same rates, one more appended
+
+    def test_equals_per_k_rebuild(self):
+        # Rows sliced from one K_max evaluation equal a fresh evaluation per K.
+        for doc, ks in (
+            (None, range(1, 9)),
+            ({"irs": {"grid_m": 10}, "power": {"max_mirrors_per_user": 6}}, [7, 2, 12, 5]),
+            ({"irs": {"enabled": False}, "seed": 5}, [3, 1, 6]),
+        ):
+            s = build_default_scenario(doc)
+            with_panel = s if s.irs is not None else with_irs_grid(s, 5)
+            positions = place_users_uniform(max(ks), s.room_dims, s.rng_seed, s.receiver_z)
+            rows = []
+            for k in ks:
+                users = tuple(UserSpec(positions[i], False, s.users[0].branches) for i in range(k))
+                for label, variant in (
+                    ("none", replace(with_panel, irs=None, users=users)),
+                    (with_panel.irs.label(), replace(with_panel, users=users)),
+                ):
+                    rates = [result.rate for result in evaluate_scenario(variant)]
+                    rows.append(ResultRow(float(k), label, sum_rate(rates), tuple(rates)))
+            assert sweep_users(s, ks) == ResultTable.from_rows(rows)
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
