@@ -1,10 +1,19 @@
-"""Receiver noise budget, electrical SNR, and achievable rate."""
+"""Receiver noise budget, electrical SNR, and achievable rate.
+
+`noise_variance`, `sinr`, `achievable_rate` and `sum_rate` take either
+Python floats or float64 ndarrays in their power-dependent arguments, so one
+copy of each formula serves a single operating point and a whole grid of
+transmit powers. Arrays go through the same operations in the same order as
+floats and give bitwise the same elements; a float input returns a float.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .channel import ChannelGain
 
@@ -61,8 +70,8 @@ def thermal_noise_variance(params: NoiseParams) -> float:
 
 
 def noise_variance(
-    params: NoiseParams, received_optical_power: float, responsivity: float
-) -> float:
+    params: NoiseParams, received_optical_power: float | np.ndarray, responsivity: float
+) -> float | np.ndarray:
     """Total shot + thermal + RIN current variance in A^2.
 
     shot    = 2 q R P B
@@ -72,38 +81,63 @@ def noise_variance(
     Strictly increasing in received power; the thermal floor keeps the
     variance positive in the dark.
     """
-    if received_optical_power < 0.0:
+    if np.less(received_optical_power, 0.0).any():
         raise ValueError("received_optical_power must be nonnegative")
     if responsivity < 0.0:
         raise ValueError("responsivity must be nonnegative")
     photocurrent = responsivity * received_optical_power
     shot = 2.0 * params.electron_charge * photocurrent * params.bandwidth_b
-    rin = 10.0 ** (params.rin_db_per_hz / 10.0) * photocurrent**2 * params.bandwidth_b
+    rin = (
+        10.0 ** (params.rin_db_per_hz / 10.0)
+        * (photocurrent * photocurrent)
+        * params.bandwidth_b
+    )
     return shot + thermal_noise_variance(params) + rin
 
 
 def sinr(
-    gain: ChannelGain, transmit_power: float, responsivity: float, sigma2: float
-) -> float:
+    gain: ChannelGain,
+    transmit_power: float | np.ndarray,
+    responsivity: float,
+    sigma2: float | np.ndarray,
+) -> float | np.ndarray:
     """Electrical SNR (R q P)^2 / sigma^2; the model is noise-limited."""
-    if sigma2 <= 0.0:
+    if np.less_equal(sigma2, 0.0).any():
         raise ValueError("nonpositive noise variance")
     signal_current = responsivity * gain.q * transmit_power
     return signal_current * signal_current / sigma2
 
 
-def achievable_rate(gamma: float, bandwidth: float) -> float:
+def achievable_rate(gamma: float | np.ndarray, bandwidth: float) -> float | np.ndarray:
     """Rate bound B log2(1 + (e / 2 pi) gamma) in bit/s."""
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    if np.less(gamma, 0.0).any():
+        raise ValueError(f"gamma must be nonnegative, got {_first_negative(gamma)}")
     if bandwidth <= 0.0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    return bandwidth * math.log2(1.0 + RATE_SNR_SCALE * gamma)
+    argument = 1.0 + RATE_SNR_SCALE * gamma
+    if isinstance(argument, np.ndarray):
+        # math.log2 per element: np.log2 can differ from it in the last bit.
+        flat = np.fromiter(map(math.log2, argument.ravel().tolist()), np.float64, argument.size)
+        return bandwidth * flat.reshape(argument.shape)
+    return bandwidth * math.log2(argument)
 
 
-def sum_rate(rates: Sequence[float]) -> float:
-    """Arithmetic sum of per-user rates."""
+def sum_rate(rates: Sequence[float] | Sequence[np.ndarray]) -> float | np.ndarray:
+    """Sum of per-user rates, or of per-user rate arrays elementwise.
+
+    The users are added one at a time, left to right, so a sum of arrays
+    equals the sum of the floats at each element.
+    """
+    total = 0.0
     for rate in rates:
-        if rate < 0.0:
-            raise ValueError(f"rates must be nonnegative, got {rate}")
-    return float(sum(rates))
+        if np.less(rate, 0.0).any():
+            raise ValueError(f"rates must be nonnegative, got {_first_negative(rate)}")
+        total = total + rate
+    return total
+
+
+def _first_negative(values: float | np.ndarray) -> float:
+    """The value to name in a nonnegativity message: the first negative element."""
+    if isinstance(values, np.ndarray):
+        return float(values[values < 0.0].flat[0])
+    return values

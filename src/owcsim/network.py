@@ -8,6 +8,11 @@ transmit power is split across those beams by the configured rule.
 Evaluations are pure functions of the scenario, so sweep points can be
 computed in any order.
 
+Only the transmit power changes between sweep points, so the rate path (beam
+powers, eye-safety cap, received power, noise, SNR and rate) runs over a 1-D
+array of transmit powers: `sweep_snr` calls it once per (variant, user) for
+the whole SNR grid, and a single evaluation passes a one-element array.
+
 A Scenario picks each user's serving transmitter branch once
 (`Scenario.serving_branches`). An evaluation fills the (user, mirror) gain
 matrix with one `channel.irs_gain_row` kernel call per user; assignment and
@@ -523,30 +528,47 @@ def _plan_user(
     return _UserPlan(beam_gains, not user.blocked, combined, user.branches[0].responsivity)
 
 
-def _beam_powers(
-    n_beams: int, has_los_beam: bool, p_tot: float, split: str
-) -> tuple[float, ...]:
-    if n_beams == 0:
-        return ()
-    if split == "los_priority" and has_los_beam:
-        return (p_tot,) + (0.0,) * (n_beams - 1)
-    share = p_tot / n_beams
-    return (share,) * n_beams
+def _beam_powers(plan: _UserPlan, split: str, p_tot: np.ndarray) -> np.ndarray:
+    """(beams, points) power of each of the plan's beams at each total in `p_tot`."""
+    powers = np.zeros((len(plan.beam_gains), len(p_tot)))
+    if split == "los_priority" and plan.has_los_beam:
+        powers[0] = p_tot
+    elif len(powers):
+        powers[:] = p_tot / len(powers)
+    return powers
 
 
-def _finish(plan: _UserPlan, scenario: Scenario, p_tot: float) -> LinkResult:
-    powers = _beam_powers(len(plan.beam_gains), plan.has_los_beam, p_tot, scenario.power_split)
-    for power in powers:
-        if power > scenario.eye_safety_cap:
-            raise ValueError(
-                f"per-beam power {power:.6g} W exceeds power.eye_safety_cap_w "
-                f"{scenario.eye_safety_cap:.6g} W"
-            )
-    received = sum(g * p for g, p in zip(plan.beam_gains, powers))
+def _check_eye_safety(
+    plans: Sequence[_UserPlan], scenario: Scenario, p_tot: np.ndarray
+) -> None:
+    """Reject the first (point, user), point-major, with a beam over the cap."""
+    split = scenario.power_split
+    peaks = np.array(
+        [_beam_powers(plan, split, p_tot).max(axis=0, initial=0.0) for plan in plans]
+    )
+    over = peaks > scenario.eye_safety_cap
+    if over.any():
+        point = over.any(axis=0).argmax()
+        user = over[:, point].argmax()
+        raise ValueError(
+            f"per-beam power {float(peaks[user, point]):.6g} W exceeds "
+            f"power.eye_safety_cap_w {scenario.eye_safety_cap:.6g} W"
+        )
+
+
+def _link(
+    plan: _UserPlan, scenario: Scenario, p_tot: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Received power, noise variance, SNR and rate at each total in `p_tot`.
+
+    The caller has passed `p_tot` through `_check_eye_safety`. Each point's
+    received power adds the beams left to right, as a scalar sum would.
+    """
+    terms = np.array(plan.beam_gains)[:, None] * _beam_powers(plan, scenario.power_split, p_tot)
+    received = np.add.accumulate(terms)[-1] if len(terms) else np.zeros(len(p_tot))
     sigma2 = noise_variance(scenario.noise, received, plan.responsivity)
     gamma = sinr(plan.gain, p_tot, plan.responsivity, sigma2)
-    rate = achievable_rate(gamma, scenario.noise.bandwidth_b)
-    return LinkResult(received, sigma2, gamma, rate, plan.gain)
+    return received, sigma2, gamma, achievable_rate(gamma, scenario.noise.bandwidth_b)
 
 
 def evaluate_user(
@@ -568,7 +590,9 @@ def evaluate_user(
             scenario, MirrorColumns.of(scenario.irs.elements), user_index, branch
         )
     plan = _plan_user(scenario, assignment, user_index, branch, gain_row)
-    return _finish(plan, scenario, scenario.p_tot)
+    p_tot = np.array([scenario.p_tot])
+    _check_eye_safety((plan,), scenario, p_tot)
+    return LinkResult(*(float(value[0]) for value in _link(plan, scenario, p_tot)), plan.gain)
 
 
 def evaluate_scenario(scenario: Scenario) -> list[LinkResult]:
@@ -618,7 +642,9 @@ def sweep_snr(
     """Sum rate against transmit SNR for each mirror-wall variant.
 
     All variants see identical users; per-variant gains and assignments are
-    power-independent and computed once.
+    power-independent and computed once. The grid is checked against the
+    eye-safety cap before any rate is computed; then each user's rates at
+    every point come from one `_link` call.
     """
     points = [float(db) for db in snr_points_db]
     if not points:
@@ -633,10 +659,15 @@ def sweep_snr(
             _plan_user(variant, assignment, i, branch, gains[i])
             for i, branch in enumerate(variant.serving_branches)
         ]
-        for db in points:
-            p_tot = power_for_transmit_snr(variant.noise, responsivity, db)
-            rates = [_finish(plan, variant, p_tot).rate for plan in plans]
-            rows.append(ResultRow(db, label, sum_rate(rates), tuple(rates)))
+        p_tot = np.array(
+            [power_for_transmit_snr(variant.noise, responsivity, db) for db in points]
+        )
+        _check_eye_safety(plans, variant, p_tot)
+        rates = np.empty((len(plans), len(points)))
+        for user_index, plan in enumerate(plans):
+            rates[user_index] = _link(plan, variant, p_tot)[3]
+        for db, total, user_rates in zip(points, sum_rate(rates).tolist(), rates.T):
+            rows.append(ResultRow(db, label, total, tuple(user_rates.tolist())))
     return ResultTable.from_rows(rows)
 
 

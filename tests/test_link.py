@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from owcsim.channel import ChannelGain
@@ -163,6 +164,75 @@ class TestSumRate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sum_rate([1e9, -1.0])
+
+
+class TestArrayInputs:
+    """Each formula takes a float or a float64 array of operating points."""
+
+    N = 20_000
+
+    def values(self, seed, low, high):
+        rng = np.random.default_rng(seed)
+        return 10.0 ** rng.uniform(low, high, self.N)
+
+    def test_float_in_float_out(self):
+        sigma2 = noise_variance(TABLE, 1e-6, 0.4)
+        gamma = sinr(gain_of(1e-4), 0.01, 0.4, sigma2)
+        rate = achievable_rate(gamma, 1.5e9)
+        for value in (sigma2, gamma, rate, sum_rate([rate, rate])):
+            assert type(value) is float
+
+    def test_noise_variance_elementwise_bitwise(self):
+        powers = np.concatenate(([0.0], self.values(41, -12.0, 1.0)))
+        got = noise_variance(TABLE, powers, 0.4)
+        assert got.dtype == np.float64 and got.shape == powers.shape
+        assert got.tolist() == [noise_variance(TABLE, p, 0.4) for p in powers.tolist()]
+
+    def test_sinr_elementwise_bitwise(self):
+        powers = self.values(42, -6.0, 2.0)
+        sigma2 = self.values(43, -15.0, -8.0)
+        got = sinr(gain_of(1.7e-4), powers, 0.4, sigma2)
+        expected = [
+            sinr(gain_of(1.7e-4), p, 0.4, s2) for p, s2 in zip(powers.tolist(), sigma2.tolist())
+        ]
+        assert got.tolist() == expected
+
+    def test_achievable_rate_elementwise_bitwise(self):
+        gammas = np.concatenate(([0.0], self.values(44, -8.0, 14.0)))
+        got = achievable_rate(gammas, 1.5e9)
+        assert got.tolist() == [achievable_rate(g, 1.5e9) for g in gammas.tolist()]
+
+    def test_sum_rate_adds_users_left_to_right(self):
+        rng = np.random.default_rng(45)
+        rates = rng.uniform(0.0, 1e10, (7, 500))
+        got = sum_rate(rates)
+        assert got.tolist() == [sum_rate(column) for column in rates.T.tolist()]
+
+    def test_one_negative_element_raises_scalar_message(self):
+        powers = np.array([1e-6, 2e-6, -3e-7, -1.0])
+        with pytest.raises(ValueError) as scalar:
+            noise_variance(TABLE, -3e-7, 0.4)
+        with pytest.raises(ValueError) as array:
+            noise_variance(TABLE, powers, 0.4)
+        assert str(array.value) == str(scalar.value)
+
+        with pytest.raises(ValueError) as scalar:
+            sinr(gain_of(1e-4), 0.01, 0.4, 0.0)
+        with pytest.raises(ValueError) as array:
+            sinr(gain_of(1e-4), np.full(3, 0.01), 0.4, np.array([1e-13, 0.0, 1e-13]))
+        assert str(array.value) == str(scalar.value)
+
+        with pytest.raises(ValueError) as scalar:
+            achievable_rate(-0.1, 1.5e9)
+        with pytest.raises(ValueError) as array:
+            achievable_rate(np.array([1.0, -0.1, -2.0]), 1.5e9)
+        assert str(array.value) == str(scalar.value) == "gamma must be nonnegative, got -0.1"
+
+        with pytest.raises(ValueError) as scalar:
+            sum_rate([1e9, -1.0])
+        with pytest.raises(ValueError) as array:
+            sum_rate([np.array([1e9, 2e9]), np.array([3e9, -1.0])])
+        assert str(array.value) == str(scalar.value)
 
 
 class TestLinkResult:

@@ -8,7 +8,8 @@ import pytest
 import owcsim.network
 from owcsim.config import build_default_scenario
 from owcsim.geometry import Vec3
-from owcsim.link import sum_rate
+from owcsim.config import DEFAULT_SNR_POINTS_DB
+from owcsim.link import achievable_rate, noise_variance, sinr, sum_rate
 from owcsim.network import (
     Assignment,
     UserSpec,
@@ -20,6 +21,7 @@ from owcsim.network import (
     place_users_uniform,
     power_for_transmit_snr,
     scenario_assignment,
+    scenario_responsivity,
     serving_branch_index,
     simulate_scenario,
     sweep_snr,
@@ -429,6 +431,155 @@ class TestSweepSnr:
         s = build_default_scenario(None)  # cap 1.0 W; 130 dB needs ~2.4 W
         with pytest.raises(ValueError, match="eye_safety_cap"):
             sweep_snr(s, [130.0])
+
+
+def _point_links(variant, plans, p_tot):
+    """Every user's (received power, noise variance, SNR, rate) at one transmit
+    power, one scalar link call chain per user: the per-point path the array
+    path must reproduce bit for bit."""
+    links = []
+    for plan in plans:
+        n_beams = len(plan.beam_gains)
+        if n_beams and variant.power_split == "los_priority" and plan.has_los_beam:
+            powers = (p_tot,) + (0.0,) * (n_beams - 1)
+        else:
+            powers = (p_tot / n_beams,) * n_beams if n_beams else ()
+        for power in powers:
+            if power > variant.eye_safety_cap:
+                raise ValueError(
+                    f"per-beam power {power:.6g} W exceeds power.eye_safety_cap_w "
+                    f"{variant.eye_safety_cap:.6g} W"
+                )
+        received = 0.0
+        for g, p in zip(plan.beam_gains, powers):
+            received += g * p
+        sigma2 = noise_variance(variant.noise, received, plan.responsivity)
+        gamma = sinr(plan.gain, p_tot, plan.responsivity, sigma2)
+        links.append((received, sigma2, gamma, achievable_rate(gamma, variant.noise.bandwidth_b)))
+    return links
+
+
+def _per_point_sweep_snr(scenario, points, variants):
+    responsivity = scenario_responsivity(scenario)
+    rows = []
+    for label in variants:
+        variant = owcsim.network._variant_scenario(scenario, label)
+        gains = irs_gain_matrix(variant)
+        assignment = assign_mirrors(variant, gains, variant.max_mirrors_per_user)
+        plans = [
+            owcsim.network._plan_user(variant, assignment, i, branch, gains[i])
+            for i, branch in enumerate(variant.serving_branches)
+        ]
+        for db in points:
+            p_tot = power_for_transmit_snr(variant.noise, responsivity, db)
+            rates = [link[3] for link in _point_links(variant, plans, p_tot)]
+            rows.append(ResultRow(float(db), label, sum_rate(rates), tuple(rates)))
+    return ResultTable.from_rows(rows)
+
+
+class TestSweepSnrArrayPath:
+    """`sweep_snr` runs each user once over the whole grid of transmit powers."""
+
+    VARIANTS = ("none", "5x5", "10x10")
+    DENSE_POINTS = [60.0 + 0.05 * i for i in range(1201)]
+
+    @pytest.mark.parametrize("split", ["equal", "los_priority"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            {"users": {"blocked": [1, 2]}},
+            {"power": {"max_mirrors_per_user": 2}},
+        ],
+        ids=["default", "blocked", "two-mirrors"],
+    )
+    def test_equals_per_point_composition(self, doc, split):
+        s = build_default_scenario({**doc, "power": {**doc.get("power", {}), "split": split}})
+        points = list(DEFAULT_SNR_POINTS_DB) + [61.3, 97.25]
+        assert sweep_snr(s, points, self.VARIANTS) == _per_point_sweep_snr(
+            s, points, self.VARIANTS
+        )
+
+    @pytest.mark.parametrize("split", ["equal", "los_priority"])
+    def test_single_point_evaluation_equals_composition(self, split):
+        # evaluate_scenario runs the same path on a one-element power array;
+        # users hold 73, 1, 29 and 1 beams on the 10x10 wall.
+        base = build_default_scenario({"irs": {"grid_m": 10}, "power": {"split": split}})
+        gains = irs_gain_matrix(base)
+        assignment = assign_mirrors(base, gains, base.max_mirrors_per_user)
+        plans = [
+            owcsim.network._plan_user(base, assignment, i, branch, gains[i])
+            for i, branch in enumerate(base.serving_branches)
+        ]
+        assert [len(plan.beam_gains) for plan in plans] == [73, 1, 29, 1]
+        for p_tot in (0.01, 0.0123, 0.07, 0.31, 0.77, 1.0):
+            s = replace(base, p_tot=p_tot)
+            results = evaluate_scenario(s)
+            assert [
+                (r.received_optical_power, r.noise_variance, r.sinr, r.rate) for r in results
+            ] == _point_links(s, plans, p_tot)
+
+    def test_blocked_user_without_beams(self):
+        s = build_default_scenario({"users": {"blocked": [1]}, "irs": {"enabled": False}})
+        table = sweep_snr(s, DEFAULT_SNR_POINTS_DB, ("none",))
+        assert table == _per_point_sweep_snr(s, DEFAULT_SNR_POINTS_DB, ("none",))
+        assert all(row.user_rates_bps[1] == 0.0 for row in table.rows)
+        assert all(row.user_rates_bps[0] > 0.0 for row in table.rows)
+
+    def test_dense_grid_many_users_without_wall(self):
+        rng = random.Random(64)
+        positions = [[rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0), 0.0] for _ in range(64)]
+        s = build_default_scenario(
+            {"irs": {"enabled": False}, "users": {"k": 64, "positions": positions}}
+        )
+        table = sweep_snr(s, self.DENSE_POINTS, ("none",))
+        assert len(table.rows) == 1201
+        assert table == _per_point_sweep_snr(s, self.DENSE_POINTS, ("none",))
+
+    @pytest.mark.parametrize("split", ["equal", "los_priority"])
+    @pytest.mark.parametrize(
+        "points", [[125.0, 160.0], [160.0, 125.0], [100.0, 150.0, 125.0]]
+    )
+    def test_cap_error_names_first_point_then_user(self, points, split):
+        # On the 10x10 wall users 0-3 hold 73, 1, 29 and 1 beams under an equal
+        # split, so they cross the 1 W cap at different powers: 125 dB takes
+        # users 1 and 3 over, 160 dB user 0 too. The old loop ran point by
+        # point in the order given, then user by user.
+        s = build_default_scenario({"power": {"split": split}})
+        with pytest.raises(ValueError, match="eye_safety_cap") as expected:
+            _per_point_sweep_snr(s, points, ("10x10",))
+        with pytest.raises(ValueError, match="eye_safety_cap") as got:
+            sweep_snr(s, points, ("10x10",))
+        assert str(got.value) == str(expected.value)
+
+    def test_cap_error_differs_by_point_order(self):
+        s = build_default_scenario(None)
+        messages = set()
+        for points in ([125.0, 160.0], [160.0, 125.0]):
+            with pytest.raises(ValueError, match="eye_safety_cap") as err:
+                sweep_snr(s, points, ("10x10",))
+            messages.add(str(err.value))
+        assert len(messages) == 2  # user 1 at 125 dB, then user 0 at 160 dB
+
+    def test_link_calls_once_per_variant_and_user(self, monkeypatch):
+        calls = {"noise_variance": 0, "sinr": 0, "achievable_rate": 0}
+        for name in calls:
+            original = getattr(owcsim.network, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owcsim.network, name, counted)
+        s = build_default_scenario(None)
+        counts = []
+        for points in (DEFAULT_SNR_POINTS_DB[:2], self.DENSE_POINTS[:50]):
+            for name in calls:
+                calls[name] = 0
+            sweep_snr(s, points, self.VARIANTS)
+            assert calls["achievable_rate"] <= len(self.VARIANTS) * len(s.users)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
 
 
 class TestSweepUsers:
