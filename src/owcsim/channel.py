@@ -7,12 +7,14 @@ same beam continued to the total folded distance, with the finite mirror
 entering as a multiplicative intercept fraction. Receiver combining is
 select-best across the angle-diversity branches.
 
-The mirror path has two implementations. `irs_gain` is the scalar reference:
-one (transmitter branch, mirror, user) triple on `Vec3` values, taking a
-mirror already steered for it. `irs_gain_row` is the kernel the network
-evaluation runs: it steers and scores every mirror of a wall for one user at
-once on numpy columns, repeating the reference's arithmetic step for step so
-the two agree to rounding.
+Both paths have a scalar reference and a numpy kernel. The references work
+on `Vec3` values: `los_gain` scores one (transmitter branch, user) pair, and
+`irs_gain` one (transmitter branch, mirror, user) triple, taking a mirror
+already steered for it. The network evaluation runs the kernels, which repeat
+the references' arithmetic step for step: `los_gain_table` scores every
+(user, transmitter branch) pair at once and equals `los_gain` bitwise;
+`irs_gain_row` steers and scores every mirror of a wall for one user and
+agrees with `irs_gain` to rounding.
 """
 
 from __future__ import annotations
@@ -270,6 +272,79 @@ def irs_gain_row(
     return np.where(valid, best, 0.0)
 
 
+def los_gain_table(
+    ap_branch_positions: Sequence[Vec3],
+    user_positions: Sequence[Vec3],
+    user_branches: Sequence[Sequence[AdrBranch]],
+    blocked: Sequence[bool],
+    waist_w0: float,
+    wavelength: float,
+    room_dims: tuple[float, float, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Direct-path gain from every transmitter branch to every user.
+
+    Vectorised form of `los_gain` with a unit-power beam of the given waist
+    and wavelength aimed at the user, over all pairs at once. Returns two
+    (users, branches) arrays: the gain, and the serving receiver branch, -1
+    where `los_gain` gives None. Both equal the reference bitwise: the
+    arithmetic follows its order, and acos and expm1 go through `math`, as
+    numpy's may differ from libm's in the last bit. Errors are the ones the
+    reference meets first, looping over users, then transmitter branches,
+    and building each aimed beam before anything else.
+    """
+    ap = np.array([p.as_tuple() for p in ap_branch_positions], dtype=np.float64).reshape(-1, 3)
+    users = np.array([p.as_tuple() for p in user_positions], dtype=np.float64).reshape(-1, 3)
+    dx, dy, dz = (users[:, axis, None] - ap[:, axis] for axis in range(3))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        separation = np.sqrt(dx * dx + dy * dy + dz * dz)
+        inv = 1.0 / separation
+        ux, uy, uz = dx * inv, dy * inv, dz * inv
+        # Each aimed beam needs a unit direction. A zero separation (NaN here),
+        # or one whose square underflows, fails as `Vec3.normalized` or
+        # `GaussianBeam` would.
+        bad = ~(np.abs(np.sqrt(ux * ux + uy * uy + uz * uz) - 1.0) <= 1e-9)
+    outside = np.zeros(len(users), dtype=bool)
+    if room_dims is not None:
+        outside = ~((users >= 0.0) & (users <= np.array(room_dims))).all(axis=1)
+    failing = np.flatnonzero(outside | bad.any(axis=1))
+    if len(failing):
+        # Rerun the failing user's first bad step on the scalar path, so the
+        # error is the reference's own.
+        i = failing[0]
+        if outside[i] and not bad[i, 0]:
+            _require_in_room(user_positions[i], room_dims)
+        origin = ap_branch_positions[int(bad[i].argmax())]
+        GaussianBeam(waist_w0, wavelength, 1.0, origin, (user_positions[i] - origin).normalized())
+
+    spread = wavelength * separation / (math.pi * waist_w0**2)
+    w_d = waist_w0 * np.sqrt(1.0 + spread * spread)
+    beam_area = w_d * w_d
+    gain = np.zeros(separation.shape)
+    receiver = np.full(separation.shape, -1)
+    groups: dict[tuple[AdrBranch, ...], list[int]] = {}
+    for i, branches in enumerate(user_branches):
+        groups.setdefault(tuple(branches), []).append(i)
+    for branches, rows in groups.items():
+        rows = slice(None) if len(rows) == len(users) else np.array(rows)
+        gx, gy, gz, area = ux[rows], uy[rows], uz[rows], beam_area[rows]
+        best = np.zeros(area.shape)
+        index = np.full(area.shape, -1)
+        for r, branch in enumerate(branches):
+            nx, ny, nz = branch.normal().as_tuple()
+            cosine = np.clip(-(gx * nx + gy * ny + gz * nz), -1.0, 1.0)
+            seen = _map(math.acos, cosine) <= branch.fov_half_angle_rad()
+            radius = branch.aperture_radius()
+            captured = -_map(math.expm1, -2.0 * radius * radius / area)
+            # Strict: the lowest-index receiver branch wins a tie, as in `_best_branch`.
+            better = seen & (captured > best)
+            best = np.where(better, captured, best)
+            index = np.where(better, r, index)
+        gain[rows], receiver[rows] = best, index
+    is_blocked = np.array(blocked, dtype=bool)
+    gain[is_blocked], receiver[is_blocked] = 0.0, -1
+    return gain, receiver
+
+
 def total_gain(
     h_los: float,
     nlos_contributions: Sequence[float],
@@ -306,7 +381,8 @@ def _best_branch(
 
 
 def _map(fn, values: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, values.tolist()), np.float64, len(values))
+    flat = np.fromiter(map(fn, values.ravel().tolist()), np.float64, values.size)
+    return flat.reshape(values.shape)
 
 
 def _projected_scale(axis: Vec3, beam_dir: Vec3) -> float:

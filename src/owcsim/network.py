@@ -13,12 +13,14 @@ powers, eye-safety cap, received power, noise, SNR and rate) runs over a 1-D
 array of transmit powers: `sweep_snr` calls it once per (variant, user) for
 the whole SNR grid, and a single evaluation passes a one-element array.
 
-A Scenario picks each user's serving transmitter branch once
-(`Scenario.serving_branches`). An evaluation fills the (user, mirror) gain
-matrix with one `channel.irs_gain_row` kernel call per user; assignment and
-per-user evaluation read the matrix. The scalar `channel.irs_gain` is the
-reference the kernel is tested against, and runs here only once per user, to
-find the receiver branch serving the mirror path.
+An evaluation runs two kernels. A Scenario scores every (user, transmitter
+branch) direct path once with `channel.los_gain_table` (`Scenario.direct_table`);
+each user's serving transmitter branch and h_los are read from that table.
+The (user, mirror) gain matrix takes one `channel.irs_gain_row` call per user;
+assignment and per-user evaluation read the matrix. The scalar
+`channel.los_gain`, `channel.irs_gain` and `serving_branch_index` are the
+reference the kernels are tested against; of them only `irs_gain` runs here,
+once per user, to find the receiver branch serving the mirror path.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .channel import (
     irs_gain,
     irs_gain_row,
     los_gain,
+    los_gain_table,
     total_gain,
 )
 from .geometry import (
@@ -76,6 +79,8 @@ class AdtSpec:
     beam_waist: float  # m
     beam_wavelength: float  # m
     side_offset: float = 0.3  # m, horizontal displacement of side branches
+    # Set once in __post_init__; `replace` builds a new spec, which sets it anew.
+    _positions: tuple[Vec3, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.branch_orientations:
@@ -88,16 +93,17 @@ class AdtSpec:
             raise ValueError("adt beam waist and wavelength must be positive")
         if self.side_offset < 0.0:
             raise ValueError("adt.side_offset_m must be nonnegative")
-
-    def branch_positions(self) -> tuple[Vec3, ...]:
-        """Branch apertures: the first branch sits at the centre, the rest
-        are displaced horizontally along their azimuth."""
         positions = [self.center_pos]
         for orientation in self.branch_orientations[1:]:
             az = math.radians(orientation.azimuth_deg)
             offset = Vec3(math.cos(az), math.sin(az), 0.0).scaled(self.side_offset)
             positions.append(self.center_pos + offset)
-        return tuple(positions)
+        object.__setattr__(self, "_positions", tuple(positions))
+
+    def branch_positions(self) -> tuple[Vec3, ...]:
+        """Branch apertures: the first branch sits at the centre, the rest
+        are displaced horizontally along their azimuth."""
+        return self._positions
 
 
 @dataclass(frozen=True)
@@ -145,9 +151,12 @@ class Scenario:
     power_split: str
     max_mirrors_per_user: int | None
     rng_seed: int
-    # Filled by `serving_branches` on first use. A declared slot, unlike a
-    # cached_property, gives the instance no __dict__, which would slow every
-    # attribute read in the per-point loop.
+    # Filled by `direct_table` and `serving_branches` on first use. Declared
+    # slots, unlike a cached_property, give the instance no __dict__, which
+    # would slow every attribute read in the per-point loop.
+    _direct: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _serving: tuple[int, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -190,12 +199,53 @@ class Scenario:
             raise ValueError(f"seed must be nonnegative, got {self.rng_seed}")
 
     @property
+    def direct_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """`los_gain_table` of every (user, transmitter branch), computed once.
+
+        Read-only (users, branches) arrays of the direct gain and of the
+        serving receiver branch, -1 where there is none.
+        """
+        if self._direct is None:
+            table = los_gain_table(
+                self.adt.branch_positions(),
+                [user.position for user in self.users],
+                [user.branches for user in self.users],
+                [user.blocked for user in self.users],
+                self.adt.beam_waist,
+                self.adt.beam_wavelength,
+                self.room_dims,
+            )
+            for array in table:
+                array.flags.writeable = False
+            object.__setattr__(self, "_direct", table)
+        return self._direct
+
+    @property
     def serving_branches(self) -> tuple[int, ...]:
-        """`serving_branch_index` of every user, computed once per scenario."""
+        """`serving_branch_index` of every user, read from `direct_table`."""
         if self._serving is None:
-            serving = tuple(serving_branch_index(self, i) for i in range(len(self.users)))
+            gain = self.direct_table[0]
+            # argmax takes the first maximum: the lowest index wins a tie.
+            best = gain.argmax(axis=1).tolist()
+            seen = (gain.max(axis=1) > 0.0).tolist()
+            serving = tuple(
+                b if s else _fallback_branch(self, i)
+                for i, (b, s) in enumerate(zip(best, seen))
+            )
             object.__setattr__(self, "_serving", serving)
         return self._serving
+
+    def _first_users(self, k: int) -> Scenario:
+        """The first k users, the per-user caches sliced rather than recomputed.
+
+        A user's direct-path row and serving branch depend on that user and
+        the wall alone.
+        """
+        prefix = replace(self, users=self.users[:k])
+        gain, receiver = self.direct_table
+        object.__setattr__(prefix, "_direct", (gain[:k], receiver[:k]))
+        object.__setattr__(prefix, "_serving", self.serving_branches[:k])
+        return prefix
 
     def _require_inside(self, name: str, pos: Vec3) -> None:
         dx, dy, dz = self.room_dims
@@ -387,6 +437,14 @@ def serving_branch_index(scenario: Scenario, user_index: int) -> int:
             best_gain, best_index = gain, index
     if best_index is not None:
         return best_index
+    return _fallback_branch(scenario, user_index)
+
+
+def _fallback_branch(scenario: Scenario, user_index: int) -> int:
+    """Branch for a user no branch reaches directly: the one nearest the
+    mirror wall's centre, or the user when there is no wall."""
+    positions = scenario.adt.branch_positions()
+    user = scenario.users[user_index]
     target = scenario.irs.panel_center if scenario.irs is not None else user.position
     distances = [pos.distance_to(target) for pos in positions]
     return min(range(len(positions)), key=lambda b: (distances[b], b))
@@ -493,21 +551,19 @@ def _plan_user(
     branch: int,
     gain_row: np.ndarray | None,
 ) -> _UserPlan:
-    """Direct gain, plus each assigned mirror's gain read from `gain_row`.
+    """Direct gain from `Scenario.direct_table`, plus each assigned mirror's
+    gain read from `gain_row`.
 
     The scalar `irs_gain` runs once, on the best assigned mirror, for the
     receiver branch that serves the mirror path.
     """
     user = scenario.users[user_index]
     branch_pos = scenario.adt.branch_positions()[branch]
-    h_los, los_branch = los_gain(
-        branch_pos,
-        user.position,
-        user.branches,
-        _aimed_beam(scenario, branch_pos, user.position),
-        user.blocked,
-        room_dims=scenario.room_dims,
-    )
+    gain, receiver = scenario.direct_table
+    h_los = float(gain[user_index, branch])
+    los_branch = int(receiver[user_index, branch])
+    if los_branch < 0:
+        los_branch = None
     mirrors = assignment.per_user[user_index]
     nlos = [float(gain_row[m]) for m in mirrors]
     nlos_branch: int | None = None
@@ -597,17 +653,15 @@ def evaluate_user(
 
 def evaluate_scenario(scenario: Scenario) -> list[LinkResult]:
     """Assignment plus per-user link results for the whole scenario."""
-    return _evaluate(scenario, scenario.serving_branches, irs_gain_matrix(scenario))
+    return _evaluate(scenario, irs_gain_matrix(scenario))
 
 
-def _evaluate(
-    scenario: Scenario, serving: Sequence[int], gains: np.ndarray
-) -> list[LinkResult]:
+def _evaluate(scenario: Scenario, gains: np.ndarray) -> list[LinkResult]:
     """Assign mirrors from a precomputed gain matrix, then evaluate each user."""
     assignment = assign_mirrors(scenario, gains, scenario.max_mirrors_per_user)
     return [
-        evaluate_user(scenario, assignment, i, serving[i], gains[i])
-        for i in range(len(scenario.users))
+        evaluate_user(scenario, assignment, i, branch, gains[i])
+        for i, branch in enumerate(scenario.serving_branches)
     ]
 
 
@@ -676,8 +730,9 @@ def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
 
     User draws are nested prefixes of one seeded stream, so growing K keeps
     every existing user in place and the curves stay nondecreasing under
-    dedicated-beam service. A user's serving branch and gain row depend on
-    that user alone, so both are computed once for the largest K and sliced.
+    dedicated-beam service. A user's direct-path row, serving branch and
+    gain row depend on that user alone, so all three are computed once for
+    the largest K and sliced.
     """
     ks = [int(k) for k in k_values]
     if not ks:
@@ -697,12 +752,11 @@ def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
         ("none", replace(with_panel, irs=None, users=users)),
         (irs_label, replace(with_panel, users=users)),
     ):
-        variants.append((label, variant, variant.serving_branches, irs_gain_matrix(variant)))
+        variants.append((label, variant, irs_gain_matrix(variant)))
     rows = []
     for k in ks:
-        for label, variant, serving, gains in variants:
-            prefix = replace(variant, users=users[:k])
-            rates = [result.rate for result in _evaluate(prefix, serving, gains[:k])]
+        for label, variant, gains in variants:
+            rates = [result.rate for result in _evaluate(variant._first_users(k), gains[:k])]
             rows.append(ResultRow(float(k), label, sum_rate(rates), tuple(rates)))
     return ResultTable.from_rows(rows)
 

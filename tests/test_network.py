@@ -325,24 +325,31 @@ class TestEvaluateUser:
         for i in range(len(s.users)):
             assert evaluate_user(s, assignment, i) == results[i]
 
-    def test_evaluate_scenario_runs_scalar_path_at_most_once_per_user(self, monkeypatch):
-        # The gain matrix comes from the vectorised kernel; the scalar
+    def test_evaluate_scenario_runs_each_kernel_and_no_scalar_direct_path(self, monkeypatch):
+        # Both gain tables come from the vectorised kernels; the scalar
         # reference only finds each user's mirror-path receiver branch.
-        calls = {"irs_gain": 0, "serving_branch_index": 0}
-        for name in calls:
-            original = getattr(owcsim.network, name)
-
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(owcsim.network, name, counted)
+        calls = _count_calls(monkeypatch)
         s = build_default_scenario({"irs": {"grid_m": 10}})
         results = evaluate_scenario(s)
         assert len(s.users) == 4
         assert any(r.gain.h_nlos > 0.0 for r in results)
-        assert calls["irs_gain"] <= len(s.users)
-        assert calls["serving_branch_index"] == len(s.users)
+        assert any(r.gain.h_los > 0.0 for r in results)
+        assert calls["los_gain_table"] == 1
+        assert calls["irs_gain_row"] == len(s.users)
+        assert calls["serving_branch_index"] == calls["los_gain"] == 0
+        assert 0 < calls["irs_gain"] <= len(s.users)
+
+    @pytest.mark.parametrize("ks", [[1], [1, 2, 3, 4, 5, 6, 7, 8], [3, 12, 5]])
+    def test_sweeps_run_the_direct_kernel_at_most_once_per_variant(self, monkeypatch, ks):
+        calls = _count_calls(monkeypatch)
+        s = build_default_scenario(None)
+        sweep_users(s, ks)
+        assert calls["los_gain_table"] <= 2
+        assert calls["serving_branch_index"] == calls["los_gain"] == 0
+        calls.update(dict.fromkeys(calls, 0))
+        sweep_snr(s, [60.0, 90.0], ("none", "5x5", "10x10"))
+        assert calls["los_gain_table"] <= 3
+        assert calls["serving_branch_index"] == calls["los_gain"] == 0
 
     def test_los_priority_split(self):
         base = build_default_scenario(None)
@@ -352,6 +359,22 @@ class TestEvaluateUser:
         for a, b in zip(res_eq, res_pr):
             assert a.gain.q == b.gain.q  # split changes power, not gains
             assert a.rate == pytest.approx(b.rate, rel=1e-2)  # thermal-dominated
+
+
+def _count_calls(monkeypatch):
+    """Count calls to the gain kernels and the scalar reference path."""
+    calls = dict.fromkeys(
+        ("los_gain_table", "irs_gain_row", "los_gain", "irs_gain", "serving_branch_index"), 0
+    )
+    for name in calls:
+        original = getattr(owcsim.network, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owcsim.network, name, counted)
+    return calls
 
 
 class TestStructure:
