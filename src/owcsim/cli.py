@@ -1,38 +1,19 @@
 """Command-line entry point: simulate, sweep-snr, sweep-users, selftest.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O failure.
+Exit codes: 0 success, 1 validation failure (or a failed selftest check),
+2 I/O failure; usage errors exit 2 from argparse. `selftest` takes no flags
+and runs `owcsim.checks`, which only that command imports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import random
 import sys
 from pathlib import Path
 
-from .beam import GaussianBeam, power_through_circle, power_through_rectangle, waist_at
-from .channel import irs_gain, los_gain
-from .config import (
-    OutputSpec,
-    SweepSpec,
-    build_default_scenario,
-    effective_config,
-    load_config,
-    parse_config,
-)
-from .geometry import Vec3, specular_reflect, steer_mirror
-from .network import (
-    Scenario,
-    assign_mirrors,
-    evaluate_scenario,
-    simulate_scenario,
-    sweep_snr,
-    sweep_users,
-    with_irs_grid,
-    without_irs,
-)
+from .config import OutputSpec, SweepSpec, effective_config, load_config, parse_config
+from .network import Scenario, _variant_scenario, simulate_scenario, sweep_snr, sweep_users
 from .output import ResultTable, render_line_plot, write_csv
 
 EXIT_OK = 0
@@ -55,11 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", "evaluate the configured scenario once"),
         ("sweep-snr", "sum rate vs transmit SNR for no-IRS, 5x5, and 10x10"),
         ("sweep-users", "sum rate vs user count, with and without the mirror wall"),
-        ("selftest", "run the built-in invariant checks"),
     ):
         cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("--config", type=str, default=None, help="JSON config path")
-        cmd.add_argument("--out", type=str, default=".", help="output directory")
+        cmd.add_argument("--config", dest="config_path", metavar="CONFIG", help="JSON config path")
+        cmd.add_argument("--out", dest="out_dir", metavar="OUT", default=".", help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument(
             "--variant",
@@ -68,18 +48,12 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="mirror-wall variant selection",
         )
+    sub.add_parser("selftest", help="run the built-in invariant checks")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run_command(
-        args.command,
-        config_path=args.config,
-        out_dir=args.out,
-        seed=args.seed,
-        variant=args.variant,
-    )
+    return run_command(**vars(build_parser().parse_args(argv)))
 
 
 def run_command(
@@ -122,11 +96,7 @@ def _load(
 
 
 def _apply_variant(scenario: Scenario, variant: str | None) -> Scenario:
-    if variant in (None, "all"):
-        return scenario
-    if variant == "none":
-        return without_irs(scenario)
-    return with_irs_grid(scenario, int(variant.split("x")[0]))
+    return scenario if variant in (None, "all") else _variant_scenario(scenario, variant)
 
 
 def _run_simulate(
@@ -204,7 +174,7 @@ def _run_sweep_users(
     if variant in ("none", "all"):
         raise ValueError("sweep-users accepts --variant 5x5|10x10 for the mirror wall")
     if variant is not None:
-        scenario = with_irs_grid(scenario, int(variant.split("x")[0]))
+        scenario = _variant_scenario(scenario, variant)
     table = sweep_users(scenario, sweep.k_values)
     csv_path = out / "fig3.csv"
     write_csv(table, csv_path)
@@ -222,150 +192,10 @@ def _run_sweep_users(
     print(f"sweep-users: {len(table.rows)} rows -> {', '.join(written)}")
 
 
-# ---------------------------------------------------------------------------
-# Selftest: quick invariant checks, printed one per line
-
-
 def _run_selftest() -> int:
-    checks = (
-        ("reflection involution and norm", _check_reflection),
-        ("mirror steering reflection law", _check_steering),
-        ("beam energy conservation", _check_beam_energy),
-        ("aperture inclusion monotonicity", _check_aperture_inclusion),
-        ("image-source equivalence", _check_image_source),
-        ("assignment disjointness and bound", _check_assignment),
-        ("no-IRS structural equivalence", _check_no_irs_equivalence),
-        ("sweep determinism", _check_determinism),
-    )
-    failures = 0
-    for name, check in checks:
-        try:
-            check()
-        except AssertionError as exc:
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"ok   {name}")
-    if failures:
-        print(f"selftest: {failures} of {len(checks)} checks failed")
-        return EXIT_VALIDATION
-    print(f"selftest: all {len(checks)} checks passed")
-    return EXIT_OK
+    from . import checks  # loaded here only, so the other commands never compile it
 
-
-def _rand_unit(rng: random.Random) -> Vec3:
-    while True:
-        v = Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if 1e-3 < v.norm() <= 1.0:
-            return v.normalized()
-
-
-def _check_reflection() -> None:
-    rng = random.Random(101)
-    for _ in range(200):
-        v, n = _rand_unit(rng), _rand_unit(rng)
-        r = specular_reflect(v, n)
-        assert abs(r.norm() - 1.0) < 1e-12, "reflection changed the norm"
-        back = specular_reflect(r, n)
-        assert (back - v).norm() < 1e-12, "reflection is not an involution"
-
-
-def _check_steering() -> None:
-    rng = random.Random(102)
-    for _ in range(200):
-        ap = Vec3(rng.uniform(0, 5), rng.uniform(0, 5), 3.0)
-        mirror = Vec3(rng.uniform(0, 5), 5.0, rng.uniform(0.5, 2.5))
-        user = Vec3(rng.uniform(0, 5), rng.uniform(0, 4.5), 0.0)
-        normal = steer_mirror(ap, mirror, user)
-        u_in = (mirror - ap).normalized()
-        u_out = (user - mirror).normalized()
-        assert (specular_reflect(u_in, normal) - u_out).norm() < 1e-9, (
-            "steered normal violates the reflection law"
-        )
-
-
-def _check_beam_energy() -> None:
-    beam = GaussianBeam(5e-6, 1.55e-6, 1.0, Vec3(0, 0, 0), Vec3(0, 0, 1))
-    for d in (0.0, 0.5, 3.0, 10.0):
-        w = waist_at(beam, d)
-        assert power_through_circle(beam, 10.0 * w, d) <= 1.0 + 1e-12
-        assert abs(power_through_circle(beam, 10.0 * w, d) - 1.0) < 1e-12, (
-            "wide aperture must capture the whole beam"
-        )
-
-
-def _check_aperture_inclusion() -> None:
-    rng = random.Random(103)
-    beam = GaussianBeam(5e-6, 1.55e-6, 1.0, Vec3(0, 0, 0), Vec3(0, 0, 1))
-    for _ in range(50):
-        d = rng.uniform(0.5, 6.0)
-        r = rng.uniform(0.001, 0.5)
-        inscribed = power_through_rectangle(beam, 2 * r / math.sqrt(2), 2 * r / math.sqrt(2), d)
-        circle = power_through_circle(beam, r, d)
-        circumscribed = power_through_rectangle(beam, 2 * r, 2 * r, d)
-        assert inscribed <= circle <= circumscribed, "aperture inclusion violated"
-
-
-def _check_image_source() -> None:
-    from .network import default_adr_branches
-
-    rng = random.Random(104)
-    branches = default_adr_branches(fov_deg=89.0)
-    for _ in range(50):
-        ap = Vec3(rng.uniform(1, 4), rng.uniform(1, 4), 3.0)
-        center = Vec3(rng.uniform(1, 4), 5.0, rng.uniform(1.0, 2.0))
-        user = Vec3(rng.uniform(1, 4), rng.uniform(0.5, 4.0), 0.0)
-        normal = steer_mirror(ap, center, user)
-        from .geometry import MirrorElement
-
-        mirror = MirrorElement(center, normal, 1e9, 1e9, 1.0)
-        beam = GaussianBeam(5e-6, 1.55e-6, 1.0, ap, (center - ap).normalized())
-        via_mirror, _ = irs_gain(ap, mirror, user, branches, beam)
-        offset = normal.scaled(2.0 * (center - ap).dot(normal))
-        ap_image = ap + offset
-        beam_image = GaussianBeam(5e-6, 1.55e-6, 1.0, ap_image, (user - ap_image).normalized())
-        direct, _ = los_gain(ap_image, user, branches, beam_image, blocked=False)
-        assert abs(via_mirror - direct) < 1e-9, "image-source equivalence violated"
-
-
-def _check_assignment() -> None:
-    from itertools import permutations
-
-    rng = random.Random(105)
-    scenario = build_default_scenario({"users": {"k": 3}})
-    for _ in range(25):
-        gains = [[rng.random() for _ in range(5)] for _ in range(3)]
-        assignment = assign_mirrors(scenario, gains, max_per_user=1)
-        greedy_total = sum(
-            gains[u][m] for u, mirrors in enumerate(assignment.per_user) for m in mirrors
-        )
-        best = 0.0
-        mirrors = range(5)
-        for chosen in permutations(mirrors, 3):
-            best = max(best, sum(gains[u][m] for u, m in enumerate(chosen)))
-        assert greedy_total >= 0.5 * best - 1e-12, "greedy fell below half the optimum"
-
-
-def _check_no_irs_equivalence() -> None:
-    from dataclasses import replace
-
-    from .network import power_for_transmit_snr
-
-    scenario = build_default_scenario(None)
-    power = power_for_transmit_snr(scenario.noise, 0.4, 80.0)
-    bare = replace(without_irs(scenario), p_tot=power)
-    direct = [r.rate for r in evaluate_scenario(bare)]
-    table = sweep_snr(scenario, [80.0], variants=("none",))
-    assert list(table.rows[0].user_rates_bps) == direct, (
-        "disabled panel must equal the no-IRS sweep variant"
-    )
-
-
-def _check_determinism() -> None:
-    scenario = build_default_scenario(None)
-    first = sweep_snr(scenario, [70.0, 80.0])
-    second = sweep_snr(scenario, [70.0, 80.0])
-    assert first == second, "sweep tables must be bit-identical across runs"
+    return EXIT_VALIDATION if checks.run() else EXIT_OK
 
 
 if __name__ == "__main__":

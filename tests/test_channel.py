@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from owcsim import checks
 from owcsim.beam import GaussianBeam, power_through_circle, waist_at
 from owcsim.channel import AdrBranch, ChannelGain, irs_gain, los_gain, total_gain
 from owcsim.geometry import MirrorElement, Orientation, Vec3, steer_mirror
@@ -12,7 +13,6 @@ from oracles import (
     branch_normal,
     incidence_deg,
     mirror_path_gain_oracle,
-    vdot,
     vsub,
     vunit,
 )
@@ -223,21 +223,7 @@ class TestIrsGain:
             assert 0.0 <= gain <= 0.95
 
     def test_image_source_equivalence(self):
-        # with a perfect unbounded mirror the folded path equals a direct
-        # path from the mirror image of the source (checked on 100 draws)
-        rng = random.Random(24)
-        for _ in range(100):
-            ap = Vec3(rng.uniform(1, 4), rng.uniform(1, 4), 3.0)
-            center = Vec3(rng.uniform(1, 4), 5.0, rng.uniform(1.0, 2.0))
-            user = Vec3(rng.uniform(1, 4), rng.uniform(0.5, 4.0), 0.0)
-            normal = steer_mirror(ap, center, user)
-            mirror = MirrorElement(center, normal, 1e9, 1e9, 1.0)
-            folded, _ = irs_gain(ap, mirror, user, WIDE_BRANCHES, aimed_beam(ap, center))
-            ap_t, n_t, c_t = ap.as_tuple(), normal.as_tuple(), center.as_tuple()
-            shift = 2.0 * vdot(vsub(c_t, ap_t), n_t)
-            image = Vec3(*(a + shift * n for a, n in zip(ap_t, n_t)))
-            direct, _ = los_gain(image, user, WIDE_BRANCHES, aimed_beam(image, user), False)
-            assert math.isclose(folded, direct, rel_tol=1e-9, abs_tol=1e-12)
+        checks.image_source(random.Random(24), 100)
 
 
 class TestTotalGain:

@@ -1,7 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
+from unittest.mock import Mock
 
 import pytest
 
+from owcsim import checks
 from owcsim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main, run_command
 from owcsim.output import read_result_csv
 
@@ -10,6 +15,17 @@ def write_json(path, document) -> str:
     path.write_text(json.dumps(document), encoding="utf-8")
     return str(path)
 
+
+SELFTEST_NAMES = (
+    "reflection involution and norm",
+    "mirror steering reflection law",
+    "beam energy conservation",
+    "aperture inclusion monotonicity",
+    "image-source equivalence",
+    "assignment disjointness and bound",
+    "no-IRS structural equivalence",
+    "sweep determinism",
+)
 
 SMALL_SWEEP = {"sweep": {"snr_points_db": [70.0, 90.0], "k_values": [1, 2, 3]}}
 
@@ -115,14 +131,40 @@ class TestExitCodes:
 
     def test_selftest_passes(self, capsys):
         assert run_command("selftest") == EXIT_OK
-        out = capsys.readouterr().out
-        assert "all" in out and "passed" in out
+        expected = [f"ok   {name}" for name in SELFTEST_NAMES] + ["selftest: all 8 checks passed"]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_selftest_reports_every_failing_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(checks, "reflection", Mock(side_effect=AssertionError("bent")))
+        monkeypatch.setattr(checks, "assignment", Mock(side_effect=ValueError("bad gains")))
+        assert run_command("selftest") == EXIT_VALIDATION
+        expected = [f"ok   {name}" for name in SELFTEST_NAMES]
+        expected[0] = "FAIL reflection involution and norm: AssertionError: bent"
+        expected[5] = "FAIL assignment disjointness and bound: ValueError: bad gains"
+        assert capsys.readouterr().out.splitlines() == expected + ["selftest: 2 of 8 checks failed"]
+
+    def test_checks_load_only_for_selftest(self):
+        src = str(Path(checks.__file__).resolve().parents[1])
+        probe = f"import sys; sys.path.insert(0, {src!r}); import owcsim, owcsim.cli; "
+        done = subprocess.run(
+            [sys.executable, "-c", probe + "print('owcsim.checks' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestMain:
     def test_main_selftest(self, capsys):
         assert main(["selftest"]) == EXIT_OK
         capsys.readouterr()
+
+    def test_selftest_rejects_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_main_seed_override(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path), "--seed", "3"]) == EXIT_OK

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from owcsim import checks
+from owcsim.checks import rand_unit
 from owcsim.geometry import (
     GeometryError,
     MirrorElement,
@@ -15,13 +17,6 @@ from owcsim.geometry import (
     specular_reflect,
     steer_mirror,
 )
-
-
-def rand_unit(rng: random.Random) -> Vec3:
-    while True:
-        v = Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if 1e-3 < v.norm() <= 1.0:
-            return v.normalized()
 
 
 class TestVec3:
@@ -114,12 +109,7 @@ class TestSpecularReflect:
         assert (r - Vec3(0.6, 0.0, 0.8)).norm() < 1e-15
 
     def test_involution_and_norm(self):
-        rng = random.Random(3)
-        for _ in range(1000):
-            v, n = rand_unit(rng), rand_unit(rng)
-            r = specular_reflect(v, n)
-            assert abs(r.norm() - 1.0) < 1e-12
-            assert (specular_reflect(r, n) - v).norm() < 1e-12
+        checks.reflection(random.Random(3), 1000)
 
     def test_flips_normal_component_keeps_tangential(self):
         rng = random.Random(4)
@@ -171,17 +161,7 @@ class TestSteerMirror:
             steer_mirror(Vec3(0, 0, 0), Vec3(0, 0, 1), Vec3(0, 0, 2))
 
     def test_random_triples_reflect_exactly(self):
-        rng = random.Random(6)
-        count = 0
-        while count < 200:
-            ap = Vec3(rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(2, 3))
-            mirror = Vec3(rng.uniform(0, 5), 5.0, rng.uniform(0.5, 2.5))
-            user = Vec3(rng.uniform(0, 5), rng.uniform(0, 4.5), 0.0)
-            n = steer_mirror(ap, mirror, user)
-            u_in = (mirror - ap).normalized()
-            u_out = (user - mirror).normalized()
-            assert (specular_reflect(u_in, n) - u_out).norm() < 1e-9
-            count += 1
+        checks.steering(random.Random(6), 200)
 
 
 class TestIncidenceAndGate:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import owcsim.network
+from owcsim import checks
 from owcsim.config import build_default_scenario
 from owcsim.geometry import Vec3
 from owcsim.config import DEFAULT_SNR_POINTS_DB
@@ -28,7 +29,6 @@ from owcsim.network import (
     sweep_users,
     transmit_snr_db,
     with_irs_grid,
-    without_irs,
 )
 
 from owcsim.output import ResultRow, ResultTable
@@ -379,14 +379,7 @@ def _count_calls(monkeypatch):
 
 class TestStructure:
     def test_removing_panel_equals_none_variant(self):
-        from dataclasses import replace
-
-        s = build_default_scenario(None)
-        power = power_for_transmit_snr(s.noise, 0.4, 80.0)
-        bare = replace(without_irs(s), p_tot=power)
-        bare_rates = [r.rate for r in evaluate_scenario(bare)]
-        table = sweep_snr(s, [80.0], variants=("none",))
-        assert list(table.rows[0].user_rates_bps) == bare_rates
+        checks.no_irs_equivalence()
 
     def test_with_irs_grid_preserves_panel_geometry(self):
         s = build_default_scenario(None)
@@ -443,8 +436,7 @@ class TestSweepSnr:
             assert ten[db] >= five[db] >= none[db]
 
     def test_deterministic(self):
-        s = build_default_scenario(None)
-        assert sweep_snr(s, self.POINTS) == sweep_snr(s, self.POINTS)
+        checks.determinism(None, len(self.POINTS))  # the same 60..120 dB grid
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
