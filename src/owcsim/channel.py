@@ -10,11 +10,11 @@ select-best across the angle-diversity branches.
 Both paths have a scalar reference and a numpy kernel. The references work
 on `Vec3` values: `los_gain` scores one (transmitter branch, user) pair, and
 `irs_gain` one (transmitter branch, mirror, user) triple, taking a mirror
-already steered for it. The network evaluation runs the kernels, which repeat
-the references' arithmetic step for step: `los_gain_table` scores every
-(user, transmitter branch) pair at once and equals `los_gain` bitwise;
-`irs_gain_row` steers and scores every mirror of a wall for one user and
-agrees with `irs_gain` to rounding.
+already steered for it. The network evaluation runs only the kernels, which
+repeat the references' arithmetic step for step and also return the serving
+receiver branch: `los_gain_table` scores every (user, transmitter branch) pair
+at once and equals `los_gain` bitwise; `irs_gain_row` steers and scores every
+`MirrorColumns` mirror for one user and agrees with `irs_gain` to rounding.
 """
 
 from __future__ import annotations
@@ -192,17 +192,17 @@ def irs_gain_row(
     user_branches: Sequence[AdrBranch],
     waist_w0: float,
     wavelength: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Mirror-path gain from one transmitter branch to one user via each mirror.
 
     Vectorised form of `steer_mirror` followed by `irs_gain` for a unit-power
-    beam of the given waist and wavelength, over all mirrors at once: entry j
-    is the gain with mirror j steered to bounce the branch onto the user.
-    Pairs the reference scores 0 (zero-length leg, degenerate steering, an
-    endpoint behind the steered plane, no branch inside its field of view)
-    are exactly 0 here too. Dot and cross products are written out by
-    component in the reference's order; erf and acos go through `math`, as
-    numpy has no erf and its acos may differ from libm's in the last bit.
+    beam of the given waist and wavelength, over all mirrors at once: the gain
+    and serving receiver branch (-1 for None) of mirror j steered to bounce the
+    branch onto the user. Pairs the reference scores 0 (zero-length leg,
+    degenerate steering, an endpoint behind the steered plane, no branch inside
+    its field of view) are exactly 0 here too. Dot and cross products are
+    written out by component in the reference's order; erf and acos go through
+    `math`, as numpy has no erf and its acos may differ from libm's in the last bit.
     """
     n = len(mirrors)
     ax, ay, az = ap_branch_pos.as_tuple()
@@ -254,7 +254,8 @@ def irs_gain_row(
         w_total = waist_w0 * np.sqrt(1.0 + spread * spread)
         beam_area = w_total * w_total
         best = np.zeros(n)
-        for branch in user_branches:
+        index = np.full(n, -1)
+        for r, branch in enumerate(user_branches):
             bx, by, bz = branch.normal().as_tuple()
             cosine = -(rx * bx + ry * by + rz * bz)
             # The reference gates on acos(cosine) <= fov. More than 1e-9 from
@@ -268,8 +269,11 @@ def irs_gain_row(
             radius = branch.aperture_radius()
             captured = -np.expm1(-2.0 * radius * radius / beam_area)
             gain = mirrors.reflectivity * np.minimum(intercept, captured)
-            best = np.maximum(best, np.where(seen, gain, 0.0))
-    return np.where(valid, best, 0.0)
+            # Strict: the lowest-index receiver branch wins a tie, as in `irs_gain`.
+            better = seen & (gain > best)
+            best = np.where(better, gain, best)
+            index = np.where(better, r, index)
+    return np.where(valid, best, 0.0), np.where(valid, index, -1)
 
 
 def los_gain_table(

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation failure (or a failed selftest check),
 2 I/O failure; usage errors exit 2 from argparse. `selftest` takes no flags
-and runs `owcsim.checks`, which only that command imports.
+(`run_command` rejects any option set for it, as a validation failure) and
+runs `owcsim.checks`, which only that command imports.
 """
 
 from __future__ import annotations
@@ -66,6 +67,18 @@ def run_command(
     """Dispatch one command and map failures onto process exit codes."""
     try:
         if command == "selftest":
+            given = [
+                name
+                for name, value, default in (
+                    ("config_path", config_path, None),
+                    ("out_dir", out_dir, "."),
+                    ("seed", seed, None),
+                    ("variant", variant, None),
+                )
+                if value != default
+            ]
+            if given:
+                raise ValueError(f"selftest takes no options, got {', '.join(given)}")
             return _run_selftest()
         scenario, sweep, output = _load(config_path, seed)
         out = Path(out_dir)

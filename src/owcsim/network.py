@@ -13,14 +13,12 @@ powers, eye-safety cap, received power, noise, SNR and rate) runs over a 1-D
 array of transmit powers: `sweep_snr` calls it once per (variant, user) for
 the whole SNR grid, and a single evaluation passes a one-element array.
 
-An evaluation runs two kernels. A Scenario scores every (user, transmitter
-branch) direct path once with `channel.los_gain_table` (`Scenario.direct_table`);
-each user's serving transmitter branch and h_los are read from that table.
-The (user, mirror) gain matrix takes one `channel.irs_gain_row` call per user;
-assignment and per-user evaluation read the matrix. The scalar
-`channel.los_gain`, `channel.irs_gain` and `serving_branch_index` are the
-reference the kernels are tested against; of them only `irs_gain` runs here,
-once per user, to find the receiver branch serving the mirror path.
+A Scenario computes two gain tables once, each holding gains and serving
+receiver branches: `direct_table` (one `channel.los_gain_table` call) and
+`mirror_table` (one `channel.irs_gain_row` call per user, from its serving
+transmitter branch, over the wall's `MirrorColumns`). Evaluation reads them and
+runs no scalar gain code; the scalar `channel.los_gain`, `channel.irs_gain`
+and `serving_branch_index` are the reference the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -32,6 +30,10 @@ from typing import Sequence
 import numpy as np
 
 from .beam import GaussianBeam
+
+# `irs_gain` and `steer_mirror` are unused here: the benchmark tracer
+# (perfbench/tracing.py) wraps them, like `los_gain`, `serving_branch_index`,
+# `irs_gain_matrix`, `assign_mirrors` and `evaluate_user`, by name on this module.
 from .channel import (
     AdrBranch,
     ChannelGain,
@@ -108,20 +110,54 @@ class AdtSpec:
 
 @dataclass(frozen=True)
 class IrsPanel:
-    """M x M contiguous mirror tiling on one wall, normals facing the room."""
+    """M x M contiguous mirror tiling on one wall, normals facing the room,
+    stored as `columns`, row-major by height then along the wall."""
 
     wall: str
     grid_m: int
     element_size: tuple[float, float]  # (width, height), m
     reflectivity: float
     panel_center: Vec3
-    elements: tuple[MirrorElement, ...]
+    # Set once in __post_init__; `replace` builds a new panel, which sets it anew.
+    columns: MirrorColumns = field(init=False, repr=False, compare=False)
+    _elements: tuple[MirrorElement, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.wall not in _WALL_INWARD:
             raise ValueError(f"irs.wall must be one of {sorted(_WALL_INWARD)}, got {self.wall}")
-        if len(self.elements) != self.grid_m**2:
-            raise ValueError("irs panel must hold exactly grid_m^2 elements")
+        if self.grid_m < 1:
+            raise ValueError(f"irs.grid_m must be >= 1, got {self.grid_m}")
+        width, height = self.element_size
+        if width <= 0.0 or height <= 0.0:
+            raise ValueError("irs element size must be positive")
+        if not 0.0 <= self.reflectivity <= 1.0:
+            raise ValueError(
+                f"mirror reflectivity must be in [0, 1], got {self.reflectivity}"
+            )
+        # (6, mirrors): centre x, y, z, width, height and reflectivity of each.
+        values = [*self.panel_center.as_tuple(), width, height, self.reflectivity]
+        table = np.repeat(np.array(values)[:, None], self.grid_m**2, axis=1)
+        offsets = np.arange(self.grid_m) - (self.grid_m - 1) / 2.0
+        along = 0 if self.wall.startswith("y") else 1  # the wall's horizontal axis
+        table[along] = np.tile(values[along] + offsets * width, self.grid_m)
+        table[2] = np.repeat(values[2] + offsets * height, self.grid_m)
+        table.flags.writeable = False
+        object.__setattr__(self, "columns", MirrorColumns(*table))
+
+    @property
+    def elements(self) -> tuple[MirrorElement, ...]:
+        """The mirrors as `MirrorElement` values for the scalar reference, built once."""
+        if self._elements is None:
+            c, inward = self.columns, _WALL_INWARD[self.wall]
+            width, height = self.element_size
+            elements = tuple(
+                MirrorElement(Vec3(x, y, z), inward, width, height, self.reflectivity)
+                for x, y, z in zip(c.cx.tolist(), c.cy.tolist(), c.cz.tolist())
+            )
+            object.__setattr__(self, "_elements", elements)
+        return self._elements
 
     def label(self) -> str:
         return f"{self.grid_m}x{self.grid_m}"
@@ -151,13 +187,16 @@ class Scenario:
     power_split: str
     max_mirrors_per_user: int | None
     rng_seed: int
-    # Filled by `direct_table` and `serving_branches` on first use. Declared
-    # slots, unlike a cached_property, give the instance no __dict__, which
-    # would slow every attribute read in the per-point loop.
+    # Filled by `direct_table`, `serving_branches` and `mirror_table` on first
+    # use, with `object.__setattr__` as the class is frozen; `replace` starts
+    # them empty, and they take no part in `==`, `hash` or `repr`.
     _direct: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _serving: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _mirror: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -235,15 +274,46 @@ class Scenario:
             object.__setattr__(self, "_serving", serving)
         return self._serving
 
+    @property
+    def mirror_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """`irs_gain_row` of every user from its serving branch, computed once.
+
+        Read-only (users, mirrors) arrays of the mirror-path gain and of the
+        serving receiver branch, -1 where there is none.
+        """
+        if self._mirror is None:
+            shape = (len(self.users), 0)
+            table = (np.zeros(shape), np.full(shape, -1))
+            if self.irs is not None:
+                positions = self.adt.branch_positions()
+                rows = [
+                    irs_gain_row(
+                        positions[branch],
+                        self.irs.columns,
+                        user.position,
+                        user.branches,
+                        self.adt.beam_waist,
+                        self.adt.beam_wavelength,
+                    )
+                    for user, branch in zip(self.users, self.serving_branches)
+                ]
+                table = tuple(np.stack(column) for column in zip(*rows))
+            for array in table:
+                array.flags.writeable = False
+            object.__setattr__(self, "_mirror", table)
+        return self._mirror
+
     def _first_users(self, k: int) -> Scenario:
         """The first k users, the per-user caches sliced rather than recomputed.
 
-        A user's direct-path row and serving branch depend on that user and
-        the wall alone.
+        A user's direct-path row, serving branch and mirror-path row depend
+        on that user and the wall alone.
         """
         prefix = replace(self, users=self.users[:k])
-        gain, receiver = self.direct_table
-        object.__setattr__(prefix, "_direct", (gain[:k], receiver[:k]))
+        for name, (gain, receiver) in (
+            ("_direct", self.direct_table), ("_mirror", self.mirror_table)
+        ):
+            object.__setattr__(prefix, name, (gain[:k], receiver[:k]))
         object.__setattr__(prefix, "_serving", self.serving_branches[:k])
         return prefix
 
@@ -296,10 +366,6 @@ def build_irs_panel(
     """Tile an M x M mirror array on the chosen wall, centred as requested."""
     if wall not in _WALL_INWARD:
         raise ValueError(f"irs.wall must be one of {sorted(_WALL_INWARD)}, got {wall}")
-    if grid_m < 1:
-        raise ValueError(f"irs.grid_m must be >= 1, got {grid_m}")
-    if element_width <= 0.0 or element_height <= 0.0:
-        raise ValueError("irs element size must be positive")
     dx, dy, dz = room_dims
     along_span = dx if wall.startswith("y") else dy
     if center_along is None:
@@ -317,32 +383,10 @@ def build_irs_panel(
             "irs.element_height_m centred at irs.center_height_m must fit room.dims"
         )
 
-    inward = _WALL_INWARD[wall]
     plane = {"x_min": 0.0, "x_max": dx, "y_min": 0.0, "y_max": dy}[wall]
-
-    def on_wall(along: float, height: float) -> Vec3:
-        if wall.startswith("y"):
-            return Vec3(along, plane, height)
-        return Vec3(plane, along, height)
-
-    elements = []
-    for row in range(grid_m):
-        height = center_height + (row - (grid_m - 1) / 2.0) * element_height
-        for col in range(grid_m):
-            along = center_along + (col - (grid_m - 1) / 2.0) * element_width
-            elements.append(
-                MirrorElement(
-                    on_wall(along, height), inward, element_width, element_height, reflectivity
-                )
-            )
-    return IrsPanel(
-        wall,
-        grid_m,
-        (element_width, element_height),
-        reflectivity,
-        on_wall(center_along, center_height),
-        tuple(elements),
-    )
+    along_plane = (center_along, plane) if wall.startswith("y") else (plane, center_along)
+    center = Vec3(*along_plane, center_height)
+    return IrsPanel(wall, grid_m, (element_width, element_height), reflectivity, center)
 
 
 def place_users_uniform(
@@ -370,7 +414,7 @@ def with_irs_grid(scenario: Scenario, grid_m: int) -> Scenario:
     """Same scenario with the mirror wall rebuilt at a new grid size."""
     base = scenario.irs
     if base is not None:
-        along, height = _panel_center_coords(base)
+        center = base.panel_center
         panel = build_irs_panel(
             scenario.room_dims,
             wall=base.wall,
@@ -378,8 +422,8 @@ def with_irs_grid(scenario: Scenario, grid_m: int) -> Scenario:
             element_width=base.element_size[0],
             element_height=base.element_size[1],
             reflectivity=base.reflectivity,
-            center_height=height,
-            center_along=along,
+            center_height=center.z,
+            center_along=center.x if base.wall.startswith("y") else center.y,
         )
     else:
         panel = build_irs_panel(scenario.room_dims, grid_m=grid_m)
@@ -388,11 +432,6 @@ def with_irs_grid(scenario: Scenario, grid_m: int) -> Scenario:
 
 def without_irs(scenario: Scenario) -> Scenario:
     return replace(scenario, irs=None)
-
-
-def _panel_center_coords(panel: IrsPanel) -> tuple[float, float]:
-    along = panel.panel_center.x if panel.wall.startswith("y") else panel.panel_center.y
-    return along, panel.panel_center.z
 
 
 # ---------------------------------------------------------------------------
@@ -453,30 +492,9 @@ def _fallback_branch(scenario: Scenario, user_index: int) -> int:
 def irs_gain_matrix(scenario: Scenario) -> np.ndarray:
     """Reflected-path gain per (user, mirror), each mirror steered per pair.
 
-    Returns a (users, mirrors) float64 array, one `irs_gain_row` kernel call
-    per user from its serving transmitter branch.
+    The read-only (users, mirrors) float64 gains of `Scenario.mirror_table`.
     """
-    if scenario.irs is None:
-        return np.zeros((len(scenario.users), 0))
-    mirrors = MirrorColumns.of(scenario.irs.elements)
-    gains = np.empty((len(scenario.users), len(mirrors)))
-    for user_index, branch in enumerate(scenario.serving_branches):
-        gains[user_index] = _gain_row(scenario, mirrors, user_index, branch)
-    return gains
-
-
-def _gain_row(
-    scenario: Scenario, mirrors: MirrorColumns, user_index: int, branch: int
-) -> np.ndarray:
-    user = scenario.users[user_index]
-    return irs_gain_row(
-        scenario.adt.branch_positions()[branch],
-        mirrors,
-        user.position,
-        user.branches,
-        scenario.adt.beam_waist,
-        scenario.adt.beam_wavelength,
-    )
+    return scenario.mirror_table[0]
 
 
 def assign_mirrors(
@@ -544,44 +562,28 @@ class _UserPlan:
     responsivity: float
 
 
-def _plan_user(
-    scenario: Scenario,
-    assignment: Assignment,
-    user_index: int,
-    branch: int,
-    gain_row: np.ndarray | None,
-) -> _UserPlan:
-    """Direct gain from `Scenario.direct_table`, plus each assigned mirror's
-    gain read from `gain_row`.
-
-    The scalar `irs_gain` runs once, on the best assigned mirror, for the
-    receiver branch that serves the mirror path.
-    """
+def _plan_user(scenario: Scenario, assignment: Assignment, user_index: int) -> _UserPlan:
+    """Gains read from the Scenario's tables: direct at the serving
+    transmitter branch, and each assigned mirror's. The mirror path's
+    receiver branch is the best assigned mirror's (the first, on a tie)."""
     user = scenario.users[user_index]
-    branch_pos = scenario.adt.branch_positions()[branch]
+    branch = scenario.serving_branches[user_index]
     gain, receiver = scenario.direct_table
     h_los = float(gain[user_index, branch])
-    los_branch = int(receiver[user_index, branch])
-    if los_branch < 0:
-        los_branch = None
+    los_branch = _receiver(receiver[user_index, branch])
+    mirror_gain, mirror_receiver = scenario.mirror_table
     mirrors = assignment.per_user[user_index]
-    nlos = [float(gain_row[m]) for m in mirrors]
-    nlos_branch: int | None = None
+    nlos = [float(mirror_gain[user_index, m]) for m in mirrors]
+    nlos_branch = None
     if mirrors:
-        mirror = scenario.irs.elements[mirrors[nlos.index(max(nlos))]]
-        steered = replace(
-            mirror, normal=steer_mirror(branch_pos, mirror.center, user.position)
-        )
-        _, nlos_branch = irs_gain(
-            branch_pos,
-            steered,
-            user.position,
-            user.branches,
-            _aimed_beam(scenario, branch_pos, mirror.center),
-        )
+        nlos_branch = _receiver(mirror_receiver[user_index, mirrors[nlos.index(max(nlos))]])
     combined = total_gain(h_los, nlos, los_branch, nlos_branch)
     beam_gains = (() if user.blocked else (h_los,)) + tuple(nlos)
     return _UserPlan(beam_gains, not user.blocked, combined, user.branches[0].responsivity)
+
+
+def _receiver(index: np.integer) -> int | None:
+    return None if index < 0 else int(index)
 
 
 def _beam_powers(plan: _UserPlan, split: str, p_tot: np.ndarray) -> np.ndarray:
@@ -627,25 +629,9 @@ def _link(
     return received, sigma2, gamma, achievable_rate(gamma, scenario.noise.bandwidth_b)
 
 
-def evaluate_user(
-    scenario: Scenario,
-    assignment: Assignment,
-    user_index: int,
-    branch: int | None = None,
-    gain_row: np.ndarray | None = None,
-) -> LinkResult:
-    """Full link for one user: gains, power split, noise, SNR, and rate.
-
-    `branch` and `gain_row` are the user's serving transmitter branch and
-    its row of `irs_gain_matrix`; they are computed here when not given.
-    """
-    if branch is None:
-        branch = scenario.serving_branches[user_index]
-    if gain_row is None and scenario.irs is not None:
-        gain_row = _gain_row(
-            scenario, MirrorColumns.of(scenario.irs.elements), user_index, branch
-        )
-    plan = _plan_user(scenario, assignment, user_index, branch, gain_row)
+def evaluate_user(scenario: Scenario, assignment: Assignment, user_index: int) -> LinkResult:
+    """Full link for one user: gains, power split, noise, SNR, and rate."""
+    plan = _plan_user(scenario, assignment, user_index)
     p_tot = np.array([scenario.p_tot])
     _check_eye_safety((plan,), scenario, p_tot)
     return LinkResult(*(float(value[0]) for value in _link(plan, scenario, p_tot)), plan.gain)
@@ -653,16 +639,8 @@ def evaluate_user(
 
 def evaluate_scenario(scenario: Scenario) -> list[LinkResult]:
     """Assignment plus per-user link results for the whole scenario."""
-    return _evaluate(scenario, irs_gain_matrix(scenario))
-
-
-def _evaluate(scenario: Scenario, gains: np.ndarray) -> list[LinkResult]:
-    """Assign mirrors from a precomputed gain matrix, then evaluate each user."""
-    assignment = assign_mirrors(scenario, gains, scenario.max_mirrors_per_user)
-    return [
-        evaluate_user(scenario, assignment, i, branch, gains[i])
-        for i, branch in enumerate(scenario.serving_branches)
-    ]
+    assignment = scenario_assignment(scenario)
+    return [evaluate_user(scenario, assignment, i) for i in range(len(scenario.users))]
 
 
 # ---------------------------------------------------------------------------
@@ -707,12 +685,8 @@ def sweep_snr(
     rows = []
     for label in variants:
         variant = _variant_scenario(scenario, label)
-        gains = irs_gain_matrix(variant)
-        assignment = assign_mirrors(variant, gains, variant.max_mirrors_per_user)
-        plans = [
-            _plan_user(variant, assignment, i, branch, gains[i])
-            for i, branch in enumerate(variant.serving_branches)
-        ]
+        assignment = scenario_assignment(variant)
+        plans = [_plan_user(variant, assignment, i) for i in range(len(variant.users))]
         p_tot = np.array(
             [power_for_transmit_snr(variant.noise, responsivity, db) for db in points]
         )
@@ -731,8 +705,8 @@ def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
     User draws are nested prefixes of one seeded stream, so growing K keeps
     every existing user in place and the curves stay nondecreasing under
     dedicated-beam service. A user's direct-path row, serving branch and
-    gain row depend on that user alone, so all three are computed once for
-    the largest K and sliced.
+    mirror-path row depend on that user alone, so all three are computed
+    once for the largest K and sliced.
     """
     ks = [int(k) for k in k_values]
     if not ks:
@@ -741,22 +715,19 @@ def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
         if k < 1:
             raise ValueError(f"k_values must be >= 1, got {k}")
     with_panel = scenario if scenario.irs is not None else with_irs_grid(scenario, 5)
-    irs_label = with_panel.irs.label()
     positions = place_users_uniform(
         max(ks), scenario.room_dims, scenario.rng_seed, scenario.receiver_z
     )
     template = scenario.users[0].branches
     users = tuple(UserSpec(position, False, template) for position in positions)
-    variants = []
-    for label, variant in (
+    variants = (
         ("none", replace(with_panel, irs=None, users=users)),
-        (irs_label, replace(with_panel, users=users)),
-    ):
-        variants.append((label, variant, irs_gain_matrix(variant)))
+        (with_panel.irs.label(), replace(with_panel, users=users)),
+    )
     rows = []
     for k in ks:
-        for label, variant, gains in variants:
-            rates = [result.rate for result in _evaluate(variant._first_users(k), gains[:k])]
+        for label, variant in variants:
+            rates = [result.rate for result in evaluate_scenario(variant._first_users(k))]
             rows.append(ResultRow(float(k), label, sum_rate(rates), tuple(rates)))
     return ResultTable.from_rows(rows)
 

@@ -143,6 +143,27 @@ class TestExitCodes:
         expected[5] = "FAIL assignment disjointness and bound: ValueError: bad gains"
         assert capsys.readouterr().out.splitlines() == expected + ["selftest: 2 of 8 checks failed"]
 
+    @pytest.mark.parametrize(
+        "options, named",
+        [
+            ({"config_path": "cfg.json"}, "config_path"),
+            ({"out_dir": "results"}, "out_dir"),
+            ({"seed": 0}, "seed"),
+            ({"variant": "none"}, "variant"),
+            ({"seed": 3, "variant": "all"}, "seed, variant"),
+        ],
+    )
+    def test_selftest_rejects_options(self, monkeypatch, capsys, options, named):
+        ran = Mock(return_value=0)
+        monkeypatch.setattr(checks, "run", ran)
+        assert run_command("selftest", **options) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"owcsim: selftest takes no options, got {named}\n"
+        ran.assert_not_called()
+
+    def test_selftest_accepts_options_left_at_their_defaults(self, monkeypatch):
+        monkeypatch.setattr(checks, "run", Mock(return_value=0))
+        assert run_command("selftest", None, ".", None, None) == EXIT_OK
+
     def test_checks_load_only_for_selftest(self):
         src = str(Path(checks.__file__).resolve().parents[1])
         probe = f"import sys; sys.path.insert(0, {src!r}); import owcsim, owcsim.cli; "

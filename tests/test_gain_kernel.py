@@ -34,24 +34,32 @@ WAVELENGTH = 1.55e-6
 UP = Vec3(0.0, 0.0, 1.0)
 
 
-def scalar_gain(ap, mirror, user, branches, waist=WAIST, wavelength=WAVELENGTH):
+def scalar_path(ap, mirror, user, branches, waist=WAIST, wavelength=WAVELENGTH):
+    """Steer, then `irs_gain`: the gain and the receiver branch, -1 for None."""
     try:
         normal = steer_mirror(ap, mirror.center, user)
     except GeometryError:
-        return 0.0
+        return 0.0, -1
     beam = GaussianBeam(waist, wavelength, 1.0, ap, UP)
-    return irs_gain(ap, replace(mirror, normal=normal), user, branches, beam)[0]
+    gain, index = irs_gain(ap, replace(mirror, normal=normal), user, branches, beam)
+    return gain, -1 if index is None else index
+
+
+def scalar_gain(ap, mirror, user, branches, waist=WAIST, wavelength=WAVELENGTH):
+    return scalar_path(ap, mirror, user, branches, waist, wavelength)[0]
 
 
 def assert_row_matches(ap, mirrors, user, branches, waist=WAIST, wavelength=WAVELENGTH):
-    row = irs_gain_row(ap, MirrorColumns.of(mirrors), user, branches, waist, wavelength)
-    assert row.shape == (len(mirrors),)
-    expected = [scalar_gain(ap, m, user, branches, waist, wavelength) for m in mirrors]
+    row, receiver = irs_gain_row(ap, MirrorColumns.of(mirrors), user, branches, waist, wavelength)
+    assert row.shape == receiver.shape == (len(mirrors),)
+    paths = [scalar_path(ap, m, user, branches, waist, wavelength) for m in mirrors]
+    expected = [gain for gain, _ in paths]
     for j, (got, want) in enumerate(zip(row.tolist(), expected)):
         if want == 0.0 or got == 0.0:
             assert got == want, f"mirror {j}: kernel {got!r}, scalar {want!r}"
         else:
             assert abs(got - want) <= RTOL * want, f"mirror {j}: kernel {got!r}, scalar {want!r}"
+    assert receiver.tolist() == [index for _, index in paths]
     return row, expected
 
 
@@ -226,8 +234,8 @@ class TestEdgeGeometry:
         assert True in flat and False in flat
 
     def test_empty_wall(self):
-        row = irs_gain_row(Vec3(2.5, 2.5, 3.0), MirrorColumns.of([]), Vec3(1.0, 1.0, 0.0),
-                           one_branch(), WAIST, WAVELENGTH)
+        row, _ = irs_gain_row(Vec3(2.5, 2.5, 3.0), MirrorColumns.of([]), Vec3(1.0, 1.0, 0.0),
+                              one_branch(), WAIST, WAVELENGTH)
         assert row.shape == (0,)
 
 

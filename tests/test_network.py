@@ -326,8 +326,8 @@ class TestEvaluateUser:
             assert evaluate_user(s, assignment, i) == results[i]
 
     def test_evaluate_scenario_runs_each_kernel_and_no_scalar_direct_path(self, monkeypatch):
-        # Both gain tables come from the vectorised kernels; the scalar
-        # reference only finds each user's mirror-path receiver branch.
+        # Both gain tables, receiver branches included, come from the
+        # vectorised kernels; no scalar reference runs.
         calls = _count_calls(monkeypatch)
         s = build_default_scenario({"irs": {"grid_m": 10}})
         results = evaluate_scenario(s)
@@ -337,7 +337,7 @@ class TestEvaluateUser:
         assert calls["los_gain_table"] == 1
         assert calls["irs_gain_row"] == len(s.users)
         assert calls["serving_branch_index"] == calls["los_gain"] == 0
-        assert 0 < calls["irs_gain"] <= len(s.users)
+        assert calls["irs_gain"] == 0
 
     @pytest.mark.parametrize("ks", [[1], [1, 2, 3, 4, 5, 6, 7, 8], [3, 12, 5]])
     def test_sweeps_run_the_direct_kernel_at_most_once_per_variant(self, monkeypatch, ks):
@@ -482,8 +482,8 @@ def _per_point_sweep_snr(scenario, points, variants):
         gains = irs_gain_matrix(variant)
         assignment = assign_mirrors(variant, gains, variant.max_mirrors_per_user)
         plans = [
-            owcsim.network._plan_user(variant, assignment, i, branch, gains[i])
-            for i, branch in enumerate(variant.serving_branches)
+            owcsim.network._plan_user(variant, assignment, i)
+            for i in range(len(variant.users))
         ]
         for db in points:
             p_tot = power_for_transmit_snr(variant.noise, responsivity, db)
@@ -523,8 +523,8 @@ class TestSweepSnrArrayPath:
         gains = irs_gain_matrix(base)
         assignment = assign_mirrors(base, gains, base.max_mirrors_per_user)
         plans = [
-            owcsim.network._plan_user(base, assignment, i, branch, gains[i])
-            for i, branch in enumerate(base.serving_branches)
+            owcsim.network._plan_user(base, assignment, i)
+            for i in range(len(base.users))
         ]
         assert [len(plan.beam_gains) for plan in plans] == [73, 1, 29, 1]
         for p_tot in (0.01, 0.0123, 0.07, 0.31, 0.77, 1.0):

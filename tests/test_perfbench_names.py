@@ -1,0 +1,63 @@
+"""Every owcsim name the benchmark looks up must resolve.
+
+`perfbench/tracing.py` wraps functions by `(module, attribute)` and
+`perfbench/workloads.py` reads a few more names directly. The benchmark's
+own tests are not part of this suite, so this is what catches a refactor
+that deletes or moves one of those names.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+import owcsim
+import owcsim.network
+from owcsim.config import build_default_scenario
+from owcsim.geometry import MirrorElement
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        yield importlib.import_module("tracing")
+
+
+def test_every_traced_name_resolves(tracing):
+    rows = tracing.SPANNED + tracing.COUNTED
+    assert rows
+    for _, module_name, attr in rows:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize(
+    "module, attr",
+    [
+        (owcsim, "parse_config"),
+        (owcsim, "evaluate_scenario"),
+        (owcsim, "sweep_snr"),
+        (owcsim, "read_result_csv"),
+        (owcsim, "GaussianBeam"),
+        (owcsim, "GeometryError"),
+        (owcsim.network, "serving_branch_index"),
+        (owcsim.network, "irs_gain_matrix"),
+        (owcsim.network, "assign_mirrors"),
+        ("owcsim.cli", "run_command"),
+        ("owcsim.channel", "irs_gain"),
+        ("owcsim.geometry", "steer_mirror"),
+    ],
+)
+def test_workload_names_resolve(module, attr):
+    if isinstance(module, str):
+        module = importlib.import_module(module)
+    assert hasattr(module, attr)
+
+
+def test_panel_elements_resolve():
+    panel = build_default_scenario({"irs": {"grid_m": 3}}).irs
+    assert len(panel.elements) == 9
+    assert all(isinstance(m, MirrorElement) for m in panel.elements)
