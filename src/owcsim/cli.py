@@ -120,10 +120,9 @@ def _run_simulate(
     table = simulate_scenario(_apply_variant(scenario, variant))
     path = out / "simulate.csv"
     write_csv(table, path)
-    row = table.rows[0]
     print(
-        f"simulate: variant={row.variant} transmit_snr={row.sweep_var:.2f} dB "
-        f"sum_rate={row.sum_rate_bps:.4e} bit/s -> {path}"
+        f"simulate: variant={table.variant[0]} transmit_snr={table.sweep_var[0]:.2f} dB "
+        f"sum_rate={table.sum_rate_bps[0]:.4e} bit/s -> {path}"
     )
 
 
@@ -153,7 +152,7 @@ def _run_sweep_snr(
         report_path = out / "fig2_report.json"
         _write_snr_report(scenario, sweep, table, report_path)
         written.append(str(report_path))
-    print(f"sweep-snr: {len(table.rows)} rows -> {', '.join(written)}")
+    print(f"sweep-snr: {len(table)} rows -> {', '.join(written)}")
 
 
 def _write_snr_report(
@@ -202,7 +201,7 @@ def _run_sweep_users(
             svg_path,
         )
         written.append(str(svg_path))
-    print(f"sweep-users: {len(table.rows)} rows -> {', '.join(written)}")
+    print(f"sweep-users: {len(table)} rows -> {', '.join(written)}")
 
 
 def _run_selftest() -> int:

@@ -1,10 +1,12 @@
 """Receiver noise budget, electrical SNR, and achievable rate.
 
 `noise_variance`, `sinr`, `achievable_rate` and `sum_rate` take either
-Python floats or float64 ndarrays in their power-dependent arguments, so one
-copy of each formula serves a single operating point and a whole grid of
-transmit powers. Arrays go through the same operations in the same order as
-floats and give bitwise the same elements; a float input returns a float.
+Python floats or float64 ndarrays in their per-user and power-dependent
+arguments, so one copy of each formula serves a single operating point and a
+whole (users, points) block. Arrays go through the same operations in the same
+order as floats and give bitwise the same elements; a float input returns a
+float. On arrays the steps run in place where the operands allow it (the same
+products and sums), so a large block holds few temporaries at once.
 """
 
 from __future__ import annotations
@@ -70,7 +72,9 @@ def thermal_noise_variance(params: NoiseParams) -> float:
 
 
 def noise_variance(
-    params: NoiseParams, received_optical_power: float | np.ndarray, responsivity: float
+    params: NoiseParams,
+    received_optical_power: float | np.ndarray,
+    responsivity: float | np.ndarray,
 ) -> float | np.ndarray:
     """Total shot + thermal + RIN current variance in A^2.
 
@@ -83,29 +87,36 @@ def noise_variance(
     """
     if np.less(received_optical_power, 0.0).any():
         raise ValueError("received_optical_power must be nonnegative")
-    if responsivity < 0.0:
+    if np.less(responsivity, 0.0).any():
         raise ValueError("responsivity must be nonnegative")
     photocurrent = responsivity * received_optical_power
-    shot = 2.0 * params.electron_charge * photocurrent * params.bandwidth_b
-    rin = (
-        10.0 ** (params.rin_db_per_hz / 10.0)
-        * (photocurrent * photocurrent)
-        * params.bandwidth_b
-    )
-    return shot + thermal_noise_variance(params) + rin
+    shot = 2.0 * params.electron_charge * photocurrent
+    shot *= params.bandwidth_b
+    rin = photocurrent * photocurrent
+    del photocurrent
+    rin *= 10.0 ** (params.rin_db_per_hz / 10.0)
+    rin *= params.bandwidth_b
+    shot += thermal_noise_variance(params)
+    shot += rin
+    return shot
 
 
 def sinr(
-    gain: ChannelGain,
+    gain: ChannelGain | float | np.ndarray,
     transmit_power: float | np.ndarray,
-    responsivity: float,
+    responsivity: float | np.ndarray,
     sigma2: float | np.ndarray,
 ) -> float | np.ndarray:
-    """Electrical SNR (R q P)^2 / sigma^2; the model is noise-limited."""
+    """Electrical SNR (R q P)^2 / sigma^2; the model is noise-limited.
+
+    `gain` is a ChannelGain or its total gain q, a float or an array.
+    """
     if np.less_equal(sigma2, 0.0).any():
         raise ValueError("nonpositive noise variance")
-    signal_current = responsivity * gain.q * transmit_power
-    return signal_current * signal_current / sigma2
+    q = gain.q if isinstance(gain, ChannelGain) else gain
+    signal = responsivity * q * transmit_power
+    signal *= signal
+    return signal / sigma2
 
 
 def achievable_rate(gamma: float | np.ndarray, bandwidth: float) -> float | np.ndarray:
@@ -114,12 +125,13 @@ def achievable_rate(gamma: float | np.ndarray, bandwidth: float) -> float | np.n
         raise ValueError(f"gamma must be nonnegative, got {_first_negative(gamma)}")
     if bandwidth <= 0.0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    argument = 1.0 + RATE_SNR_SCALE * gamma
-    if isinstance(argument, np.ndarray):
-        # math.log2 per element: np.log2 can differ from it in the last bit.
-        flat = np.fromiter(map(math.log2, argument.ravel().tolist()), np.float64, argument.size)
-        return bandwidth * flat.reshape(argument.shape)
-    return bandwidth * math.log2(argument)
+    rate = RATE_SNR_SCALE * gamma
+    rate += 1.0
+    if isinstance(rate, np.ndarray):
+        np.log2(rate, out=rate)
+        rate *= bandwidth
+        return rate
+    return float(bandwidth * np.log2(rate))
 
 
 def sum_rate(rates: Sequence[float] | Sequence[np.ndarray]) -> float | np.ndarray:

@@ -9,9 +9,9 @@ Evaluations are pure functions of the scenario, so sweep points can be
 computed in any order.
 
 Only the transmit power changes between sweep points, so the rate path (beam
-powers, eye-safety cap, received power, noise, SNR and rate) runs over a 1-D
-array of transmit powers: `sweep_snr` calls it once per (variant, user) for
-the whole SNR grid, and a single evaluation passes a one-element array.
+powers, eye-safety cap, received power, noise, SNR and rate) runs once over a
+(users, points) block: `sweep_snr` calls it once per variant for the whole SNR
+grid, and an evaluation at the scenario's own power passes one point.
 
 A Scenario computes two gain tables once, each holding gains and serving
 receiver branches: `direct_table` (one `channel.los_gain_table` call) and
@@ -59,7 +59,7 @@ from .link import (
     sum_rate,
     thermal_noise_variance,
 )
-from .output import ResultRow, ResultTable
+from .output import ResultTable
 
 _WALL_INWARD = {
     "x_min": Vec3(1.0, 0.0, 0.0),
@@ -586,24 +586,22 @@ def _receiver(index: np.integer) -> int | None:
     return None if index < 0 else int(index)
 
 
-def _beam_powers(plan: _UserPlan, split: str, p_tot: np.ndarray) -> np.ndarray:
-    """(beams, points) power of each of the plan's beams at each total in `p_tot`."""
-    powers = np.zeros((len(plan.beam_gains), len(p_tot)))
-    if split == "los_priority" and plan.has_los_beam:
-        powers[0] = p_tot
-    elif len(powers):
-        powers[:] = p_tot / len(powers)
+def _beam_powers(plans: Sequence[_UserPlan], split: str, p_tot: np.ndarray) -> np.ndarray:
+    """(users, beams, points) power of each plan's beams at each total in
+    `p_tot`, zero past a user's last beam (and at least one beam wide)."""
+    beams = np.array([len(plan.beam_gains) for plan in plans], dtype=np.intp)
+    powered = beams
+    if split == "los_priority":  # the direct beam, where there is one, takes it all
+        powered = np.where([plan.has_los_beam for plan in plans], 1, beams)
+    live = np.arange(beams.max(initial=1)) < powered[:, None]
+    powers = np.zeros((len(plans), live.shape[1], len(p_tot)))
+    np.divide(p_tot, powered[:, None, None], out=powers, where=live[:, :, None])
     return powers
 
 
-def _check_eye_safety(
-    plans: Sequence[_UserPlan], scenario: Scenario, p_tot: np.ndarray
-) -> None:
+def _check_eye_safety(powers: np.ndarray, scenario: Scenario) -> None:
     """Reject the first (point, user), point-major, with a beam over the cap."""
-    split = scenario.power_split
-    peaks = np.array(
-        [_beam_powers(plan, split, p_tot).max(axis=0, initial=0.0) for plan in plans]
-    )
+    peaks = powers.max(axis=1)
     over = peaks > scenario.eye_safety_cap
     if over.any():
         point = over.any(axis=0).argmax()
@@ -614,33 +612,80 @@ def _check_eye_safety(
         )
 
 
-def _link(
-    plan: _UserPlan, scenario: Scenario, p_tot: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Received power, noise variance, SNR and rate at each total in `p_tot`.
+def _received_power(
+    plans: Sequence[_UserPlan], scenario: Scenario, p_tot: np.ndarray
+) -> np.ndarray:
+    """(users, points) received power, once every beam has passed the
+    eye-safety cap. Each user's beams add left to right, as a scalar sum
+    would; the padding past its last beam adds exact zeros. The gains
+    multiply the powers in place, so one fewer block that size is live."""
+    powers = _beam_powers(plans, scenario.power_split, p_tot)
+    _check_eye_safety(powers, scenario)
+    gains = np.zeros(powers.shape[:2])
+    for user_index, plan in enumerate(plans):
+        gains[user_index, : len(plan.beam_gains)] = plan.beam_gains
+    powers *= gains[:, :, None]
+    return np.add.accumulate(powers, axis=1)[:, -1]
 
-    The caller has passed `p_tot` through `_check_eye_safety`. Each point's
-    received power adds the beams left to right, as a scalar sum would.
-    """
-    terms = np.array(plan.beam_gains)[:, None] * _beam_powers(plan, scenario.power_split, p_tot)
-    received = np.add.accumulate(terms)[-1] if len(terms) else np.zeros(len(p_tot))
-    sigma2 = noise_variance(scenario.noise, received, plan.responsivity)
-    gamma = sinr(plan.gain, p_tot, plan.responsivity, sigma2)
+
+def _link(
+    plans: Sequence[_UserPlan], scenario: Scenario, p_tot: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(users, points) received power, noise variance, SNR and rate of every
+    plan at each total in `p_tot`."""
+    received = _received_power(plans, scenario, p_tot)
+    responsivity = np.array([[plan.responsivity] for plan in plans])
+    sigma2 = noise_variance(scenario.noise, received, responsivity)
+    gamma = sinr(np.array([[plan.gain.q] for plan in plans]), p_tot, responsivity, sigma2)
     return received, sigma2, gamma, achievable_rate(gamma, scenario.noise.bandwidth_b)
+
+
+def _evaluate(
+    scenario: Scenario, assignment: Assignment, p_tot: np.ndarray, users: Sequence[int]
+) -> tuple[list[_UserPlan], tuple[np.ndarray, ...]]:
+    """The plan-then-rate path: plan the given users, then run all of their
+    links at once."""
+    plans = [_plan_user(scenario, assignment, i) for i in users]
+    return plans, _link(plans, scenario, p_tot)
+
+
+def _link_results(
+    scenario: Scenario, assignment: Assignment, users: Sequence[int]
+) -> list[LinkResult]:
+    plans, link = _evaluate(scenario, assignment, np.array([scenario.p_tot]), users)
+    columns = (values[:, 0].tolist() for values in link)
+    return [LinkResult(*values, plan.gain) for plan, *values in zip(plans, *columns)]
 
 
 def evaluate_user(scenario: Scenario, assignment: Assignment, user_index: int) -> LinkResult:
     """Full link for one user: gains, power split, noise, SNR, and rate."""
-    plan = _plan_user(scenario, assignment, user_index)
-    p_tot = np.array([scenario.p_tot])
-    _check_eye_safety((plan,), scenario, p_tot)
-    return LinkResult(*(float(value[0]) for value in _link(plan, scenario, p_tot)), plan.gain)
+    return _link_results(scenario, assignment, (user_index,))[0]
 
 
 def evaluate_scenario(scenario: Scenario) -> list[LinkResult]:
     """Assignment plus per-user link results for the whole scenario."""
-    assignment = scenario_assignment(scenario)
-    return [evaluate_user(scenario, assignment, i) for i in range(len(scenario.users))]
+    return _link_results(scenario, scenario_assignment(scenario), range(len(scenario.users)))
+
+
+def _rate_table(
+    cases: Sequence[tuple[str, Scenario]], sweep_var: Sequence[float], p_tot: np.ndarray
+) -> ResultTable:
+    """Rates of every (labelled scenario, transmit power) pair, in that order,
+    as table rows with the given sweep values; each scenario's users run
+    through `_evaluate` once, over the whole of `p_tot`."""
+    points, users = len(p_tot), [len(variant.users) for _, variant in cases]
+    # Allocated before the rate path's temporaries, so that the heap can
+    # return their memory once they are freed.
+    block = np.zeros((len(cases) * points, max(users)))
+    sums = []
+    for c, (_, variant) in enumerate(cases):
+        rates = _evaluate(variant, scenario_assignment(variant), p_tot, range(users[c]))[1][3]
+        block[c * points : (c + 1) * points, : users[c]] = rates.T
+        sums.append(sum_rate(rates))
+        del rates  # free it before the next case's temporaries, or the table's copy
+    labels = [label for label, _ in cases for _ in range(points)]
+    counts = [n for n in users for _ in range(points)]
+    return ResultTable.from_block(sweep_var, labels, block, np.concatenate(sums), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -674,29 +719,17 @@ def sweep_snr(
     """Sum rate against transmit SNR for each mirror-wall variant.
 
     All variants see identical users; per-variant gains and assignments are
-    power-independent and computed once. The grid is checked against the
-    eye-safety cap before any rate is computed; then each user's rates at
-    every point come from one `_link` call.
+    power-independent and computed once. Per variant, the grid is checked
+    against the eye-safety cap before any rate is computed; then one `_link`
+    call gives every user's rate at every point.
     """
     points = [float(db) for db in snr_points_db]
-    if not points:
-        raise ValueError("snr_points_db must be nonempty")
+    if not points or not variants:
+        raise ValueError("snr_points_db and variants must be nonempty")
     responsivity = scenario_responsivity(scenario)
-    rows = []
-    for label in variants:
-        variant = _variant_scenario(scenario, label)
-        assignment = scenario_assignment(variant)
-        plans = [_plan_user(variant, assignment, i) for i in range(len(variant.users))]
-        p_tot = np.array(
-            [power_for_transmit_snr(variant.noise, responsivity, db) for db in points]
-        )
-        _check_eye_safety(plans, variant, p_tot)
-        rates = np.empty((len(plans), len(points)))
-        for user_index, plan in enumerate(plans):
-            rates[user_index] = _link(plan, variant, p_tot)[3]
-        for db, total, user_rates in zip(points, sum_rate(rates).tolist(), rates.T):
-            rows.append(ResultRow(db, label, total, tuple(user_rates.tolist())))
-    return ResultTable.from_rows(rows)
+    p_tot = np.array([power_for_transmit_snr(scenario.noise, responsivity, db) for db in points])
+    cases = [(label, _variant_scenario(scenario, label)) for label in variants]
+    return _rate_table(cases, points * len(cases), p_tot)
 
 
 def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
@@ -724,19 +757,13 @@ def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
         ("none", replace(with_panel, irs=None, users=users)),
         (with_panel.irs.label(), replace(with_panel, users=users)),
     )
-    rows = []
-    for k in ks:
-        for label, variant in variants:
-            rates = [result.rate for result in evaluate_scenario(variant._first_users(k))]
-            rows.append(ResultRow(float(k), label, sum_rate(rates), tuple(rates)))
-    return ResultTable.from_rows(rows)
+    cases = [(label, variant._first_users(k)) for k in ks for label, variant in variants]
+    sweep_var = [float(k) for k in ks for _ in variants]
+    return _rate_table(cases, sweep_var, np.array([scenario.p_tot]))
 
 
 def simulate_scenario(scenario: Scenario) -> ResultTable:
     """Single evaluation of the configured scenario as a one-variant table."""
     label = "none" if scenario.irs is None else scenario.irs.label()
-    rates = [result.rate for result in evaluate_scenario(scenario)]
     snr_db = transmit_snr_db(scenario.noise, scenario_responsivity(scenario), scenario.p_tot)
-    return ResultTable.from_rows(
-        [ResultRow(snr_db, label, sum_rate(rates), tuple(rates))]
-    )
+    return _rate_table([(label, scenario)], [snr_db], np.array([scenario.p_tot]))

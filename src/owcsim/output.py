@@ -7,9 +7,11 @@ serialises, so every plot is a view of emitted data, never a recomputation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 CSV_HEADER = "sweep_var,variant,sum_rate_bps,user_rates_bps"
 
@@ -23,7 +25,7 @@ _MARGIN_TOP = 42.0
 _MARGIN_BOTTOM = 58.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a dense sweep's `rows` holds thousands of these
 class ResultRow:
     """One sweep point for one variant, with the per-user rate breakdown."""
 
@@ -32,35 +34,104 @@ class ResultRow:
     sum_rate_bps: float
     user_rates_bps: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.sum_rate_bps) or self.sum_rate_bps < 0.0:
-            raise ValueError(f"sum_rate_bps must be finite and nonnegative, got {self.sum_rate_bps}")
-        for rate in self.user_rates_bps:
-            if not math.isfinite(rate) or rate < 0.0:
-                raise ValueError(f"user rate must be finite and nonnegative, got {rate}")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResultTable:
-    """Rows sorted by (variant, sweep_var); constructed via from_rows."""
+    """Sweep results held as arrays, rows sorted by (variant, sweep_var).
 
-    rows: tuple[ResultRow, ...]
+    `user_rates_bps` is a read-only float64 (rows, users) block; row i holds
+    `user_counts[i]` rates and zeros after them, as a user sweep's rows differ
+    in length. Build one with `from_block` or `from_rows`, which sort the rows
+    stably and check every rate once. `==` compares every array bitwise.
+    """
+
+    sweep_var: np.ndarray  # (rows,)
+    variant: tuple[str, ...]  # (rows,)
+    sum_rate_bps: np.ndarray  # (rows,)
+    user_rates_bps: np.ndarray  # (rows, users)
+    user_counts: np.ndarray  # (rows,)
+    # Filled by `rows` on first read; the class is frozen.
+    _rows: tuple[ResultRow, ...] | None = field(default=None, init=False, repr=False)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[ResultRow]) -> "ResultTable":
-        ordered = tuple(sorted(rows, key=lambda r: (r.variant, r.sweep_var)))
-        return cls(ordered)
+    def from_block(
+        cls,
+        sweep_var: Sequence[float],
+        variant: Sequence[str],
+        user_rates_bps: np.ndarray,
+        sum_rate_bps: Sequence[float],
+        user_counts: Sequence[int] | None = None,
+    ) -> ResultTable:
+        """Table of rows given as columns and a (rows, users) rate block, each
+        row `user_counts[i]` rates long (all of its width when None). Raises
+        ValueError naming the first rate that is not finite and nonnegative."""
+        rates = np.asarray(user_rates_bps, dtype=np.float64)
+        counts = [rates.shape[1]] * len(variant) if user_counts is None else user_counts
+        if not len(sweep_var) == len(variant) == len(rates) == len(sum_rate_bps) == len(counts):
+            raise ValueError("result columns and rate block differ in row count")
+        codes = {name: i for i, name in enumerate(sorted(set(variant)))}
+        order = np.lexsort((sweep_var, [codes[name] for name in variant]))
+        columns = [np.asarray(c, dtype=np.float64) for c in (sweep_var, sum_rate_bps, rates)]
+        arrays = [c[order] for c in (*columns, np.asarray(counts, dtype=np.intp))]
+        for array in arrays:
+            array.flags.writeable = False
+        _check_rates(arrays[2], "user rate at (row {}, user {})")
+        _check_rates(arrays[1][:, None], "sum_rate_bps at row {}")
+        return cls(arrays[0], tuple(variant[i] for i in order.tolist()), *arrays[1:])
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[ResultRow]) -> ResultTable:
+        rows = list(rows)
+        counts = [len(row.user_rates_bps) for row in rows]
+        block = np.zeros((len(rows), max(counts, default=0)))
+        for i, row in enumerate(rows):
+            block[i, : counts[i]] = row.user_rates_bps
+        columns = ([row.sweep_var for row in rows], [row.variant for row in rows])
+        return cls.from_block(*columns, block, [row.sum_rate_bps for row in rows], counts)
+
+    @property
+    def rows(self) -> tuple[ResultRow, ...]:
+        """The rows as `ResultRow` values, built on first read."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", tuple(ResultRow(*r) for r in self._records()))
+        return self._rows
+
+    def _records(self) -> Iterator[tuple[float, str, float, tuple[float, ...]]]:
+        """(sweep_var, variant, sum_rate_bps, user rates) of each row."""
+        columns = (self.sweep_var.tolist(), self.sum_rate_bps.tolist(), self.user_counts.tolist())
+        for label, x, total, n, rates in zip(self.variant, *columns, self.user_rates_bps):
+            yield x, label, total, tuple(rates[:n].tolist())
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return self.sweep_var, self.sum_rate_bps, self.user_rates_bps, self.user_counts
+
+    def __len__(self) -> int:
+        return len(self.variant)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResultTable):
+            return NotImplemented
+        return self.variant == other.variant and all(
+            a.shape == b.shape and a.tobytes() == b.tobytes()
+            for a, b in zip(self._arrays(), other._arrays())
+        )
 
     def variants(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for row in self.rows:
-            if row.variant not in seen:
-                seen.append(row.variant)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.variant))
 
     def series(self, variant: str) -> tuple[tuple[float, float], ...]:
-        return tuple(
-            (row.sweep_var, row.sum_rate_bps) for row in self.rows if row.variant == variant
+        points = zip(self.variant, self.sweep_var.tolist(), self.sum_rate_bps.tolist())
+        return tuple((x, y) for label, x, y in points if label == variant)
+
+
+def _check_rates(block: np.ndarray, where: str) -> None:
+    """Raise ValueError naming the first element of the 2-D `block` that is
+    not finite and nonnegative."""
+    bad = ~((block >= 0.0) & (block < math.inf))
+    if bad.any():
+        index = tuple(np.argwhere(bad)[0].tolist())
+        raise ValueError(
+            f"{where.format(*index)} must be finite and nonnegative, got {float(block[index])}"
         )
 
 
@@ -71,11 +142,9 @@ def format_rate(value: float) -> str:
 def write_csv(table: ResultTable, path: str | Path) -> None:
     """Emit the table as UTF-8 CSV with LF endings, byte-deterministic."""
     lines = [CSV_HEADER]
-    for row in table.rows:
-        rates = ";".join(format_rate(r) for r in row.user_rates_bps)
-        lines.append(
-            f"{row.sweep_var:.10g},{row.variant},{format_rate(row.sum_rate_bps)},{rates}"
-        )
+    for x, label, total, rates in table._records():
+        user_rates = ";".join(format_rate(r) for r in rates)
+        lines.append(f"{x:.10g},{label},{format_rate(total)},{user_rates}")
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -101,10 +170,10 @@ def render_line_plot(
     path: str | Path,
 ) -> None:
     """Write a standalone SVG line chart of sum rate per variant."""
-    if not table.rows:
+    if not len(table):
         raise ValueError("cannot plot an empty table")
-    xs = [row.sweep_var for row in table.rows]
-    ys = [row.sum_rate_bps for row in table.rows]
+    xs = table.sweep_var.tolist()
+    ys = table.sum_rate_bps.tolist()
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = 0.0, max(ys)
     x_span = (x_hi - x_lo) or 1.0

@@ -202,6 +202,28 @@ class TestArrayInputs:
         got = achievable_rate(gammas, 1.5e9)
         assert got.tolist() == [achievable_rate(g, 1.5e9) for g in gammas.tolist()]
 
+    def test_user_block_elementwise_bitwise(self):
+        # A (users, points) block: per-user responsivity and total gain q as
+        # (users, 1) columns, transmit powers as one row.
+        powers = self.values(46, -6.0, 0.0)
+        responsivity = np.array([[0.4], [0.55], [0.3]])
+        q = np.array([[1.7e-4], [0.0], [3.1e-3]])
+        received = q * powers
+        sigma2 = noise_variance(TABLE, received, responsivity)
+        gamma = sinr(q, powers, responsivity, sigma2)
+        rate = achievable_rate(gamma, 1.5e9)
+        assert rate.shape == (3, len(powers))
+        for u, (r, g) in enumerate(zip(responsivity[:, 0].tolist(), q[:, 0].tolist())):
+            for j, p in enumerate(powers.tolist()):
+                s2 = noise_variance(TABLE, received[u, j], r)
+                assert sigma2[u, j] == s2
+                assert gamma[u, j] == sinr(gain_of(g), p, r, s2)
+                assert rate[u, j] == achievable_rate(gamma[u, j], 1.5e9)
+
+    def test_scalar_rate_is_a_python_float(self):
+        assert type(achievable_rate(3.0, 1.5e9)) is float
+        assert type(achievable_rate(np.float64(3.0), 1.5e9)) is float
+
     def test_sum_rate_adds_users_left_to_right(self):
         rng = np.random.default_rng(45)
         rates = rng.uniform(0.0, 1e10, (7, 500))

@@ -597,6 +597,43 @@ class TestSweepSnrArrayPath:
         assert counts[0] == counts[1]
 
 
+class TestSweepSnrRowOrder:
+    """Duplicate and unsorted SNR points: the block path keeps the per-point
+    path's rows, in (variant, sweep_var) order, stable for duplicates."""
+
+    VARIANTS = ("none", "5x5", "10x10")
+
+    @pytest.mark.parametrize(
+        "points",
+        [[90.0, 70.0, 90.0, 60.0, 70.0], [100.0, 65.0, 80.0, 62.5], [75.0, 75.0, 75.0]],
+        ids=["duplicates", "unsorted", "all-equal"],
+    )
+    @pytest.mark.parametrize("doc", [{}, {"users": {"blocked": [1]}}], ids=["default", "blocked"])
+    def test_equals_per_point_composition(self, doc, points):
+        s = build_default_scenario(doc)
+        table = sweep_snr(s, points, self.VARIANTS)
+        expected = _per_point_sweep_snr(s, points, self.VARIANTS)
+        assert table == expected
+        assert [(r.variant, r.sweep_var) for r in table.rows] == [
+            (r.variant, r.sweep_var) for r in expected.rows
+        ]
+        assert [(r.variant, r.sweep_var) for r in table.rows] == sorted(
+            (label, db) for label in self.VARIANTS for db in points
+        )
+
+    def test_blocked_user_holds_no_beam_in_any_variant(self):
+        s = build_default_scenario({"users": {"blocked": [1]}})
+        points = [100.0, 65.0, 100.0, 80.0]
+        for label in self.VARIANTS:
+            variant = owcsim.network._variant_scenario(s, label)
+            plan = owcsim.network._plan_user(variant, scenario_assignment(variant), 1)
+            assert plan.beam_gains == ()
+        table = sweep_snr(s, points, self.VARIANTS)
+        assert table == _per_point_sweep_snr(s, points, self.VARIANTS)
+        assert table.user_rates_bps[:, 1].tolist() == [0.0] * len(table)
+        assert (table.user_rates_bps[:, [0, 2, 3]] > 0.0).all()
+
+
 class TestSweepUsers:
     def test_irs_dominates_and_curves_nondecreasing(self):
         s = build_default_scenario(None)
