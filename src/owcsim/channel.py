@@ -1,6 +1,7 @@
 """Per-user optical channel gains: direct path, mirror path, and their sum.
 
-Gains are power fractions of the serving beam, dimensionless in [0, 1].
+Each gain is a power fraction of the beam that carries it, dimensionless in
+[0, 1]; a user's mirror-path total sums one such fraction per assigned mirror.
 The mirror path uses the unfolded-path model: an ideal planar specular
 reflection preserves the Gaussian profile, so the reflected field is the
 same beam continued to the total folded distance, with the finite mirror
@@ -69,7 +70,11 @@ class AdrBranch:
 
 @dataclass(frozen=True)
 class ChannelGain:
-    """Direct gain, summed mirror gain, their total, and serving branches."""
+    """Direct gain, summed mirror gain, their total, and serving branches.
+
+    Each gain is a fraction of its own beam, so h_los is in [0, 1] while
+    h_nlos, a sum over one beam per assigned mirror, may exceed 1.
+    """
 
     h_los: float
     h_nlos: float
@@ -80,8 +85,8 @@ class ChannelGain:
     def __post_init__(self) -> None:
         if not 0.0 <= self.h_los <= 1.0:
             raise ValueError(f"h_los must be in [0, 1], got {self.h_los}")
-        if not 0.0 <= self.h_nlos <= 1.0:
-            raise ValueError(f"h_nlos must be in [0, 1], got {self.h_nlos}")
+        if not self.h_nlos >= 0.0:
+            raise ValueError(f"h_nlos must be nonnegative, got {self.h_nlos}")
         if self.q != self.h_los + self.h_nlos:
             raise ValueError("q must equal h_los + h_nlos exactly")
 
@@ -355,7 +360,8 @@ def total_gain(
     los_branch: int | None = None,
     nlos_branch: int | None = None,
 ) -> ChannelGain:
-    """Sum the direct gain and all assigned mirror contributions."""
+    """Sum the direct gain and all assigned mirror contributions, each a
+    fraction of its own beam."""
     if not 0.0 <= h_los <= 1.0:
         raise ValueError(f"h_los must be in [0, 1], got {h_los}")
     for i, contribution in enumerate(nlos_contributions):

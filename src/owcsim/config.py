@@ -19,7 +19,6 @@ from typing import Callable, Mapping
 from .geometry import Orientation, Vec3
 from .link import NoiseParams
 from .network import (
-    POWER_SPLITS,
     AdtSpec,
     Scenario,
     UserSpec,
@@ -137,7 +136,6 @@ SCHEMA: dict[str, tuple[object, Check]] = {
     "adt.center": (None, Nullable(POINT)),
     "adt.side_offset_m": (0.3, Number(0.0, 10.0)),
     "adt.side_elevation_deg": (65.0, Number(0.0, 90.0)),
-    "adt.vcsels_per_branch": (5, Integer(1)),
     "adt.beam_waist_m": (5.0e-6, Number(1e-6, 2e-5)),
     "adt.wavelength_m": (1.55e-6, Number(3.5e-7, 2e-6)),
     "irs.enabled": (True, FLAG),
@@ -165,7 +163,6 @@ SCHEMA: dict[str, tuple[object, Check]] = {
     "noise.bandwidth_b": (1.5e9, Number(1e3, 1e12)),
     "power.p_tot_w": (0.01, Number(1e-6, 100.0)),
     "power.eye_safety_cap_w": (1.0, Number(1e-6, 100.0)),
-    "power.split": ("equal", OneOf(POWER_SPLITS)),
     "power.max_mirrors_per_user": (None, Nullable(Integer(1))),
     "sweep.snr_points_db": (
         [float(db) for db in range(60, 121, 5)],
@@ -261,7 +258,6 @@ def _scenario(values: Mapping[str, object]) -> Scenario:
         center_pos=Vec3(*center),
         branch_orientations=(Orientation(0.0, 90.0),)
         + tuple(Orientation(az, side_elevation) for az in (0.0, 90.0, 180.0, 270.0)),
-        vcsels_per_branch=values["adt.vcsels_per_branch"],
         beam_waist=values["adt.beam_waist_m"],
         beam_wavelength=values["adt.wavelength_m"],
         side_offset=values["adt.side_offset_m"],
@@ -317,7 +313,6 @@ def _scenario(values: Mapping[str, object]) -> Scenario:
         ),
         p_tot=values["power.p_tot_w"],
         eye_safety_cap=values["power.eye_safety_cap_w"],
-        power_split=values["power.split"],
         max_mirrors_per_user=values["power.max_mirrors_per_user"],
         rng_seed=values["seed"],
     )
@@ -346,7 +341,6 @@ def effective_config(
         "adt.side_elevation_deg": adt.branch_orientations[1].elevation_deg
         if len(adt.branch_orientations) > 1
         else SCHEMA["adt.side_elevation_deg"][0],
-        "adt.vcsels_per_branch": adt.vcsels_per_branch,
         "adt.beam_waist_m": adt.beam_waist,
         "adt.wavelength_m": adt.beam_wavelength,
         "irs.enabled": panel is not None,
@@ -366,7 +360,6 @@ def effective_config(
         "noise.bandwidth_b": scenario.noise.bandwidth_b,
         "power.p_tot_w": scenario.p_tot,
         "power.eye_safety_cap_w": scenario.eye_safety_cap,
-        "power.split": scenario.power_split,
         "power.max_mirrors_per_user": scenario.max_mirrors_per_user,
         "sweep.snr_points_db": list(sweep.snr_points_db),
         "sweep.k_values": list(sweep.k_values),

@@ -107,8 +107,10 @@ def sinr(
     responsivity: float | np.ndarray,
     sigma2: float | np.ndarray,
 ) -> float | np.ndarray:
-    """Electrical SNR (R q P)^2 / sigma^2; the model is noise-limited.
+    """Electrical SNR (R q P)^2 / sigma^2, with P the power of each aimed beam.
 
+    There is no interference term: every beam serves one user, so the
+    model is noise-limited and the value is an SNR.
     `gain` is a ChannelGain or its total gain q, a float or an array.
     """
     if np.less_equal(sigma2, 0.0).any():

@@ -3,15 +3,17 @@
 Everything here takes a built Scenario; reading a config document into one
 is the job of `config`. A Scenario is immutable after validation. Every user
 is served by one transmitter branch, which devotes one aimed beam to the
-user's receiver and one to each mirror assigned to that user; the total
-transmit power is split across those beams by the configured rule.
+user's receiver and one to each mirror assigned to that user. Each beam
+carries the transmit power `p_tot`, held under the per-beam eye-safety cap,
+so a user with total gain q = h_los + h_nlos receives q·p_tot: the power
+that gives the signal (R q p_tot)^2 also gives the shot and RIN noise.
 Evaluations are pure functions of the scenario, so sweep points can be
 computed in any order.
 
-Only the transmit power changes between sweep points, so the rate path (beam
-powers, eye-safety cap, received power, noise, SNR and rate) runs once over a
-(users, points) block: `sweep_snr` calls it once per variant for the whole SNR
-grid, and an evaluation at the scenario's own power passes one point.
+Only the transmit power changes between sweep points, so the rate path
+(received power, noise, SNR and rate) runs once over a (users, points)
+block: `sweep_snr` calls it once per variant for the whole SNR grid, and an
+evaluation at the scenario's own power passes one point.
 
 A Scenario computes two gain tables once, each holding gains and serving
 receiver branches: `direct_table` (one `channel.los_gain_table` call) and
@@ -68,8 +70,6 @@ _WALL_INWARD = {
     "y_max": Vec3(0.0, -1.0, 0.0),
 }
 
-POWER_SPLITS = ("equal", "los_priority")
-
 
 @dataclass(frozen=True)
 class AdtSpec:
@@ -77,7 +77,6 @@ class AdtSpec:
 
     center_pos: Vec3
     branch_orientations: tuple[Orientation, ...]
-    vcsels_per_branch: int  # N, each branch is an N x N emitter array
     beam_waist: float  # m
     beam_wavelength: float  # m
     side_offset: float = 0.3  # m, horizontal displacement of side branches
@@ -87,10 +86,6 @@ class AdtSpec:
     def __post_init__(self) -> None:
         if not self.branch_orientations:
             raise ValueError("adt must have at least one branch")
-        if self.vcsels_per_branch < 1:
-            raise ValueError(
-                f"adt.vcsels_per_branch must be >= 1, got {self.vcsels_per_branch}"
-            )
         if self.beam_waist <= 0.0 or self.beam_wavelength <= 0.0:
             raise ValueError("adt beam waist and wavelength must be positive")
         if self.side_offset < 0.0:
@@ -182,9 +177,8 @@ class Scenario:
     irs: IrsPanel | None
     users: tuple[UserSpec, ...]
     noise: NoiseParams
-    p_tot: float  # W, total transmit power serving each user
+    p_tot: float  # W, carried by each aimed beam
     eye_safety_cap: float  # W, per-beam limit
-    power_split: str
     max_mirrors_per_user: int | None
     rng_seed: int
     # Filled by `direct_table`, `serving_branches` and `mirror_table` on first
@@ -225,12 +219,7 @@ class Scenario:
             )
         if self.p_tot > self.eye_safety_cap:
             raise ValueError(
-                "power.p_tot_w exceeds power.eye_safety_cap_w: a single-beam user "
-                "would receive an unsafe beam"
-            )
-        if self.power_split not in POWER_SPLITS:
-            raise ValueError(
-                f"power.split must be one of {POWER_SPLITS}, got {self.power_split}"
+                "power.p_tot_w exceeds power.eye_safety_cap_w: every aimed beam carries p_tot_w"
             )
         if self.max_mirrors_per_user is not None and self.max_mirrors_per_user < 1:
             raise ValueError("power.max_mirrors_per_user must be >= 1 or null")
@@ -552,21 +541,10 @@ def scenario_assignment(scenario: Scenario) -> Assignment:
 # Per-user evaluation
 
 
-@dataclass(frozen=True)
-class _UserPlan:
-    """Power-independent part of a user evaluation."""
-
-    beam_gains: tuple[float, ...]
-    has_los_beam: bool
-    gain: ChannelGain
-    responsivity: float
-
-
-def _plan_user(scenario: Scenario, assignment: Assignment, user_index: int) -> _UserPlan:
+def _user_gain(scenario: Scenario, assignment: Assignment, user_index: int) -> ChannelGain:
     """Gains read from the Scenario's tables: direct at the serving
     transmitter branch, and each assigned mirror's. The mirror path's
     receiver branch is the best assigned mirror's (the first, on a tie)."""
-    user = scenario.users[user_index]
     branch = scenario.serving_branches[user_index]
     gain, receiver = scenario.direct_table
     h_los = float(gain[user_index, branch])
@@ -577,88 +555,38 @@ def _plan_user(scenario: Scenario, assignment: Assignment, user_index: int) -> _
     nlos_branch = None
     if mirrors:
         nlos_branch = _receiver(mirror_receiver[user_index, mirrors[nlos.index(max(nlos))]])
-    combined = total_gain(h_los, nlos, los_branch, nlos_branch)
-    beam_gains = (() if user.blocked else (h_los,)) + tuple(nlos)
-    return _UserPlan(beam_gains, not user.blocked, combined, user.branches[0].responsivity)
+    return total_gain(h_los, nlos, los_branch, nlos_branch)
 
 
 def _receiver(index: np.integer) -> int | None:
     return None if index < 0 else int(index)
 
 
-def _beam_powers(plans: Sequence[_UserPlan], split: str, p_tot: np.ndarray) -> np.ndarray:
-    """(users, beams, points) power of each plan's beams at each total in
-    `p_tot`, zero past a user's last beam (and at least one beam wide)."""
-    beams = np.array([len(plan.beam_gains) for plan in plans], dtype=np.intp)
-    powered = beams
-    if split == "los_priority":  # the direct beam, where there is one, takes it all
-        powered = np.where([plan.has_los_beam for plan in plans], 1, beams)
-    live = np.arange(beams.max(initial=1)) < powered[:, None]
-    powers = np.zeros((len(plans), live.shape[1], len(p_tot)))
-    np.divide(p_tot, powered[:, None, None], out=powers, where=live[:, :, None])
-    return powers
-
-
-def _check_eye_safety(powers: np.ndarray, scenario: Scenario) -> None:
-    """Reject the first (point, user), point-major, with a beam over the cap."""
-    peaks = powers.max(axis=1)
-    over = peaks > scenario.eye_safety_cap
-    if over.any():
-        point = over.any(axis=0).argmax()
-        user = over[:, point].argmax()
-        raise ValueError(
-            f"per-beam power {float(peaks[user, point]):.6g} W exceeds "
-            f"power.eye_safety_cap_w {scenario.eye_safety_cap:.6g} W"
-        )
-
-
-def _received_power(
-    plans: Sequence[_UserPlan], scenario: Scenario, p_tot: np.ndarray
-) -> np.ndarray:
-    """(users, points) received power, once every beam has passed the
-    eye-safety cap. Each user's beams add left to right, as a scalar sum
-    would; the padding past its last beam adds exact zeros. The gains
-    multiply the powers in place, so one fewer block that size is live."""
-    powers = _beam_powers(plans, scenario.power_split, p_tot)
-    _check_eye_safety(powers, scenario)
-    gains = np.zeros(powers.shape[:2])
-    for user_index, plan in enumerate(plans):
-        gains[user_index, : len(plan.beam_gains)] = plan.beam_gains
-    powers *= gains[:, :, None]
-    return np.add.accumulate(powers, axis=1)[:, -1]
-
-
-def _link(
-    plans: Sequence[_UserPlan], scenario: Scenario, p_tot: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(users, points) received power, noise variance, SNR and rate of every
-    plan at each total in `p_tot`."""
-    received = _received_power(plans, scenario, p_tot)
-    responsivity = np.array([[plan.responsivity] for plan in plans])
-    sigma2 = noise_variance(scenario.noise, received, responsivity)
-    gamma = sinr(np.array([[plan.gain.q] for plan in plans]), p_tot, responsivity, sigma2)
-    return received, sigma2, gamma, achievable_rate(gamma, scenario.noise.bandwidth_b)
-
-
 def _evaluate(
     scenario: Scenario, assignment: Assignment, p_tot: np.ndarray, users: Sequence[int]
-) -> tuple[list[_UserPlan], tuple[np.ndarray, ...]]:
-    """The plan-then-rate path: plan the given users, then run all of their
-    links at once."""
-    plans = [_plan_user(scenario, assignment, i) for i in users]
-    return plans, _link(plans, scenario, p_tot)
+) -> tuple[list[ChannelGain], tuple[np.ndarray, ...]]:
+    """The gain-then-rate path: the given users' gains, then their (users,
+    points) received power q·p_tot, noise variance, SNR and rate at each
+    per-beam power in `p_tot`, all users at once."""
+    gains = [_user_gain(scenario, assignment, i) for i in users]
+    q = np.array([[gain.q] for gain in gains])
+    responsivity = np.array([[scenario.users[i].branches[0].responsivity] for i in users])
+    received = q * p_tot
+    sigma2 = noise_variance(scenario.noise, received, responsivity)
+    gamma = sinr(q, p_tot, responsivity, sigma2)
+    return gains, (received, sigma2, gamma, achievable_rate(gamma, scenario.noise.bandwidth_b))
 
 
 def _link_results(
     scenario: Scenario, assignment: Assignment, users: Sequence[int]
 ) -> list[LinkResult]:
-    plans, link = _evaluate(scenario, assignment, np.array([scenario.p_tot]), users)
+    gains, link = _evaluate(scenario, assignment, np.array([scenario.p_tot]), users)
     columns = (values[:, 0].tolist() for values in link)
-    return [LinkResult(*values, plan.gain) for plan, *values in zip(plans, *columns)]
+    return [LinkResult(*values, gain) for gain, *values in zip(gains, *columns)]
 
 
 def evaluate_user(scenario: Scenario, assignment: Assignment, user_index: int) -> LinkResult:
-    """Full link for one user: gains, power split, noise, SNR, and rate."""
+    """Full link for one user: gains, received power q·p_tot, noise, SNR, and rate."""
     return _link_results(scenario, assignment, (user_index,))[0]
 
 
@@ -719,15 +647,23 @@ def sweep_snr(
     """Sum rate against transmit SNR for each mirror-wall variant.
 
     All variants see identical users; per-variant gains and assignments are
-    power-independent and computed once. Per variant, the grid is checked
-    against the eye-safety cap before any rate is computed; then one `_link`
-    call gives every user's rate at every point.
+    power-independent and computed once. The first point, in the order
+    given, whose per-beam power exceeds the eye-safety cap is rejected
+    before any rate is computed; then one `_evaluate` call per variant gives
+    every user's rate at every point.
     """
     points = [float(db) for db in snr_points_db]
     if not points or not variants:
         raise ValueError("snr_points_db and variants must be nonempty")
     responsivity = scenario_responsivity(scenario)
     p_tot = np.array([power_for_transmit_snr(scenario.noise, responsivity, db) for db in points])
+    over = p_tot > scenario.eye_safety_cap
+    if over.any():
+        first = int(over.argmax())
+        raise ValueError(
+            f"per-beam power {p_tot[first]:.6g} W at {points[first]:g} dB exceeds "
+            f"power.eye_safety_cap_w {scenario.eye_safety_cap:.6g} W"
+        )
     cases = [(label, _variant_scenario(scenario, label)) for label in variants]
     return _rate_table(cases, points * len(cases), p_tot)
 

@@ -245,6 +245,13 @@ class TestTotalGain:
         with pytest.raises(ValueError, match="h_los"):
             total_gain(-0.1, [])
 
+    def test_bound_holds_per_beam_not_on_the_sum(self):
+        # Each mirror's contribution is a fraction of its own beam.
+        g = total_gain(0.0, [0.6, 0.6, 0.6])
+        assert g.h_nlos == 0.6 + 0.6 + 0.6 and g.q == g.h_nlos
+        with pytest.raises(ValueError, match="contribution 0"):
+            total_gain(0.0, [1.2])
+
     def test_removing_contribution_never_increases_q(self):
         rng = random.Random(25)
         for _ in range(200):

@@ -2,7 +2,8 @@
 fails with exit 1 and a message naming the key.
 
 Scenario keys go through `simulate`; `sweep.*` keys go through both sweeps
-on a two-point grid. No input may raise out of `run_command`.
+on a two-point grid. No input may raise out of `run_command`. Keys removed
+from the schema are unknown keys, so a document that sets one fails naming it.
 """
 
 import contextlib
@@ -26,12 +27,14 @@ SMALL_SWEEP = {
     "output": {"svg": False},
 }
 CSV = {"simulate": "simulate.csv", "sweep-snr": "fig2.csv", "sweep-users": "fig3.csv"}
+REMOVED_KEYS = ["adt.vcsels_per_branch", "power.split"]
 
 
-def check_mutation(mutations: dict) -> None:
-    """Run the commands the mutated keys feed and check each outcome."""
+def check_mutation(mutations: dict, commands: tuple[str, ...] | None = None) -> None:
+    """Run the commands the mutated keys feed, or the given ones, and check
+    each outcome."""
     sweeps = any(path.startswith("sweep.") for path in mutations)
-    document = json.loads(json.dumps(SMALL_SWEEP if sweeps else {}))
+    document = json.loads(json.dumps(SMALL_SWEEP if sweeps or commands else {}))
     for path, value in mutations.items():
         *sections, key = path.split(".")
         node = document
@@ -41,7 +44,9 @@ def check_mutation(mutations: dict) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(document), encoding="utf-8")
-        for command in ("sweep-snr", "sweep-users") if sweeps else ("simulate",):
+        if commands is None:
+            commands = ("sweep-snr", "sweep-users") if sweeps else ("simulate",)
+        for command in commands:
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = run_command(command, config_path=str(config), out_dir=tmp)
@@ -59,9 +64,17 @@ def check_mutation(mutations: dict) -> None:
 
 
 @pytest.mark.parametrize("value", POOL, ids=json.dumps)
-@pytest.mark.parametrize("path", list(SCHEMA))
+@pytest.mark.parametrize("path", list(SCHEMA) + REMOVED_KEYS)
 def test_every_key_against_the_pool(path, value):
     check_mutation({path: value})
+
+
+def test_least_divergent_beam_runs_with_mirror_gain_over_one():
+    # The widest waist at the shortest wavelength spreads least: on the
+    # 10x10 wall of `sweep-snr`, user 0's 72 mirrors sum to h_nlos 1.46,
+    # one fraction of its own beam each.
+    mutations = {"adt.beam_waist_m": 2e-5, "adt.wavelength_m": 3.5e-7}
+    check_mutation(mutations, ("simulate", "sweep-snr"))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

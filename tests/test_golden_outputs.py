@@ -3,6 +3,10 @@
 A change that moves any of these bytes must update the constant here and say
 in CHANGES.md what physical or formatting reason moved it. A refactor or a
 speed change must leave all six untouched.
+
+The `none` rows of fig2.csv and fig3.csv are pinned apart: without a mirror
+wall every user holds one beam at most, so a change to how mirror-served
+links are powered must leave them as they were.
 """
 
 import hashlib
@@ -12,13 +16,14 @@ import pytest
 from owcsim.cli import EXIT_OK, run_command
 
 GOLDEN_SHA256 = {
-    "simulate.csv": "5f9a134f50f082bf2fc92fecdb66e4a4254bcaef268452f22cbe9fa89018dfde",
-    "fig2.csv": "b9dd518fd0d90b904a5dc4a9c4048787bb42c062f17744ef057aba38531fe178",
-    "fig2.svg": "7129685a9623fb5f3579c12f6efabc74c3f665430b9846d825bf3a52bf77954f",
-    "fig2_report.json": "2f3aec72ec87db8239833ce1a4f92163938a362f2ae0690d7262182b0d901d4a",
-    "fig3.csv": "5ef6277715882acb4d426e165f9f54686fb5224faf5684c063cbc8c19064f7b4",
-    "fig3.svg": "aec0d6decfe03faf5cf6d9ddfb2bf4dd3fcb8348e96befa02e7aa560292aecfa",
+    "simulate.csv": "28c9efd968d0df54835dc85903087badbea1ed23890f628158b0d1706e2f69a2",
+    "fig2.csv": "849c4e3eaddc9d19ef7934d5f1ab0880b9d46bb094e6f7af328d5a41ed4180bc",
+    "fig2.svg": "56ebd7462bdecb22b920a395d456e6a41f324dea88dd82cfe775cc158fb5f3e4",
+    "fig2_report.json": "eb52f33047d0d9e5c049d66676c3a939c74fee3bddcd3feea0e7f3c49f994a18",
+    "fig3.csv": "85fa07353e7733141d5d8375802ad3ec9276bae8c8bfbbd01e9700ebde12882a",
+    "fig3.svg": "0804b4973acc4b57470548fb802b13f9b57abba2df52df4e054f6a3bcb414f9d",
 }
+NONE_ROWS_SHA256 = "60f97c3c03e0d63287bc632de45dfcf040559021cc80429312e62bf4c529c942"
 
 
 @pytest.fixture(scope="module")
@@ -37,3 +42,14 @@ def test_writes_exactly_the_six_outputs(outputs):
 def test_output_bytes_match_golden_digest(outputs, name):
     digest = hashlib.sha256((outputs / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[name]
+
+
+def test_rows_without_mirror_wall_match_golden_digest(outputs):
+    rows = [
+        line
+        for name in ("fig2.csv", "fig3.csv")
+        for line in (outputs / name).read_bytes().splitlines(keepends=True)
+        if line.split(b",")[1:2] == [b"none"]
+    ]
+    assert len(rows) == 13 + 8
+    assert hashlib.sha256(b"".join(rows)).hexdigest() == NONE_ROWS_SHA256

@@ -199,9 +199,9 @@ class TestMirrorTable:
         s = build_default_scenario({"irs": {"grid_m": 2}, "users": {"k": 1}})
         table = (np.array([[0.0, 0.3, 0.1, 0.3]]), np.array([[-1, 2, 0, 3]]))
         object.__setattr__(s, "_mirror", table)
-        plan = owcsim.network._plan_user(s, Assignment(((1, 2, 3),)), 0)
-        assert plan.gain.serving_branch_nlos == 2
-        assert plan.gain.h_nlos == 0.3 + 0.1 + 0.3
+        gain = owcsim.network._user_gain(s, Assignment(((1, 2, 3),)), 0)
+        assert gain.serving_branch_nlos == 2
+        assert gain.h_nlos == 0.3 + 0.1 + 0.3
 
     def test_no_wall_gives_empty_read_only_tables(self):
         s = build_default_scenario({"irs": {"enabled": False}})

@@ -45,7 +45,6 @@ class TestBuildDefaultScenario:
         assert s.adt.center_pos == Vec3(2.5, 2.5, 3.0)
         assert len(s.adt.branch_orientations) == 5
         assert s.adt.branch_orientations[0].elevation_deg == 90.0
-        assert s.adt.vcsels_per_branch == 5
         assert s.adt.beam_waist == 5e-6
         assert s.adt.beam_wavelength == 1.55e-6
         assert s.irs is not None
@@ -311,12 +310,14 @@ class TestEvaluateUser:
         for result in evaluate_scenario(s):
             assert (result.rate == 0.0) == (result.sinr == 0.0)
 
-    def test_received_power_within_split_budget(self):
-        s = build_default_scenario(None)
-        assignment = scenario_assignment(s)
-        for i in range(len(s.users)):
-            result = evaluate_user(s, assignment, i)
-            assert 0.0 <= result.received_optical_power <= s.p_tot
+    def test_received_power_is_q_times_p_tot(self):
+        # Every beam carries p_tot, so the power behind the noise is the
+        # power behind the signal (R q p_tot)^2, for mirror-served users too.
+        s = build_default_scenario({"irs": {"grid_m": 10}})
+        results = evaluate_scenario(s)
+        assert any(r.gain.h_nlos > 0.0 for r in results)
+        for result in results:
+            assert result.received_optical_power == result.gain.q * s.p_tot
 
     def test_standalone_call_matches_scenario_evaluation(self):
         s = build_default_scenario({"irs": {"grid_m": 10}})
@@ -350,15 +351,6 @@ class TestEvaluateUser:
         sweep_snr(s, [60.0, 90.0], ("none", "5x5", "10x10"))
         assert calls["los_gain_table"] <= 3
         assert calls["serving_branch_index"] == calls["los_gain"] == 0
-
-    def test_los_priority_split(self):
-        base = build_default_scenario(None)
-        prio = build_default_scenario({"power": {"split": "los_priority"}})
-        res_eq = evaluate_scenario(base)
-        res_pr = evaluate_scenario(prio)
-        for a, b in zip(res_eq, res_pr):
-            assert a.gain.q == b.gain.q  # split changes power, not gains
-            assert a.rate == pytest.approx(b.rate, rel=1e-2)  # thermal-dominated
 
 
 def _count_calls(monkeypatch):
@@ -448,30 +440,25 @@ class TestSweepSnr:
             sweep_snr(s, [130.0])
 
 
-def _point_links(variant, plans, p_tot):
-    """Every user's (received power, noise variance, SNR, rate) at one transmit
-    power, one scalar link call chain per user: the per-point path the array
-    path must reproduce bit for bit."""
+def _point_links(variant, gains, p_tot):
+    """Every user's (received power, noise variance, SNR, rate) at one
+    per-beam power, one scalar link call chain per user: the per-point path
+    the array path must reproduce bit for bit."""
     links = []
-    for plan in plans:
-        n_beams = len(plan.beam_gains)
-        if n_beams and variant.power_split == "los_priority" and plan.has_los_beam:
-            powers = (p_tot,) + (0.0,) * (n_beams - 1)
-        else:
-            powers = (p_tot / n_beams,) * n_beams if n_beams else ()
-        for power in powers:
-            if power > variant.eye_safety_cap:
-                raise ValueError(
-                    f"per-beam power {power:.6g} W exceeds power.eye_safety_cap_w "
-                    f"{variant.eye_safety_cap:.6g} W"
-                )
-        received = 0.0
-        for g, p in zip(plan.beam_gains, powers):
-            received += g * p
-        sigma2 = noise_variance(variant.noise, received, plan.responsivity)
-        gamma = sinr(plan.gain, p_tot, plan.responsivity, sigma2)
+    for user, gain in zip(variant.users, gains):
+        responsivity = user.branches[0].responsivity
+        received = gain.q * p_tot
+        sigma2 = noise_variance(variant.noise, received, responsivity)
+        gamma = sinr(gain, p_tot, responsivity, sigma2)
         links.append((received, sigma2, gamma, achievable_rate(gamma, variant.noise.bandwidth_b)))
     return links
+
+
+def _user_gains(variant):
+    assignment = assign_mirrors(variant, irs_gain_matrix(variant), variant.max_mirrors_per_user)
+    return [
+        owcsim.network._user_gain(variant, assignment, i) for i in range(len(variant.users))
+    ]
 
 
 def _per_point_sweep_snr(scenario, points, variants):
@@ -479,15 +466,15 @@ def _per_point_sweep_snr(scenario, points, variants):
     rows = []
     for label in variants:
         variant = owcsim.network._variant_scenario(scenario, label)
-        gains = irs_gain_matrix(variant)
-        assignment = assign_mirrors(variant, gains, variant.max_mirrors_per_user)
-        plans = [
-            owcsim.network._plan_user(variant, assignment, i)
-            for i in range(len(variant.users))
-        ]
+        gains = _user_gains(variant)
         for db in points:
             p_tot = power_for_transmit_snr(variant.noise, responsivity, db)
-            rates = [link[3] for link in _point_links(variant, plans, p_tot)]
+            if p_tot > variant.eye_safety_cap:
+                raise ValueError(
+                    f"per-beam power {p_tot:.6g} W at {db:g} dB exceeds "
+                    f"power.eye_safety_cap_w {variant.eye_safety_cap:.6g} W"
+                )
+            rates = [link[3] for link in _point_links(variant, gains, p_tot)]
             rows.append(ResultRow(float(db), label, sum_rate(rates), tuple(rates)))
     return ResultTable.from_rows(rows)
 
@@ -498,7 +485,6 @@ class TestSweepSnrArrayPath:
     VARIANTS = ("none", "5x5", "10x10")
     DENSE_POINTS = [60.0 + 0.05 * i for i in range(1201)]
 
-    @pytest.mark.parametrize("split", ["equal", "los_priority"])
     @pytest.mark.parametrize(
         "doc",
         [
@@ -508,31 +494,25 @@ class TestSweepSnrArrayPath:
         ],
         ids=["default", "blocked", "two-mirrors"],
     )
-    def test_equals_per_point_composition(self, doc, split):
-        s = build_default_scenario({**doc, "power": {**doc.get("power", {}), "split": split}})
+    def test_equals_per_point_composition(self, doc):
+        s = build_default_scenario(doc)
         points = list(DEFAULT_SNR_POINTS_DB) + [61.3, 97.25]
         assert sweep_snr(s, points, self.VARIANTS) == _per_point_sweep_snr(
             s, points, self.VARIANTS
         )
 
-    @pytest.mark.parametrize("split", ["equal", "los_priority"])
-    def test_single_point_evaluation_equals_composition(self, split):
+    def test_single_point_evaluation_equals_composition(self):
         # evaluate_scenario runs the same path on a one-element power array;
-        # users hold 73, 1, 29 and 1 beams on the 10x10 wall.
-        base = build_default_scenario({"irs": {"grid_m": 10}, "power": {"split": split}})
-        gains = irs_gain_matrix(base)
-        assignment = assign_mirrors(base, gains, base.max_mirrors_per_user)
-        plans = [
-            owcsim.network._plan_user(base, assignment, i)
-            for i in range(len(base.users))
-        ]
-        assert [len(plan.beam_gains) for plan in plans] == [73, 1, 29, 1]
+        # users hold 72, 0, 28 and 0 mirrors on the 10x10 wall.
+        base = build_default_scenario({"irs": {"grid_m": 10}})
+        assert [len(m) for m in scenario_assignment(base).per_user] == [72, 0, 28, 0]
+        gains = _user_gains(base)
         for p_tot in (0.01, 0.0123, 0.07, 0.31, 0.77, 1.0):
             s = replace(base, p_tot=p_tot)
             results = evaluate_scenario(s)
             assert [
                 (r.received_optical_power, r.noise_variance, r.sinr, r.rate) for r in results
-            ] == _point_links(s, plans, p_tot)
+            ] == _point_links(s, gains, p_tot)
 
     def test_blocked_user_without_beams(self):
         s = build_default_scenario({"users": {"blocked": [1]}, "irs": {"enabled": False}})
@@ -551,21 +531,21 @@ class TestSweepSnrArrayPath:
         assert len(table.rows) == 1201
         assert table == _per_point_sweep_snr(s, self.DENSE_POINTS, ("none",))
 
-    @pytest.mark.parametrize("split", ["equal", "los_priority"])
     @pytest.mark.parametrize(
-        "points", [[125.0, 160.0], [160.0, 125.0], [100.0, 150.0, 125.0]]
+        "points, first",
+        [([125.0, 160.0], "125"), ([160.0, 125.0], "160"), ([100.0, 150.0, 125.0], "150")],
     )
-    def test_cap_error_names_first_point_then_user(self, points, split):
-        # On the 10x10 wall users 0-3 hold 73, 1, 29 and 1 beams under an equal
-        # split, so they cross the 1 W cap at different powers: 125 dB takes
-        # users 1 and 3 over, 160 dB user 0 too. The old loop ran point by
-        # point in the order given, then user by user.
-        s = build_default_scenario({"power": {"split": split}})
+    def test_cap_error_names_first_point_over_the_cap(self, points, first):
+        # Every beam carries the point's transmit power, whatever the wall:
+        # 100 dB needs 0.077 W, 125 dB 1.37 W, over the 1 W cap. The error
+        # names the first over-cap point in the order given.
+        s = build_default_scenario(None)
         with pytest.raises(ValueError, match="eye_safety_cap") as expected:
             _per_point_sweep_snr(s, points, ("10x10",))
         with pytest.raises(ValueError, match="eye_safety_cap") as got:
             sweep_snr(s, points, ("10x10",))
         assert str(got.value) == str(expected.value)
+        assert f" at {first} dB " in str(got.value)
 
     def test_cap_error_differs_by_point_order(self):
         s = build_default_scenario(None)
@@ -574,7 +554,7 @@ class TestSweepSnrArrayPath:
             with pytest.raises(ValueError, match="eye_safety_cap") as err:
                 sweep_snr(s, points, ("10x10",))
             messages.add(str(err.value))
-        assert len(messages) == 2  # user 1 at 125 dB, then user 0 at 160 dB
+        assert len(messages) == 2  # 125 dB named first, then 160 dB
 
     def test_link_calls_once_per_variant_and_user(self, monkeypatch):
         calls = {"noise_variance": 0, "sinr": 0, "achievable_rate": 0}
@@ -626,8 +606,9 @@ class TestSweepSnrRowOrder:
         points = [100.0, 65.0, 100.0, 80.0]
         for label in self.VARIANTS:
             variant = owcsim.network._variant_scenario(s, label)
-            plan = owcsim.network._plan_user(variant, scenario_assignment(variant), 1)
-            assert plan.beam_gains == ()
+            assignment = scenario_assignment(variant)
+            assert assignment.per_user[1] == ()
+            assert owcsim.network._user_gain(variant, assignment, 1).q == 0.0
         table = sweep_snr(s, points, self.VARIANTS)
         assert table == _per_point_sweep_snr(s, points, self.VARIANTS)
         assert table.user_rates_bps[:, 1].tolist() == [0.0] * len(table)
