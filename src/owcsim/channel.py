@@ -14,8 +14,10 @@ on `Vec3` values: `los_gain` scores one (transmitter branch, user) pair, and
 already steered for it. The network evaluation runs only the kernels, which
 repeat the references' arithmetic step for step and also return the serving
 receiver branch: `los_gain_table` scores every (user, transmitter branch) pair
-at once and equals `los_gain` bitwise; `irs_gain_row` steers and scores every
-`MirrorColumns` mirror for one user and agrees with `irs_gain` to rounding.
+at once and equals `los_gain` bitwise; `irs_gain_table` steers and scores every
+(user, `MirrorColumns` mirror) pair, users in blocks, and agrees with
+`irs_gain` to rounding. Both gate the field of view with one helper that
+compares cosines and takes acos only at the edge.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def irs_gain(
 class MirrorColumns:
     """A wall of mirrors as columns: centre coordinates, sizes, reflectivity.
 
-    The elements' normals are not kept: `irs_gain_row` steers every mirror
+    The elements' normals are not kept: `irs_gain_table` steers every mirror
     itself.
     """
 
@@ -190,34 +192,69 @@ class MirrorColumns:
         return len(self.cx)
 
 
-def irs_gain_row(
-    ap_branch_pos: Vec3,
+# (user, mirror) pairs per block of `irs_gain_table`: its few dozen
+# temporaries of this many floats then stay under a megabyte.
+_BLOCK_PAIRS = 4096
+
+
+def irs_gain_table(
+    ap_branch_positions: Sequence[Vec3],
     mirrors: MirrorColumns,
-    user_pos: Vec3,
-    user_branches: Sequence[AdrBranch],
+    user_positions: Sequence[Vec3],
+    user_branches: Sequence[Sequence[AdrBranch]],
     waist_w0: float,
     wavelength: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mirror-path gain from one transmitter branch to one user via each mirror.
+    """Mirror-path gain to every user via every mirror, each mirror steered per pair.
 
     Vectorised form of `steer_mirror` followed by `irs_gain` for a unit-power
-    beam of the given waist and wavelength, over all mirrors at once: the gain
-    and serving receiver branch (-1 for None) of mirror j steered to bounce the
-    branch onto the user. Pairs the reference scores 0 (zero-length leg,
-    degenerate steering, an endpoint behind the steered plane, no branch inside
-    its field of view) are exactly 0 here too. Dot and cross products are
-    written out by component in the reference's order; erf and acos go through
-    `math`, as numpy has no erf and its acos may differ from libm's in the last bit.
+    beam of the given waist and wavelength, with user i served from the
+    transmitter branch at `ap_branch_positions[i]`. Returns two (users,
+    mirrors) arrays: the gain of mirror j steered to bounce that branch onto
+    user i, and the serving receiver branch (-1 for None). Pairs the reference
+    scores 0 (zero-length leg, degenerate steering, an endpoint behind the
+    steered plane, no branch inside its field of view) are exactly 0 here too.
+    Dot and cross products are written out by component in the reference's
+    order; erf and acos go through `math`, as numpy has no erf and its acos
+    may differ from libm's in the last bit. Users sharing receiver branches
+    are scored together, `_BLOCK_PAIRS` pairs at a time, and erf runs only on
+    the pairs that are geometrically valid and seen by some receiver branch.
     """
-    n = len(mirrors)
-    ax, ay, az = ap_branch_pos.as_tuple()
-    px, py, pz = user_pos.as_tuple()
+    gain = np.zeros((len(user_positions), len(mirrors)))
+    receiver = np.full(gain.shape, -1)
+    ap = _coordinates(ap_branch_positions)
+    users = _coordinates(user_positions)
+    step = max(1, _BLOCK_PAIRS // max(1, len(mirrors)))
+    for branches, rows in _branch_groups(user_branches).items():
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            gain[block], receiver[block] = _irs_gain_block(
+                ap[block], mirrors, users[block], branches, waist_w0, wavelength
+            )
+    return gain, receiver
+
+
+def _irs_gain_block(
+    ap: np.ndarray,
+    mirrors: MirrorColumns,
+    users: np.ndarray,
+    branches: tuple[AdrBranch, ...],
+    waist_w0: float,
+    wavelength: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`irs_gain_table` for (block, 3) transmitter and user coordinates that
+    share one tuple of receiver branches."""
+    ax, ay, az = ap[:, 0:1], ap[:, 1:2], ap[:, 2:3]
+    px, py, pz = users[:, 0:1], users[:, 1:2], users[:, 2:3]
     with np.errstate(divide="ignore", invalid="ignore"):
         # Steering: the normal bisects the incoming and outgoing directions.
         tx, ty, tz = mirrors.cx - ax, mirrors.cy - ay, mirrors.cz - az
         mirror_range = np.sqrt(tx * tx + ty * ty + tz * tz)
         inv = 1.0 / mirror_range
         uix, uiy, uiz = tx * inv, ty * inv, tz * inv
+        # Each name is dropped after its last read, so that few (block,
+        # mirrors) arrays are alive at once.
+        del tx, ty, tz
         lx, ly, lz = px - mirrors.cx, py - mirrors.cy, pz - mirrors.cz
         leg_out = np.sqrt(lx * lx + ly * ly + lz * lz)
         inv = 1.0 / leg_out
@@ -225,12 +262,22 @@ def irs_gain_row(
         diff = np.sqrt(dx * dx + dy * dy + dz * dz)
         inv = 1.0 / diff
         nx, ny, nz = dx * inv, dy * inv, dz * inv
+        del dx, dy, dz, inv
         # NaN from a zero-length leg fails every comparison, so it lands here.
         valid = (diff >= 1e-9) & (lx * nx + ly * ny + lz * nz > 0.0)
         valid &= (ax - mirrors.cx) * nx + (ay - mirrors.cy) * ny + (az - mirrors.cz) * nz > 0.0
+        del lx, ly, lz, diff
 
         twice = 2.0 * (uix * nx + uiy * ny + uiz * nz)
         rx, ry, rz = uix - nx * twice, uiy - ny * twice, uiz - nz * twice
+        seen = []
+        for branch in branches:
+            bx, by, bz = branch.normal().as_tuple()
+            seen.append(_fov_seen(-(rx * bx + ry * by + rz * bz), branch.fov_half_angle_rad()))
+        del rx, ry, rz, twice
+        # Only a valid pair that some branch sees can score above 0.
+        live = valid & np.logical_or.reduce(seen)
+        del valid
 
         # mirror_plane_axes: project +z (+x for near-horizontal mirrors).
         flat = np.abs(nz) > 1.0 - 1e-9
@@ -240,45 +287,43 @@ def irs_gain_row(
         hz = np.where(flat, 0.0, 1.0) - nz * along_ref
         inv = 1.0 / np.sqrt(hx * hx + hy * hy + hz * hz)
         hx, hy, hz = hx * inv, hy * inv, hz * inv
+        del flat, along_ref, inv
         wx, wy, wz = hy * nz - hz * ny, hz * nx - hx * nz, hx * ny - hy * nx
         along_w = wx * uix + wy * uiy + wz * uiz
+        del wx, wy, wz, nx, ny, nz
         along_h = hx * uix + hy * uiy + hz * uiz
+        del hx, hy, hz, uix, uiy, uiz
         width_eff = mirrors.width * np.sqrt(np.maximum(0.0, 1.0 - along_w * along_w))
         height_eff = mirrors.height * np.sqrt(np.maximum(0.0, 1.0 - along_h * along_h))
-        valid &= (width_eff > 0.0) & (height_eff > 0.0)
+        del along_w, along_h
+        # The reference scores a zero projected width or height 0; so does the
+        # zero intercept such a pair keeps here, without calling erf.
+        sized = live & (width_eff > 0.0) & (height_eff > 0.0)
 
         spread_den = math.pi * waist_w0**2
         spread = wavelength * mirror_range / spread_den
         scale = math.sqrt(2.0) / (waist_w0 * np.sqrt(1.0 + spread * spread))
-        erf_w = _map(math.erf, scale * (0.5 * width_eff))
-        erf_h = _map(math.erf, scale * (0.5 * height_eff))
+        erf_w, erf_h = np.zeros(live.shape), np.zeros(live.shape)
+        erf_w[sized] = _map(math.erf, (scale * (0.5 * width_eff))[sized])
+        erf_h[sized] = _map(math.erf, (scale * (0.5 * height_eff))[sized])
         # erf is odd, so the reference's erf(a) - erf(-a) is exactly erf(a) + erf(a).
         intercept = 0.25 * (erf_w + erf_w) * (erf_h + erf_h)
+        del scale, width_eff, height_eff, erf_w, erf_h
 
         spread = wavelength * (mirror_range + leg_out) / spread_den
         w_total = waist_w0 * np.sqrt(1.0 + spread * spread)
         beam_area = w_total * w_total
-        best = np.zeros(n)
-        index = np.full(n, -1)
-        for r, branch in enumerate(user_branches):
-            bx, by, bz = branch.normal().as_tuple()
-            cosine = -(rx * bx + ry * by + rz * bz)
-            # The reference gates on acos(cosine) <= fov. More than 1e-9 from
-            # cos(fov), the angle is too (|d acos / dc| >= 1), so comparing
-            # cosines decides the same; nearer the edge, take acos as it does.
-            fov = branch.fov_half_angle_rad()
-            cos_fov = math.cos(fov)
-            seen = cosine > cos_fov
-            edge = np.abs(cosine - cos_fov) <= 1e-9
-            seen[edge] = _map(math.acos, np.clip(cosine[edge], -1.0, 1.0)) <= fov
+        best = np.zeros(live.shape)
+        index = np.full(live.shape, -1)
+        for r, branch in enumerate(branches):
             radius = branch.aperture_radius()
             captured = -np.expm1(-2.0 * radius * radius / beam_area)
             gain = mirrors.reflectivity * np.minimum(intercept, captured)
             # Strict: the lowest-index receiver branch wins a tie, as in `irs_gain`.
-            better = seen & (gain > best)
+            better = live & seen[r] & (gain > best)
             best = np.where(better, gain, best)
             index = np.where(better, r, index)
-    return np.where(valid, best, 0.0), np.where(valid, index, -1)
+    return best, index
 
 
 def los_gain_table(
@@ -296,13 +341,14 @@ def los_gain_table(
     and wavelength aimed at the user, over all pairs at once. Returns two
     (users, branches) arrays: the gain, and the serving receiver branch, -1
     where `los_gain` gives None. Both equal the reference bitwise: the
-    arithmetic follows its order, and acos and expm1 go through `math`, as
-    numpy's may differ from libm's in the last bit. Errors are the ones the
+    arithmetic follows its order, and acos (near the field-of-view edge, where
+    it decides) and expm1 go through `math`, as numpy's may differ from libm's
+    in the last bit. Errors are the ones the
     reference meets first, looping over users, then transmitter branches,
     and building each aimed beam before anything else.
     """
-    ap = np.array([p.as_tuple() for p in ap_branch_positions], dtype=np.float64).reshape(-1, 3)
-    users = np.array([p.as_tuple() for p in user_positions], dtype=np.float64).reshape(-1, 3)
+    ap = _coordinates(ap_branch_positions)
+    users = _coordinates(user_positions)
     dx, dy, dz = (users[:, axis, None] - ap[:, axis] for axis in range(3))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         separation = np.sqrt(dx * dx + dy * dy + dz * dz)
@@ -330,18 +376,13 @@ def los_gain_table(
     beam_area = w_d * w_d
     gain = np.zeros(separation.shape)
     receiver = np.full(separation.shape, -1)
-    groups: dict[tuple[AdrBranch, ...], list[int]] = {}
-    for i, branches in enumerate(user_branches):
-        groups.setdefault(tuple(branches), []).append(i)
-    for branches, rows in groups.items():
-        rows = slice(None) if len(rows) == len(users) else np.array(rows)
+    for branches, rows in _branch_groups(user_branches).items():
         gx, gy, gz, area = ux[rows], uy[rows], uz[rows], beam_area[rows]
         best = np.zeros(area.shape)
         index = np.full(area.shape, -1)
         for r, branch in enumerate(branches):
             nx, ny, nz = branch.normal().as_tuple()
-            cosine = np.clip(-(gx * nx + gy * ny + gz * nz), -1.0, 1.0)
-            seen = _map(math.acos, cosine) <= branch.fov_half_angle_rad()
+            seen = _fov_seen(-(gx * nx + gy * ny + gz * nz), branch.fov_half_angle_rad())
             radius = branch.aperture_radius()
             captured = -_map(math.expm1, -2.0 * radius * radius / area)
             # Strict: the lowest-index receiver branch wins a tie, as in `_best_branch`.
@@ -388,6 +429,34 @@ def _best_branch(
         if captured > best_gain:
             best_gain, best_index = captured, index
     return best_gain, best_index
+
+
+def _coordinates(points: Sequence[Vec3]) -> np.ndarray:
+    return np.array([p.as_tuple() for p in points], dtype=np.float64).reshape(-1, 3)
+
+
+def _branch_groups(
+    user_branches: Sequence[Sequence[AdrBranch]],
+) -> dict[tuple[AdrBranch, ...], np.ndarray]:
+    """The indices of the users holding each tuple of receiver branches."""
+    groups: dict[tuple[AdrBranch, ...], list[int]] = {}
+    for i, branches in enumerate(user_branches):
+        groups.setdefault(tuple(branches), []).append(i)
+    return {branches: np.array(rows) for branches, rows in groups.items()}
+
+
+def _fov_seen(cosine: np.ndarray, fov: float) -> np.ndarray:
+    """`fov_gate` of each arrival, given -cos of its angle to the branch normal.
+
+    The reference gates on acos(cosine), clipped to [-1, 1], <= fov. More than
+    1e-9 from cos(fov), the angle is too (|d acos / dc| >= 1), so comparing
+    cosines decides the same; nearer the edge, take acos as it does.
+    """
+    cos_fov = math.cos(fov)
+    seen = cosine > cos_fov
+    edge = np.abs(cosine - cos_fov) <= 1e-9
+    seen[edge] = _map(math.acos, np.clip(cosine[edge], -1.0, 1.0)) <= fov
+    return seen
 
 
 def _map(fn, values: np.ndarray) -> np.ndarray:

@@ -17,9 +17,9 @@ evaluation at the scenario's own power passes one point.
 
 A Scenario computes two gain tables once, each holding gains and serving
 receiver branches: `direct_table` (one `channel.los_gain_table` call) and
-`mirror_table` (one `channel.irs_gain_row` call per user, from its serving
-transmitter branch, over the wall's `MirrorColumns`). Evaluation reads them and
-runs no scalar gain code; the scalar `channel.los_gain`, `channel.irs_gain`
+`mirror_table` (one `channel.irs_gain_table` call over every user, each from
+its serving transmitter branch, and the wall's `MirrorColumns`). Evaluation
+reads them and runs no scalar gain code; the scalar `channel.los_gain`, `channel.irs_gain`
 and `serving_branch_index` are the reference the kernels are tested against.
 """
 
@@ -41,7 +41,7 @@ from .channel import (
     ChannelGain,
     MirrorColumns,
     irs_gain,
-    irs_gain_row,
+    irs_gain_table,
     los_gain,
     los_gain_table,
     total_gain,
@@ -265,7 +265,7 @@ class Scenario:
 
     @property
     def mirror_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """`irs_gain_row` of every user from its serving branch, computed once.
+        """`irs_gain_table` of every user from its serving branch, computed once.
 
         Read-only (users, mirrors) arrays of the mirror-path gain and of the
         serving receiver branch, -1 where there is none.
@@ -275,18 +275,14 @@ class Scenario:
             table = (np.zeros(shape), np.full(shape, -1))
             if self.irs is not None:
                 positions = self.adt.branch_positions()
-                rows = [
-                    irs_gain_row(
-                        positions[branch],
-                        self.irs.columns,
-                        user.position,
-                        user.branches,
-                        self.adt.beam_waist,
-                        self.adt.beam_wavelength,
-                    )
-                    for user, branch in zip(self.users, self.serving_branches)
-                ]
-                table = tuple(np.stack(column) for column in zip(*rows))
+                table = irs_gain_table(
+                    [positions[branch] for branch in self.serving_branches],
+                    self.irs.columns,
+                    [user.position for user in self.users],
+                    [user.branches for user in self.users],
+                    self.adt.beam_waist,
+                    self.adt.beam_wavelength,
+                )
             for array in table:
                 array.flags.writeable = False
             object.__setattr__(self, "_mirror", table)
@@ -625,9 +621,16 @@ def transmit_snr_db(noise: NoiseParams, responsivity: float, p_tot: float) -> fl
     return 10.0 * math.log10((responsivity * p_tot) ** 2 / thermal_noise_variance(noise))
 
 
-def power_for_transmit_snr(noise: NoiseParams, responsivity: float, snr_db: float) -> float:
-    """Transmit power that realises a given transmit SNR."""
-    return math.sqrt(10.0 ** (snr_db / 10.0) * thermal_noise_variance(noise)) / responsivity
+def power_for_transmit_snr(
+    noise: NoiseParams, responsivity: float, snr_db: float | Sequence[float]
+) -> float | np.ndarray:
+    """Transmit power that realises a given transmit SNR in dB: a float for
+    one SNR, a float64 array for a sequence of them."""
+    scalar = np.ndim(snr_db) == 0
+    # Python's ** per point: numpy's power differs from libm's in the last bit.
+    ratio = np.array([10.0 ** (db / 10.0) for db in ([snr_db] if scalar else snr_db)])
+    power = np.sqrt(ratio * thermal_noise_variance(noise)) / responsivity
+    return float(power[0]) if scalar else power
 
 
 def _variant_scenario(scenario: Scenario, label: str) -> Scenario:
@@ -656,7 +659,7 @@ def sweep_snr(
     if not points or not variants:
         raise ValueError("snr_points_db and variants must be nonempty")
     responsivity = scenario_responsivity(scenario)
-    p_tot = np.array([power_for_transmit_snr(scenario.noise, responsivity, db) for db in points])
+    p_tot = power_for_transmit_snr(scenario.noise, responsivity, points)
     over = p_tot > scenario.eye_safety_cap
     if over.any():
         first = int(over.argmax())

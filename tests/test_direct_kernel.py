@@ -197,6 +197,24 @@ class TestEdgeCases:
         assert gain[0, 0] > 0.0 and receiver[0, 0] == 0  # the boundary is inside
         assert gain[1, 0] == 0.0 and receiver[1, 0] == -1
 
+    def test_acos_runs_only_within_1e_9_of_the_fov_cosine(self, monkeypatch):
+        user = Vec3(3.98, 2.59, 0.0)
+        probe = AdrBranch(Orientation(100.0, 70.0), 45.0, 2e-5, 0.4)
+        angle = incidence_angle((user - self.AP).normalized(), probe.normal())
+        on_edge = (replace(probe, fov_half_angle_deg=degrees_landing_on(angle)),)
+        branch_sets = [default_adr_branches()] * 4 + [on_edge]
+        positions = [u.position for u in build_default_scenario(None).users] + [user]
+        arguments = []
+
+        def counted_acos(x, _acos=math.acos):
+            arguments.append(x)
+            return _acos(x)
+
+        monkeypatch.setattr(math, "acos", counted_acos)
+        los_gain_table([self.AP], positions, branch_sets, [False] * 5, WAIST, WAVELENGTH)
+        # Of 4 x 4 + 1 (user, receiver branch) arrivals, only the one on the edge.
+        assert len(arguments) == 1
+
     def test_equal_receiver_branches_tie_to_the_lowest_index(self):
         twin = AdrBranch(Orientation(0.0, 90.0), 80.0, 2e-5, 0.4)
         user = Vec3(2.4, 2.6, 0.0)

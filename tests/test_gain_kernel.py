@@ -1,16 +1,21 @@
 """The vectorised mirror-gain kernel against the scalar reference path.
 
-`irs_gain_row` must give, for every mirror, what `steer_mirror` followed by
-`irs_gain` gives for that one pair: nonzero gains to 1e-12 relative and
-zeros in exactly the same places.
+`irs_gain_table` must give, for every (user, mirror) pair, what
+`steer_mirror` followed by `irs_gain` gives for that one pair: nonzero gains
+to 1e-12 relative and zeros in exactly the same places. A user's row must
+not depend on which other users share the call or its blocks, and erf runs
+only on pairs some receiver branch sees.
 """
 
 import math
 import random
 from dataclasses import replace
 
+import numpy as np
+
+import owcsim.channel
 from owcsim.beam import GaussianBeam
-from owcsim.channel import AdrBranch, MirrorColumns, irs_gain, irs_gain_row
+from owcsim.channel import AdrBranch, MirrorColumns, irs_gain, irs_gain_table
 from owcsim.config import build_default_scenario
 from owcsim.geometry import (
     GeometryError,
@@ -49,18 +54,43 @@ def scalar_gain(ap, mirror, user, branches, waist=WAIST, wavelength=WAVELENGTH):
     return scalar_path(ap, mirror, user, branches, waist, wavelength)[0]
 
 
+def assert_close(got, want, where):
+    if want == 0.0 or got == 0.0:
+        assert got == want, f"{where}: kernel {got!r}, scalar {want!r}"
+    else:
+        assert abs(got - want) <= RTOL * want, f"{where}: kernel {got!r}, scalar {want!r}"
+
+
+def assert_table_matches(aps, mirrors, users, branch_sets, waist=WAIST, wavelength=WAVELENGTH):
+    """Every (user, mirror) pair of one `irs_gain_table` call against the
+    scalar path, user i served from `aps[i]`."""
+    gain, receiver = irs_gain_table(
+        aps, MirrorColumns.of(mirrors), users, branch_sets, waist, wavelength
+    )
+    assert gain.shape == receiver.shape == (len(users), len(mirrors))
+    assert gain.dtype == np.float64 and receiver.dtype.kind == "i"
+    for i, (ap, user, branches) in enumerate(zip(aps, users, branch_sets)):
+        paths = [scalar_path(ap, m, user, branches, waist, wavelength) for m in mirrors]
+        for j, (got, (want, _)) in enumerate(zip(gain[i].tolist(), paths)):
+            assert_close(got, want, f"({i}, {j})")
+        assert receiver[i].tolist() == [index for _, index in paths]
+    return gain, receiver
+
+
 def assert_row_matches(ap, mirrors, user, branches, waist=WAIST, wavelength=WAVELENGTH):
-    row, receiver = irs_gain_row(ap, MirrorColumns.of(mirrors), user, branches, waist, wavelength)
-    assert row.shape == receiver.shape == (len(mirrors),)
-    paths = [scalar_path(ap, m, user, branches, waist, wavelength) for m in mirrors]
-    expected = [gain for gain, _ in paths]
-    for j, (got, want) in enumerate(zip(row.tolist(), expected)):
-        if want == 0.0 or got == 0.0:
-            assert got == want, f"mirror {j}: kernel {got!r}, scalar {want!r}"
-        else:
-            assert abs(got - want) <= RTOL * want, f"mirror {j}: kernel {got!r}, scalar {want!r}"
-    assert receiver.tolist() == [index for _, index in paths]
-    return row, expected
+    """A one-user call: its single row against the scalar path."""
+    gain, receiver = assert_table_matches([ap], mirrors, [user], [branches], waist, wavelength)
+    return gain[0], receiver[0]
+
+
+def assert_rows_are_independent(aps, mirrors, users, branch_sets):
+    """Each row of a many-user call equals, bitwise, a one-user call."""
+    columns = MirrorColumns.of(mirrors)
+    gain, receiver = irs_gain_table(aps, columns, users, branch_sets, WAIST, WAVELENGTH)
+    for i, (ap, user, branches) in enumerate(zip(aps, users, branch_sets)):
+        row, row_receiver = irs_gain_table([ap], columns, [user], [branches], WAIST, WAVELENGTH)
+        assert gain[i].tobytes() == row[0].tobytes()
+        assert receiver[i].tolist() == row_receiver[0].tolist()
 
 
 def assert_matrix_matches(scenario):
@@ -74,11 +104,7 @@ def assert_matrix_matches(scenario):
                 ap, mirror, user.position, user.branches,
                 scenario.adt.beam_waist, scenario.adt.beam_wavelength,
             )
-            got = float(matrix[i, j])
-            if want == 0.0 or got == 0.0:
-                assert got == want, f"({i}, {j}): kernel {got!r}, scalar {want!r}"
-            else:
-                assert abs(got - want) <= RTOL * want, f"({i}, {j}): {got!r} vs {want!r}"
+            assert_close(float(matrix[i, j]), want, f"({i}, {j})")
     return matrix
 
 
@@ -129,8 +155,10 @@ class TestRandomScenarios:
     def test_every_transmitter_branch_not_only_the_serving_one(self):
         s = build_default_scenario({"irs": {"grid_m": 6}})
         for ap in s.adt.branch_positions():
-            for user in s.users:
-                assert_row_matches(ap, s.irs.elements, user.position, user.branches)
+            assert_table_matches(
+                [ap] * len(s.users), s.irs.elements,
+                [user.position for user in s.users], [user.branches for user in s.users],
+            )
 
     def test_single_mirror_grid(self):
         s = build_default_scenario({"irs": {"grid_m": 1}})
@@ -234,9 +262,103 @@ class TestEdgeGeometry:
         assert True in flat and False in flat
 
     def test_empty_wall(self):
-        row, _ = irs_gain_row(Vec3(2.5, 2.5, 3.0), MirrorColumns.of([]), Vec3(1.0, 1.0, 0.0),
-                              one_branch(), WAIST, WAVELENGTH)
-        assert row.shape == (0,)
+        users = [Vec3(1.0, 1.0, 0.0), Vec3(2.0, 3.0, 0.0), Vec3(4.0, 1.0, 0.0)]
+        gain, receiver = irs_gain_table([Vec3(2.5, 2.5, 3.0)] * 3, MirrorColumns.of([]), users,
+                                        [one_branch()] * 3, WAIST, WAVELENGTH)
+        assert gain.shape == receiver.shape == (3, 0)
+
+
+def floor_users(rng, k, dims=(5.0, 5.0)):
+    return [Vec3(rng.uniform(0.05, dims[0] - 0.05), rng.uniform(0.05, dims[1] - 0.05), 0.0)
+            for _ in range(k)]
+
+
+class TestManyUsers:
+    """One call over many users: rows mixed by receiver branches and blocks."""
+
+    WIDE = default_adr_branches(fov_deg=50.0)
+    TILTED = default_adr_branches((270.0, 90.0), elevation_deg=30.0, fov_deg=60.0)
+
+    def test_two_receiver_branch_tuples_in_one_call(self):
+        s = build_default_scenario({"irs": {"grid_m": 6}})
+        positions = s.adt.branch_positions()
+        users = floor_users(random.Random(7), 7)
+        aps = [positions[i % len(positions)] for i in range(len(users))]
+        branch_sets = [self.WIDE if i % 3 else self.TILTED for i in range(len(users))]
+        gain, receiver = assert_table_matches(aps, s.irs.elements, users, branch_sets)
+        # The tilted pair serves only through its second branch, which faces
+        # the wall; the four wide branches also serve through the first.
+        assert set(receiver[::3].ravel().tolist()) == {1}
+        assert (receiver[4] == 0).any()
+        assert_rows_are_independent(aps, s.irs.elements, users, branch_sets)
+
+    def test_user_outside_every_field_of_view(self):
+        # An upward branch with a 10 degree field of view, 4 m from a wall
+        # whose mirrors sit 1.5 m up, sees no reflection arrive.
+        mirrors = build_default_scenario({"irs": {"grid_m": 5}}).irs.elements
+        ap, users = Vec3(2.5, 2.5, 3.0), [Vec3(2.5, 1.0, 0.0), Vec3(2.0, 3.5, 0.0)]
+        gain, receiver = assert_table_matches(
+            [ap, ap], mirrors, users, [one_branch(elevation=90.0, fov=10.0), self.WIDE]
+        )
+        assert not gain[0].any() and (receiver[0] == -1).all()
+        assert gain[1].any()
+        for mirror in mirrors:  # gated by the field of view alone
+            steer_mirror(ap, mirror.center, users[0])
+
+    def test_one_user(self):
+        s = build_default_scenario({"irs": {"grid_m": 3}})
+        user = s.users[0]
+        gain, receiver = assert_table_matches(
+            [s.adt.branch_positions()[0]], s.irs.elements, [user.position], [user.branches]
+        )
+        assert gain.shape == receiver.shape == (1, 9)
+        assert gain.any()
+
+    def test_table_spanning_several_blocks(self):
+        mirrors = build_default_scenario({"irs": {"grid_m": 20}}).irs.elements
+        users = floor_users(random.Random(11), 23)
+        per_block = owcsim.channel._BLOCK_PAIRS // len(mirrors)
+        assert len(users) * len(mirrors) > 2 * owcsim.channel._BLOCK_PAIRS
+        assert per_block >= 1 and len(users) % per_block
+        aps = [Vec3(2.5 + 0.3 * (i % 2), 2.5, 3.0) for i in range(len(users))]
+        branch_sets = [self.WIDE if i % 2 else self.TILTED for i in range(len(users))]
+        assert_table_matches(aps, mirrors, users, branch_sets)
+        assert_rows_are_independent(aps, mirrors, users, branch_sets)
+
+    def test_erf_runs_only_on_pairs_a_receiver_sees(self, monkeypatch):
+        # Floor users; one at the centre of mirror 5 (a zero-length leg); one
+        # in line with the transmitter and mirror 0 (degenerate steering); and
+        # one whose only branch sees no reflection arrive (gated pairs).
+        mirrors = build_default_scenario({"irs": {"grid_m": 10}}).irs.elements
+        ap, first = Vec3(2.5, 2.5, 3.0), mirrors[0].center
+        users = [
+            *floor_users(random.Random(3), 4),
+            mirrors[5].center,
+            first + (first - ap),
+            Vec3(2.5, 1.0, 0.0),
+        ]
+        branch_sets = [default_adr_branches()] * 6 + [one_branch(elevation=90.0, fov=10.0)]
+        aps = [ap] * len(users)
+        arguments = []
+
+        def counted_erf(x, _erf=math.erf):
+            arguments.append(x)
+            return _erf(x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(math, "erf", counted_erf)
+            gain, receiver = irs_gain_table(
+                aps, MirrorColumns.of(mirrors), users, branch_sets, WAIST, WAVELENGTH
+            )
+        scored = assert_table_matches(aps, mirrors, users, branch_sets)
+        assert gain.tobytes() == scored[0].tobytes()
+        # Each pair a receiver branch serves needs both of its erfs for its
+        # nonzero gain, so the count leaves none for a pair scored 0.
+        served = int((receiver >= 0).sum())
+        assert (gain[receiver >= 0] > 0.0).all()
+        assert len(arguments) == 2 * served
+        assert 0 < served < gain.size // 2
+        assert gain[4, 5] == gain[5, 0] == 0.0 and not gain[6].any()
 
 
 def test_matrix_without_wall_is_empty():

@@ -2,8 +2,8 @@
 
 `IrsPanel` keeps its mirrors once, as `MirrorColumns`; `elements` is built
 from them on first use for the scalar reference. `Scenario.mirror_table`
-holds every user's `irs_gain_row` gains and receiver branches, and the
-evaluation reads it instead of running any scalar gain code.
+holds the gains and receiver branches of one `irs_gain_table` call over every
+user, and the evaluation reads it instead of running any scalar gain code.
 """
 
 from dataclasses import replace

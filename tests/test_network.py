@@ -10,7 +10,7 @@ from owcsim import checks
 from owcsim.config import build_default_scenario
 from owcsim.geometry import Vec3
 from owcsim.config import DEFAULT_SNR_POINTS_DB
-from owcsim.link import achievable_rate, noise_variance, sinr, sum_rate
+from owcsim.link import achievable_rate, noise_variance, sinr, sum_rate, thermal_noise_variance
 from owcsim.network import (
     Assignment,
     UserSpec,
@@ -336,7 +336,7 @@ class TestEvaluateUser:
         assert any(r.gain.h_nlos > 0.0 for r in results)
         assert any(r.gain.h_los > 0.0 for r in results)
         assert calls["los_gain_table"] == 1
-        assert calls["irs_gain_row"] == len(s.users)
+        assert calls["irs_gain_table"] == 1
         assert calls["serving_branch_index"] == calls["los_gain"] == 0
         assert calls["irs_gain"] == 0
 
@@ -356,7 +356,7 @@ class TestEvaluateUser:
 def _count_calls(monkeypatch):
     """Count calls to the gain kernels and the scalar reference path."""
     calls = dict.fromkeys(
-        ("los_gain_table", "irs_gain_row", "los_gain", "irs_gain", "serving_branch_index"), 0
+        ("los_gain_table", "irs_gain_table", "los_gain", "irs_gain", "serving_branch_index"), 0
     )
     for name in calls:
         original = getattr(owcsim.network, name)
@@ -405,6 +405,17 @@ class TestStructure:
         for db in (0.0, 45.0, 90.0, 120.0):
             p = power_for_transmit_snr(s.noise, 0.4, db)
             assert transmit_snr_db(s.noise, 0.4, p) == pytest.approx(db, abs=1e-9)
+
+    def test_transmit_powers_of_a_grid_equal_each_point_bitwise(self):
+        # The per-point formula, with `math`, is the reference for the array form.
+        s = build_default_scenario(None)
+        floor = thermal_noise_variance(s.noise)
+        points = [60.0 + 0.05 * i for i in range(1201)] + [-30.0, 0.0, 47.3, 180.0]
+        powers = power_for_transmit_snr(s.noise, 0.4, points)
+        want = [math.sqrt(10.0 ** (db / 10.0) * floor) / 0.4 for db in points]
+        assert powers.dtype == np.float64 and powers.tolist() == want
+        assert [power_for_transmit_snr(s.noise, 0.4, db) for db in points[:50]] == want[:50]
+        assert type(power_for_transmit_snr(s.noise, 0.4, 80.0)) is float
 
 
 class TestSweepSnr:
