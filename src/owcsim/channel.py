@@ -402,15 +402,18 @@ def total_gain(
     nlos_branch: int | None = None,
 ) -> ChannelGain:
     """Sum the direct gain and all assigned mirror contributions, each a
-    fraction of its own beam."""
+    fraction of its own beam. The contributions are added one by one, in
+    the order given, as `np.bincount` adds them: the builtin `sum` is
+    compensated from Python 3.12 on and would differ in the last bits."""
     if not 0.0 <= h_los <= 1.0:
         raise ValueError(f"h_los must be in [0, 1], got {h_los}")
+    h_nlos = 0.0
     for i, contribution in enumerate(nlos_contributions):
         if not 0.0 <= contribution <= 1.0:
             raise ValueError(
                 f"NLoS contribution {i} must be in [0, 1], got {contribution}"
             )
-    h_nlos = sum(nlos_contributions)
+        h_nlos += contribution
     return ChannelGain(h_los, h_nlos, h_los + h_nlos, los_branch, nlos_branch)
 
 

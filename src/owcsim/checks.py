@@ -107,7 +107,9 @@ def image_source(rng: random.Random, draws: int) -> None:
 
 
 def assignment(rng: random.Random, draws: int) -> None:
-    """Greedy on 3 users x 5 mirrors, one each: disjoint, capped, >= 1/2 optimum."""
+    """Greedy on 3 users x 5 mirrors, one each: disjoint, capped, >= 1/2 optimum.
+    Uncapped, on gains with ties and zeros: each mirror goes to its best
+    user, the lowest index on a tie, and a zero column to nobody."""
     scenario = build_default_scenario({"users": {"k": 3}})
     for _ in range(draws):
         gains = [[rng.random() for _ in range(5)] for _ in range(3)]
@@ -120,6 +122,14 @@ def assignment(rng: random.Random, draws: int) -> None:
             sum(gains[u][m] for u, m in enumerate(chosen)) for chosen in permutations(range(5), 3)
         )
         _expect(greedy >= 0.5 * best - 1e-12, "greedy fell below half the optimum")
+
+        gains = [[rng.choice((0.0, 0.25, 0.5)) for _ in range(5)] for _ in range(3)]
+        owner = [max(range(3), key=lambda u: (gains[u][m], -u)) for m in range(5)]
+        argmax = tuple(
+            tuple(m for m in range(5) if owner[m] == u and gains[u][m] > 0.0) for u in range(3)
+        )
+        uncapped = assign_mirrors(scenario, gains, max_per_user=None).per_user
+        _expect(uncapped == argmax, "uncapped assignment is not the column argmax")
 
 
 def no_irs_equivalence(rng: random.Random | None = None, draws: int = 0) -> None:

@@ -21,6 +21,12 @@ receiver branches: `direct_table` (one `channel.los_gain_table` call) and
 its serving transmitter branch, and the wall's `MirrorColumns`). Evaluation
 reads them and runs no scalar gain code; the scalar `channel.los_gain`, `channel.irs_gain`
 and `serving_branch_index` are the reference the kernels are tested against.
+
+An `Assignment` is an owner vector, the user holding each mirror or -1.
+With no per-user cap each mirror goes to its best user, the lowest index on
+a tie; only a finite cap runs the greedy loop. Every user's h_nlos is one
+`np.bincount` over the wall, added in mirror order, and only `evaluate_scenario`
+and `evaluate_user` build `ChannelGain`/`LinkResult` values.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from .channel import (
     irs_gain_table,
     los_gain,
     los_gain_table,
-    total_gain,
 )
 from .geometry import (
     MirrorElement,
@@ -69,6 +74,8 @@ _WALL_INWARD = {
     "y_min": Vec3(0.0, 1.0, 0.0),
     "y_max": Vec3(0.0, -1.0, 0.0),
 }
+# A derived dataclass field: set on first use, outside `__init__`, `repr` and `==`.
+_CACHE = dict(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -115,9 +122,7 @@ class IrsPanel:
     panel_center: Vec3
     # Set once in __post_init__; `replace` builds a new panel, which sets it anew.
     columns: MirrorColumns = field(init=False, repr=False, compare=False)
-    _elements: tuple[MirrorElement, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _elements: tuple[MirrorElement, ...] | None = field(**_CACHE)
 
     def __post_init__(self) -> None:
         if self.wall not in _WALL_INWARD:
@@ -128,9 +133,7 @@ class IrsPanel:
         if width <= 0.0 or height <= 0.0:
             raise ValueError("irs element size must be positive")
         if not 0.0 <= self.reflectivity <= 1.0:
-            raise ValueError(
-                f"mirror reflectivity must be in [0, 1], got {self.reflectivity}"
-            )
+            raise ValueError(f"mirror reflectivity must be in [0, 1], got {self.reflectivity}")
         # (6, mirrors): centre x, y, z, width, height and reflectivity of each.
         values = [*self.panel_center.as_tuple(), width, height, self.reflectivity]
         table = np.repeat(np.array(values)[:, None], self.grid_m**2, axis=1)
@@ -184,15 +187,9 @@ class Scenario:
     # Filled by `direct_table`, `serving_branches` and `mirror_table` on first
     # use, with `object.__setattr__` as the class is frozen; `replace` starts
     # them empty, and they take no part in `==`, `hash` or `repr`.
-    _direct: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _serving: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _mirror: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _direct: tuple[np.ndarray, np.ndarray] | None = field(**_CACHE)
+    _serving: tuple[int, ...] | None = field(**_CACHE)
+    _mirror: tuple[np.ndarray, np.ndarray] | None = field(**_CACHE)
 
     def __post_init__(self) -> None:
         dx, dy, dz = self.room_dims
@@ -214,9 +211,7 @@ class Scenario:
         if self.p_tot <= 0.0:
             raise ValueError(f"power.p_tot_w must be positive, got {self.p_tot}")
         if self.eye_safety_cap <= 0.0:
-            raise ValueError(
-                f"power.eye_safety_cap_w must be positive, got {self.eye_safety_cap}"
-            )
+            raise ValueError(f"power.eye_safety_cap_w must be positive, got {self.eye_safety_cap}")
         if self.p_tot > self.eye_safety_cap:
             raise ValueError(
                 "power.p_tot_w exceeds power.eye_safety_cap_w: every aimed beam carries p_tot_w"
@@ -310,19 +305,42 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Per-user mirror indices; every mirror serves at most one user."""
+    """The mirrors each user holds; every mirror serves at most one user.
+
+    `per_user` lists each user's mirrors; `owner` is the read-only user of each
+    mirror, -1 for none. `assign_mirrors` builds one from an owner vector over
+    the whole wall; `Assignment(per_user)` rejects a mirror held twice, and its
+    `owner` ends at the highest mirror held.
+    """
 
     per_user: tuple[tuple[int, ...], ...]
+    owner: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for mirrors in self.per_user:
+        owner = np.full(max((m for row in self.per_user for m in row), default=-1) + 1, -1)
+        for user_index, mirrors in enumerate(self.per_user):
             for index in mirrors:
                 if index < 0:
                     raise ValueError(f"mirror index must be nonnegative, got {index}")
-                if index in seen:
+                if owner[index] >= 0:
                     raise ValueError(f"mirror {index} assigned to more than one user")
-                seen.add(index)
+                owner[index] = user_index
+        owner.flags.writeable = False
+        object.__setattr__(self, "owner", owner)
+
+    @classmethod
+    def _of_owner(cls, owner: np.ndarray, users: int) -> Assignment:
+        """The assignment an owner vector gives, each user's mirrors ascending: one
+        stable argsort groups the mirrors by owner and the owners' counts split it.
+        An owner vector cannot hold a mirror twice, so nothing is checked again."""
+        order = np.argsort(owner, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(owner + 1, minlength=users + 1)).tolist()
+        per_user = tuple(tuple(order[start:end]) for start, end in zip(ends, ends[1:]))
+        owner.flags.writeable = False
+        assignment = object.__new__(cls)
+        object.__setattr__(assignment, "per_user", per_user)
+        object.__setattr__(assignment, "owner", owner)
+        return assignment
 
 
 def default_adr_branches(
@@ -387,31 +405,22 @@ def place_users_uniform(
     """
     if k < 1:
         raise ValueError(f"user count must be >= 1, got {k}")
-    rng = np.random.default_rng(seed)
-    draws = rng.random((k, 2))
-    return [
-        Vec3(float(u * room_dims[0]), float(v * room_dims[1]), plane_z)
-        for u, v in draws
-    ]
+    draws = np.random.default_rng(seed).random((k, 2)).tolist()
+    return [Vec3(u * room_dims[0], v * room_dims[1], plane_z) for u, v in draws]
 
 
 def with_irs_grid(scenario: Scenario, grid_m: int) -> Scenario:
     """Same scenario with the mirror wall rebuilt at a new grid size."""
     base = scenario.irs
-    if base is not None:
-        center = base.panel_center
-        panel = build_irs_panel(
-            scenario.room_dims,
-            wall=base.wall,
-            grid_m=grid_m,
-            element_width=base.element_size[0],
-            element_height=base.element_size[1],
-            reflectivity=base.reflectivity,
-            center_height=center.z,
-            center_along=center.x if base.wall.startswith("y") else center.y,
-        )
-    else:
-        panel = build_irs_panel(scenario.room_dims, grid_m=grid_m)
+    if base is None:
+        return replace(scenario, irs=build_irs_panel(scenario.room_dims, grid_m=grid_m))
+    (width, height), center = base.element_size, base.panel_center
+    along = center.x if base.wall.startswith("y") else center.y
+    panel = build_irs_panel(
+        scenario.room_dims, wall=base.wall, grid_m=grid_m, element_width=width,
+        element_height=height, reflectivity=base.reflectivity, center_height=center.z,
+        center_along=along,
+    )
     return replace(scenario, irs=panel)
 
 
@@ -427,16 +436,6 @@ def scenario_responsivity(scenario: Scenario) -> float:
     return scenario.users[0].branches[0].responsivity
 
 
-def _aimed_beam(scenario: Scenario, origin: Vec3, target: Vec3) -> GaussianBeam:
-    return GaussianBeam(
-        waist_w0=scenario.adt.beam_waist,
-        wavelength=scenario.adt.beam_wavelength,
-        power_pt=1.0,
-        origin=origin,
-        axis=(target - origin).normalized(),
-    )
-
-
 def serving_branch_index(scenario: Scenario, user_index: int) -> int:
     """Transmitter branch serving this user.
 
@@ -449,13 +448,10 @@ def serving_branch_index(scenario: Scenario, user_index: int) -> int:
     best_index: int | None = None
     best_gain = 0.0
     for index, pos in enumerate(positions):
+        axis = (user.position - pos).normalized()
+        beam = GaussianBeam(scenario.adt.beam_waist, scenario.adt.beam_wavelength, 1.0, pos, axis)
         gain, _ = los_gain(
-            pos,
-            user.position,
-            user.branches,
-            _aimed_beam(scenario, pos, user.position),
-            user.blocked,
-            room_dims=scenario.room_dims,
+            pos, user.position, user.branches, beam, user.blocked, room_dims=scenario.room_dims
         )
         if gain > best_gain:
             best_gain, best_index = gain, index
@@ -475,10 +471,8 @@ def _fallback_branch(scenario: Scenario, user_index: int) -> int:
 
 
 def irs_gain_matrix(scenario: Scenario) -> np.ndarray:
-    """Reflected-path gain per (user, mirror), each mirror steered per pair.
-
-    The read-only (users, mirrors) float64 gains of `Scenario.mirror_table`.
-    """
+    """Reflected-path gain per (user, mirror), each mirror steered per pair:
+    the read-only (users, mirrors) float64 gains of `Scenario.mirror_table`."""
     return scenario.mirror_table[0]
 
 
@@ -491,42 +485,44 @@ def assign_mirrors(
 
     Mirrors stay disjoint across users and each user holds at most
     max_per_user mirrors (unlimited when None). Ties break toward the lowest
-    (user index, mirror index). Zero-gain pairs are never assigned. `gains`
-    is a (users, mirrors) array or a list of equal-length rows.
+    (user index, mirror index). Zero-gain pairs are never assigned. Without
+    a cap this gives each mirror to its best user, the lowest index on a
+    tie: a column argmax, and only a finite cap runs the greedy loop. `gains`
+    is a (users, mirrors) array of finite gains or a list of equal-length rows.
     """
     if len(gains) != len(scenario.users):
         raise ValueError(
             f"dimension mismatch: gains has {len(gains)} rows for {len(scenario.users)} users"
         )
-    widths = {len(row) for row in gains}
-    if len(widths) > 1:
+    if len({len(row) for row in gains}) > 1:
         raise ValueError("dimension mismatch: gains rows have unequal lengths")
     matrix = np.asarray(gains, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"dimension mismatch: gains must be 2-D, got shape {matrix.shape}")
     if max_per_user is not None and max_per_user < 1:
         raise ValueError(f"max_per_user must be >= 1 or None, got {max_per_user}")
-    bad = np.argwhere(~(matrix >= 0.0))
-    if len(bad):
-        user_index, mirror_index = bad[0]
+    usable = (matrix >= 0.0) & (matrix < math.inf)
+    if not usable.all():
+        user_index, mirror_index = np.argwhere(~usable)[0]
         raise ValueError(
-            f"gains must be nonnegative, got {float(matrix[user_index, mirror_index])} "
-            f"at ({user_index}, {mirror_index})"
+            f"gains must be finite and nonnegative, got "
+            f"{float(matrix[user_index, mirror_index])} at ({user_index}, {mirror_index})"
         )
 
-    users, mirrors = np.nonzero(matrix > 0.0)
-    order = np.lexsort((mirrors, users, -matrix[users, mirrors]))
-    cap = math.inf if max_per_user is None else max_per_user
-    taken = [False] * matrix.shape[1]
-    counts = [0] * len(gains)
-    assigned: list[list[int]] = [[] for _ in gains]
-    for user_index, mirror_index in zip(users[order].tolist(), mirrors[order].tolist()):
-        if taken[mirror_index] or counts[user_index] >= cap:
-            continue
-        taken[mirror_index] = True
-        counts[user_index] += 1
-        assigned[user_index].append(mirror_index)
-    return Assignment(tuple(tuple(sorted(m)) for m in assigned))
+    if max_per_user is None:
+        # argmax takes the first maximum: the lowest user index wins a tie.
+        owner = matrix.argmax(axis=0)
+        owner[matrix[owner, np.arange(matrix.shape[1])] == 0.0] = -1
+    else:
+        users, mirrors = np.nonzero(matrix > 0.0)
+        order = np.lexsort((mirrors, users, -matrix[users, mirrors]))
+        held, counts = [-1] * matrix.shape[1], [0] * len(matrix)
+        for user_index, mirror_index in zip(users[order].tolist(), mirrors[order].tolist()):
+            if held[mirror_index] < 0 and counts[user_index] < max_per_user:
+                held[mirror_index] = user_index
+                counts[user_index] += 1
+        owner = np.array(held, dtype=np.intp)
+    return Assignment._of_owner(owner, len(matrix))
 
 
 def scenario_assignment(scenario: Scenario) -> Assignment:
@@ -537,58 +533,62 @@ def scenario_assignment(scenario: Scenario) -> Assignment:
 # Per-user evaluation
 
 
-def _user_gain(scenario: Scenario, assignment: Assignment, user_index: int) -> ChannelGain:
-    """Gains read from the Scenario's tables: direct at the serving
-    transmitter branch, and each assigned mirror's. The mirror path's
-    receiver branch is the best assigned mirror's (the first, on a tie)."""
-    branch = scenario.serving_branches[user_index]
+def _gains(scenario: Scenario, assignment: Assignment) -> tuple[np.ndarray, ...]:
+    """Every user's h_los, h_nlos and q, and LoS and NLoS receiver branches
+    (-1 for none), read from the Scenario's tables: direct at the serving
+    transmitter branch, and each held mirror's, summed in mirror order. The
+    mirror path's receiver branch is the best held mirror's, the lowest
+    mirror index on a tie. Temporaries have a size fixed by the scene."""
+    users = np.arange(len(scenario.users))
     gain, receiver = scenario.direct_table
-    h_los = float(gain[user_index, branch])
-    los_branch = _receiver(receiver[user_index, branch])
+    branch = np.array(scenario.serving_branches)
+    h_los, los_branch = gain[users, branch], receiver[users, branch]
     mirror_gain, mirror_receiver = scenario.mirror_table
-    mirrors = assignment.per_user[user_index]
-    nlos = [float(mirror_gain[user_index, m]) for m in mirrors]
-    nlos_branch = None
-    if mirrors:
-        nlos_branch = _receiver(mirror_receiver[user_index, mirrors[nlos.index(max(nlos))]])
-    return total_gain(h_los, nlos, los_branch, nlos_branch)
-
-
-def _receiver(index: np.integer) -> int | None:
-    return None if index < 0 else int(index)
+    # An `Assignment(per_user)` ends at its last mirror held: the rest are unheld.
+    owner = assignment.owner
+    h_nlos, nlos_branch = np.zeros(len(users)), np.full(len(users), -1)
+    if len(owner):  # else there is no wall, or no mirror is held
+        # An unheld mirror (owner -1) reads the last user's row into bin 0, which is dropped.
+        held = mirror_gain[owner, np.arange(len(owner))]
+        h_nlos = np.bincount(owner + 1, held, len(users) + 1)[1:]
+        # argmax takes the first maximum: the lowest mirror index wins a tie.
+        best = np.where(owner == users[:, None], held, -1.0).argmax(axis=1)
+        # A user holding no mirror gets mirror 0, which that user does not hold.
+        nlos_branch = np.where(owner[best] == users, mirror_receiver[users, best], -1)
+    return h_los, h_nlos, h_los + h_nlos, los_branch, nlos_branch
 
 
 def _evaluate(
-    scenario: Scenario, assignment: Assignment, p_tot: np.ndarray, users: Sequence[int]
-) -> tuple[list[ChannelGain], tuple[np.ndarray, ...]]:
-    """The gain-then-rate path: the given users' gains, then their (users,
-    points) received power q·p_tot, noise variance, SNR and rate at each
-    per-beam power in `p_tot`, all users at once."""
-    gains = [_user_gain(scenario, assignment, i) for i in users]
-    q = np.array([[gain.q] for gain in gains])
-    responsivity = np.array([[scenario.users[i].branches[0].responsivity] for i in users])
+    scenario: Scenario, assignment: Assignment, p_tot: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The gain-then-rate path: every user's gains (`_gains`), then the
+    (users, points) received power q·p_tot, noise variance, SNR and rate at
+    each per-beam power in `p_tot`, all users at once."""
+    gains = _gains(scenario, assignment)
+    q = gains[2][:, None]
+    responsivity = np.array([[user.branches[0].responsivity] for user in scenario.users])
     received = q * p_tot
     sigma2 = noise_variance(scenario.noise, received, responsivity)
     gamma = sinr(q, p_tot, responsivity, sigma2)
     return gains, (received, sigma2, gamma, achievable_rate(gamma, scenario.noise.bandwidth_b))
 
 
-def _link_results(
-    scenario: Scenario, assignment: Assignment, users: Sequence[int]
-) -> list[LinkResult]:
-    gains, link = _evaluate(scenario, assignment, np.array([scenario.p_tot]), users)
-    columns = (values[:, 0].tolist() for values in link)
-    return [LinkResult(*values, gain) for gain, *values in zip(gains, *columns)]
+def _link_results(scenario: Scenario, assignment: Assignment) -> list[LinkResult]:
+    gains, link = _evaluate(scenario, assignment, np.array([scenario.p_tot]))
+    h_los, h_nlos, q = (values.tolist() for values in gains[:3])
+    los, nlos = ([None if b < 0 else b for b in values.tolist()] for values in gains[3:])
+    channel = map(ChannelGain, h_los, h_nlos, q, los, nlos)
+    return list(map(LinkResult, *(values[:, 0].tolist() for values in link), channel))
 
 
 def evaluate_user(scenario: Scenario, assignment: Assignment, user_index: int) -> LinkResult:
     """Full link for one user: gains, received power q·p_tot, noise, SNR, and rate."""
-    return _link_results(scenario, assignment, (user_index,))[0]
+    return _link_results(scenario, assignment)[user_index]
 
 
 def evaluate_scenario(scenario: Scenario) -> list[LinkResult]:
     """Assignment plus per-user link results for the whole scenario."""
-    return _link_results(scenario, scenario_assignment(scenario), range(len(scenario.users)))
+    return _link_results(scenario, scenario_assignment(scenario))
 
 
 def _rate_table(
@@ -603,7 +603,7 @@ def _rate_table(
     block = np.zeros((len(cases) * points, max(users)))
     sums = []
     for c, (_, variant) in enumerate(cases):
-        rates = _evaluate(variant, scenario_assignment(variant), p_tot, range(users[c]))[1][3]
+        rates = _evaluate(variant, scenario_assignment(variant), p_tot)[1][3]
         block[c * points : (c + 1) * points, : users[c]] = rates.T
         sums.append(sum_rate(rates))
         del rates  # free it before the next case's temporaries, or the table's copy

@@ -90,6 +90,38 @@ def best_matching_value(gains: Sequence[Sequence[float]]) -> float:
     return best
 
 
+def user_gain_oracle(scenario, per_user, user_index: int):
+    """One user's gains by the per-mirror loop, read from a scenario's tables.
+
+    Returns (h_los, h_nlos, q, LoS receiver branch, NLoS receiver branch),
+    a branch None where there is none. h_los is the direct gain at the
+    serving transmitter branch; h_nlos adds the held mirrors' gains one by
+    one, in the order `per_user` lists them; the NLoS receiver branch is the
+    best held mirror's, the first listed on a tie. The scenario is read only
+    through `serving_branches`, `direct_table` and `mirror_table`.
+    """
+    branch = scenario.serving_branches[user_index]
+    gain, receiver = scenario.direct_table
+    h_los = float(gain[user_index, branch])
+    los_branch = int(receiver[user_index, branch])
+    mirror_gain, mirror_receiver = scenario.mirror_table
+    mirrors = per_user[user_index]
+    nlos = [float(mirror_gain[user_index, m]) for m in mirrors]
+    h_nlos = 0.0
+    for contribution in nlos:
+        h_nlos += contribution
+    nlos_branch = -1
+    if mirrors:
+        nlos_branch = int(mirror_receiver[user_index, mirrors[nlos.index(max(nlos))]])
+    return (
+        h_los,
+        h_nlos,
+        h_los + h_nlos,
+        None if los_branch < 0 else los_branch,
+        None if nlos_branch < 0 else nlos_branch,
+    )
+
+
 # --- raw 3-vector helpers (tuples, deliberately not owcsim.Vec3) -----------
 
 

@@ -262,6 +262,11 @@ class TestTotalGain:
                 reduced = contributions[:drop] + contributions[drop + 1 :]
                 assert total_gain(h_los, reduced).q <= full + 1e-18
 
+    def test_contributions_add_in_order(self):
+        # In order, 1.0 + 1e-16 rounds back to 1.0 twice; a compensated sum
+        # (the builtin `sum` from Python 3.12 on) gives 1.0000000000000002.
+        assert total_gain(0.0, [1.0, 1e-16, 1e-16]).h_nlos == 1.0
+
     def test_branches_recorded(self):
         g = total_gain(0.1, [0.05], los_branch=2, nlos_branch=1)
         assert g.serving_branch_los == 2

@@ -21,6 +21,7 @@ from owcsim.network import (
     IrsPanel,
     build_irs_panel,
     evaluate_scenario,
+    evaluate_user,
     irs_gain_matrix,
     scenario_assignment,
     serving_branch_index,
@@ -199,7 +200,7 @@ class TestMirrorTable:
         s = build_default_scenario({"irs": {"grid_m": 2}, "users": {"k": 1}})
         table = (np.array([[0.0, 0.3, 0.1, 0.3]]), np.array([[-1, 2, 0, 3]]))
         object.__setattr__(s, "_mirror", table)
-        gain = owcsim.network._user_gain(s, Assignment(((1, 2, 3),)), 0)
+        gain = evaluate_user(s, Assignment(((1, 2, 3),)), 0).gain
         assert gain.serving_branch_nlos == 2
         assert gain.h_nlos == 0.3 + 0.1 + 0.3
 

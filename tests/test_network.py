@@ -7,6 +7,7 @@ import pytest
 
 import owcsim.network
 from owcsim import checks
+from owcsim.channel import ChannelGain
 from owcsim.config import build_default_scenario
 from owcsim.geometry import Vec3
 from owcsim.config import DEFAULT_SNR_POINTS_DB
@@ -33,7 +34,7 @@ from owcsim.network import (
 
 from owcsim.output import ResultRow, ResultTable
 
-from oracles import best_matching_value
+from oracles import best_matching_value, user_gain_oracle
 
 ROOM = (5.0, 5.0, 3.0)
 
@@ -237,6 +238,14 @@ class TestAssignMirrors:
         with pytest.raises(ValueError, match=r"nonnegative, got nan at \(1, 0\)"):
             assign_mirrors(s, np.array([[0.5, 0.2], [math.nan, 0.1]]))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_gain_rejected(self, bad):
+        s = self.scenario_with_users(2)
+        with pytest.raises(ValueError, match=rf"nonnegative, got {bad} at \(0, 0\)"):
+            assign_mirrors(s, [[bad, 0.1], [0.2, 0.3]])
+        with pytest.raises(ValueError, match=rf"nonnegative, got {bad} at \(0, 0\)"):
+            assign_mirrors(s, [[bad, 0.1], [0.2, 0.3]], max_per_user=1)
+
     def test_three_dimensional_gains_rejected(self):
         s = self.scenario_with_users(2)
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -268,6 +277,80 @@ class TestAssignMirrors:
     def test_duplicate_assignment_rejected(self):
         with pytest.raises(ValueError, match="more than one user"):
             Assignment(((0, 1), (1,)))
+
+    def test_uncapped_equals_greedy_with_a_cap_of_every_mirror(self):
+        # Gains from {0, 0.25, 0.5} force ties, and one column is all zero.
+        rng = random.Random(44)
+        for _ in range(300):
+            n_users, n_mirrors = rng.randint(1, 6), rng.randint(1, 12)
+            gains = np.array(
+                [[rng.choice((0.0, 0.25, 0.5)) for _ in range(n_mirrors)] for _ in range(n_users)]
+            )
+            gains[:, rng.randrange(n_mirrors)] = 0.0
+            s = self.scenario_with_users(n_users)
+            uncapped = assign_mirrors(s, gains, max_per_user=None)
+            greedy = assign_mirrors(s, gains, max_per_user=n_mirrors)
+            assert uncapped == greedy
+            assert uncapped.owner.tolist() == greedy.owner.tolist()
+
+    def test_owner_vector_matches_per_user(self):
+        s = self.scenario_with_users(3)
+        gains = [[0.5, 0.0, 0.25, 0.5], [0.5, 0.0, 0.5, 0.25], [0.0, 0.0, 0.0, 0.5]]
+        for cap in (None, 1, 2):
+            assignment = assign_mirrors(s, gains, max_per_user=cap)
+            owner = assignment.owner.tolist()
+            assert len(owner) == 4 and owner[1] == -1
+            assert assignment.per_user == tuple(
+                tuple(m for m in range(4) if owner[m] == u) for u in range(3)
+            )
+            assert not assignment.owner.flags.writeable
+        assert assign_mirrors(s, gains).per_user == ((0, 3), (2,), ())
+
+    def test_constructed_assignment_owner_ends_at_its_last_mirror(self):
+        assignment = Assignment(((4, 1), (), (2,)))
+        assert assignment.owner.tolist() == [-1, 0, 2, -1, 0]
+        assert Assignment(((), ())).owner.tolist() == []
+        assert assignment == Assignment(((4, 1), (), (2,)))
+        with pytest.raises(ValueError, match="more than one user"):
+            Assignment(((3, 3),))
+        with pytest.raises(ValueError, match="nonnegative"):
+            Assignment(((1,), (-1,)))
+
+
+def _wall_scale_scene(seed, grid_m=30, users=16):
+    rng = random.Random(seed)
+    positions = [[rng.uniform(0.05, 4.95), rng.uniform(0.05, 4.95), 0.0] for _ in range(users)]
+    return build_default_scenario(
+        {"irs": {"grid_m": grid_m}, "users": {"k": users, "positions": positions}}
+    )
+
+
+class TestOwnerVectorGains:
+    """Column argmax plus one bincount against the per-mirror loop."""
+
+    SCENES = [("default-5x5", 5, None), ("default-10x10", 10, None)] + [
+        (f"30x30-seed{seed}", 30, seed) for seed in range(40)
+    ]
+
+    @pytest.mark.parametrize("name, grid_m, seed", SCENES, ids=[scene[0] for scene in SCENES])
+    def test_gains_equal_the_per_mirror_oracle_bitwise(self, name, grid_m, seed):
+        if seed is None:
+            s = build_default_scenario({"irs": {"grid_m": grid_m}})
+        else:
+            s = _wall_scale_scene(seed, grid_m)
+        gains = irs_gain_matrix(s)
+        assignment = scenario_assignment(s)
+        # Each mirror's best user, the lowest index on a tie; a zero column to nobody.
+        assert assignment == assign_mirrors(s, gains, max_per_user=gains.shape[1])
+        results = evaluate_scenario(s)
+        held = 0
+        for i, result in enumerate(results):
+            g = result.gain
+            got = (g.h_los, g.h_nlos, g.q, g.serving_branch_los, g.serving_branch_nlos)
+            assert got == user_gain_oracle(s, assignment.per_user, i), i
+            assert evaluate_user(s, assignment, i) == result
+            held += bool(assignment.per_user[i])
+        assert held >= 1
 
 
 class TestEvaluateUser:
@@ -468,7 +551,8 @@ def _point_links(variant, gains, p_tot):
 def _user_gains(variant):
     assignment = assign_mirrors(variant, irs_gain_matrix(variant), variant.max_mirrors_per_user)
     return [
-        owcsim.network._user_gain(variant, assignment, i) for i in range(len(variant.users))
+        ChannelGain(*user_gain_oracle(variant, assignment.per_user, i))
+        for i in range(len(variant.users))
     ]
 
 
@@ -619,7 +703,8 @@ class TestSweepSnrRowOrder:
             variant = owcsim.network._variant_scenario(s, label)
             assignment = scenario_assignment(variant)
             assert assignment.per_user[1] == ()
-            assert owcsim.network._user_gain(variant, assignment, 1).q == 0.0
+            assert evaluate_user(variant, assignment, 1).gain.q == 0.0
+            assert user_gain_oracle(variant, assignment.per_user, 1)[2] == 0.0
         table = sweep_snr(s, points, self.VARIANTS)
         assert table == _per_point_sweep_snr(s, points, self.VARIANTS)
         assert table.user_rates_bps[:, 1].tolist() == [0.0] * len(table)

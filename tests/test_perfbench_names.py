@@ -61,3 +61,30 @@ def test_panel_elements_resolve():
     panel = build_default_scenario({"irs": {"grid_m": 3}}).irs
     assert len(panel.elements) == 9
     assert all(isinstance(m, MirrorElement) for m in panel.elements)
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+def test_wall_scale_captures_one_assignment_of_sorted_int_tuples(monkeypatch, cap):
+    # The `wall-scale` op wraps `network.assign_mirrors` by attribute and
+    # hashes `repr(per_user)`: `evaluate_scenario` must call it once, through
+    # the module attribute, and `per_user` must keep its exact types.
+    calls = []
+    original = owcsim.network.assign_mirrors
+
+    def capture(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(owcsim.network, "assign_mirrors", capture)
+    scenario = build_default_scenario(
+        {"irs": {"grid_m": 10}, "power": {"max_mirrors_per_user": cap}}
+    )
+    results = owcsim.evaluate_scenario(scenario)
+    assert len(calls) == 1
+    per_user = calls[0].per_user
+    assert type(per_user) is tuple and len(per_user) == len(results)
+    assert any(per_user)
+    for mirrors in per_user:
+        assert type(mirrors) is tuple
+        assert all(type(m) is int for m in mirrors)
+        assert list(mirrors) == sorted(mirrors)
