@@ -8,10 +8,11 @@ and the transverse intensity profile at that distance is
 
     I(r, d) = 2 P / (pi * w(d)^2) * exp(-2 r^2 / w(d)^2)
 
-so the power collected by beam-centred circular apertures and by
-rectangular apertures (with arbitrary transverse offset) has closed forms
-in exp and erf. Tilted rectangles such as steered mirrors are handled by
-callers through projection onto the transverse plane.
+so the power collected by beam-centred circular and rectangular apertures
+has closed forms in exp and erf. Every beam is aimed at the centre of what
+it lights, a photodiode or a mirror, so both apertures are centred on the
+axis. Tilted rectangles such as steered mirrors are handled by callers
+through projection onto the transverse plane.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class GaussianBeam:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
         if self.power_pt < 0.0:
             raise ValueError(f"power_pt must be nonnegative, got {self.power_pt}")
-        if not self.axis.is_unit(1e-9):
+        if not self.axis.is_unit():
             raise ValueError("beam axis must be a unit vector")
 
 
@@ -79,31 +80,20 @@ def power_through_circle(beam: GaussianBeam, radius: float, distance: float) -> 
 
 
 def power_through_rectangle(
-    beam: GaussianBeam,
-    width: float,
-    height: float,
-    distance: float,
-    offset: tuple[float, float] = (0.0, 0.0),
+    beam: GaussianBeam, width: float, height: float, distance: float
 ) -> float:
-    """Power through a rectangular aperture perpendicular to the beam axis.
+    """Power through a beam-centred rectangular aperture perpendicular to the axis.
 
     The Gaussian factorises in Cartesian coordinates, so the double integral
-    is the product of two one-dimensional erf differences. `offset` is the
-    displacement of the aperture centre from the beam axis in the transverse
-    plane, in metres along the rectangle's own axes.
+    is the product of two one-dimensional erf differences.
     """
     if width <= 0.0 or height <= 0.0:
         raise ValueError("aperture width and height must be positive")
     w_d = waist_at(beam, distance)
-    off_u, off_v = offset
-    return (
-        0.25
-        * beam.power_pt
-        * _erf_span(off_u, 0.5 * width, w_d)
-        * _erf_span(off_v, 0.5 * height, w_d)
-    )
+    return 0.25 * beam.power_pt * _erf_span(0.5 * width, w_d) * _erf_span(0.5 * height, w_d)
 
 
-def _erf_span(center: float, half: float, w_d: float) -> float:
-    scale = math.sqrt(2.0) / w_d
-    return math.erf(scale * (center + half)) - math.erf(scale * (center - half))
+def _erf_span(half: float, w_d: float) -> float:
+    """The erf difference of a centred span: erf(a) - erf(-a), a = sqrt(2) half / w(d)."""
+    a = math.sqrt(2.0) / w_d * half
+    return math.erf(a) - math.erf(-a)

@@ -1,12 +1,16 @@
-"""Per-user optical channel gains: direct path, mirror path, and their sum.
+"""Per-user optical channel gains: the direct path and the mirror path.
 
-Each gain is a power fraction of the beam that carries it, dimensionless in
-[0, 1]; a user's mirror-path total sums one such fraction per assigned mirror.
-The mirror path uses the unfolded-path model: an ideal planar specular
-reflection preserves the Gaussian profile, so the reflected field is the
-same beam continued to the total folded distance, with the finite mirror
-entering as a multiplicative intercept fraction. Receiver combining is
-select-best across the angle-diversity branches.
+A transmitter branch enters only as an aperture position: each beam leaves
+it aimed at its target, the user's receiver or a mirror centre, so a gain
+depends on where the branch sits and not on how it is pointed. Each gain is
+a power fraction of the beam that carries it, dimensionless in [0, 1]; a
+user's mirror-path total sums one such fraction per assigned mirror, and
+`ChannelGain` holds both paths and their sum q. The mirror path uses the
+unfolded-path model: an ideal planar specular reflection preserves the
+Gaussian profile, so the reflected field is the same beam continued to the
+total folded distance, with the finite mirror entering as a multiplicative
+intercept fraction. Receiver combining is select-best across the
+angle-diversity receiver branches.
 
 Both paths have a scalar reference and a numpy kernel. The references work
 on `Vec3` values: `los_gain` scores one (transmitter branch, user) pair, and
@@ -61,7 +65,7 @@ class AdrBranch:
             )
 
     def normal(self) -> Vec3:
-        return direction_from_orientation(self.orientation, "up")
+        return direction_from_orientation(self.orientation)
 
     def aperture_radius(self) -> float:
         return math.sqrt(self.pd_area / math.pi)
@@ -99,7 +103,6 @@ def los_gain(
     user_branches: Sequence[AdrBranch],
     beam: GaussianBeam,
     blocked: bool,
-    room_dims: tuple[float, float, float] | None = None,
 ) -> tuple[float, int | None]:
     """Best-branch direct-path gain and the index of the serving branch.
 
@@ -108,8 +111,6 @@ def los_gain(
     each branch's field of view. Returns (0.0, None) when the path is
     blocked or no branch sees the arrival direction.
     """
-    if room_dims is not None:
-        _require_in_room(user_pos, room_dims)
     if blocked:
         return 0.0, None
     separation = ap_branch_pos.distance_to(user_pos)
@@ -333,7 +334,6 @@ def los_gain_table(
     blocked: Sequence[bool],
     waist_w0: float,
     wavelength: float,
-    room_dims: tuple[float, float, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Direct-path gain from every transmitter branch to every user.
 
@@ -343,9 +343,9 @@ def los_gain_table(
     where `los_gain` gives None. Both equal the reference bitwise: the
     arithmetic follows its order, and acos (near the field-of-view edge, where
     it decides) and expm1 go through `math`, as numpy's may differ from libm's
-    in the last bit. Errors are the ones the
-    reference meets first, looping over users, then transmitter branches,
-    and building each aimed beam before anything else.
+    in the last bit. An error is the one the reference meets first, looping
+    over users, then transmitter branches, and building each aimed beam
+    before anything else.
     """
     ap = _coordinates(ap_branch_positions)
     users = _coordinates(user_positions)
@@ -358,17 +358,11 @@ def los_gain_table(
         # or one whose square underflows, fails as `Vec3.normalized` or
         # `GaussianBeam` would.
         bad = ~(np.abs(np.sqrt(ux * ux + uy * uy + uz * uz) - 1.0) <= 1e-9)
-    outside = np.zeros(len(users), dtype=bool)
-    if room_dims is not None:
-        outside = ~((users >= 0.0) & (users <= np.array(room_dims))).all(axis=1)
-    failing = np.flatnonzero(outside | bad.any(axis=1))
-    if len(failing):
-        # Rerun the failing user's first bad step on the scalar path, so the
-        # error is the reference's own.
-        i = failing[0]
-        if outside[i] and not bad[i, 0]:
-            _require_in_room(user_positions[i], room_dims)
-        origin = ap_branch_positions[int(bad[i].argmax())]
+    if bad.any():
+        # Rebuild the first failing beam, in the reference's loop order, on the
+        # scalar path, so the error is the reference's own.
+        i, b = np.argwhere(bad)[0].tolist()
+        origin = ap_branch_positions[b]
         GaussianBeam(waist_w0, wavelength, 1.0, origin, (user_positions[i] - origin).normalized())
 
     spread = wavelength * separation / (math.pi * waist_w0**2)
@@ -393,28 +387,6 @@ def los_gain_table(
     is_blocked = np.array(blocked, dtype=bool)
     gain[is_blocked], receiver[is_blocked] = 0.0, -1
     return gain, receiver
-
-
-def total_gain(
-    h_los: float,
-    nlos_contributions: Sequence[float],
-    los_branch: int | None = None,
-    nlos_branch: int | None = None,
-) -> ChannelGain:
-    """Sum the direct gain and all assigned mirror contributions, each a
-    fraction of its own beam. The contributions are added one by one, in
-    the order given, as `np.bincount` adds them: the builtin `sum` is
-    compensated from Python 3.12 on and would differ in the last bits."""
-    if not 0.0 <= h_los <= 1.0:
-        raise ValueError(f"h_los must be in [0, 1], got {h_los}")
-    h_nlos = 0.0
-    for i, contribution in enumerate(nlos_contributions):
-        if not 0.0 <= contribution <= 1.0:
-            raise ValueError(
-                f"NLoS contribution {i} must be in [0, 1], got {contribution}"
-            )
-        h_nlos += contribution
-    return ChannelGain(h_los, h_nlos, h_los + h_nlos, los_branch, nlos_branch)
 
 
 def _best_branch(
@@ -470,9 +442,3 @@ def _map(fn, values: np.ndarray) -> np.ndarray:
 def _projected_scale(axis: Vec3, beam_dir: Vec3) -> float:
     along = axis.dot(beam_dir)
     return math.sqrt(max(0.0, 1.0 - along * along))
-
-
-def _require_in_room(pos: Vec3, room_dims: tuple[float, float, float]) -> None:
-    dx, dy, dz = room_dims
-    if not (0.0 <= pos.x <= dx and 0.0 <= pos.y <= dy and 0.0 <= pos.z <= dz):
-        raise ValueError(f"position out of bounds: {pos.as_tuple()} not in room {room_dims}")

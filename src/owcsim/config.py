@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .geometry import Orientation, Vec3
+from .geometry import Vec3
 from .link import NoiseParams
 from .network import (
     AdtSpec,
@@ -135,7 +135,6 @@ SCHEMA: dict[str, tuple[object, Check]] = {
     "room.receiver_z": (0.0, LENGTH),
     "adt.center": (None, Nullable(POINT)),
     "adt.side_offset_m": (0.3, Number(0.0, 10.0)),
-    "adt.side_elevation_deg": (65.0, Number(0.0, 90.0)),
     "adt.beam_waist_m": (5.0e-6, Number(1e-6, 2e-5)),
     "adt.wavelength_m": (1.55e-6, Number(3.5e-7, 2e-6)),
     "irs.enabled": (True, FLAG),
@@ -218,6 +217,10 @@ def parse_config(
     values = {
         path: check(path, given.get(path, default)) for path, (default, check) in SCHEMA.items()
     }
+    if not values["irs.enabled"]:
+        for path in given:
+            if path.startswith("irs.") and path != "irs.enabled":
+                raise ValueError(f"{path} needs irs.enabled true: there is no mirror wall to set")
     sweep = SweepSpec(values["sweep.snr_points_db"], values["sweep.k_values"])
     return _scenario(values), sweep, OutputSpec(values["output.svg"])
 
@@ -253,11 +256,8 @@ def _scenario(values: Mapping[str, object]) -> Scenario:
     dims = values["room.dims"]
     receiver_z = values["room.receiver_z"]
     center = values["adt.center"] or (dims[0] / 2.0, dims[1] / 2.0, dims[2])
-    side_elevation = values["adt.side_elevation_deg"]
     adt = AdtSpec(
         center_pos=Vec3(*center),
-        branch_orientations=(Orientation(0.0, 90.0),)
-        + tuple(Orientation(az, side_elevation) for az in (0.0, 90.0, 180.0, 270.0)),
         beam_waist=values["adt.beam_waist_m"],
         beam_wavelength=values["adt.wavelength_m"],
         side_offset=values["adt.side_offset_m"],
@@ -338,9 +338,6 @@ def effective_config(
         "room.receiver_z": scenario.receiver_z,
         "adt.center": list(adt.center_pos.as_tuple()),
         "adt.side_offset_m": adt.side_offset,
-        "adt.side_elevation_deg": adt.branch_orientations[1].elevation_deg
-        if len(adt.branch_orientations) > 1
-        else SCHEMA["adt.side_elevation_deg"][0],
         "adt.beam_waist_m": adt.beam_waist,
         "adt.wavelength_m": adt.beam_wavelength,
         "irs.enabled": panel is not None,

@@ -10,11 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
-
-UNIT_TOL = 1e-12
-
-Facing = Literal["up", "down"]
 
 
 class GeometryError(ValueError):
@@ -60,8 +55,9 @@ class Vec3:
     def distance_to(self, other: Vec3) -> float:
         return (other - self).norm()
 
-    def is_unit(self, tol: float = UNIT_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
+    def is_unit(self) -> bool:
+        """Unit norm to within 1e-9."""
+        return abs(self.norm() - 1.0) <= 1e-9
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -101,7 +97,7 @@ class MirrorElement:
     reflectivity: float
 
     def __post_init__(self) -> None:
-        if not self.normal.is_unit(1e-9):
+        if not self.normal.is_unit():
             raise ValueError("mirror normal must be a unit vector")
         if self.width <= 0.0 or self.height <= 0.0:
             raise ValueError("mirror width and height must be positive")
@@ -111,12 +107,11 @@ class MirrorElement:
             )
 
 
-def direction_from_orientation(orientation: Orientation, facing: Facing) -> Vec3:
-    """Unit pointing direction; "down" tilts below the horizon, "up" above."""
+def direction_from_orientation(orientation: Orientation) -> Vec3:
+    """Unit pointing direction, tilted `elevation_deg` above the horizon."""
     az = math.radians(orientation.azimuth_deg)
     el = math.radians(orientation.elevation_deg)
-    vertical = -math.sin(el) if facing == "down" else math.sin(el)
-    return Vec3(math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), vertical)
+    return Vec3(math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el))
 
 
 def specular_reflect(incident: Vec3, normal: Vec3) -> Vec3:
@@ -170,5 +165,5 @@ def mirror_plane_axes(normal: Vec3) -> tuple[Vec3, Vec3]:
 
 
 def _require_unit(v: Vec3, name: str) -> None:
-    if not v.is_unit(1e-9):
+    if not v.is_unit():
         raise ValueError(f"{name} must be a unit vector")

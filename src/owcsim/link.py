@@ -32,7 +32,6 @@ class NoiseParams:
     noise_current_density: float = 4.47e-12  # A/sqrt(Hz)
     tia_noise_figure_db: float = 5.0
     bandwidth_b: float = 1.5e9  # Hz
-    electron_charge: float = ELECTRON_CHARGE
 
     def __post_init__(self) -> None:
         if self.bandwidth_b <= 0.0:
@@ -45,8 +44,6 @@ class NoiseParams:
             raise ValueError(
                 f"rin_db_per_hz must be negative, got {self.rin_db_per_hz}"
             )
-        if self.electron_charge <= 0.0:
-            raise ValueError("electron_charge must be positive")
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,7 @@ def noise_variance(
     if np.less(responsivity, 0.0).any():
         raise ValueError("responsivity must be nonnegative")
     photocurrent = responsivity * received_optical_power
-    shot = 2.0 * params.electron_charge * photocurrent
+    shot = 2.0 * ELECTRON_CHARGE * photocurrent
     shot *= params.bandwidth_b
     rin = photocurrent * photocurrent
     del photocurrent

@@ -80,10 +80,14 @@ _CACHE = dict(default=None, init=False, repr=False, compare=False)
 
 @dataclass(frozen=True)
 class AdtSpec:
-    """Ceiling transmitter: one central branch plus symmetric side branches."""
+    """Ceiling transmitter: a central branch plus four side branches.
+
+    A branch is an aperture position: every beam is aimed from it at its
+    target, a user's receiver or a mirror centre, so no branch has a
+    pointing of its own.
+    """
 
     center_pos: Vec3
-    branch_orientations: tuple[Orientation, ...]
     beam_waist: float  # m
     beam_wavelength: float  # m
     side_offset: float = 0.3  # m, horizontal displacement of side branches
@@ -91,22 +95,19 @@ class AdtSpec:
     _positions: tuple[Vec3, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.branch_orientations:
-            raise ValueError("adt must have at least one branch")
         if self.beam_waist <= 0.0 or self.beam_wavelength <= 0.0:
             raise ValueError("adt beam waist and wavelength must be positive")
         if self.side_offset < 0.0:
             raise ValueError("adt.side_offset_m must be nonnegative")
-        positions = [self.center_pos]
-        for orientation in self.branch_orientations[1:]:
-            az = math.radians(orientation.azimuth_deg)
-            offset = Vec3(math.cos(az), math.sin(az), 0.0).scaled(self.side_offset)
-            positions.append(self.center_pos + offset)
-        object.__setattr__(self, "_positions", tuple(positions))
+        positions = (self.center_pos,) + tuple(
+            self.center_pos + Vec3(math.cos(az), math.sin(az), 0.0).scaled(self.side_offset)
+            for az in map(math.radians, (0.0, 90.0, 180.0, 270.0))
+        )
+        object.__setattr__(self, "_positions", positions)
 
     def branch_positions(self) -> tuple[Vec3, ...]:
-        """Branch apertures: the first branch sits at the centre, the rest
-        are displaced horizontally along their azimuth."""
+        """Branch apertures: the first sits at the centre, the four side
+        branches `side_offset` away at azimuths 0, 90, 180 and 270 deg."""
         return self._positions
 
 
@@ -200,12 +201,20 @@ class Scenario:
                 f"room.receiver_z must be inside the room height, got {self.receiver_z}"
             )
         self._require_inside("adt.center", self.adt.center_pos)
+        apertures: dict[tuple[float, float, float], int] = {}  # position -> lowest branch
         for b, pos in enumerate(self.adt.branch_positions()):
             self._require_inside(f"adt branch {b} (adt.center, adt.side_offset_m)", pos)
+            apertures.setdefault(pos.as_tuple(), b)
         if not self.users:
             raise ValueError("users.k must be >= 1")
         for i, user in enumerate(self.users):
             self._require_inside(f"users.positions[{i}]", user.position)
+            if user.position.as_tuple() in apertures:
+                raise ValueError(
+                    f"users.positions[{i}] is at the aperture of transmitter branch "
+                    f"{apertures[user.position.as_tuple()]} (adt.center, adt.side_offset_m), "
+                    "which has no direction to aim at it"
+                )
             if not user.branches:
                 raise ValueError(f"users[{i}] must have at least one receiver branch")
         if self.p_tot <= 0.0:
@@ -236,7 +245,6 @@ class Scenario:
                 [user.blocked for user in self.users],
                 self.adt.beam_waist,
                 self.adt.beam_wavelength,
-                self.room_dims,
             )
             for array in table:
                 array.flags.writeable = False
@@ -450,9 +458,7 @@ def serving_branch_index(scenario: Scenario, user_index: int) -> int:
     for index, pos in enumerate(positions):
         axis = (user.position - pos).normalized()
         beam = GaussianBeam(scenario.adt.beam_waist, scenario.adt.beam_wavelength, 1.0, pos, axis)
-        gain, _ = los_gain(
-            pos, user.position, user.branches, beam, user.blocked, room_dims=scenario.room_dims
-        )
+        gain, _ = los_gain(pos, user.position, user.branches, beam, user.blocked)
         if gain > best_gain:
             best_gain, best_index = gain, index
     if best_index is not None:

@@ -55,11 +55,9 @@ def rectangle_power_quadrature(
     width: float,
     height: float,
     distance: float,
-    offset: tuple[float, float] = (0.0, 0.0),
     n: int = 256,
 ) -> float:
-    """2-D Simpson quadrature of the transverse intensity over a rectangle."""
-    off_u, off_v = offset
+    """2-D Simpson quadrature of the transverse intensity over a beam-centred rectangle."""
 
     def row(v: float) -> float:
         def integrand(u: float) -> float:
@@ -67,9 +65,9 @@ def rectangle_power_quadrature(
                 w0, wavelength, power, math.hypot(u, v), distance
             )
 
-        return simpson(integrand, off_u - width / 2.0, off_u + width / 2.0, n)
+        return simpson(integrand, -width / 2.0, width / 2.0, n)
 
-    return simpson(row, off_v - height / 2.0, off_v + height / 2.0, n)
+    return simpson(row, -height / 2.0, height / 2.0, n)
 
 
 def best_matching_value(gains: Sequence[Sequence[float]]) -> float:

@@ -118,9 +118,8 @@ def test_criterion_4_beam_physics_oracles():
         w_d = waist_at(beam, d)
         width = rng.uniform(0.05, 5.0) * w_d
         height = rng.uniform(0.05, 5.0) * w_d
-        offset = (rng.uniform(-1, 1) * w_d, rng.uniform(-1, 1) * w_d)
-        closed = power_through_rectangle(beam, width, height, d, offset)
-        quad = rectangle_power_quadrature(w0, wavelength, power, width, height, d, offset)
+        closed = power_through_rectangle(beam, width, height, d)
+        quad = rectangle_power_quadrature(w0, wavelength, power, width, height, d)
         assert abs(closed - quad) / quad < 1e-6
     print("PASS 4: circle and rectangle captures match quadrature to 1e-6 (50 + 50 draws)")
 

@@ -1,4 +1,7 @@
+import dataclasses
+import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,16 @@ from owcsim.config import (
     load_config,
     parse_config,
     write_config,
+)
+from owcsim.link import NoiseParams
+from owcsim.network import (
+    AdtSpec,
+    build_irs_panel,
+    default_adr_branches,
+    simulate_scenario,
+    sweep_snr,
+    sweep_users,
+    with_irs_grid,
 )
 
 SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
@@ -162,3 +175,166 @@ class TestSchemaTable:
     def test_dotted_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key: room.dims"):
             parse_config({"room.dims": [5.0, 5.0, 3.0]})
+
+
+def nested(flat: dict) -> dict:
+    """The config document that sets each dotted path of `flat`."""
+    document: dict = {}
+    for path, value in flat.items():
+        section, _, key = path.rpartition(".")
+        (document.setdefault(section, {}) if section else document)[key] = value
+    return document
+
+
+class TestDisabledWall:
+    IRS_KEYS = [path for path in SCHEMA if path.startswith("irs.") and path != "irs.enabled"]
+
+    @pytest.mark.parametrize("path", IRS_KEYS)
+    def test_other_irs_keys_need_the_wall(self, path):
+        # Even the default value: a disabled wall reads none of them.
+        with pytest.raises(ValueError, match=re.escape(f"{path} needs irs.enabled true")):
+            parse_config(nested({"irs.enabled": False, path: SCHEMA[path][0]}))
+        parse_config(nested({"irs.enabled": True, path: SCHEMA[path][0]}))
+
+    def test_first_key_given_is_named(self):
+        document = {"irs": {"enabled": False, "reflectivity": 0.5, "wall": "x_min"}}
+        with pytest.raises(ValueError, match=r"^irs\.reflectivity needs irs\.enabled true"):
+            parse_config(document)
+
+    def test_a_bad_value_is_named_before_the_disabled_wall(self):
+        with pytest.raises(ValueError, match=r"^irs\.grid_m must be"):
+            parse_config({"irs": {"enabled": False, "grid_m": 0}})
+
+
+class TestLibraryDefaults:
+    """The builders' own defaults equal SCHEMA's: the sweeps' wall variants
+    and direct library callers fall back on them."""
+
+    @staticmethod
+    def defaults(function) -> dict:
+        return {
+            name: parameter.default
+            for name, parameter in inspect.signature(function).parameters.items()
+            if parameter.default is not inspect.Parameter.empty
+        }
+
+    def test_build_irs_panel(self):
+        assert self.defaults(build_irs_panel) == {
+            "wall": SCHEMA["irs.wall"][0],
+            "grid_m": SCHEMA["irs.grid_m"][0],
+            "element_width": SCHEMA["irs.element_width_m"][0],
+            "element_height": SCHEMA["irs.element_height_m"][0],
+            "reflectivity": SCHEMA["irs.reflectivity"][0],
+            "center_height": SCHEMA["irs.center_height_m"][0],
+            "center_along": SCHEMA["irs.center_along_m"][0],
+        }
+        # A sweep's wall variant of a scenario without a wall is the default wall.
+        bare = parse_config({"irs": {"enabled": False}})[0]
+        assert with_irs_grid(bare, SCHEMA["irs.grid_m"][0]).irs == parse_config({})[0].irs
+
+    def test_default_adr_branches(self):
+        defaults = self.defaults(default_adr_branches)
+        defaults["azimuths_deg"] = list(defaults["azimuths_deg"])
+        assert defaults == {
+            "azimuths_deg": SCHEMA["users.branch_azimuths_deg"][0],
+            "elevation_deg": SCHEMA["users.branch_elevation_deg"][0],
+            "fov_deg": SCHEMA["users.fov_deg"][0],
+            "pd_area": SCHEMA["users.pd_area_m2"][0],
+            "responsivity": SCHEMA["users.responsivity_a_per_w"][0],
+        }
+        assert default_adr_branches() == parse_config({})[0].users[0].branches
+
+    def test_noise_params(self):
+        fields = {f.name: f.default for f in dataclasses.fields(NoiseParams)}
+        assert fields == {
+            name: SCHEMA[f"noise.{name}"][0]
+            for name in ("rin_db_per_hz", "noise_current_density", "tia_noise_figure_db",
+                         "bandwidth_b")
+        }
+        assert NoiseParams() == parse_config({})[0].noise
+
+    def test_adt_side_offset(self):
+        fields = {f.name: f.default for f in dataclasses.fields(AdtSpec)}
+        assert fields["side_offset"] == SCHEMA["adt.side_offset_m"][0]
+
+
+# A valid value other than the default for every key.
+NON_DEFAULT = {
+    "seed": 8,
+    "room.dims": [6.0, 5.0, 3.0],
+    "room.receiver_z": 0.8,
+    "adt.center": [2.0, 2.5, 3.0],
+    "adt.side_offset_m": 0.6,
+    "adt.beam_waist_m": 8e-6,
+    "adt.wavelength_m": 1.3e-6,
+    "irs.enabled": False,
+    "irs.wall": "x_min",
+    "irs.grid_m": 6,
+    "irs.element_width_m": 0.12,
+    "irs.element_height_m": 0.12,
+    "irs.reflectivity": 0.5,
+    "irs.center_height_m": 1.2,
+    "irs.center_along_m": 2.0,
+    "users.k": 5,
+    "users.positions": [[1.0, 1.0, 0.0], [4.0, 1.0, 0.0], [1.0, 4.0, 0.0], [4.0, 4.0, 0.0]],
+    "users.blocked": [0],
+    "users.pd_area_m2": 4e-5,
+    "users.responsivity_a_per_w": 0.6,
+    "users.branch_azimuths_deg": [45.0, 135.0, 225.0, 315.0],
+    "users.branch_elevation_deg": 50.0,
+    "users.fov_deg": 40.0,
+    "noise.rin_db_per_hz": -140.0,
+    "noise.noise_current_density": 1e-11,
+    "noise.tia_noise_figure_db": 8.0,
+    "noise.bandwidth_b": 1e9,
+    "power.p_tot_w": 0.02,
+    "power.eye_safety_cap_w": 0.005,
+    "power.max_mirrors_per_user": 1,
+    "sweep.snr_points_db": [70.0, 90.0],
+    "sweep.k_values": [2, 5],
+    "output.svg": False,
+}
+
+
+def outcomes(document: dict) -> tuple | str:
+    """The simulate, sweep_snr and sweep_users tables (or each one's error)
+    and the OutputSpec of a document, or its parse error."""
+    try:
+        scenario, sweep, output = parse_config(document)
+    except ValueError as exc:
+        return str(exc)
+    runs = (
+        lambda: simulate_scenario(scenario),
+        lambda: sweep_snr(scenario, sweep.snr_points_db),
+        lambda: sweep_users(scenario, sweep.k_values),
+    )
+    results = []
+    for run in runs:
+        try:
+            results.append(run())
+        except ValueError as exc:
+            results.append(str(exc))
+    return (*results, output)
+
+
+class TestEverySettingActs:
+    """No key is inert: a valid non-default value changes a table or the
+    output spec, or is rejected naming the key."""
+
+    @pytest.fixture(scope="class")
+    def default_outcomes(self):
+        return outcomes({})
+
+    def test_every_key_has_a_valid_non_default_value(self):
+        assert sorted(NON_DEFAULT) == sorted(SCHEMA)
+        for path, value in NON_DEFAULT.items():
+            default, check = SCHEMA[path]
+            assert check(path, value) != check(path, default), path
+
+    @pytest.mark.parametrize("path", list(SCHEMA))
+    def test_setting_acts(self, path, default_outcomes):
+        got = outcomes(nested({path: NON_DEFAULT[path]}))
+        if isinstance(got, str):
+            assert path in got
+        else:
+            assert got != default_outcomes, path

@@ -27,7 +27,7 @@ SMALL_SWEEP = {
     "output": {"svg": False},
 }
 CSV = {"simulate": "simulate.csv", "sweep-snr": "fig2.csv", "sweep-users": "fig3.csv"}
-REMOVED_KEYS = ["adt.vcsels_per_branch", "power.split"]
+REMOVED_KEYS = ["adt.vcsels_per_branch", "power.split", "adt.side_elevation_deg"]
 
 
 def check_mutation(mutations: dict, commands: tuple[str, ...] | None = None) -> None:

@@ -22,17 +22,16 @@ from owcsim.network import UserSpec, default_adr_branches, serving_branch_index
 
 WAIST = 5e-6
 WAVELENGTH = 1.55e-6
-ROOM = (5.0, 5.0, 3.0)
 
 
-def scalar_table(aps, positions, branch_sets, blocked, waist, wavelength, room=None):
+def scalar_table(aps, positions, branch_sets, blocked, waist, wavelength):
     """`los_gain` per pair, looping users then branches as the scenario does."""
     gains, receivers = [], []
     for pos, branches, is_blocked in zip(positions, branch_sets, blocked):
         row_gain, row_receiver = [], []
         for ap in aps:
             beam = GaussianBeam(waist, wavelength, 1.0, ap, (pos - ap).normalized())
-            gain, index = los_gain(ap, pos, branches, beam, is_blocked, room_dims=room)
+            gain, index = los_gain(ap, pos, branches, beam, is_blocked)
             row_gain.append(gain)
             row_receiver.append(-1 if index is None else index)
         gains.append(row_gain)
@@ -41,11 +40,9 @@ def scalar_table(aps, positions, branch_sets, blocked, waist, wavelength, room=N
 
 
 def assert_kernel_matches(aps, positions, branch_sets, blocked, waist=WAIST,
-                          wavelength=WAVELENGTH, room=None):
-    gain, receiver = los_gain_table(aps, positions, branch_sets, blocked, waist, wavelength, room)
-    want_gain, want_receiver = scalar_table(
-        aps, positions, branch_sets, blocked, waist, wavelength, room
-    )
+                          wavelength=WAVELENGTH):
+    gain, receiver = los_gain_table(aps, positions, branch_sets, blocked, waist, wavelength)
+    want_gain, want_receiver = scalar_table(aps, positions, branch_sets, blocked, waist, wavelength)
     assert gain.shape == receiver.shape == (len(positions), len(aps))
     assert gain.dtype == np.float64 and receiver.dtype.kind == "i"
     assert gain.tolist() == want_gain
@@ -64,7 +61,6 @@ def assert_scenario_matches(scenario):
         [u.blocked for u in users],
         scenario.adt.beam_waist,
         scenario.adt.beam_wavelength,
-        scenario.room_dims,
     )
     assert gain.tolist() == want_gain
     assert receiver.tolist() == want_receiver
@@ -101,7 +97,6 @@ def random_document(rng: random.Random) -> dict:
             "beam_waist_m": rng.uniform(1e-6, 2e-5),
             "wavelength_m": rng.uniform(3.5e-7, 2e-6),
             "side_offset_m": rng.uniform(0.0, 1.0),
-            "side_elevation_deg": rng.uniform(0.0, 90.0),
         },
         "irs": {"enabled": rng.random() < 0.5},
         "users": {
@@ -123,13 +118,23 @@ class TestRandomScenarios:
         nonzero = 0
         for _ in range(40):
             s = build_default_scenario(random_document(rng))
-            # Transmitter branches at random azimuths and elevations too.
-            orientations = (Orientation(0.0, 90.0),) + tuple(
-                Orientation(rng.uniform(0.0, 359.9), rng.uniform(0.0, 90.0))
-                for _ in range(rng.randint(0, 6))
+            assert_scenario_matches(s)
+            # 1 to 7 transmitter branches: the centre, then apertures at random
+            # azimuths and distances up to twice the side offset.
+            center, reach = s.adt.center_pos, 2.0 * s.adt.side_offset
+            aps = [center] + [
+                center + Vec3(math.cos(az), math.sin(az), 0.0).scaled(rng.uniform(0.0, reach))
+                for az in (rng.uniform(0.0, 2.0 * math.pi) for _ in range(rng.randint(0, 6)))
+            ]
+            users = s.users
+            gain, _ = assert_kernel_matches(
+                aps,
+                [u.position for u in users],
+                [u.branches for u in users],
+                [u.blocked for u in users],
+                s.adt.beam_waist,
+                s.adt.beam_wavelength,
             )
-            s = replace(s, adt=replace(s.adt, branch_orientations=orientations))
-            gain, _ = assert_scenario_matches(s)
             nonzero += int((gain > 0.0).sum())
         assert nonzero > 100
 
@@ -240,36 +245,40 @@ class TestEdgeCases:
     @pytest.mark.parametrize("blocked", [[], [1]])
     def test_user_on_a_transmitter_branch_raises(self, blocked):
         # Side branch 1 sits 0.3 m along +x from the centre (2.5, 2.5, 3.0).
-        s = build_default_scenario(
-            {"users": {"k": 2, "positions": [[1.0, 1.0, 0.0], [2.8, 2.5, 3.0]],
-                       "blocked": blocked}}
+        document = {"users": {"k": 2, "positions": [[1.0, 1.0, 0.0], [2.8, 2.5, 3.0]],
+                              "blocked": blocked}}
+        with pytest.raises(ValueError) as info:
+            build_default_scenario(document)
+        assert str(info.value).startswith(
+            "users.positions[1] is at the aperture of transmitter branch 1 "
+            "(adt.center, adt.side_offset_m)"
         )
-        assert s.adt.branch_positions()[1] == s.users[1].position
-        want = raised(serving_branch_index, s, 1)
-        assert want == (GeometryError, "zero-length vector has no direction")
-        assert raised(lambda: s.serving_branches) == want
-        assert raised(lambda: s.direct_table) == want
-        assert serving_branch_index(s, 0) in range(5)  # the other user is fine
+        # One ulp away, the user has a direction, and both users are scored.
+        document["users"]["positions"][1][0] = math.nextafter(2.8, 3.0)
+        s = build_default_scenario(document)
+        assert_scenario_matches(s)
+        assert serving_branch_index(s, 0) in range(5)
 
     def test_errors_follow_the_scalar_order(self):
-        aps = [self.AP, Vec3(2.8, 2.5, 3.0)]
+        # Branches 0 and 1 are 1e-160 m apart: a user on one is a subnormal
+        # distance from the other, whose aimed beam fails with another message.
+        near = Vec3(1e-160, 0.0, 0.0)
         branches = [default_adr_branches()] * 3
+        zero_length = (GeometryError, "zero-length vector has no direction")
+        not_unit = (ValueError, "beam axis must be a unit vector")
         cases = [
-            # user 0 outside the room, user 1 on branch 1: the room error first
-            [Vec3(6.0, 1.0, 0.0), Vec3(2.8, 2.5, 3.0), Vec3(1.0, 1.0, 0.0)],
-            # user 1 outside the room and on branch 0: its beam fails first
-            [Vec3(1.0, 1.0, 0.0), Vec3(2.5, 2.5, 3.0), Vec3(9.0, 1.0, 0.0)],
-            # user 1 outside the room and on branch 1: the room check comes first,
-            # as the scalar path checks the room after building branch 0's beam
-            [Vec3(1.0, 1.0, 0.0), Vec3(2.8, 2.5, 3.0), Vec3(1.0, 1.0, 0.0)],
+            # user 1 meets branch 0 first: its separation underflows
+            ([Vec3(0.0, 0.0, 0.0), near, self.AP], [self.AP.scaled(0.5), near, near], not_unit),
+            # the same user with the branches swapped: it sits on branch 0
+            ([near, Vec3(0.0, 0.0, 0.0), self.AP], [self.AP.scaled(0.5), near, near], zero_length),
+            # users before branches: user 1's branch 2 fails before user 2's branch 0
+            ([self.AP, Vec3(2.8, 2.5, 3.0), Vec3(0.0, 0.0, 0.0)],
+             [self.AP.scaled(0.5), near, self.AP], not_unit),
         ]
-        room_for = [ROOM, (5.0, 5.0, 2.9), (5.0, 5.0, 2.9)]
-        for positions, room in zip(cases, room_for):
-            blocked = [False, True, False]
-            args = (aps, positions, branches, blocked, WAIST, WAVELENGTH, room)
-            assert raised(los_gain_table, *args) == raised(scalar_table, *args)
-        assert "out of bounds" in raised(los_gain_table, aps, cases[0], branches,
-                                         [False] * 3, WAIST, WAVELENGTH, ROOM)[1]
+        for aps, positions, want in cases:
+            args = (aps, positions, branches, [False, True, False], WAIST, WAVELENGTH)
+            assert raised(scalar_table, *args) == want
+            assert raised(los_gain_table, *args) == want
 
     def test_subnormal_separation_fails_as_the_aimed_beam_does(self):
         # 1e-160 squared is subnormal: the normalised direction is not unit.
@@ -327,9 +336,8 @@ class TestScenarioCache:
             spec = replace(adt, side_offset=offset)
             want = [spec.center_pos] + [
                 spec.center_pos
-                + Vec3(math.cos(math.radians(o.azimuth_deg)),
-                       math.sin(math.radians(o.azimuth_deg)), 0.0).scaled(offset)
-                for o in spec.branch_orientations[1:]
+                + Vec3(math.cos(math.radians(az)), math.sin(math.radians(az)), 0.0).scaled(offset)
+                for az in (0.0, 90.0, 180.0, 270.0)
             ]
             assert spec.branch_positions() == tuple(want)
         assert replace(adt) == adt and hash(replace(adt)) == hash(adt)

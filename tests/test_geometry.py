@@ -38,6 +38,8 @@ class TestVec3:
     def test_normalized_unit(self):
         v = Vec3(3, -4, 12).normalized()
         assert v.is_unit()
+        assert abs(v.norm() - 1.0) <= 1e-12
+        assert not Vec3(1.0 + 2e-9, 0.0, 0.0).is_unit()
 
     def test_zero_vector_has_no_direction(self):
         with pytest.raises(GeometryError):
@@ -57,20 +59,20 @@ class TestOrientation:
 
 
 class TestDirectionFromOrientation:
-    def test_straight_down(self):
-        d = direction_from_orientation(Orientation(0.0, 90.0), "down")
+    def test_straight_up(self):
+        d = direction_from_orientation(Orientation(0.0, 90.0))
         assert abs(d.x) < 1e-12 and abs(d.y) < 1e-12
-        assert abs(d.z + 1.0) < 1e-12
+        assert abs(d.z - 1.0) < 1e-12
 
-    def test_down_at_60_deg(self):
+    def test_up_at_60_deg_along_x(self):
         # cos 60 = 1/2, sin 60 = sqrt(3)/2
-        d = direction_from_orientation(Orientation(0.0, 60.0), "down")
+        d = direction_from_orientation(Orientation(0.0, 60.0))
         assert abs(d.x - 0.5) < 1e-12
         assert abs(d.y) < 1e-12
-        assert abs(d.z + math.sqrt(3) / 2) < 1e-12
+        assert abs(d.z - math.sqrt(3) / 2) < 1e-12
 
     def test_up_at_60_deg(self):
-        d = direction_from_orientation(Orientation(90.0, 60.0), "up")
+        d = direction_from_orientation(Orientation(90.0, 60.0))
         assert abs(d.x) < 1e-12
         assert abs(d.y - 0.5) < 1e-12
         assert abs(d.z - math.sqrt(3) / 2) < 1e-12
@@ -79,16 +81,15 @@ class TestDirectionFromOrientation:
         rng = random.Random(1)
         for _ in range(200):
             o = Orientation(rng.uniform(0, 360), rng.uniform(0, 90))
-            for facing in ("up", "down"):
-                assert direction_from_orientation(o, facing).is_unit()
+            assert abs(direction_from_orientation(o).norm() - 1.0) <= 1e-12
 
     def test_round_trip(self):
         rng = random.Random(2)
         for _ in range(200):
             az = rng.uniform(0, 360)
             el = rng.uniform(0.01, 89.99)
-            d = direction_from_orientation(Orientation(az, el), "down")
-            el_back = math.degrees(math.asin(-d.z))
+            d = direction_from_orientation(Orientation(az, el))
+            el_back = math.degrees(math.asin(d.z))
             az_back = math.degrees(math.atan2(d.y, d.x)) % 360.0
             assert abs(el_back - el) < 1e-9
             assert min(abs(az_back - az), 360 - abs(az_back - az)) < 1e-9
@@ -200,8 +201,8 @@ class TestMirrorElement:
         for _ in range(200):
             n = rand_unit(rng)
             w_axis, h_axis = mirror_plane_axes(n)
-            assert w_axis.is_unit(1e-12)
-            assert h_axis.is_unit(1e-12)
+            assert abs(w_axis.norm() - 1.0) <= 1e-12
+            assert abs(h_axis.norm() - 1.0) <= 1e-12
             assert abs(w_axis.dot(n)) < 1e-12
             assert abs(h_axis.dot(n)) < 1e-12
             assert abs(w_axis.dot(h_axis)) < 1e-12

@@ -19,7 +19,7 @@ GOLDEN_SHA256 = {
     "simulate.csv": "28c9efd968d0df54835dc85903087badbea1ed23890f628158b0d1706e2f69a2",
     "fig2.csv": "849c4e3eaddc9d19ef7934d5f1ab0880b9d46bb094e6f7af328d5a41ed4180bc",
     "fig2.svg": "56ebd7462bdecb22b920a395d456e6a41f324dea88dd82cfe775cc158fb5f3e4",
-    "fig2_report.json": "eb52f33047d0d9e5c049d66676c3a939c74fee3bddcd3feea0e7f3c49f994a18",
+    "fig2_report.json": "b88d8599014de02d8e5a33884cb8a46756cf79ce277186dad612b25571dd6da5",
     "fig3.csv": "85fa07353e7733141d5d8375802ad3ec9276bae8c8bfbbd01e9700ebde12882a",
     "fig3.svg": "0804b4973acc4b57470548fb802b13f9b57abba2df52df4e054f6a3bcb414f9d",
 }

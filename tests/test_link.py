@@ -6,6 +6,7 @@ import pytest
 
 from owcsim.channel import ChannelGain
 from owcsim.link import (
+    ELECTRON_CHARGE,
     LinkResult,
     NoiseParams,
     achievable_rate,
@@ -50,7 +51,7 @@ class TestNoiseVariance:
         # hand evaluation at P = 1.45e-6 W, R = 0.4:
         # shot 2.787e-16, rin 1.595e-19, total 9.5059e-14 (thermal dominated)
         p_r, resp = 1.45e-6, 0.4
-        shot = 2.0 * TABLE.electron_charge * resp * p_r * TABLE.bandwidth_b
+        shot = 2.0 * ELECTRON_CHARGE * resp * p_r * TABLE.bandwidth_b
         rin = 10.0 ** (TABLE.rin_db_per_hz / 10.0) * (resp * p_r) ** 2 * TABLE.bandwidth_b
         assert abs(shot - 2.79e-16) / 2.79e-16 < 2e-3
         assert abs(rin - 1.60e-19) / 1.60e-19 < 5e-3

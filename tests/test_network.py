@@ -44,8 +44,12 @@ class TestBuildDefaultScenario:
         s = build_default_scenario(None)
         assert s.room_dims == ROOM
         assert s.adt.center_pos == Vec3(2.5, 2.5, 3.0)
-        assert len(s.adt.branch_orientations) == 5
-        assert s.adt.branch_orientations[0].elevation_deg == 90.0
+        assert s.adt.side_offset == 0.3
+        # The centre, then 0.3 m along +x, +y, -x and -y (cos 90 deg is 6e-17).
+        positions = [p.as_tuple() for p in s.adt.branch_positions()]
+        want = [(2.5, 2.5, 3.0), (2.8, 2.5, 3.0), (2.5, 2.8, 3.0), (2.2, 2.5, 3.0), (2.5, 2.2, 3.0)]
+        assert len(positions) == 5
+        assert np.allclose(positions, want, rtol=0.0, atol=1e-15)
         assert s.adt.beam_waist == 5e-6
         assert s.adt.beam_wavelength == 1.55e-6
         assert s.irs is not None
