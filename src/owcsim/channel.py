@@ -223,8 +223,8 @@ def irs_gain_table(
     """
     gain = np.zeros((len(user_positions), len(mirrors)))
     receiver = np.full(gain.shape, -1)
-    ap = _coordinates(ap_branch_positions)
-    users = _coordinates(user_positions)
+    ap = coordinates(ap_branch_positions)
+    users = coordinates(user_positions)
     step = max(1, _BLOCK_PAIRS // max(1, len(mirrors)))
     for branches, rows in _branch_groups(user_branches).items():
         for start in range(0, len(rows), step):
@@ -347,17 +347,8 @@ def los_gain_table(
     over users, then transmitter branches, and building each aimed beam
     before anything else.
     """
-    ap = _coordinates(ap_branch_positions)
-    users = _coordinates(user_positions)
-    dx, dy, dz = (users[:, axis, None] - ap[:, axis] for axis in range(3))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        separation = np.sqrt(dx * dx + dy * dy + dz * dz)
-        inv = 1.0 / separation
-        ux, uy, uz = dx * inv, dy * inv, dz * inv
-        # Each aimed beam needs a unit direction. A zero separation (NaN here),
-        # or one whose square underflows, fails as `Vec3.normalized` or
-        # `GaussianBeam` would.
-        bad = ~(np.abs(np.sqrt(ux * ux + uy * uy + uz * uz) - 1.0) <= 1e-9)
+    ap, users = coordinates(ap_branch_positions), coordinates(user_positions)
+    separation, (ux, uy, uz), bad = aim(ap, users)
     if bad.any():
         # Rebuild the first failing beam, in the reference's loop order, on the
         # scalar path, so the error is the reference's own.
@@ -389,6 +380,24 @@ def los_gain_table(
     return gain, receiver
 
 
+def aim(
+    ap: np.ndarray, users: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """The separation and unit direction of every (user, aperture) pair, as
+    (users, apertures) arrays from (n, 3) `coordinates`, and the mask of the
+    pairs that have no direction, which `los_gain_table` rejects."""
+    dx, dy, dz = (users[:, axis, None] - ap[:, axis] for axis in range(3))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        separation = np.sqrt(dx * dx + dy * dy + dz * dz)
+        inv = 1.0 / separation
+        ux, uy, uz = dx * inv, dy * inv, dz * inv
+        # Each aimed beam needs a unit direction. A zero separation (NaN here),
+        # or one whose square underflows, fails as `Vec3.normalized` or
+        # `GaussianBeam` would.
+        bad = ~(np.abs(np.sqrt(ux * ux + uy * uy + uz * uz) - 1.0) <= 1e-9)
+    return separation, (ux, uy, uz), bad
+
+
 def _best_branch(
     unit_beam: GaussianBeam,
     total_distance: float,
@@ -406,8 +415,9 @@ def _best_branch(
     return best_gain, best_index
 
 
-def _coordinates(points: Sequence[Vec3]) -> np.ndarray:
-    return np.array([p.as_tuple() for p in points], dtype=np.float64).reshape(-1, 3)
+def coordinates(points: Sequence[Vec3]) -> np.ndarray:
+    """The points as an (n, 3) float array."""
+    return np.array([c for p in points for c in p.as_tuple()], dtype=np.float64).reshape(-1, 3)
 
 
 def _branch_groups(

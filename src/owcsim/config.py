@@ -27,16 +27,15 @@ from .network import (
     place_users_uniform,
 )
 
+# Each check is a plain class: a dataclass would generate and exec its methods at import.
 Check = Callable[[str, object], object]
 
 
-@dataclass(frozen=True)
 class Number:
     """A finite int or float in [lo, hi], or [lo, hi) when hi_open."""
 
-    lo: float
-    hi: float
-    hi_open: bool = False
+    def __init__(self, lo: float, hi: float, hi_open: bool = False) -> None:
+        self.lo, self.hi, self.hi_open = lo, hi, hi_open
 
     def __call__(self, path: str, value: object) -> float:
         # Both bounds are finite, so NaN and the infinities fail the range test.
@@ -53,12 +52,11 @@ class Number:
         return f"number in [{self.lo:g}, {self.hi:g}{')' if self.hi_open else ']'}"
 
 
-@dataclass(frozen=True)
 class Integer:
     """An int (not a bool) in [lo, hi], or >= lo when hi is None."""
 
-    lo: int
-    hi: int | None = None
+    def __init__(self, lo: int, hi: int | None = None) -> None:
+        self.lo, self.hi = lo, hi
 
     def __call__(self, path: str, value: object) -> int:
         if (
@@ -74,9 +72,9 @@ class Integer:
         return f"integer >= {self.lo}" if self.hi is None else f"integer in [{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
 class OneOf:
-    options: tuple[object, ...]
+    def __init__(self, options: tuple[object, ...]) -> None:
+        self.options = options
 
     def __call__(self, path: str, value: object) -> object:
         # Compare types too: 1 == True, yet 1 is no JSON boolean.
@@ -88,14 +86,12 @@ class OneOf:
         return "one of " + ", ".join(json.dumps(option) for option in self.options)
 
 
-@dataclass(frozen=True)
 class ListOf:
     """A JSON list of at least min_len items, or of exactly `length` items
     when it is set, each parsed by `item`."""
 
-    item: Check
-    min_len: int = 1
-    length: int | None = None
+    def __init__(self, item: Check, min_len: int = 1, length: int | None = None) -> None:
+        self.item, self.min_len, self.length = item, min_len, length
 
     def __call__(self, path: str, value: object) -> tuple:
         if (
@@ -112,9 +108,9 @@ class ListOf:
         return f"{'nonempty list' if self.min_len else 'list'} of ({self.item})"
 
 
-@dataclass(frozen=True)
 class Nullable:
-    check: Check
+    def __init__(self, check: Check) -> None:
+        self.check = check
 
     def __call__(self, path: str, value: object) -> object:
         return None if value is None else self.check(path, value)

@@ -27,11 +27,15 @@ With no per-user cap each mirror goes to its best user, the lowest index on
 a tie; only a finite cap runs the greedy loop. Every user's h_nlos is one
 `np.bincount` over the wall, added in mirror order, and only `evaluate_scenario`
 and `evaluate_user` build `ChannelGain`/`LinkResult` values.
+
+Seeded placement follows numpy's PCG64 stream, `default_rng(seed).random((k, 2))`,
+computed in pure Python, so no run imports `numpy.random`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -46,6 +50,8 @@ from .channel import (
     AdrBranch,
     ChannelGain,
     MirrorColumns,
+    aim,
+    coordinates,
     irs_gain,
     irs_gain_table,
     los_gain,
@@ -201,19 +207,24 @@ class Scenario:
                 f"room.receiver_z must be inside the room height, got {self.receiver_z}"
             )
         self._require_inside("adt.center", self.adt.center_pos)
-        apertures: dict[tuple[float, float, float], int] = {}  # position -> lowest branch
-        for b, pos in enumerate(self.adt.branch_positions()):
+        apertures = self.adt.branch_positions()
+        for b, pos in enumerate(apertures):
             self._require_inside(f"adt branch {b} (adt.center, adt.side_offset_m)", pos)
-            apertures.setdefault(pos.as_tuple(), b)
         if not self.users:
             raise ValueError("users.k must be >= 1")
-        for i, user in enumerate(self.users):
-            self._require_inside(f"users.positions[{i}]", user.position)
-            if user.position.as_tuple() in apertures:
+        # Every user at once: inside the room, and aimable from every branch. A
+        # user on an aperture, or a subnormal distance from one, has no beam
+        # direction; the lowest such branch is named.
+        users = coordinates([user.position for user in self.users])
+        unaimable = aim(coordinates(apertures), users)[2]
+        fine = ((users >= 0.0) & (users <= self.room_dims)).all(axis=1) & ~unaimable.any(axis=1)
+        for i, (user, ok) in enumerate(zip(self.users, fine.tolist())):
+            if not ok:
+                self._require_inside(f"users.positions[{i}]", user.position)
                 raise ValueError(
                     f"users.positions[{i}] is at the aperture of transmitter branch "
-                    f"{apertures[user.position.as_tuple()]} (adt.center, adt.side_offset_m), "
-                    "which has no direction to aim at it"
+                    f"{unaimable[i].argmax()} (adt.center, adt.side_offset_m), or too near "
+                    "it for a beam to be aimed at it"
                 )
             if not user.branches:
                 raise ValueError(f"users[{i}] must have at least one receiver branch")
@@ -406,15 +417,74 @@ def place_users_uniform(
     seed: int,
     plane_z: float = 0.0,
 ) -> list[Vec3]:
-    """Seeded i.i.d. uniform positions on the receiver plane.
+    """Seeded i.i.d. uniform positions on the receiver plane: the rows of
+    `np.random.default_rng(seed).random((k, 2))` scaled by the room, drawn by
+    `_pcg64_uniforms`. `seed` is a nonnegative integer; there is no entropy draw.
 
     Draws are prefix-stable: the first k positions of a (seed, k + n) draw
     equal the (seed, k) draw, which keeps nested user sweeps consistent.
     """
     if k < 1:
         raise ValueError(f"user count must be >= 1, got {k}")
-    draws = np.random.default_rng(seed).random((k, 2)).tolist()
-    return [Vec3(u * room_dims[0], v * room_dims[1], plane_z) for u, v in draws]
+    draws = _pcg64_uniforms(seed, 2 * k)
+    return [
+        Vec3(u * room_dims[0], v * room_dims[1], plane_z) for u, v in zip(draws[::2], draws[1::2])
+    ]
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _pcg64_uniforms(seed: int, n: int) -> list[float]:
+    """The first n doubles of `np.random.default_rng(seed).random()`, bit for bit,
+    without importing `numpy.random` (its import costs more than 1000 users' draws).
+
+    `SeedSequence` hashes the seed's 32-bit words into a pool of four and
+    expands the pool into PCG64's 128-bit state and increment. PCG64 steps a
+    128-bit LCG and outputs XSL-RR, and each double is the top 53 bits of one
+    64-bit output.
+    """
+    seed = operator.index(seed)  # None, floats and strings raise TypeError
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _M32
+        value = value * hash_a & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        pool = [mix(entry, hashmix(word)) for entry in pool]
+    # Eight 32-bit outputs, read as four little-endian 64-bit words w0..w3:
+    # the LCG is seeded with w0:w1 and its increment derives from w2:w3.
+    hash_b, packed = 0x8B51F9DD, 0
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _M32
+        value = value * hash_b & _M32
+        packed |= (value ^ value >> 16) << (64 * (3 - i // 2) + 32 * (i % 2))
+    inc = (packed & _M128) << 1 & _M128 | 1
+    multiplier = 0x2360ED051FC65DA44385DF649FCCF645
+    state = ((inc + (packed >> 128)) * multiplier + inc) & _M128
+    draws = []
+    for _ in range(n):
+        state = (state * multiplier + inc) & _M128
+        value, rot = (state >> 64 ^ state) & _M64, state >> 122
+        draws.append((((value >> rot | value << (64 - rot)) & _M64) >> 11) * 2.0**-53)
+    return draws
 
 
 def with_irs_grid(scenario: Scenario, grid_m: int) -> Scenario:

@@ -175,6 +175,28 @@ class TestExitCodes:
         )
         assert done.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("command", ["sweep-snr", "sweep-users", "simulate", None])
+    def test_a_run_never_imports_numpy_random(self, command, tmp_path):
+        # Seeded placement draws numpy's stream without `numpy.random`, whose
+        # import would cost a CLI run more than its own compute.
+        src = str(Path(checks.__file__).resolve().parents[1])
+        if command is None:
+            run = "import owcsim; owcsim.parse_config({}); code = 0"
+        else:
+            run = (
+                f"import runpy; sys.argv = ['owcsim', {command!r}, '--out', {str(tmp_path)!r}]\n"
+                "try:\n    runpy.run_module('owcsim', run_name='__main__')\n"
+                "except SystemExit as stop:\n    code = stop.code"
+            )
+        probe = f"import sys; sys.path.insert(0, {src!r})\n{run}\n"
+        done = subprocess.run(
+            [sys.executable, "-c", probe + "print(code, 'numpy.random' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.splitlines()[-1].split() == ["0", "False"]
+
 
 class TestMain:
     def test_main_selftest(self, capsys):

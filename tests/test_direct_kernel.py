@@ -18,7 +18,12 @@ from owcsim.beam import GaussianBeam
 from owcsim.channel import AdrBranch, los_gain, los_gain_table
 from owcsim.config import build_default_scenario
 from owcsim.geometry import GeometryError, Orientation, Vec3, incidence_angle
-from owcsim.network import UserSpec, default_adr_branches, serving_branch_index
+from owcsim.network import (
+    UserSpec,
+    default_adr_branches,
+    evaluate_scenario,
+    serving_branch_index,
+)
 
 WAIST = 5e-6
 WAVELENGTH = 1.55e-6
@@ -288,6 +293,49 @@ class TestEdgeCases:
         want = raised(scalar_table, *args)
         assert want == (ValueError, "beam axis must be a unit vector")
         assert raised(los_gain_table, *args) == want
+
+    def test_scenario_names_a_user_a_subnormal_distance_from_an_aperture(self):
+        document = {"adt": {"center": [0, 0, 0], "side_offset_m": 0}, "irs": {"enabled": False},
+                    "users": {"k": 1, "positions": [[1e-160, 0, 0]]}}
+        with pytest.raises(ValueError) as info:
+            build_default_scenario(document)
+        assert str(info.value).startswith(
+            "users.positions[0] is at the aperture of transmitter branch 0 "
+            "(adt.center, adt.side_offset_m), or too near it"
+        )
+
+    def test_scenario_rejects_exactly_the_users_the_aimed_beam_rejects(self):
+        # The aperture sits d above a user whose receivers face straight up, so
+        # the user sees it. Near d = 1.9e-158, whether d*d keeps enough bits to
+        # normalise the beam axis flips from one double to the next.
+        boundary = 1.904747777992336e-158
+        rng = random.Random(5)
+        distances = [boundary, math.nextafter(boundary, 1.0), 1e-160, 1e-150]
+        distances += [boundary * rng.uniform(0.9, 1.1) for _ in range(40)]
+        scored = []
+        for d in distances:
+            ap = Vec3(0.0, 0.0, d)
+            axis = (Vec3(0.0, 0.0, 0.0) - ap).normalized()
+            document = {"adt": {"center": [0, 0, d], "side_offset_m": 0},
+                        "irs": {"enabled": False},
+                        "users": {"k": 1, "positions": [[0, 0, 0]], "branch_elevation_deg": 90}}
+            if axis.is_unit():
+                GaussianBeam(WAIST, WAVELENGTH, 1.0, ap, axis)
+                s = build_default_scenario(document)
+                gain, _ = assert_scenario_matches(s)
+                assert (gain > 0.9).all()
+                assert evaluate_scenario(s)[0].rate > 0.0
+                scored.append(d)
+            else:
+                with pytest.raises(ValueError, match="beam axis must be a unit vector"):
+                    GaussianBeam(WAIST, WAVELENGTH, 1.0, ap, axis)
+                with pytest.raises(ValueError, match=r"^users\.positions\[0\] is at the aperture"):
+                    build_default_scenario(document)
+        # The boundary is rejected and the next double up is scored; the
+        # distances drawn around it land on both sides.
+        assert boundary not in scored and distances[1] in scored
+        assert 1e-160 not in scored and 1e-150 in scored
+        assert 0 < sum(d in scored for d in distances[4:]) < 40
 
     @pytest.mark.parametrize("irs", [{"enabled": False}, {"grid_m": 5}, {"wall": "x_min"}])
     def test_users_no_branch_sees_take_the_fallback(self, irs):

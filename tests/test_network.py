@@ -156,9 +156,11 @@ class TestPlaceUsers:
         assert a == b
 
     def test_prefix_stable(self):
-        short = place_users_uniform(3, ROOM, seed=9)
-        long = place_users_uniform(8, ROOM, seed=9)
-        assert long[:3] == short
+        for seed in (9, 0, 2**32, 2**200 + 7):
+            longest = place_users_uniform(40, ROOM, seed)
+            for k in (1, 2, 3, 8, 17, 39):
+                short = place_users_uniform(k, ROOM, seed)
+                assert place_users_uniform(k + 1, ROOM, seed)[:k] == short == longest[:k]
 
     def test_single_user_in_bounds(self):
         (pos,) = place_users_uniform(1, ROOM, seed=0)
@@ -176,6 +178,31 @@ class TestPlaceUsers:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             place_users_uniform(0, ROOM, seed=1)
+
+    @pytest.mark.parametrize("seed", [*range(200), 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 7])
+    def test_equals_numpy_default_rng_scaled_by_the_room(self, seed):
+        room = (4.0, 7.5, 3.0)
+        for k in (1, 4, 8, 1000):
+            draws = np.random.default_rng(seed).random((k, 2)).tolist()
+            want = [Vec3(u * room[0], v * room[1], 0.8) for u, v in draws]
+            assert place_users_uniform(k, room, seed, 0.8) == want
+
+    @pytest.mark.parametrize(
+        "seed", [np.int64(5), np.uint32(2**32 - 1), np.uint64(2**64 - 1), np.int8(0)]
+    )
+    def test_numpy_integer_seed_equals_the_python_int(self, seed):
+        assert place_users_uniform(6, ROOM, seed) == place_users_uniform(6, ROOM, int(seed))
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64), np.int64(-3)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            place_users_uniform(2, ROOM, seed)
+
+    @pytest.mark.parametrize("seed", [None, 7.0, np.float64(7.0), "7", [7]])
+    def test_non_integer_seed_rejected(self, seed):
+        # No OS entropy: an unseeded placement could not be reproduced.
+        with pytest.raises(TypeError):
+            place_users_uniform(2, ROOM, seed)
 
 
 class TestAssignMirrors:
