@@ -52,13 +52,10 @@ class AdrBranch:
     orientation: Orientation
     fov_half_angle_deg: float
     pd_area: float  # m^2
-    responsivity: float  # A/W
 
     def __post_init__(self) -> None:
         if self.pd_area <= 0.0:
             raise ValueError(f"pd_area must be positive, got {self.pd_area}")
-        if self.responsivity <= 0.0:
-            raise ValueError(f"responsivity must be positive, got {self.responsivity}")
         if not 0.0 < self.fov_half_angle_deg <= 90.0:
             raise ValueError(
                 f"fov_half_angle_deg must be in (0, 90], got {self.fov_half_angle_deg}"
@@ -301,9 +298,7 @@ def _irs_gain_block(
         # zero intercept such a pair keeps here, without calling erf.
         sized = live & (width_eff > 0.0) & (height_eff > 0.0)
 
-        spread_den = math.pi * waist_w0**2
-        spread = wavelength * mirror_range / spread_den
-        scale = math.sqrt(2.0) / (waist_w0 * np.sqrt(1.0 + spread * spread))
+        scale = math.sqrt(2.0) / _beam_radius(mirror_range, waist_w0, wavelength)
         erf_w, erf_h = np.zeros(live.shape), np.zeros(live.shape)
         erf_w[sized] = _map(math.erf, (scale * (0.5 * width_eff))[sized])
         erf_h[sized] = _map(math.erf, (scale * (0.5 * height_eff))[sized])
@@ -311,8 +306,7 @@ def _irs_gain_block(
         intercept = 0.25 * (erf_w + erf_w) * (erf_h + erf_h)
         del scale, width_eff, height_eff, erf_w, erf_h
 
-        spread = wavelength * (mirror_range + leg_out) / spread_den
-        w_total = waist_w0 * np.sqrt(1.0 + spread * spread)
+        w_total = _beam_radius(mirror_range + leg_out, waist_w0, wavelength)
         beam_area = w_total * w_total
         best = np.zeros(live.shape)
         index = np.full(live.shape, -1)
@@ -356,8 +350,7 @@ def los_gain_table(
         origin = ap_branch_positions[b]
         GaussianBeam(waist_w0, wavelength, 1.0, origin, (user_positions[i] - origin).normalized())
 
-    spread = wavelength * separation / (math.pi * waist_w0**2)
-    w_d = waist_w0 * np.sqrt(1.0 + spread * spread)
+    w_d = _beam_radius(separation, waist_w0, wavelength)
     beam_area = w_d * w_d
     gain = np.zeros(separation.shape)
     receiver = np.full(separation.shape, -1)
@@ -442,6 +435,12 @@ def _fov_seen(cosine: np.ndarray, fov: float) -> np.ndarray:
     edge = np.abs(cosine - cos_fov) <= 1e-9
     seen[edge] = _map(math.acos, np.clip(cosine[edge], -1.0, 1.0)) <= fov
     return seen
+
+
+def _beam_radius(distance: np.ndarray, waist_w0: float, wavelength: float) -> np.ndarray:
+    """`beam.waist_at` of every distance, in its order of operations."""
+    spread = wavelength * distance / (math.pi * waist_w0**2)
+    return waist_w0 * np.sqrt(1.0 + spread * spread)
 
 
 def _map(fn, values: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ from .network import (
     default_adr_branches,
     evaluate_scenario,
     power_for_transmit_snr,
-    scenario_responsivity,
     sweep_snr,
     without_irs,
 )
@@ -136,7 +135,7 @@ def no_irs_equivalence(rng: random.Random | None = None, draws: int = 0) -> None
     """Evaluating the default scenario without its panel at 80 dB equals the
     sweep's "none" variant, bit for bit (fixed inputs)."""
     scenario = build_default_scenario(None)
-    power = power_for_transmit_snr(scenario.noise, scenario_responsivity(scenario), 80.0)
+    power = power_for_transmit_snr(scenario.noise, scenario.responsivity, 80.0)
     direct = [r.rate for r in evaluate_scenario(replace(without_irs(scenario), p_tot=power))]
     table = sweep_snr(scenario, [80.0], variants=("none",))
     same = list(table.rows[0].user_rates_bps) == direct

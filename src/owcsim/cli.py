@@ -135,19 +135,9 @@ def _run_sweep_snr(
 ) -> None:
     variants = ("none", "5x5", "10x10") if variant in (None, "all") else (variant,)
     table = sweep_snr(scenario, sweep.snr_points_db, variants=variants)
-    csv_path = out / "fig2.csv"
-    write_csv(table, csv_path)
-    written = [str(csv_path)]
-    if output.svg:
-        svg_path = out / "fig2.svg"
-        render_line_plot(
-            table,
-            "Sum rate vs transmit SNR",
-            "transmit SNR [dB]",
-            "sum rate [bit/s]",
-            svg_path,
-        )
-        written.append(str(svg_path))
+    written = _write_figure(
+        table, "fig2", output, out, "Sum rate vs transmit SNR", "transmit SNR [dB]"
+    )
     if set(variants) == {"none", "5x5", "10x10"}:
         report_path = out / "fig2_report.json"
         _write_snr_report(scenario, sweep, table, report_path)
@@ -188,20 +178,27 @@ def _run_sweep_users(
     if variant is not None:
         scenario = _variant_scenario(scenario, variant)
     table = sweep_users(scenario, sweep.k_values)
-    csv_path = out / "fig3.csv"
+    written = _write_figure(
+        table, "fig3", output, out, "Sum rate vs number of users", "number of users"
+    )
+    print(f"sweep-users: {len(table)} rows -> {', '.join(written)}")
+
+
+def _write_figure(
+    table: ResultTable, stem: str, output: OutputSpec, out: Path, title: str, x_label: str
+) -> list[str]:
+    """Write `<stem>.csv`, and `<stem>.svg` of sum rate against `x_label` unless
+    `output.svg` is off; return the paths written. `write_csv` and
+    `render_line_plot` are looked up in this module, path last, as the
+    benchmark's tracer wraps them there."""
+    csv_path = out / f"{stem}.csv"
     write_csv(table, csv_path)
     written = [str(csv_path)]
     if output.svg:
-        svg_path = out / "fig3.svg"
-        render_line_plot(
-            table,
-            "Sum rate vs number of users",
-            "number of users",
-            "sum rate [bit/s]",
-            svg_path,
-        )
+        svg_path = out / f"{stem}.svg"
+        render_line_plot(table, title, x_label, "sum rate [bit/s]", svg_path)
         written.append(str(svg_path))
-    print(f"sweep-users: {len(table)} rows -> {', '.join(written)}")
+    return written
 
 
 def _run_selftest() -> int:

@@ -178,12 +178,6 @@ class SweepSpec:
     snr_points_db: tuple[float, ...] = DEFAULT_SNR_POINTS_DB
     k_values: tuple[int, ...] = DEFAULT_K_VALUES
 
-    def __post_init__(self) -> None:
-        if not self.snr_points_db:
-            raise ValueError("sweep.snr_points_db must be nonempty")
-        if not self.k_values or any(k < 1 for k in self.k_values):
-            raise ValueError("sweep.k_values must be a nonempty list of integers >= 1")
-
 
 @dataclass(frozen=True)
 class OutputSpec:
@@ -292,7 +286,6 @@ def _scenario(values: Mapping[str, object]) -> Scenario:
         elevation_deg=values["users.branch_elevation_deg"],
         fov_deg=values["users.fov_deg"],
         pd_area=values["users.pd_area_m2"],
-        responsivity=values["users.responsivity_a_per_w"],
     )
 
     return Scenario(
@@ -301,6 +294,7 @@ def _scenario(values: Mapping[str, object]) -> Scenario:
         adt=adt,
         irs=irs,
         users=tuple(UserSpec(p, i in blocked, branches) for i, p in enumerate(points)),
+        responsivity=values["users.responsivity_a_per_w"],
         noise=NoiseParams(
             rin_db_per_hz=values["noise.rin_db_per_hz"],
             noise_current_density=values["noise.noise_current_density"],
@@ -341,7 +335,7 @@ def effective_config(
         "users.positions": [list(u.position.as_tuple()) for u in scenario.users],
         "users.blocked": [i for i, u in enumerate(scenario.users) if u.blocked],
         "users.pd_area_m2": branch.pd_area,
-        "users.responsivity_a_per_w": branch.responsivity,
+        "users.responsivity_a_per_w": scenario.responsivity,
         "users.branch_azimuths_deg": [
             b.orientation.azimuth_deg for b in scenario.users[0].branches
         ],
@@ -367,9 +361,7 @@ def effective_config(
                 "irs.element_height_m": panel.element_size[1],
                 "irs.reflectivity": panel.reflectivity,
                 "irs.center_height_m": panel.panel_center.z,
-                "irs.center_along_m": panel.panel_center.x
-                if panel.wall.startswith("y")
-                else panel.panel_center.y,
+                "irs.center_along_m": panel.center_along,
             }
         )
     document: dict = {}

@@ -1,7 +1,10 @@
 """Scenario types, mirror assignment, per-user evaluation, and sweeps.
 
 Everything here takes a built Scenario; reading a config document into one
-is the job of `config`. A Scenario is immutable after validation. Every user
+is the job of `config`. A Scenario is immutable after validation, and is
+the one room check: transmitter apertures and users inside the room, and the
+mirror wall centred on its wall's plane and within that wall. It holds the
+one photodiode responsivity, of every user and of the transmit-SNR axis. Every user
 is served by one transmitter branch, which devotes one aimed beam to the
 user's receiver and one to each mirror assigned to that user. Each beam
 carries the transmit power `p_tot`, held under the per-beam eye-safety cap,
@@ -74,11 +77,14 @@ from .link import (
 )
 from .output import ResultTable
 
-_WALL_INWARD = {
-    "x_min": Vec3(1.0, 0.0, 0.0),
-    "x_max": Vec3(-1.0, 0.0, 0.0),
-    "y_min": Vec3(0.0, 1.0, 0.0),
-    "y_max": Vec3(0.0, -1.0, 0.0),
+# Each wall: its inward normal, the axis its width runs along (0 = x, 1 = y),
+# and where its plane sits on the other horizontal axis, as a fraction of
+# room.dims (0 at the *_min wall, 1 at the *_max wall).
+_WALLS = {
+    "x_min": (Vec3(1.0, 0.0, 0.0), 1, 0.0),
+    "x_max": (Vec3(-1.0, 0.0, 0.0), 1, 1.0),
+    "y_min": (Vec3(0.0, 1.0, 0.0), 0, 0.0),
+    "y_max": (Vec3(0.0, -1.0, 0.0), 0, 1.0),
 }
 # A derived dataclass field: set on first use, outside `__init__`, `repr` and `==`.
 _CACHE = dict(default=None, init=False, repr=False, compare=False)
@@ -132,8 +138,7 @@ class IrsPanel:
     _elements: tuple[MirrorElement, ...] | None = field(**_CACHE)
 
     def __post_init__(self) -> None:
-        if self.wall not in _WALL_INWARD:
-            raise ValueError(f"irs.wall must be one of {sorted(_WALL_INWARD)}, got {self.wall}")
+        _, along, _ = _wall(self.wall)
         if self.grid_m < 1:
             raise ValueError(f"irs.grid_m must be >= 1, got {self.grid_m}")
         width, height = self.element_size
@@ -145,7 +150,6 @@ class IrsPanel:
         values = [*self.panel_center.as_tuple(), width, height, self.reflectivity]
         table = np.repeat(np.array(values)[:, None], self.grid_m**2, axis=1)
         offsets = np.arange(self.grid_m) - (self.grid_m - 1) / 2.0
-        along = 0 if self.wall.startswith("y") else 1  # the wall's horizontal axis
         table[along] = np.tile(values[along] + offsets * width, self.grid_m)
         table[2] = np.repeat(values[2] + offsets * height, self.grid_m)
         table.flags.writeable = False
@@ -155,7 +159,7 @@ class IrsPanel:
     def elements(self) -> tuple[MirrorElement, ...]:
         """The mirrors as `MirrorElement` values for the scalar reference, built once."""
         if self._elements is None:
-            c, inward = self.columns, _WALL_INWARD[self.wall]
+            c, inward = self.columns, _WALLS[self.wall][0]
             width, height = self.element_size
             elements = tuple(
                 MirrorElement(Vec3(x, y, z), inward, width, height, self.reflectivity)
@@ -164,8 +168,20 @@ class IrsPanel:
             object.__setattr__(self, "_elements", elements)
         return self._elements
 
+    @property
+    def center_along(self) -> float:
+        """The panel centre's coordinate along its wall's width."""
+        return self.panel_center.as_tuple()[_WALLS[self.wall][1]]
+
     def label(self) -> str:
         return f"{self.grid_m}x{self.grid_m}"
+
+
+def _wall(name: str) -> tuple[Vec3, int, float]:
+    """The `_WALLS` row of a wall name, which must be one of its keys."""
+    if name not in _WALLS:
+        raise ValueError(f"irs.wall must be one of {sorted(_WALLS)}, got {name}")
+    return _WALLS[name]
 
 
 @dataclass(frozen=True)
@@ -186,6 +202,7 @@ class Scenario:
     adt: AdtSpec
     irs: IrsPanel | None
     users: tuple[UserSpec, ...]
+    responsivity: float  # A/W, of every photodiode of every user
     noise: NoiseParams
     p_tot: float  # W, carried by each aimed beam
     eye_safety_cap: float  # W, per-beam limit
@@ -206,28 +223,61 @@ class Scenario:
             raise ValueError(
                 f"room.receiver_z must be inside the room height, got {self.receiver_z}"
             )
-        self._require_inside("adt.center", self.adt.center_pos)
+        # One mask over every transmitter aperture and every user. A user on an
+        # aperture, or a subnormal distance from one, has no beam direction; the
+        # first such user and its lowest such branch are named.
         apertures = self.adt.branch_positions()
-        for b, pos in enumerate(apertures):
-            self._require_inside(f"adt branch {b} (adt.center, adt.side_offset_m)", pos)
+        points = [*apertures, *(user.position for user in self.users)]
+        xyz = coordinates(points)
+        outside = ~((xyz >= 0.0) & (xyz <= self.room_dims)).all(axis=1)
+        if outside.any():
+            k = int(outside.argmax())
+            i = k - len(apertures)  # the user index, negative for an aperture
+            name = (
+                f"users.positions[{i}]" if i >= 0
+                else "adt.center" if k == 0
+                else f"adt branch {k} (adt.center, adt.side_offset_m)"
+            )
+            raise ValueError(f"{name}: position out of bounds of room.dims {points[k].as_tuple()}")
         if not self.users:
             raise ValueError("users.k must be >= 1")
-        # Every user at once: inside the room, and aimable from every branch. A
-        # user on an aperture, or a subnormal distance from one, has no beam
-        # direction; the lowest such branch is named.
-        users = coordinates([user.position for user in self.users])
-        unaimable = aim(coordinates(apertures), users)[2]
-        fine = ((users >= 0.0) & (users <= self.room_dims)).all(axis=1) & ~unaimable.any(axis=1)
-        for i, (user, ok) in enumerate(zip(self.users, fine.tolist())):
-            if not ok:
-                self._require_inside(f"users.positions[{i}]", user.position)
-                raise ValueError(
-                    f"users.positions[{i}] is at the aperture of transmitter branch "
-                    f"{unaimable[i].argmax()} (adt.center, adt.side_offset_m), or too near "
-                    "it for a beam to be aimed at it"
-                )
+        unaimable = aim(xyz[: len(apertures)], xyz[len(apertures) :])[2]
+        if unaimable.any():
+            i, b = np.argwhere(unaimable)[0].tolist()
+            raise ValueError(
+                f"users.positions[{i}] is at the aperture of transmitter branch {b} "
+                "(adt.center, adt.side_offset_m), or too near it for a beam to be aimed at it"
+            )
+        for i, user in enumerate(self.users):
             if not user.branches:
                 raise ValueError(f"users[{i}] must have at least one receiver branch")
+        panel = self.irs
+        if panel is not None:
+            # On its wall's plane, then within the wall; a NaN centre fails each test.
+            _, along, side = _WALLS[panel.wall]
+            center = panel.panel_center.as_tuple()
+            if center[1 - along] != side * self.room_dims[1 - along]:
+                raise ValueError(
+                    f"irs panel centre {center} is off the plane of its wall: irs.wall "
+                    f"{panel.wall} with irs.center_along_m and irs.center_height_m must "
+                    "place it on that wall of room.dims"
+                )
+            half_w, half_h = (panel.grid_m * size / 2.0 for size in panel.element_size)
+            low, high = center[along] - half_w, center[along] + half_w
+            if not (0.0 <= low and high <= self.room_dims[along]):
+                raise ValueError(
+                    "irs panel exceeds the wall extent along its width: irs.grid_m x "
+                    "irs.element_width_m centred at irs.center_along_m must fit room.dims"
+                )
+            if not (0.0 <= center[2] - half_h and center[2] + half_h <= dz):
+                raise ValueError(
+                    "irs panel exceeds the wall extent along its height: irs.grid_m x "
+                    "irs.element_height_m centred at irs.center_height_m must fit room.dims"
+                )
+        if not self.responsivity > 0.0:
+            raise ValueError(
+                f"users.responsivity_a_per_w must be positive, got {self.responsivity}"
+            )
         if self.p_tot <= 0.0:
             raise ValueError(f"power.p_tot_w must be positive, got {self.p_tot}")
         if self.eye_safety_cap <= 0.0:
@@ -316,12 +366,6 @@ class Scenario:
         object.__setattr__(prefix, "_serving", self.serving_branches[:k])
         return prefix
 
-    def _require_inside(self, name: str, pos: Vec3) -> None:
-        dx, dy, dz = self.room_dims
-        if not (0.0 <= pos.x <= dx and 0.0 <= pos.y <= dy and 0.0 <= pos.z <= dz):
-            raise ValueError(f"{name}: position out of bounds of room.dims {pos.as_tuple()}")
-
-
 @dataclass(frozen=True)
 class Assignment:
     """The mirrors each user holds; every mirror serves at most one user.
@@ -367,12 +411,8 @@ def default_adr_branches(
     elevation_deg: float = 60.0,
     fov_deg: float = 25.0,
     pd_area: float = 2.0e-5,
-    responsivity: float = 0.4,
 ) -> tuple[AdrBranch, ...]:
-    return tuple(
-        AdrBranch(Orientation(az, elevation_deg), fov_deg, pd_area, responsivity)
-        for az in azimuths_deg
-    )
+    return tuple(AdrBranch(Orientation(az, elevation_deg), fov_deg, pd_area) for az in azimuths_deg)
 
 
 def build_irs_panel(
@@ -385,30 +425,13 @@ def build_irs_panel(
     center_height: float = 1.5,
     center_along: float | None = None,
 ) -> IrsPanel:
-    """Tile an M x M mirror array on the chosen wall, centred as requested."""
-    if wall not in _WALL_INWARD:
-        raise ValueError(f"irs.wall must be one of {sorted(_WALL_INWARD)}, got {wall}")
-    dx, dy, dz = room_dims
-    along_span = dx if wall.startswith("y") else dy
-    if center_along is None:
-        center_along = along_span / 2.0
-    half_w = grid_m * element_width / 2.0
-    half_h = grid_m * element_height / 2.0
-    if center_along - half_w < 0.0 or center_along + half_w > along_span:
-        raise ValueError(
-            "irs panel exceeds the wall extent along its width: irs.grid_m x "
-            "irs.element_width_m centred at irs.center_along_m must fit room.dims"
-        )
-    if center_height - half_h < 0.0 or center_height + half_h > dz:
-        raise ValueError(
-            "irs panel exceeds the wall extent along its height: irs.grid_m x "
-            "irs.element_height_m centred at irs.center_height_m must fit room.dims"
-        )
-
-    plane = {"x_min": 0.0, "x_max": dx, "y_min": 0.0, "y_max": dy}[wall]
-    along_plane = (center_along, plane) if wall.startswith("y") else (plane, center_along)
-    center = Vec3(*along_plane, center_height)
-    return IrsPanel(wall, grid_m, (element_width, element_height), reflectivity, center)
+    """Tile an M x M mirror array on the chosen wall, centred as requested
+    (mid-wall by default); `Scenario` checks that it fits the room."""
+    _, along, side = _wall(wall)
+    center = [0.0, 0.0, center_height]
+    center[along] = room_dims[along] / 2.0 if center_along is None else center_along
+    center[1 - along] = side * room_dims[1 - along]
+    return IrsPanel(wall, grid_m, (element_width, element_height), reflectivity, Vec3(*center))
 
 
 def place_users_uniform(
@@ -488,18 +511,10 @@ def _pcg64_uniforms(seed: int, n: int) -> list[float]:
 
 
 def with_irs_grid(scenario: Scenario, grid_m: int) -> Scenario:
-    """Same scenario with the mirror wall rebuilt at a new grid size."""
-    base = scenario.irs
-    if base is None:
-        return replace(scenario, irs=build_irs_panel(scenario.room_dims, grid_m=grid_m))
-    (width, height), center = base.element_size, base.panel_center
-    along = center.x if base.wall.startswith("y") else center.y
-    panel = build_irs_panel(
-        scenario.room_dims, wall=base.wall, grid_m=grid_m, element_width=width,
-        element_height=height, reflectivity=base.reflectivity, center_height=center.z,
-        center_along=along,
-    )
-    return replace(scenario, irs=panel)
+    """Same scenario with the mirror wall rebuilt at a new grid size (the
+    default wall when it has none)."""
+    base = scenario.irs or build_irs_panel(scenario.room_dims)
+    return replace(scenario, irs=replace(base, grid_m=grid_m))
 
 
 def without_irs(scenario: Scenario) -> Scenario:
@@ -508,10 +523,6 @@ def without_irs(scenario: Scenario) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # Serving-branch choice, gain matrix, and assignment
-
-
-def scenario_responsivity(scenario: Scenario) -> float:
-    return scenario.users[0].branches[0].responsivity
 
 
 def serving_branch_index(scenario: Scenario, user_index: int) -> int:
@@ -642,10 +653,9 @@ def _evaluate(
     each per-beam power in `p_tot`, all users at once."""
     gains = _gains(scenario, assignment)
     q = gains[2][:, None]
-    responsivity = np.array([[user.branches[0].responsivity] for user in scenario.users])
     received = q * p_tot
-    sigma2 = noise_variance(scenario.noise, received, responsivity)
-    gamma = sinr(q, p_tot, responsivity, sigma2)
+    sigma2 = noise_variance(scenario.noise, received, scenario.responsivity)
+    gamma = sinr(q, p_tot, scenario.responsivity, sigma2)
     return gains, (received, sigma2, gamma, achievable_rate(gamma, scenario.noise.bandwidth_b))
 
 
@@ -734,8 +744,7 @@ def sweep_snr(
     points = [float(db) for db in snr_points_db]
     if not points or not variants:
         raise ValueError("snr_points_db and variants must be nonempty")
-    responsivity = scenario_responsivity(scenario)
-    p_tot = power_for_transmit_snr(scenario.noise, responsivity, points)
+    p_tot = power_for_transmit_snr(scenario.noise, scenario.responsivity, points)
     over = p_tot > scenario.eye_safety_cap
     if over.any():
         first = int(over.argmax())
@@ -780,5 +789,5 @@ def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
 def simulate_scenario(scenario: Scenario) -> ResultTable:
     """Single evaluation of the configured scenario as a one-variant table."""
     label = "none" if scenario.irs is None else scenario.irs.label()
-    snr_db = transmit_snr_db(scenario.noise, scenario_responsivity(scenario), scenario.p_tot)
+    snr_db = transmit_snr_db(scenario.noise, scenario.responsivity, scenario.p_tot)
     return _rate_table([(label, scenario)], [snr_db], np.array([scenario.p_tot]))

@@ -29,10 +29,10 @@ from oracles import (
 
 PD_AREA = 2.0e-5
 FOUR_BRANCHES = tuple(
-    AdrBranch(Orientation(az, 60.0), 25.0, PD_AREA, 0.4) for az in (0, 90, 180, 270)
+    AdrBranch(Orientation(az, 60.0), 25.0, PD_AREA) for az in (0, 90, 180, 270)
 )
 WIDE_BRANCHES = tuple(
-    AdrBranch(Orientation(az, 60.0), 89.0, PD_AREA, 0.4) for az in (0, 90, 180, 270)
+    AdrBranch(Orientation(az, 60.0), 89.0, PD_AREA) for az in (0, 90, 180, 270)
 )
 
 
@@ -60,13 +60,11 @@ def los_oracle(ap, user, branches):
 class TestAdrBranch:
     def test_validation(self):
         with pytest.raises(ValueError, match="pd_area"):
-            AdrBranch(Orientation(0, 60), 25.0, 0.0, 0.4)
-        with pytest.raises(ValueError, match="responsivity"):
-            AdrBranch(Orientation(0, 60), 25.0, PD_AREA, 0.0)
+            AdrBranch(Orientation(0, 60), 25.0, 0.0)
         with pytest.raises(ValueError, match="fov_half_angle_deg"):
-            AdrBranch(Orientation(0, 60), 0.0, PD_AREA, 0.4)
+            AdrBranch(Orientation(0, 60), 0.0, PD_AREA)
         with pytest.raises(ValueError, match="fov_half_angle_deg"):
-            AdrBranch(Orientation(0, 60), 90.5, PD_AREA, 0.4)
+            AdrBranch(Orientation(0, 60), 90.5, PD_AREA)
 
     def test_normal_points_up(self):
         n = FOUR_BRANCHES[0].normal()
@@ -181,7 +179,7 @@ class TestIrsGain:
     def test_matches_two_bounce_quadrature_oracle(self, user, fov_deg):
         ap, center = Vec3(2.5, 2.5, 3.0), Vec3(2.5, 5.0, 1.5)
         branches = tuple(
-            AdrBranch(Orientation(az, 60.0), fov_deg, PD_AREA, 0.4)
+            AdrBranch(Orientation(az, 60.0), fov_deg, PD_AREA)
             for az in (0, 90, 180, 270)
         )
         mirror = steered_mirror(ap, center, user)

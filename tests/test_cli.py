@@ -73,10 +73,13 @@ class TestSweepSnr:
         assert not (out / "fig2_report.json").exists()
 
     def test_svg_disabled(self, tmp_path):
+        # Both sweeps write their figure through one writer, which reads output.svg.
         config = write_json(tmp_path / "cfg.json", {**SMALL_SWEEP, "output": {"svg": False}})
         out = tmp_path / "out"
-        assert run_command("sweep-snr", config_path=config, out_dir=str(out)) == EXIT_OK
-        assert not (out / "fig2.svg").exists()
+        for command, stem in (("sweep-snr", "fig2"), ("sweep-users", "fig3")):
+            assert run_command(command, config_path=config, out_dir=str(out)) == EXIT_OK
+            assert (out / f"{stem}.csv").exists()
+            assert not (out / f"{stem}.svg").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         config = write_json(tmp_path / "cfg.json", SMALL_SWEEP)

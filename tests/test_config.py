@@ -11,7 +11,6 @@ from owcsim.config import (
     DEFAULT_SNR_POINTS_DB,
     SCHEMA,
     OutputSpec,
-    SweepSpec,
     build_default_scenario,
     effective_config,
     load_config,
@@ -140,12 +139,6 @@ class TestLoadConfig:
 
 
 class TestSpecValidation:
-    def test_sweep_spec_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SweepSpec(snr_points_db=())
-        with pytest.raises(ValueError):
-            SweepSpec(k_values=(0,))
-
     def test_output_spec_default(self):
         assert OutputSpec().svg is True
 
@@ -240,7 +233,6 @@ class TestLibraryDefaults:
             "elevation_deg": SCHEMA["users.branch_elevation_deg"][0],
             "fov_deg": SCHEMA["users.fov_deg"][0],
             "pd_area": SCHEMA["users.pd_area_m2"][0],
-            "responsivity": SCHEMA["users.responsivity_a_per_w"][0],
         }
         assert default_adr_branches() == parse_config({})[0].users[0].branches
 

@@ -190,7 +190,7 @@ class TestEdgeCases:
         ],
     )
     def test_arrival_exactly_on_fov_boundary_and_one_ulp_outside(self, user):
-        probe = AdrBranch(Orientation(100.0, 70.0), 45.0, 2e-5, 0.4)
+        probe = AdrBranch(Orientation(100.0, 70.0), 45.0, 2e-5)
         angle = incidence_angle((user - self.AP).normalized(), probe.normal())
         on_edge = degrees_landing_on(angle)
         beyond_edge = degrees_landing_on(math.nextafter(angle, 0.0))
@@ -209,7 +209,7 @@ class TestEdgeCases:
 
     def test_acos_runs_only_within_1e_9_of_the_fov_cosine(self, monkeypatch):
         user = Vec3(3.98, 2.59, 0.0)
-        probe = AdrBranch(Orientation(100.0, 70.0), 45.0, 2e-5, 0.4)
+        probe = AdrBranch(Orientation(100.0, 70.0), 45.0, 2e-5)
         angle = incidence_angle((user - self.AP).normalized(), probe.normal())
         on_edge = (replace(probe, fov_half_angle_deg=degrees_landing_on(angle)),)
         branch_sets = [default_adr_branches()] * 4 + [on_edge]
@@ -226,7 +226,7 @@ class TestEdgeCases:
         assert len(arguments) == 1
 
     def test_equal_receiver_branches_tie_to_the_lowest_index(self):
-        twin = AdrBranch(Orientation(0.0, 90.0), 80.0, 2e-5, 0.4)
+        twin = AdrBranch(Orientation(0.0, 90.0), 80.0, 2e-5)
         user = Vec3(2.4, 2.6, 0.0)
         _, receiver = assert_kernel_matches([self.AP], [user], [(twin, twin, twin)], [False])
         assert receiver.tolist() == [[0]]

@@ -113,7 +113,7 @@ def wall_mirror(center, normal=Vec3(0.0, -1.0, 0.0), size=(0.15, 0.10), reflecti
 
 
 def one_branch(elevation=90.0, fov=90.0, azimuth=0.0):
-    return (AdrBranch(Orientation(azimuth, elevation), fov, 2e-5, 0.4),)
+    return (AdrBranch(Orientation(azimuth, elevation), fov, 2e-5),)
 
 
 class TestRandomScenarios:

@@ -13,7 +13,9 @@ from owcsim.geometry import Vec3
 from owcsim.config import DEFAULT_SNR_POINTS_DB
 from owcsim.link import achievable_rate, noise_variance, sinr, sum_rate, thermal_noise_variance
 from owcsim.network import (
+    _WALLS,
     Assignment,
+    IrsPanel,
     UserSpec,
     assign_mirrors,
     build_irs_panel,
@@ -23,7 +25,6 @@ from owcsim.network import (
     place_users_uniform,
     power_for_transmit_snr,
     scenario_assignment,
-    scenario_responsivity,
     serving_branch_index,
     simulate_scenario,
     sweep_snr,
@@ -63,12 +64,18 @@ class TestBuildDefaultScenario:
             assert user.position.z == 0.0
             assert len(user.branches) == 4
             assert user.branches[0].pd_area == 2.0e-5
-            assert user.branches[0].responsivity == 0.4
             assert user.branches[0].fov_half_angle_deg == 25.0
             assert {b.orientation.azimuth_deg for b in user.branches} == {0, 90, 180, 270}
             assert all(b.orientation.elevation_deg == 60.0 for b in user.branches)
+        assert s.responsivity == 0.4
         assert s.noise.bandwidth_b == 1.5e9
         assert s.p_tot == 0.01
+
+    def test_responsivity_must_be_positive(self):
+        s = build_default_scenario(None)
+        for value in (0.0, -0.4, math.nan):
+            with pytest.raises(ValueError, match="users.responsivity_a_per_w must be positive"):
+                replace(s, responsivity=value)
 
     def test_override_user_count(self):
         s = build_default_scenario({"users": {"k": 8}})
@@ -140,8 +147,55 @@ class TestIrsPanel:
         assert len(centers) == 25
 
     def test_oversized_panel_rejected(self):
-        with pytest.raises(ValueError, match="exceeds the wall"):
-            build_irs_panel(ROOM, grid_m=40)
+        # 40 x 0.15 m is wider than the 5 m wall, however the panel reaches the scenario.
+        message = "exceeds the wall extent along its width: irs.grid_m"
+        with pytest.raises(ValueError, match=message):
+            with_irs_grid(build_default_scenario(None), 40)
+        with pytest.raises(ValueError, match=message):
+            build_default_scenario({"irs": {"grid_m": 40}})
+
+    @pytest.mark.parametrize(
+        "panel, message",
+        [
+            # Mirror centres from x = -1.175 m to 6.175 m in a 5 m room.
+            (
+                IrsPanel("y_max", 50, (0.15, 0.10), 0.95, Vec3(2.5, 5.0, 1.5)),
+                r"along its width: irs\.grid_m x irs\.element_width_m",
+            ),
+            (
+                IrsPanel("x_min", 5, (0.15, 0.10), 0.95, Vec3(0.0, 2.5, 2.9)),
+                r"along its height: irs\.grid_m x irs\.element_height_m",
+            ),
+            (
+                IrsPanel("y_max", 5, (0.15, 0.10), 0.95, Vec3(2.5, 3.0, 1.5)),
+                r"off the plane of its wall: irs\.wall y_max",
+            ),
+            (
+                IrsPanel("y_max", 5, (0.15, 0.10), 0.95, Vec3(math.nan, 5.0, 1.5)),
+                r"along its width: irs\.grid_m",
+            ),
+        ],
+    )
+    def test_scenario_rejects_a_panel_that_leaves_its_wall(self, panel, message):
+        with pytest.raises(ValueError, match=message):
+            replace(build_default_scenario(None), irs=panel)
+
+    @pytest.mark.parametrize("wall", sorted(_WALLS))
+    def test_every_wall_takes_its_own_plane_only(self, wall):
+        s = build_default_scenario(None)
+        panel = build_irs_panel(ROOM, wall, 3)
+        assert replace(s, irs=panel).irs is panel
+        for step in (0.1, -0.1):
+            moved = replace(panel, panel_center=panel.panel_center + _WALLS[wall][0].scaled(step))
+            with pytest.raises(ValueError, match="off the plane of its wall"):
+                replace(s, irs=moved)
+
+    def test_a_panel_flush_with_the_wall_edges_fits(self):
+        # build_irs_panel's fit arithmetic: half a panel is grid_m * size / 2.
+        s = build_default_scenario(None)
+        for along, height in ((0.375, 0.25), (5.0 - 0.375, 3.0 - 0.25)):
+            panel = build_irs_panel(ROOM, "y_min", 5, center_height=height, center_along=along)
+            assert replace(s, irs=panel).irs.center_along == along
 
     def test_other_walls(self):
         panel = build_irs_panel(ROOM, wall="x_min", grid_m=3)
@@ -559,6 +613,26 @@ class TestSweepSnr:
         with pytest.raises(ValueError):
             sweep_snr(build_default_scenario(None), [])
 
+    def test_empty_or_zero_user_counts_rejected(self):
+        s = build_default_scenario(None)
+        with pytest.raises(ValueError, match="k_values must be nonempty"):
+            sweep_users(s, [])
+        with pytest.raises(ValueError, match="k_values must be >= 1, got 0"):
+            sweep_users(s, [0])
+
+    def test_responsivity_cancels_on_the_snr_axis(self):
+        # The transmit-SNR axis and the rate path read the same R, and R P is
+        # fixed by the SNR, so the rates do not depend on R.
+        points = [60.0, 80.0, 100.0, 115.0]
+        tables = [
+            sweep_snr(build_default_scenario({"users": {"responsivity_a_per_w": r}}), points)
+            for r in (0.4, 0.5, 1.2)
+        ]
+        for table in tables[1:]:
+            for row, base in zip(table.rows, tables[0].rows):
+                assert (row.sweep_var, row.variant) == (base.sweep_var, base.variant)
+                assert row.user_rates_bps == pytest.approx(base.user_rates_bps, rel=1e-12, abs=0)
+
     def test_power_beyond_cap_rejected(self):
         s = build_default_scenario(None)  # cap 1.0 W; 130 dB needs ~2.4 W
         with pytest.raises(ValueError, match="eye_safety_cap"):
@@ -571,10 +645,9 @@ def _point_links(variant, gains, p_tot):
     the array path must reproduce bit for bit."""
     links = []
     for user, gain in zip(variant.users, gains):
-        responsivity = user.branches[0].responsivity
         received = gain.q * p_tot
-        sigma2 = noise_variance(variant.noise, received, responsivity)
-        gamma = sinr(gain, p_tot, responsivity, sigma2)
+        sigma2 = noise_variance(variant.noise, received, variant.responsivity)
+        gamma = sinr(gain, p_tot, variant.responsivity, sigma2)
         links.append((received, sigma2, gamma, achievable_rate(gamma, variant.noise.bandwidth_b)))
     return links
 
@@ -588,13 +661,12 @@ def _user_gains(variant):
 
 
 def _per_point_sweep_snr(scenario, points, variants):
-    responsivity = scenario_responsivity(scenario)
     rows = []
     for label in variants:
         variant = owcsim.network._variant_scenario(scenario, label)
         gains = _user_gains(variant)
         for db in points:
-            p_tot = power_for_transmit_snr(variant.noise, responsivity, db)
+            p_tot = power_for_transmit_snr(variant.noise, scenario.responsivity, db)
             if p_tot > variant.eye_safety_cap:
                 raise ValueError(
                     f"per-beam power {p_tot:.6g} W at {db:g} dB exceeds "

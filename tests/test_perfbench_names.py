@@ -1,9 +1,11 @@
-"""Every owcsim name the benchmark looks up must resolve.
+"""Every owcsim name the benchmark looks up must resolve, and each workload's
+op must pass its own check.
 
 `perfbench/tracing.py` wraps functions by `(module, attribute)` and
-`perfbench/workloads.py` reads a few more names directly. The benchmark's
-own tests are not part of this suite, so this is what catches a refactor
-that deletes or moves one of those names.
+`perfbench/workloads.py` reads a few more names and fields directly. The
+benchmark's own tests are not part of this suite, so this is what catches a
+refactor that deletes or moves one of those names, or changes a field a
+workload's check reads.
 """
 
 import importlib
@@ -24,6 +26,32 @@ def tracing():
     with pytest.MonkeyPatch.context() as patch:
         patch.syspath_prepend(str(PERFBENCH))
         yield importlib.import_module("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        yield importlib.import_module("workloads")
+
+
+def run_one_op(workload) -> bytes:
+    """One op of a workload, on its first input, through its own check."""
+    given = workload.next_input()
+    return workload.check(given, workload.run(given))
+
+
+def test_wall_scale_op_passes_its_check(workloads):
+    assert run_one_op(workloads.WallScale(1, grid_m=3, users=2))
+
+
+def test_snr_dense_op_passes_its_check(workloads):
+    assert run_one_op(workloads.SnrDense(1, users=4, points_db=(60.0, 70.0, 80.0)))
+
+
+def test_paper_op_passes_its_check(workloads, tmp_path):
+    src = Path(owcsim.__file__).resolve().parents[1]
+    assert run_one_op(workloads.Paper(1, tmp_path / "out", src, in_process=True))
 
 
 def test_every_traced_name_resolves(tracing):
