@@ -14,14 +14,12 @@ import sys
 from pathlib import Path
 
 from .config import OutputSpec, SweepSpec, effective_config, load_config, parse_config
-from .network import Scenario, _variant_scenario, simulate_scenario, sweep_snr, sweep_users
+from .network import Scenario, simulate_scenario, sweep_snr, sweep_users
 from .output import ResultTable, render_line_plot, write_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
-
-VARIANT_CHOICES = ("none", "5x5", "10x10", "all")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,13 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", dest="config_path", metavar="CONFIG", help="JSON config path")
         cmd.add_argument("--out", dest="out_dir", metavar="OUT", default=".", help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument(
-            "--variant",
-            type=str,
-            choices=VARIANT_CHOICES,
-            default=None,
-            help="mirror-wall variant selection",
-        )
     sub.add_parser("selftest", help="run the built-in invariant checks")
     return parser
 
@@ -58,11 +49,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run_command(
-    command: str,
-    config_path: str | None = None,
-    out_dir: str = ".",
-    seed: int | None = None,
-    variant: str | None = None,
+    command: str, config_path: str | None = None, out_dir: str = ".", seed: int | None = None
 ) -> int:
     """Dispatch one command and map failures onto process exit codes."""
     try:
@@ -73,22 +60,24 @@ def run_command(
                     ("config_path", config_path, None),
                     ("out_dir", out_dir, "."),
                     ("seed", seed, None),
-                    ("variant", variant, None),
                 )
                 if value != default
             ]
             if given:
                 raise ValueError(f"selftest takes no options, got {', '.join(given)}")
             return _run_selftest()
-        scenario, sweep, output = _load(config_path, seed)
+        if config_path is None:
+            scenario, sweep, output = parse_config({}, seed=seed)
+        else:
+            scenario, sweep, output = load_config(config_path, seed=seed)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if command == "simulate":
-            _run_simulate(scenario, output, out, variant)
+            _run_simulate(scenario, out)
         elif command == "sweep-snr":
-            _run_sweep_snr(scenario, sweep, output, out, variant)
+            _run_sweep_snr(scenario, sweep, output, out)
         elif command == "sweep-users":
-            _run_sweep_users(scenario, sweep, output, out, variant)
+            _run_sweep_users(scenario, sweep, output, out)
         else:
             raise ValueError(f"unknown command: {command}")
         return EXIT_OK
@@ -100,24 +89,8 @@ def run_command(
         return EXIT_VALIDATION
 
 
-def _load(
-    config_path: str | None, seed: int | None
-) -> tuple[Scenario, SweepSpec, OutputSpec]:
-    if config_path is None:
-        return parse_config({}, seed=seed)
-    return load_config(config_path, seed=seed)
-
-
-def _apply_variant(scenario: Scenario, variant: str | None) -> Scenario:
-    return scenario if variant in (None, "all") else _variant_scenario(scenario, variant)
-
-
-def _run_simulate(
-    scenario: Scenario, output: OutputSpec, out: Path, variant: str | None
-) -> None:
-    if variant == "all":
-        raise ValueError("simulate accepts --variant none|5x5|10x10, not all")
-    table = simulate_scenario(_apply_variant(scenario, variant))
+def _run_simulate(scenario: Scenario, out: Path) -> None:
+    table = simulate_scenario(scenario)
     path = out / "simulate.csv"
     write_csv(table, path)
     print(
@@ -127,21 +100,15 @@ def _run_simulate(
 
 
 def _run_sweep_snr(
-    scenario: Scenario,
-    sweep: SweepSpec,
-    output: OutputSpec,
-    out: Path,
-    variant: str | None,
+    scenario: Scenario, sweep: SweepSpec, output: OutputSpec, out: Path
 ) -> None:
-    variants = ("none", "5x5", "10x10") if variant in (None, "all") else (variant,)
-    table = sweep_snr(scenario, sweep.snr_points_db, variants=variants)
+    table = sweep_snr(scenario, sweep.snr_points_db)
     written = _write_figure(
         table, "fig2", output, out, "Sum rate vs transmit SNR", "transmit SNR [dB]"
     )
-    if set(variants) == {"none", "5x5", "10x10"}:
-        report_path = out / "fig2_report.json"
-        _write_snr_report(scenario, sweep, table, report_path)
-        written.append(str(report_path))
+    report_path = out / "fig2_report.json"
+    _write_snr_report(scenario, sweep, table, report_path)
+    written.append(str(report_path))
     print(f"sweep-snr: {len(table)} rows -> {', '.join(written)}")
 
 
@@ -167,16 +134,8 @@ def _write_snr_report(
 
 
 def _run_sweep_users(
-    scenario: Scenario,
-    sweep: SweepSpec,
-    output: OutputSpec,
-    out: Path,
-    variant: str | None,
+    scenario: Scenario, sweep: SweepSpec, output: OutputSpec, out: Path
 ) -> None:
-    if variant in ("none", "all"):
-        raise ValueError("sweep-users accepts --variant 5x5|10x10 for the mirror wall")
-    if variant is not None:
-        scenario = _variant_scenario(scenario, variant)
     table = sweep_users(scenario, sweep.k_values)
     written = _write_figure(
         table, "fig3", output, out, "Sum rate vs number of users", "number of users"

@@ -316,12 +316,24 @@ def effective_config(
     Every SCHEMA key appears, except the panel keys of a disabled mirror
     wall. User positions are dumped explicitly, so reloading the result
     rebuilds an identical Scenario regardless of how the original was
-    placed.
+    placed. The document holds one receiver for every user, so a scenario
+    whose users' receiver branches differ from it raises ValueError.
     """
     sweep = sweep or SweepSpec()
     output = output or OutputSpec()
     adt, panel = scenario.adt, scenario.irs
-    branch = scenario.users[0].branches[0]
+    branches = scenario.users[0].branches
+    branch = branches[0]
+    azimuths = [b.orientation.azimuth_deg for b in branches]
+    elevation, fov = branch.orientation.elevation_deg, branch.fov_half_angle_deg
+    receiver = default_adr_branches(azimuths, elevation, fov, branch.pd_area)
+    for i, user in enumerate(scenario.users):
+        if user.branches != receiver:
+            raise ValueError(
+                f"users[{i}] has receiver branches a config cannot write: users.pd_area_m2, "
+                "users.fov_deg, users.branch_azimuths_deg and users.branch_elevation_deg "
+                "set one receiver for every user"
+            )
     values: dict[str, object] = {
         "seed": scenario.rng_seed,
         "room.dims": list(scenario.room_dims),
@@ -336,11 +348,9 @@ def effective_config(
         "users.blocked": [i for i, u in enumerate(scenario.users) if u.blocked],
         "users.pd_area_m2": branch.pd_area,
         "users.responsivity_a_per_w": scenario.responsivity,
-        "users.branch_azimuths_deg": [
-            b.orientation.azimuth_deg for b in scenario.users[0].branches
-        ],
-        "users.branch_elevation_deg": branch.orientation.elevation_deg,
-        "users.fov_deg": branch.fov_half_angle_deg,
+        "users.branch_azimuths_deg": azimuths,
+        "users.branch_elevation_deg": elevation,
+        "users.fov_deg": fov,
         "noise.rin_db_per_hz": scenario.noise.rin_db_per_hz,
         "noise.noise_current_density": scenario.noise.noise_current_density,
         "noise.tia_noise_figure_db": scenario.noise.tia_noise_figure_db,

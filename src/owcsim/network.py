@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -86,8 +87,6 @@ _WALLS = {
     "y_min": (Vec3(0.0, 1.0, 0.0), 0, 0.0),
     "y_max": (Vec3(0.0, -1.0, 0.0), 0, 1.0),
 }
-# A derived dataclass field: set on first use, outside `__init__`, `repr` and `==`.
-_CACHE = dict(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -103,24 +102,24 @@ class AdtSpec:
     beam_waist: float  # m
     beam_wavelength: float  # m
     side_offset: float = 0.3  # m, horizontal displacement of side branches
-    # Set once in __post_init__; `replace` builds a new spec, which sets it anew.
-    _positions: tuple[Vec3, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.beam_waist <= 0.0 or self.beam_wavelength <= 0.0:
             raise ValueError("adt beam waist and wavelength must be positive")
         if self.side_offset < 0.0:
             raise ValueError("adt.side_offset_m must be nonnegative")
-        positions = (self.center_pos,) + tuple(
-            self.center_pos + Vec3(math.cos(az), math.sin(az), 0.0).scaled(self.side_offset)
-            for az in map(math.radians, (0.0, 90.0, 180.0, 270.0))
-        )
-        object.__setattr__(self, "_positions", positions)
 
     def branch_positions(self) -> tuple[Vec3, ...]:
         """Branch apertures: the first sits at the centre, the four side
         branches `side_offset` away at azimuths 0, 90, 180 and 270 deg."""
         return self._positions
+
+    @cached_property
+    def _positions(self) -> tuple[Vec3, ...]:
+        return (self.center_pos,) + tuple(
+            self.center_pos + Vec3(math.cos(az), math.sin(az), 0.0).scaled(self.side_offset)
+            for az in map(math.radians, (0.0, 90.0, 180.0, 270.0))
+        )
 
 
 @dataclass(frozen=True)
@@ -133,12 +132,9 @@ class IrsPanel:
     element_size: tuple[float, float]  # (width, height), m
     reflectivity: float
     panel_center: Vec3
-    # Set once in __post_init__; `replace` builds a new panel, which sets it anew.
-    columns: MirrorColumns = field(init=False, repr=False, compare=False)
-    _elements: tuple[MirrorElement, ...] | None = field(**_CACHE)
 
     def __post_init__(self) -> None:
-        _, along, _ = _wall(self.wall)
+        _wall(self.wall)  # raises for an unknown wall name
         if self.grid_m < 1:
             raise ValueError(f"irs.grid_m must be >= 1, got {self.grid_m}")
         width, height = self.element_size
@@ -146,6 +142,12 @@ class IrsPanel:
             raise ValueError("irs element size must be positive")
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError(f"mirror reflectivity must be in [0, 1], got {self.reflectivity}")
+
+    @cached_property
+    def columns(self) -> MirrorColumns:
+        """The mirrors as read-only arrays, built on first read."""
+        _, along, _ = _WALLS[self.wall]
+        width, height = self.element_size
         # (6, mirrors): centre x, y, z, width, height and reflectivity of each.
         values = [*self.panel_center.as_tuple(), width, height, self.reflectivity]
         table = np.repeat(np.array(values)[:, None], self.grid_m**2, axis=1)
@@ -153,20 +155,17 @@ class IrsPanel:
         table[along] = np.tile(values[along] + offsets * width, self.grid_m)
         table[2] = np.repeat(values[2] + offsets * height, self.grid_m)
         table.flags.writeable = False
-        object.__setattr__(self, "columns", MirrorColumns(*table))
+        return MirrorColumns(*table)
 
-    @property
+    @cached_property
     def elements(self) -> tuple[MirrorElement, ...]:
-        """The mirrors as `MirrorElement` values for the scalar reference, built once."""
-        if self._elements is None:
-            c, inward = self.columns, _WALLS[self.wall][0]
-            width, height = self.element_size
-            elements = tuple(
-                MirrorElement(Vec3(x, y, z), inward, width, height, self.reflectivity)
-                for x, y, z in zip(c.cx.tolist(), c.cy.tolist(), c.cz.tolist())
-            )
-            object.__setattr__(self, "_elements", elements)
-        return self._elements
+        """The mirrors as `MirrorElement` values for the scalar reference, built on first read."""
+        c, inward = self.columns, _WALLS[self.wall][0]
+        width, height = self.element_size
+        return tuple(
+            MirrorElement(Vec3(x, y, z), inward, width, height, self.reflectivity)
+            for x, y, z in zip(c.cx.tolist(), c.cy.tolist(), c.cz.tolist())
+        )
 
     @property
     def center_along(self) -> float:
@@ -195,7 +194,11 @@ class UserSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated room, transmitter, mirror wall, users, and power budget."""
+    """Validated room, transmitter, mirror wall, users, and power budget.
+
+    `direct_table`, `serving_branches` and `mirror_table` are cached properties:
+    `replace` starts them empty, and they take no part in `==`, `hash` or `repr`.
+    """
 
     room_dims: tuple[float, float, float]
     receiver_z: float
@@ -208,12 +211,6 @@ class Scenario:
     eye_safety_cap: float  # W, per-beam limit
     max_mirrors_per_user: int | None
     rng_seed: int
-    # Filled by `direct_table`, `serving_branches` and `mirror_table` on first
-    # use, with `object.__setattr__` as the class is frozen; `replace` starts
-    # them empty, and they take no part in `==`, `hash` or `repr`.
-    _direct: tuple[np.ndarray, np.ndarray] | None = field(**_CACHE)
-    _serving: tuple[int, ...] | None = field(**_CACHE)
-    _mirror: tuple[np.ndarray, np.ndarray] | None = field(**_CACHE)
 
     def __post_init__(self) -> None:
         dx, dy, dz = self.room_dims
@@ -291,66 +288,58 @@ class Scenario:
         if self.rng_seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.rng_seed}")
 
-    @property
+    @cached_property
     def direct_table(self) -> tuple[np.ndarray, np.ndarray]:
         """`los_gain_table` of every (user, transmitter branch), computed once.
 
         Read-only (users, branches) arrays of the direct gain and of the
         serving receiver branch, -1 where there is none.
         """
-        if self._direct is None:
-            table = los_gain_table(
-                self.adt.branch_positions(),
-                [user.position for user in self.users],
-                [user.branches for user in self.users],
-                [user.blocked for user in self.users],
-                self.adt.beam_waist,
-                self.adt.beam_wavelength,
-            )
-            for array in table:
-                array.flags.writeable = False
-            object.__setattr__(self, "_direct", table)
-        return self._direct
+        table = los_gain_table(
+            self.adt.branch_positions(),
+            [user.position for user in self.users],
+            [user.branches for user in self.users],
+            [user.blocked for user in self.users],
+            self.adt.beam_waist,
+            self.adt.beam_wavelength,
+        )
+        for array in table:
+            array.flags.writeable = False
+        return table
 
-    @property
+    @cached_property
     def serving_branches(self) -> tuple[int, ...]:
         """`serving_branch_index` of every user, read from `direct_table`."""
-        if self._serving is None:
-            gain = self.direct_table[0]
-            # argmax takes the first maximum: the lowest index wins a tie.
-            best = gain.argmax(axis=1).tolist()
-            seen = (gain.max(axis=1) > 0.0).tolist()
-            serving = tuple(
-                b if s else _fallback_branch(self, i)
-                for i, (b, s) in enumerate(zip(best, seen))
-            )
-            object.__setattr__(self, "_serving", serving)
-        return self._serving
+        gain = self.direct_table[0]
+        # argmax takes the first maximum: the lowest index wins a tie.
+        best = gain.argmax(axis=1).tolist()
+        seen = (gain.max(axis=1) > 0.0).tolist()
+        return tuple(
+            b if s else _fallback_branch(self, i) for i, (b, s) in enumerate(zip(best, seen))
+        )
 
-    @property
+    @cached_property
     def mirror_table(self) -> tuple[np.ndarray, np.ndarray]:
         """`irs_gain_table` of every user from its serving branch, computed once.
 
         Read-only (users, mirrors) arrays of the mirror-path gain and of the
         serving receiver branch, -1 where there is none.
         """
-        if self._mirror is None:
-            shape = (len(self.users), 0)
-            table = (np.zeros(shape), np.full(shape, -1))
-            if self.irs is not None:
-                positions = self.adt.branch_positions()
-                table = irs_gain_table(
-                    [positions[branch] for branch in self.serving_branches],
-                    self.irs.columns,
-                    [user.position for user in self.users],
-                    [user.branches for user in self.users],
-                    self.adt.beam_waist,
-                    self.adt.beam_wavelength,
-                )
-            for array in table:
-                array.flags.writeable = False
-            object.__setattr__(self, "_mirror", table)
-        return self._mirror
+        shape = (len(self.users), 0)
+        table = (np.zeros(shape), np.full(shape, -1))
+        if self.irs is not None:
+            positions = self.adt.branch_positions()
+            table = irs_gain_table(
+                [positions[branch] for branch in self.serving_branches],
+                self.irs.columns,
+                [user.position for user in self.users],
+                [user.branches for user in self.users],
+                self.adt.beam_waist,
+                self.adt.beam_wavelength,
+            )
+        for array in table:
+            array.flags.writeable = False
+        return table
 
     def _first_users(self, k: int) -> Scenario:
         """The first k users, the per-user caches sliced rather than recomputed.
@@ -359,11 +348,11 @@ class Scenario:
         on that user and the wall alone.
         """
         prefix = replace(self, users=self.users[:k])
-        for name, (gain, receiver) in (
-            ("_direct", self.direct_table), ("_mirror", self.mirror_table)
-        ):
-            object.__setattr__(prefix, name, (gain[:k], receiver[:k]))
-        object.__setattr__(prefix, "_serving", self.serving_branches[:k])
+        vars(prefix).update(
+            direct_table=tuple(array[:k] for array in self.direct_table),
+            mirror_table=tuple(array[:k] for array in self.mirror_table),
+            serving_branches=self.serving_branches[:k],
+        )
         return prefix
 
 @dataclass(frozen=True)
@@ -720,12 +709,16 @@ def power_for_transmit_snr(
 
 
 def _variant_scenario(scenario: Scenario, label: str) -> Scenario:
+    """The scenario with a variant's wall, none or M x M; a wall that does not fit names it."""
     if label == "none":
         return without_irs(scenario)
     head, _, tail = label.partition("x")
-    if head.isdigit() and tail == head:
+    if not (head.isdigit() and tail == head):
+        raise ValueError(f"unknown variant label: {label!r}")
+    try:
         return with_irs_grid(scenario, int(head))
-    raise ValueError(f"unknown variant label: {label!r}")
+    except ValueError as exc:
+        raise ValueError(f"variant {label}: {exc}") from exc
 
 
 def sweep_snr(
@@ -761,7 +754,8 @@ def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
 
     User draws are nested prefixes of one seeded stream, so growing K keeps
     every existing user in place and the curves stay nondecreasing under
-    dedicated-beam service. A user's direct-path row, serving branch and
+    dedicated-beam service. Every placed user is unblocked and takes user 0's
+    receiver branches. A user's direct-path row, serving branch and
     mirror-path row depend on that user alone, so all three are computed
     once for the largest K and sliced.
     """

@@ -7,7 +7,8 @@ serialises, so every plot is a view of emitted data, never a recomputation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -50,8 +51,6 @@ class ResultTable:
     sum_rate_bps: np.ndarray  # (rows,)
     user_rates_bps: np.ndarray  # (rows, users)
     user_counts: np.ndarray  # (rows,)
-    # Filled by `rows` on first read; the class is frozen.
-    _rows: tuple[ResultRow, ...] | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_block(
@@ -89,12 +88,10 @@ class ResultTable:
         columns = ([row.sweep_var for row in rows], [row.variant for row in rows])
         return cls.from_block(*columns, block, [row.sum_rate_bps for row in rows], counts)
 
-    @property
+    @cached_property
     def rows(self) -> tuple[ResultRow, ...]:
         """The rows as `ResultRow` values, built on first read."""
-        if self._rows is None:
-            object.__setattr__(self, "_rows", tuple(ResultRow(*r) for r in self._records()))
-        return self._rows
+        return tuple(ResultRow(*r) for r in self._records())
 
     def _records(self) -> Iterator[tuple[float, str, float, tuple[float, ...]]]:
         """(sweep_var, variant, sum_rate_bps, user rates) of each row."""

@@ -299,7 +299,7 @@ class TestTotalGain:
             {"users": {"k": 1, "positions": [[2.5, 4.2, 0.0]]}, "irs": {"grid_m": 2}}
         )
         planted = (np.array([[1.0, 1e-16, 1e-16, 0.0]]), np.zeros((1, 4), dtype=int))
-        object.__setattr__(s, "_mirror", planted)
+        vars(s)["mirror_table"] = planted
         assert evaluate_user(s, Assignment(((0, 1, 2),)), 0).gain.h_nlos == 1.0
 
     def test_branches_recorded(self):

@@ -40,13 +40,11 @@ class TestSimulate:
         assert "simulate:" in capsys.readouterr().out
 
     def test_variant_none(self, tmp_path):
-        code = run_command("simulate", out_dir=str(tmp_path), variant="none")
+        config = write_json(tmp_path / "cfg.json", {"irs": {"enabled": False}})
+        code = run_command("simulate", config_path=config, out_dir=str(tmp_path))
         assert code == EXIT_OK
         table = read_result_csv(tmp_path / "simulate.csv")
         assert table.rows[0].variant == "none"
-
-    def test_variant_all_rejected(self, tmp_path):
-        assert run_command("simulate", out_dir=str(tmp_path), variant="all") == EXIT_VALIDATION
 
 
 class TestSweepSnr:
@@ -63,15 +61,6 @@ class TestSweepSnr:
         assert "gain_10x10_vs_none_pct" in report
         assert "effective_config" in report
 
-    def test_single_variant_skips_report(self, tmp_path):
-        config = write_json(tmp_path / "cfg.json", SMALL_SWEEP)
-        out = tmp_path / "out"
-        code = run_command("sweep-snr", config_path=config, out_dir=str(out), variant="5x5")
-        assert code == EXIT_OK
-        table = read_result_csv(out / "fig2.csv")
-        assert {r.variant for r in table.rows} == {"5x5"}
-        assert not (out / "fig2_report.json").exists()
-
     def test_svg_disabled(self, tmp_path):
         # Both sweeps write their figure through one writer, which reads output.svg.
         config = write_json(tmp_path / "cfg.json", {**SMALL_SWEEP, "output": {"svg": False}})
@@ -80,6 +69,17 @@ class TestSweepSnr:
             assert run_command(command, config_path=config, out_dir=str(out)) == EXIT_OK
             assert (out / f"{stem}.csv").exists()
             assert not (out / f"{stem}.svg").exists()
+
+    def test_wall_that_does_not_fit_names_its_variant(self, tmp_path, capsys):
+        # 5 x 0.6 m fits the 5 m wall; the sweep's fixed 10x10 variant does not.
+        config = write_json(tmp_path / "cfg.json", {"irs": {"element_width_m": 0.6}})
+        assert run_command("simulate", config_path=config, out_dir=str(tmp_path)) == EXIT_OK
+        capsys.readouterr()
+        code = run_command("sweep-snr", config_path=config, out_dir=str(tmp_path / "out"))
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("owcsim: variant 10x10: irs panel exceeds the wall extent")
+        assert "irs.element_width_m" in err
 
     def test_byte_identical_reruns(self, tmp_path):
         config = write_json(tmp_path / "cfg.json", SMALL_SWEEP)
@@ -101,18 +101,12 @@ class TestSweepUsers:
         assert (out / "fig3.svg").exists()
 
     def test_variant_selects_grid(self, tmp_path):
-        config = write_json(tmp_path / "cfg.json", SMALL_SWEEP)
+        config = write_json(tmp_path / "cfg.json", {**SMALL_SWEEP, "irs": {"grid_m": 10}})
         out = tmp_path / "out"
-        code = run_command("sweep-users", config_path=config, out_dir=str(out), variant="10x10")
+        code = run_command("sweep-users", config_path=config, out_dir=str(out))
         assert code == EXIT_OK
         table = read_result_csv(out / "fig3.csv")
         assert {r.variant for r in table.rows} == {"none", "10x10"}
-
-    def test_variant_none_rejected(self, tmp_path):
-        assert (
-            run_command("sweep-users", out_dir=str(tmp_path), variant="none")
-            == EXIT_VALIDATION
-        )
 
 
 class TestExitCodes:
@@ -152,8 +146,7 @@ class TestExitCodes:
             ({"config_path": "cfg.json"}, "config_path"),
             ({"out_dir": "results"}, "out_dir"),
             ({"seed": 0}, "seed"),
-            ({"variant": "none"}, "variant"),
-            ({"seed": 3, "variant": "all"}, "seed, variant"),
+            ({"seed": 3, "out_dir": "results"}, "out_dir, seed"),
         ],
     )
     def test_selftest_rejects_options(self, monkeypatch, capsys, options, named):
@@ -165,7 +158,7 @@ class TestExitCodes:
 
     def test_selftest_accepts_options_left_at_their_defaults(self, monkeypatch):
         monkeypatch.setattr(checks, "run", Mock(return_value=0))
-        assert run_command("selftest", None, ".", None, None) == EXIT_OK
+        assert run_command("selftest", None, ".", None) == EXIT_OK
 
     def test_checks_load_only_for_selftest(self):
         src = str(Path(checks.__file__).resolve().parents[1])
@@ -211,6 +204,15 @@ class TestMain:
             main(["selftest", "--seed", "3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-snr", "sweep-users"])
+    def test_variant_flag_is_a_usage_error(self, command, tmp_path, capsys):
+        # The config alone sets the wall: irs.enabled and irs.grid_m.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path), "--variant", "none"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --variant none" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_main_seed_override(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path), "--seed", "3"]) == EXIT_OK

@@ -112,6 +112,31 @@ class TestLoadConfig:
         reloaded, _, _ = load_config(path)
         assert reloaded == scenario
 
+    @pytest.mark.parametrize(
+        "user, fov_of_branch", [(1, (60.0,) * 4), (0, (25.0, 25.0, 40.0, 25.0))]
+    )
+    def test_receivers_a_config_cannot_write_are_refused(self, user, fov_of_branch):
+        # The document has one receiver for every user: dumping user 0's would
+        # reload user 1 with a 25 deg field of view, and one fov_deg cannot
+        # hold a receiver whose branches differ.
+        scenario = build_default_scenario(None)
+        receiver = tuple(
+            dataclasses.replace(branch, fov_half_angle_deg=fov)
+            for branch, fov in zip(default_adr_branches(), fov_of_branch)
+        )
+        users = list(scenario.users)
+        users[user] = dataclasses.replace(users[user], branches=receiver)
+        mixed = dataclasses.replace(scenario, users=tuple(users))
+        with pytest.raises(ValueError) as err:
+            effective_config(mixed)
+        assert str(err.value) == (
+            f"users[{user}] has receiver branches a config cannot write: users.pd_area_m2, "
+            "users.fov_deg, users.branch_azimuths_deg and users.branch_elevation_deg "
+            "set one receiver for every user"
+        )
+        users[user] = scenario.users[user]
+        assert effective_config(dataclasses.replace(scenario, users=tuple(users)))
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

@@ -365,9 +365,9 @@ class TestScenarioCache:
             assert array.flags.writeable is False
             with pytest.raises(ValueError):
                 array[0, 0] = 1
-        assert fresh._direct is None  # replace() starts without the cache
+        assert "direct_table" not in vars(fresh)  # replace() starts without the cache
         assert s == fresh and hash(s) == hash(fresh)
-        assert "_direct" not in repr(s)
+        assert "direct_table" not in repr(s)
 
     def test_replaced_users_get_a_new_table(self):
         s = build_default_scenario({"users": {"k": 4}})
@@ -388,6 +388,7 @@ class TestScenarioCache:
                 for az in (0.0, 90.0, 180.0, 270.0)
             ]
             assert spec.branch_positions() == tuple(want)
+        assert "_positions" not in vars(replace(adt))
         assert replace(adt) == adt and hash(replace(adt)) == hash(adt)
         assert "_positions" not in repr(adt)
         moved = replace(adt, center_pos=Vec3(1.0, 2.0, 3.0))

@@ -609,6 +609,25 @@ class TestSweepSnr:
     def test_deterministic(self):
         checks.determinism(None, len(self.POINTS))  # the same 60..120 dB grid
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"seed": 1},
+            {"seed": 2},
+            {"seed": 3},
+            {"irs": {"wall": "x_min", "grid_m": 10, "center_along_m": 2.0}},
+        ],
+    )
+    def test_full_sweep_holds_every_one_variant_sweep(self, document):
+        # Each variant's rows are computed on their own, so one variant's
+        # sweep is a filter of the full table, bit for bit.
+        s = build_default_scenario(document)
+        full = sweep_snr(s, self.POINTS)
+        for label in ("none", "5x5", "10x10"):
+            rows = [row for row in full.rows if row.variant == label]
+            assert len(rows) == len(self.POINTS)
+            assert sweep_snr(s, self.POINTS, variants=(label,)) == ResultTable.from_rows(rows)
+
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             sweep_snr(build_default_scenario(None), [])

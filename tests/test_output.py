@@ -59,7 +59,7 @@ class TestResultTable:
 
     def test_rows_are_a_cached_view_of_the_block(self):
         table = sample_table()
-        assert table._rows is None
+        assert "rows" not in vars(table)
         assert table.rows is table.rows
         assert table.rows[0] == ResultRow(0.0, "5x5", 2.0e9, (1.5e9, 0.5e9))
         assert table.user_rates_bps.shape == (4, 2)
