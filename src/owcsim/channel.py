@@ -20,12 +20,15 @@ repeat the references' arithmetic step for step and also return the serving
 receiver branch: `los_gain_table` scores every (user, transmitter branch) pair
 at once and equals `los_gain` bitwise; `irs_gain_table` steers and scores every
 (user, `MirrorColumns` mirror) pair, users in blocks, and agrees with
-`irs_gain` to rounding. Both gate the field of view with one helper that
-compares cosines and takes acos only at the edge.
+`irs_gain` to rounding. It calls erf only where a lower bound on the mirror's
+intercept does not clear every photodiode capture; elsewhere the capture is
+the minimum, as it is with the true intercept. Both gate the field of view
+with one helper that compares cosines and takes acos only at the edge.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -194,6 +197,8 @@ class MirrorColumns:
 # temporaries of this many floats then stay under a megabyte.
 _BLOCK_PAIRS = 4096
 
+_ERF_1 = math.erf(1.0)
+
 
 def irs_gain_table(
     ap_branch_positions: Sequence[Vec3],
@@ -215,8 +220,13 @@ def irs_gain_table(
     Dot and cross products are written out by component in the reference's
     order; erf and acos go through `math`, as numpy has no erf and its acos
     may differ from libm's in the last bit. Users sharing receiver branches
-    are scored together, `_BLOCK_PAIRS` pairs at a time, and erf runs only on
-    the pairs that are geometrically valid and seen by some receiver branch.
+    are scored together, `_BLOCK_PAIRS` pairs at a time. erf runs only on the
+    pairs that are geometrically valid, seen by some receiver branch, and
+    whose intercept's lower bound, a product of erf(1) min(a, 1) over the two
+    erf arguments a, does not clear the largest photodiode capture: elsewhere
+    min(intercept, captured) is the capture whatever the intercept, so the
+    gains stay bitwise those erf would give. The capture and the gain are
+    computed once per distinct photodiode radius.
     """
     gain = np.zeros((len(user_positions), len(mirrors)))
     receiver = np.full(gain.shape, -1)
@@ -298,22 +308,40 @@ def _irs_gain_block(
         # zero intercept such a pair keeps here, without calling erf.
         sized = live & (width_eff > 0.0) & (height_eff > 0.0)
 
-        scale = math.sqrt(2.0) / _beam_radius(mirror_range, waist_w0, wavelength)
-        erf_w, erf_h = np.zeros(live.shape), np.zeros(live.shape)
-        erf_w[sized] = _map(math.erf, (scale * (0.5 * width_eff))[sized])
-        erf_h[sized] = _map(math.erf, (scale * (0.5 * height_eff))[sized])
-        # erf is odd, so the reference's erf(a) - erf(-a) is exactly erf(a) + erf(a).
-        intercept = 0.25 * (erf_w + erf_w) * (erf_h + erf_h)
-        del scale, width_eff, height_eff, erf_w, erf_h
-
         w_total = _beam_radius(mirror_range + leg_out, waist_w0, wavelength)
         beam_area = w_total * w_total
+        del leg_out, w_total
+        captured = {
+            radius: -np.expm1(-2.0 * radius * radius / beam_area)
+            for radius in dict.fromkeys(branch.aperture_radius() for branch in branches)
+        }
+        del beam_area
+
+        scale = math.sqrt(2.0) / _beam_radius(mirror_range, waist_w0, wavelength)
+        arg_w, arg_h = scale * (0.5 * width_eff), scale * (0.5 * height_eff)
+        del scale, width_eff, height_eff
+        # erf is concave on [0, inf), so erf(a) >= erf(1) min(a, 1), and the
+        # product of the two bounds is at most the intercept. Where it clears
+        # every capture, with a margin for rounding, min() takes the capture,
+        # and an infinite intercept stands in without calling erf.
+        bound = (_ERF_1 * np.minimum(arg_w, 1.0)) * (_ERF_1 * np.minimum(arg_h, 1.0))
+        most = functools.reduce(np.maximum, captured.values())
+        needs_erf = sized & ~(bound * (1.0 - 1e-9) > most)
+        intercept = np.where(sized, np.inf, 0.0)
+        erf_w, erf_h = _map(math.erf, arg_w[needs_erf]), _map(math.erf, arg_h[needs_erf])
+        # erf is odd, so the reference's erf(a) - erf(-a) is exactly erf(a) + erf(a).
+        intercept[needs_erf] = 0.25 * (erf_w + erf_w) * (erf_h + erf_h)
+        del arg_w, arg_h, bound, most, needs_erf, erf_w, erf_h
+
+        gains = {
+            radius: mirrors.reflectivity * np.minimum(intercept, capture)
+            for radius, capture in captured.items()
+        }
+        del intercept, captured
         best = np.zeros(live.shape)
         index = np.full(live.shape, -1)
         for r, branch in enumerate(branches):
-            radius = branch.aperture_radius()
-            captured = -np.expm1(-2.0 * radius * radius / beam_area)
-            gain = mirrors.reflectivity * np.minimum(intercept, captured)
+            gain = gains[branch.aperture_radius()]
             # Strict: the lowest-index receiver branch wins a tie, as in `irs_gain`.
             better = live & seen[r] & (gain > best)
             best = np.where(better, gain, best)
@@ -433,7 +461,8 @@ def _fov_seen(cosine: np.ndarray, fov: float) -> np.ndarray:
     cos_fov = math.cos(fov)
     seen = cosine > cos_fov
     edge = np.abs(cosine - cos_fov) <= 1e-9
-    seen[edge] = _map(math.acos, np.clip(cosine[edge], -1.0, 1.0)) <= fov
+    if edge.any():
+        seen[edge] = _map(math.acos, np.clip(cosine[edge], -1.0, 1.0)) <= fov
     return seen
 
 

@@ -317,7 +317,8 @@ def effective_config(
     wall. User positions are dumped explicitly, so reloading the result
     rebuilds an identical Scenario regardless of how the original was
     placed. The document holds one receiver for every user, so a scenario
-    whose users' receiver branches differ from it raises ValueError.
+    whose users' receiver branches differ from it raises ValueError; so does
+    a value outside its `SCHEMA` check, naming its key.
     """
     sweep = sweep or SweepSpec()
     output = output or OutputSpec()
@@ -376,6 +377,9 @@ def effective_config(
         )
     document: dict = {}
     for path, value in values.items():
+        # A library-built scenario may hold what no document can, and the
+        # dump must reload: the error names the key now, not at reload.
+        SCHEMA[path][1](path, value)
         section, _, key = path.rpartition(".")
         (document.setdefault(section, {}) if section else document)[key] = value
     return document

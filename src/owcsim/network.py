@@ -757,23 +757,25 @@ def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
     dedicated-beam service. Every placed user is unblocked and takes user 0's
     receiver branches. A user's direct-path row, serving branch and
     mirror-path row depend on that user alone, so all three are computed
-    once for the largest K and sliced.
+    once for the largest K and sliced. A scenario without a mirror wall has
+    nothing to compare, and raises ValueError naming `irs.enabled`.
     """
+    if scenario.irs is None:
+        raise ValueError("sweep-users compares against the mirror wall: irs.enabled must be true")
     ks = [int(k) for k in k_values]
     if not ks:
         raise ValueError("k_values must be nonempty")
     for k in ks:
         if k < 1:
             raise ValueError(f"k_values must be >= 1, got {k}")
-    with_panel = scenario if scenario.irs is not None else with_irs_grid(scenario, 5)
     positions = place_users_uniform(
         max(ks), scenario.room_dims, scenario.rng_seed, scenario.receiver_z
     )
     template = scenario.users[0].branches
     users = tuple(UserSpec(position, False, template) for position in positions)
     variants = (
-        ("none", replace(with_panel, irs=None, users=users)),
-        (with_panel.irs.label(), replace(with_panel, users=users)),
+        ("none", replace(scenario, irs=None, users=users)),
+        (scenario.irs.label(), replace(scenario, users=users)),
     )
     cases = [(label, variant._first_users(k)) for k in ks for label, variant in variants]
     sweep_var = [float(k) for k in ks for _ in variants]

@@ -108,6 +108,14 @@ class TestSweepUsers:
         table = read_result_csv(out / "fig3.csv")
         assert {r.variant for r in table.rows} == {"none", "10x10"}
 
+    def test_no_wall_exits_1_naming_irs_enabled(self, tmp_path, capsys):
+        config = write_json(tmp_path / "cfg.json", {**SMALL_SWEEP, "irs": {"enabled": False}})
+        out = tmp_path / "out"
+        code = main(["sweep-users", "--config", config, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "irs.enabled" in capsys.readouterr().err
+        assert not (out / "fig3.csv").exists() and not (out / "fig3.svg").exists()
+
 
 class TestExitCodes:
     def test_missing_config_is_io_error(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ from owcsim.config import (
     DEFAULT_SNR_POINTS_DB,
     SCHEMA,
     OutputSpec,
+    SweepSpec,
     build_default_scenario,
     effective_config,
     load_config,
@@ -136,6 +137,27 @@ class TestLoadConfig:
         )
         users[user] = scenario.users[user]
         assert effective_config(dataclasses.replace(scenario, users=tuple(users)))
+
+    @pytest.mark.parametrize(
+        "fov_deg, pd_area, k_values, key",
+        [
+            (0.05, 2e-5, (1, 2), "users.fov_deg must be"),
+            (25.0, 0.5, (1, 2), "users.pd_area_m2 must be"),
+            (25.0, 2e-5, (0, 2), "sweep.k_values[0] must be"),
+        ],
+    )
+    def test_values_a_config_cannot_hold_are_refused_by_key(
+        self, fov_deg, pd_area, k_values, key
+    ):
+        # A library-built scenario or sweep can hold values outside SCHEMA's
+        # ranges; the dump checks each one, so no written document fails to load.
+        scenario = build_default_scenario(None)
+        receiver = default_adr_branches(fov_deg=fov_deg, pd_area=pd_area)
+        users = tuple(dataclasses.replace(user, branches=receiver) for user in scenario.users)
+        with pytest.raises(ValueError, match="^" + re.escape(key)):
+            effective_config(
+                dataclasses.replace(scenario, users=users), SweepSpec(k_values=k_values)
+            )
 
     def test_parse_error(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -4,7 +4,8 @@
 `steer_mirror` followed by `irs_gain` gives for that one pair: nonzero gains
 to 1e-12 relative and zeros in exactly the same places. A user's row must
 not depend on which other users share the call or its blocks, and erf runs
-only on pairs some receiver branch sees.
+only on pairs some receiver branch sees whose intercept may be below the
+photodiode's capture.
 """
 
 import math
@@ -12,6 +13,9 @@ import random
 from dataclasses import replace
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import owcsim.channel
 from owcsim.beam import GaussianBeam
@@ -182,6 +186,32 @@ class TestRandomScenarios:
         )
         assert (assert_matrix_matches(s) > 0.0).any()
 
+    def test_narrow_beam_on_large_mirrors_where_the_intercept_binds(self):
+        # A 20 um waist at 350 nm is a few cm wide at the wall, so both erf
+        # arguments exceed 1, and a 0.5 m^2 photodiode still captures more
+        # of the beam than the mirror intercepts.
+        mirrors = build_default_scenario({"irs": {"grid_m": 5}}).irs.elements
+        users = floor_users(random.Random(13), 3)
+        receiver = (AdrBranch(Orientation(0.0, 90.0), 80.0, 0.5),)
+        gain, _ = assert_table_matches(
+            [Vec3(2.5, 2.5, 3.0)] * 3, mirrors, users, [receiver] * 3,
+            waist=2e-5, wavelength=3.5e-7,
+        )
+        assert (gain > 0.0).all()
+
+    @pytest.mark.parametrize("areas", [(2e-5, 0.5), (0.5, 2e-5)])
+    def test_one_receiver_with_photodiodes_of_two_sizes(self, areas):
+        # Only the large photodiode's capture exceeds the intercept: the erf
+        # test must take the largest capture, and each branch its own gain.
+        s = build_default_scenario({"irs": {"grid_m": 5}})
+        receiver = tuple(AdrBranch(Orientation(0.0, 90.0), 80.0, area) for area in areas)
+        users = floor_users(random.Random(5), 3)
+        gain, index = assert_table_matches(
+            [s.adt.branch_positions()[0]] * 3, s.irs.elements, users, [receiver] * 3
+        )
+        assert (index >= 0).any()
+        assert (index[index >= 0] == areas.index(0.5)).all()
+
     def test_receiver_branch_sets_differ_per_user(self):
         base = build_default_scenario({"irs": {"grid_m": 5}})
         branch_sets = (
@@ -238,6 +268,17 @@ class TestEdgeGeometry:
             assert_row_matches(ap, mirrors, user, one_branch())
         row, _ = assert_row_matches(ap, mirrors, Vec3(3.0, 3.0, 1.0), one_branch())
         assert row[0] == 0.0
+
+    def test_zero_projected_height_scores_zero(self):
+        # The transmitter 1e-8 m in front of the wall, straight above the
+        # mirror: the beam meets it edge-on, so its height projects to 0 and
+        # the reference scores 0, though every gate passes. Further off the
+        # wall the same pair scores.
+        center = Vec3(2.0, 5.0, 1.5)
+        for offset, scores in ((1e-8, False), (1e-6, True)):
+            ap, user = Vec3(2.0, 5.0 - offset, 3.0), Vec3(2.0, 5.0 - offset, 0.0)
+            row, _ = assert_row_matches(ap, [wall_mirror(center)], user, one_branch(fov=10.0))
+            assert (row[0] > 0.0) == scores
 
     def test_zero_length_leg(self):
         center = Vec3(2.0, 5.0, 1.5)
@@ -325,10 +366,12 @@ class TestManyUsers:
         assert_table_matches(aps, mirrors, users, branch_sets)
         assert_rows_are_independent(aps, mirrors, users, branch_sets)
 
-    def test_erf_runs_only_on_pairs_a_receiver_sees(self, monkeypatch):
-        # Floor users; one at the centre of mirror 5 (a zero-length leg); one
-        # in line with the transmitter and mirror 0 (degenerate steering); and
-        # one whose only branch sees no reflection arrive (gated pairs).
+    def counted_erf_table(self, monkeypatch, pd_area):
+        """The erf arguments and the table of one call over floor users; one
+        at the centre of mirror 5 (a zero-length leg); one in line with the
+        transmitter and mirror 0 (degenerate steering); and one whose only
+        branch sees no reflection arrive (gated pairs). Every photodiode has
+        area `pd_area`, and the table is checked against the scalar path."""
         mirrors = build_default_scenario({"irs": {"grid_m": 10}}).irs.elements
         ap, first = Vec3(2.5, 2.5, 3.0), mirrors[0].center
         users = [
@@ -337,7 +380,9 @@ class TestManyUsers:
             first + (first - ap),
             Vec3(2.5, 1.0, 0.0),
         ]
-        branch_sets = [default_adr_branches()] * 6 + [one_branch(elevation=90.0, fov=10.0)]
+        branch_sets = [default_adr_branches(pd_area=pd_area)] * 6 + [
+            (AdrBranch(Orientation(0.0, 90.0), 10.0, pd_area),)
+        ]
         aps = [ap] * len(users)
         arguments = []
 
@@ -352,13 +397,43 @@ class TestManyUsers:
             )
         scored = assert_table_matches(aps, mirrors, users, branch_sets)
         assert gain.tobytes() == scored[0].tobytes()
-        # Each pair a receiver branch serves needs both of its erfs for its
-        # nonzero gain, so the count leaves none for a pair scored 0.
+        assert receiver.tobytes() == scored[1].tobytes()
         served = int((receiver >= 0).sum())
         assert (gain[receiver >= 0] > 0.0).all()
-        assert len(arguments) == 2 * served
         assert 0 < served < gain.size // 2
         assert gain[4, 5] == gain[5, 0] == 0.0 and not gain[6].any()
+        return arguments, served
+
+    def test_erf_runs_only_on_pairs_a_receiver_sees(self, monkeypatch):
+        # A 2e-5 m^2 photodiode captures far less of each beam than a
+        # 0.15 x 0.10 m mirror intercepts, so min(intercept, captured) is the
+        # capture on every served pair, and the erf bound shows it for all.
+        arguments, served = self.counted_erf_table(monkeypatch, 2e-5)
+        assert len(arguments) == 0
+
+    def test_erf_runs_on_every_served_pair_where_the_intercept_binds(self, monkeypatch):
+        # A 0.5 m^2 photodiode captures more than the mirror intercepts, so
+        # each served pair needs both of its erfs, and a pair scored 0 none.
+        arguments, served = self.counted_erf_table(monkeypatch, 0.5)
+        assert len(arguments) == 2 * served
+
+
+ERF_1 = math.erf(1.0)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
+@example(0.0)
+@example(5e-324)
+@example(math.nextafter(1.0, 0.0))
+@example(1.0)
+@example(math.nextafter(1.0, 2.0))
+@example(1e-8)
+@example(30.0)
+def test_erf_bound_holds_in_floating_point(a):
+    # The kernel skips erf where erf(1) min(a, 1), which bounds erf(a) from
+    # below as erf is concave on [0, inf), already clears every capture.
+    assert ERF_1 * min(a, 1.0) <= math.erf(a)
 
 
 def test_matrix_without_wall_is_empty():

@@ -860,17 +860,16 @@ class TestSweepUsers:
         for doc, ks in (
             (None, range(1, 9)),
             ({"irs": {"grid_m": 10}, "power": {"max_mirrors_per_user": 6}}, [7, 2, 12, 5]),
-            ({"irs": {"enabled": False}, "seed": 5}, [3, 1, 6]),
+            ({"irs": {"wall": "x_min"}, "seed": 5}, [3, 1, 6]),
         ):
             s = build_default_scenario(doc)
-            with_panel = s if s.irs is not None else with_irs_grid(s, 5)
             positions = place_users_uniform(max(ks), s.room_dims, s.rng_seed, s.receiver_z)
             rows = []
             for k in ks:
                 users = tuple(UserSpec(positions[i], False, s.users[0].branches) for i in range(k))
                 for label, variant in (
-                    ("none", replace(with_panel, irs=None, users=users)),
-                    (with_panel.irs.label(), replace(with_panel, users=users)),
+                    ("none", replace(s, irs=None, users=users)),
+                    (s.irs.label(), replace(s, users=users)),
                 ):
                     rates = [result.rate for result in evaluate_scenario(variant)]
                     rows.append(ResultRow(float(k), label, sum_rate(rates), tuple(rates)))
@@ -879,6 +878,13 @@ class TestSweepUsers:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             sweep_users(build_default_scenario(None), [0, 1])
+
+    def test_no_wall_rejected_naming_irs_enabled(self):
+        # The sweep compares the configured wall against none; with the wall
+        # turned off it has no curve to draw, not the default 5x5 wall's.
+        s = build_default_scenario({"irs": {"enabled": False}})
+        with pytest.raises(ValueError, match=r"irs\.enabled must be true"):
+            sweep_users(s, [1, 2])
 
 
 class TestSimulate:

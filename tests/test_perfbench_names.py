@@ -45,6 +45,14 @@ def test_wall_scale_op_passes_its_check(workloads):
     assert run_one_op(workloads.WallScale(1, grid_m=3, users=2))
 
 
+def test_full_size_wall_scale_op_passes_its_check(workloads):
+    # The benchmark's own size: a 30x30 wall and 16 users, whose check
+    # recomputes 256 sampled (user, mirror) pairs on the scalar path.
+    workload = workloads.WallScale(1)
+    assert (workload.grid_m, workload.users) == (30, 16)
+    assert run_one_op(workload)
+
+
 def test_snr_dense_op_passes_its_check(workloads):
     assert run_one_op(workloads.SnrDense(1, users=4, points_db=(60.0, 70.0, 80.0)))
 
