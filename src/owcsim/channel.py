@@ -22,8 +22,10 @@ at once and equals `los_gain` bitwise; `irs_gain_table` steers and scores every
 (user, `MirrorColumns` mirror) pair, users in blocks, and agrees with
 `irs_gain` to rounding. It calls erf only where a lower bound on the mirror's
 intercept does not clear every photodiode capture; elsewhere the capture is
-the minimum, as it is with the true intercept. Both gate the field of view
-with one helper that compares cosines and takes acos only at the edge.
+the minimum, as it is with the true intercept. Both kernels score the
+captured fraction once per distinct photodiode radius, not once per receiver
+branch, and both gate the field of view with one helper that compares
+cosines and takes acos only at the edge.
 """
 
 from __future__ import annotations
@@ -384,16 +386,19 @@ def los_gain_table(
     receiver = np.full(separation.shape, -1)
     for branches, rows in _branch_groups(user_branches).items():
         gx, gy, gz, area = ux[rows], uy[rows], uz[rows], beam_area[rows]
+        captured = {
+            radius: -_map(math.expm1, -2.0 * radius * radius / area)
+            for radius in dict.fromkeys(branch.aperture_radius() for branch in branches)
+        }
         best = np.zeros(area.shape)
         index = np.full(area.shape, -1)
         for r, branch in enumerate(branches):
             nx, ny, nz = branch.normal().as_tuple()
             seen = _fov_seen(-(gx * nx + gy * ny + gz * nz), branch.fov_half_angle_rad())
-            radius = branch.aperture_radius()
-            captured = -_map(math.expm1, -2.0 * radius * radius / area)
+            capture = captured[branch.aperture_radius()]
             # Strict: the lowest-index receiver branch wins a tie, as in `_best_branch`.
-            better = seen & (captured > best)
-            best = np.where(better, captured, best)
+            better = seen & (capture > best)
+            best = np.where(better, capture, best)
             index = np.where(better, r, index)
         gain[rows], receiver[rows] = best, index
     is_blocked = np.array(blocked, dtype=bool)

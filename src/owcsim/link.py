@@ -7,6 +7,8 @@ whole (users, points) block. Arrays go through the same operations in the same
 order as floats and give bitwise the same elements; a float input returns a
 float. On arrays the steps run in place where the operands allow it (the same
 products and sums), so a large block holds few temporaries at once.
+`sum_rate` of a (users, points) block makes one nonnegativity check and one
+reduce that adds the user rows in order, as the loop over users does.
 """
 
 from __future__ import annotations
@@ -133,12 +135,22 @@ def achievable_rate(gamma: float | np.ndarray, bandwidth: float) -> float | np.n
     return float(bandwidth * np.log2(rate))
 
 
-def sum_rate(rates: Sequence[float] | Sequence[np.ndarray]) -> float | np.ndarray:
+def sum_rate(rates: Sequence[float] | Sequence[np.ndarray] | np.ndarray) -> float | np.ndarray:
     """Sum of per-user rates, or of per-user rate arrays elementwise.
 
     The users are added one at a time, left to right, so a sum of arrays
-    equals the sum of the floats at each element.
+    equals the sum of the floats at each element. A 2-D ndarray is a
+    (users, points) block: one check covers all of it, and one
+    `np.add.reduce` over its rows gives bitwise the loop's sum, as numpy adds
+    the rows of a C-contiguous block in order. A (0, points) block sums to
+    zeros. A negative rate is named as the loop would name it, the first in
+    row-major order.
     """
+    if isinstance(rates, np.ndarray) and rates.ndim == 2:
+        block = np.ascontiguousarray(rates)  # other layouts may add in another order
+        if np.less(block, 0.0).any():
+            raise ValueError(f"rates must be nonnegative, got {_first_negative(block)}")
+        return np.add.reduce(block, axis=0)
     total = 0.0
     for rate in rates:
         if np.less(rate, 0.0).any():

@@ -501,13 +501,17 @@ def _pcg64_uniforms(seed: int, n: int) -> list[float]:
 
 def with_irs_grid(scenario: Scenario, grid_m: int) -> Scenario:
     """Same scenario with the mirror wall rebuilt at a new grid size (the
-    default wall when it has none)."""
+    default wall when it has none). At the wall's own grid size this is the
+    scenario itself, with its cached tables."""
+    if scenario.irs is not None and scenario.irs.grid_m == grid_m:
+        return scenario
     base = scenario.irs or build_irs_panel(scenario.room_dims)
     return replace(scenario, irs=replace(base, grid_m=grid_m))
 
 
 def without_irs(scenario: Scenario) -> Scenario:
-    return replace(scenario, irs=None)
+    """Same scenario without its mirror wall: the scenario itself when it has none."""
+    return scenario if scenario.irs is None else replace(scenario, irs=None)
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +671,14 @@ def evaluate_scenario(scenario: Scenario) -> list[LinkResult]:
 
 
 def _rate_table(
-    cases: Sequence[tuple[str, Scenario]], sweep_var: Sequence[float], p_tot: np.ndarray
+    cases: Sequence[tuple[str, Scenario]],
+    sweep_var: Sequence[float] | np.ndarray,
+    p_tot: np.ndarray,
 ) -> ResultTable:
     """Rates of every (labelled scenario, transmit power) pair, in that order,
     as table rows with the given sweep values; each scenario's users run
-    through `_evaluate` once, over the whole of `p_tot`."""
+    through `_evaluate` once, over the whole of `p_tot`. The counts go to
+    `ResultTable.from_block` as an array, and the labels as one list."""
     points, users = len(p_tot), [len(variant.users) for _, variant in cases]
     # Allocated before the rate path's temporaries, so that the heap can
     # return their memory once they are freed.
@@ -682,8 +689,10 @@ def _rate_table(
         block[c * points : (c + 1) * points, : users[c]] = rates.T
         sums.append(sum_rate(rates))
         del rates  # free it before the next case's temporaries, or the table's copy
-    labels = [label for label, _ in cases for _ in range(points)]
-    counts = [n for n in users for _ in range(points)]
+    labels = []
+    for label, _ in cases:
+        labels += [label] * points
+    counts = np.repeat(users, points)
     return ResultTable.from_block(sweep_var, labels, block, np.concatenate(sums), counts)
 
 
@@ -731,12 +740,18 @@ def sweep_snr(
     All variants see identical users; per-variant gains and assignments are
     power-independent and computed once. The first point, in the order
     given, whose per-beam power exceeds the eye-safety cap is rejected
-    before any rate is computed; then one `_evaluate` call per variant gives
-    every user's rate at every point.
+    before any rate is computed, and before it the first point that is not
+    finite; then one `_evaluate` call per variant gives every user's rate at
+    every point.
     """
     points = [float(db) for db in snr_points_db]
     if not points or not variants:
         raise ValueError("snr_points_db and variants must be nonempty")
+    column = np.array(points)
+    finite = np.isfinite(column)
+    if not finite.all():
+        first = int(finite.argmin())
+        raise ValueError(f"snr_points_db[{first}] must be finite, got {points[first]}")
     p_tot = power_for_transmit_snr(scenario.noise, scenario.responsivity, points)
     over = p_tot > scenario.eye_safety_cap
     if over.any():
@@ -746,7 +761,7 @@ def sweep_snr(
             f"power.eye_safety_cap_w {scenario.eye_safety_cap:.6g} W"
         )
     cases = [(label, _variant_scenario(scenario, label)) for label in variants]
-    return _rate_table(cases, points * len(cases), p_tot)
+    return _rate_table(cases, np.tile(column, len(cases)), p_tot)
 
 
 def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:

@@ -55,28 +55,42 @@ class ResultTable:
     @classmethod
     def from_block(
         cls,
-        sweep_var: Sequence[float],
+        sweep_var: Sequence[float] | np.ndarray,
         variant: Sequence[str],
         user_rates_bps: np.ndarray,
-        sum_rate_bps: Sequence[float],
-        user_counts: Sequence[int] | None = None,
+        sum_rate_bps: Sequence[float] | np.ndarray,
+        user_counts: Sequence[int] | np.ndarray | None = None,
     ) -> ResultTable:
         """Table of rows given as columns and a (rows, users) rate block, each
-        row `user_counts[i]` rates long (all of its width when None). Raises
-        ValueError naming the first rate that is not finite and nonnegative."""
+        row `user_counts[i]` rates long (all of its width when None).
+
+        The columns may be sequences or arrays. One stable `np.lexsort` over
+        the float64 sweep column and an integer code per variant name orders
+        the rows, and the labels are gathered in that order. Raises
+        ValueError for a rate block that is not 2-D, and naming the first
+        rate that is not finite and nonnegative.
+        """
         rates = np.asarray(user_rates_bps, dtype=np.float64)
-        counts = [rates.shape[1]] * len(variant) if user_counts is None else user_counts
-        if not len(sweep_var) == len(variant) == len(rates) == len(sum_rate_bps) == len(counts):
+        if rates.ndim != 2:
+            raise ValueError(
+                f"user_rates_bps must be a (rows, users) block, got shape {rates.shape}"
+            )
+        sweep, sums = (np.asarray(c, dtype=np.float64) for c in (sweep_var, sum_rate_bps))
+        counts = (
+            np.full(len(rates), rates.shape[1], dtype=np.intp) if user_counts is None
+            else np.asarray(user_counts, dtype=np.intp)
+        )
+        if not len(sweep) == len(variant) == len(rates) == len(sums) == len(counts):
             raise ValueError("result columns and rate block differ in row count")
         codes = {name: i for i, name in enumerate(sorted(set(variant)))}
-        order = np.lexsort((sweep_var, [codes[name] for name in variant]))
-        columns = [np.asarray(c, dtype=np.float64) for c in (sweep_var, sum_rate_bps, rates)]
-        arrays = [c[order] for c in (*columns, np.asarray(counts, dtype=np.intp))]
+        code = np.fromiter(map(codes.__getitem__, variant), np.intp, len(variant))
+        order = np.lexsort((sweep, code))
+        arrays = [c[order] for c in (sweep, sums, rates, counts)]
         for array in arrays:
             array.flags.writeable = False
         _check_rates(arrays[2], "user rate at (row {}, user {})")
         _check_rates(arrays[1][:, None], "sum_rate_bps at row {}")
-        return cls(arrays[0], tuple(variant[i] for i in order.tolist()), *arrays[1:])
+        return cls(arrays[0], tuple(map(variant.__getitem__, order.tolist())), *arrays[1:])
 
     @classmethod
     def from_rows(cls, rows: Iterable[ResultRow]) -> ResultTable:

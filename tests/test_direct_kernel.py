@@ -225,6 +225,38 @@ class TestEdgeCases:
         # Of 4 x 4 + 1 (user, receiver branch) arrivals, only the one on the edge.
         assert len(arguments) == 1
 
+    # The odd branches' larger photodiodes see a narrower cone.
+    TWO_SIZES = tuple(
+        replace(branch, pd_area=7e-5, fov_half_angle_deg=30.0) if r % 2 else branch
+        for r, branch in enumerate(default_adr_branches(fov_deg=60.0))
+    )
+
+    def test_photodiodes_of_two_sizes_match_the_reference(self):
+        users = build_default_scenario({"users": {"k": 12}}).users
+        _, receiver = assert_kernel_matches(
+            build_default_scenario(None).adt.branch_positions(),
+            [u.position for u in users],
+            [self.TWO_SIZES] * len(users),
+            [False] * len(users),
+        )
+        # Both sizes serve some pair: the small photodiodes sit on even branches.
+        assert {r % 2 for r in receiver.ravel().tolist() if r >= 0} == {0, 1}
+
+    @pytest.mark.parametrize("branches", [default_adr_branches(), TWO_SIZES], ids=["one", "two"])
+    def test_expm1_runs_once_per_distinct_photodiode_radius(self, monkeypatch, branches):
+        aps = build_default_scenario(None).adt.branch_positions()
+        positions = [u.position for u in build_default_scenario({"users": {"k": 6}}).users]
+        radii = {branch.aperture_radius() for branch in branches}
+        calls = []
+
+        def counted_expm1(x, _expm1=math.expm1):
+            calls.append(x)
+            return _expm1(x)
+
+        monkeypatch.setattr(math, "expm1", counted_expm1)
+        los_gain_table(aps, positions, [branches] * 6, [False] * 6, WAIST, WAVELENGTH)
+        assert len(calls) == len(positions) * len(aps) * len(radii)
+
     def test_equal_receiver_branches_tie_to_the_lowest_index(self):
         twin = AdrBranch(Orientation(0.0, 90.0), 80.0, 2e-5)
         user = Vec3(2.4, 2.6, 0.0)

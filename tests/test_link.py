@@ -263,3 +263,46 @@ class TestLinkResult:
         LinkResult(1e-6, 1e-13, 2.0, 1e9)
         with pytest.raises(ValueError, match="sinr"):
             LinkResult(1e-6, 1e-13, -2.0, 1e9)
+
+
+class TestSumRateBlock:
+    """A (users, points) ndarray is checked once and reduced over its rows;
+    lists of floats or arrays run the loop over users, the reference here."""
+
+    def block(self, seed, users, points):
+        # Rates over twelve decades, so that adding in another order changes bits.
+        return 10.0 ** np.random.default_rng(seed).uniform(0.0, 12.0, (users, points))
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda b: b,
+            np.asfortranarray,
+            lambda b: b[::2, 1::3],
+        ],
+        ids=["c-order", "fortran-order", "strided-slice"],
+    )
+    def test_block_equals_the_row_loop_bitwise(self, layout):
+        rates = layout(self.block(47, 64, 1201))
+        got = sum_rate(rates)
+        want = sum_rate(list(rates))
+        assert got.dtype == np.float64 and got.shape == (rates.shape[1],)
+        assert got.tobytes() == want.tobytes()
+
+    def test_300_users_equal_the_row_loop_bitwise(self):
+        rates = self.block(48, 300, 257)
+        assert sum_rate(rates).tobytes() == sum_rate(list(rates)).tobytes()
+
+    def test_no_users_sum_to_zeros(self):
+        got = sum_rate(np.zeros((0, 5)))
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.zeros(5).tobytes()
+
+    def test_negative_named_as_the_list_of_arrays_names_it(self):
+        rates = np.array([[1e9, 2e9, 3e9], [4e9, -5.0, -1.0], [-7.0, 1e9, 1e9]])
+        for block in (rates, np.asfortranarray(rates)):
+            with pytest.raises(ValueError) as listed:
+                sum_rate(list(block))
+            with pytest.raises(ValueError) as blocked:
+                sum_rate(block)
+            assert str(blocked.value) == str(listed.value) == "rates must be nonnegative, got -5.0"

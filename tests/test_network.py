@@ -31,6 +31,7 @@ from owcsim.network import (
     sweep_users,
     transmit_snr_db,
     with_irs_grid,
+    without_irs,
 )
 
 from owcsim.output import ResultRow, ResultTable
@@ -548,6 +549,30 @@ class TestStructure:
         assert bigger.irs.panel_center == s.irs.panel_center
         assert bigger.irs.element_size == s.irs.element_size
 
+    def test_a_variant_equal_to_its_scenario_is_that_scenario(self):
+        walled = build_default_scenario({"irs": {"grid_m": 10}})
+        bare = build_default_scenario({"irs": {"enabled": False}})
+        assert with_irs_grid(walled, 10) is walled
+        assert without_irs(bare) is bare
+        assert with_irs_grid(walled, 5) is not walled
+        assert without_irs(walled) == replace(walled, irs=None)
+        assert with_irs_grid(bare, 10) == replace(bare, irs=walled.irs)
+
+    @pytest.mark.parametrize("document", [{"irs": {"grid_m": 10}}, {"irs": {"enabled": False}}])
+    def test_sweep_snr_of_a_shared_variant_equals_rebuilt_variants(self, monkeypatch, document):
+        s = build_default_scenario(document)
+        s.mirror_table  # the variant that is `s` reads these cached tables
+        points = [60.0, 75.5, 90.0, 61.0]
+        shared = sweep_snr(s, points)
+
+        def rebuilt_grid(scenario, grid_m):
+            base = scenario.irs or build_irs_panel(scenario.room_dims)
+            return replace(scenario, irs=replace(base, grid_m=grid_m))
+
+        monkeypatch.setattr(owcsim.network, "without_irs", lambda sc: replace(sc, irs=None))
+        monkeypatch.setattr(owcsim.network, "with_irs_grid", rebuilt_grid)
+        assert shared == sweep_snr(replace(s), points)
+
     def test_serving_branches_cached_per_scenario(self):
         s = build_default_scenario({"users": {"k": 4}})
         fresh = replace(s)
@@ -656,6 +681,14 @@ class TestSweepSnr:
         s = build_default_scenario(None)  # cap 1.0 W; 130 dB needs ~2.4 W
         with pytest.raises(ValueError, match="eye_safety_cap"):
             sweep_snr(s, [130.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    def test_non_finite_point_named_before_the_cap(self, bad):
+        # 160 dB, at index 1, is over the cap; the input itself is named first.
+        s = build_default_scenario(None)
+        with pytest.raises(ValueError) as err:
+            sweep_snr(s, [70.0, 160.0, bad, 80.0, bad])
+        assert str(err.value) == f"snr_points_db[2] must be finite, got {bad}"
 
 
 def _point_links(variant, gains, p_tot):

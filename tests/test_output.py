@@ -81,6 +81,33 @@ class TestResultTable:
         assert table.sweep_var.tolist() == [7.0, 5.0, 5.0, 7.0]
         assert table.sum_rate_bps.tolist() == [3.0, 2.0, 4.0, 1.0]
 
+    def test_array_columns_equal_list_columns(self):
+        # Interleaved variants with repeated sweep values: the stable order
+        # keeps each (variant, sweep_var) tie in input order.
+        sweep = [7.0, 5.0, 7.0, 5.0, 7.0, 5.0, 5.0]
+        labels = ["b", "a", "a", "b", "b", "a", "b"]
+        block = np.arange(14.0).reshape(7, 2)
+        sums = [float(i) for i in range(7)]
+        counts = [2, 1, 2, 2, 1, 2, 2]
+        listed = ResultTable.from_block(sweep, labels, block, sums, counts)
+        arrays = ResultTable.from_block(
+            np.array(sweep), tuple(labels), block, np.array(sums), np.array(counts)
+        )
+        assert arrays == listed
+        assert listed.variant == ("a", "a", "a", "b", "b", "b", "b")
+        assert listed.sweep_var.tolist() == [5.0, 5.0, 7.0, 5.0, 5.0, 7.0, 7.0]
+        assert listed.sum_rate_bps.tolist() == [1.0, 5.0, 2.0, 3.0, 6.0, 0.0, 4.0]
+        assert listed.user_counts.dtype == np.intp
+        one_variant = ResultTable.from_block(np.array(sweep), ["a"] * 7, block, np.array(sums))
+        assert one_variant.sum_rate_bps.tolist() == [1.0, 3.0, 5.0, 6.0, 0.0, 2.0, 4.0]
+        assert one_variant.user_counts.tolist() == [2] * 7
+
+    @pytest.mark.parametrize("shape", [(3,), (), (1, 3, 1)])
+    def test_rate_block_must_be_2d(self, shape):
+        with pytest.raises(ValueError) as err:
+            ResultTable.from_block([0.0], ["none"], np.ones(shape), [1.0])
+        assert str(err.value) == f"user_rates_bps must be a (rows, users) block, got shape {shape}"
+
     def test_equality_is_bitwise(self):
         assert sample_table() == sample_table()
         rows = list(sample_table().rows)

@@ -57,6 +57,14 @@ def test_snr_dense_op_passes_its_check(workloads):
     assert run_one_op(workloads.SnrDense(1, users=4, points_db=(60.0, 70.0, 80.0)))
 
 
+def test_full_size_snr_dense_op_passes_its_check(workloads):
+    # The benchmark's own size: 64 users at 1,201 SNR points, whose check
+    # reads every row and requires each user's rate to rise with the SNR.
+    workload = workloads.SnrDense(1)
+    assert (workload.users, len(workload.points_db)) == (64, 1201)
+    assert run_one_op(workload)
+
+
 def test_paper_op_passes_its_check(workloads, tmp_path):
     src = Path(owcsim.__file__).resolve().parents[1]
     assert run_one_op(workloads.Paper(1, tmp_path / "out", src, in_process=True))
