@@ -12,42 +12,35 @@ total folded distance, with the finite mirror entering as a multiplicative
 intercept fraction. Receiver combining is select-best across the
 angle-diversity receiver branches.
 
-Both paths have a scalar reference and a numpy kernel. The references work
-on `Vec3` values: `los_gain` scores one (transmitter branch, user) pair, and
-`irs_gain` one (transmitter branch, mirror, user) triple, taking a mirror
-already steered for it. The network evaluation runs only the kernels, which
-repeat the references' arithmetic step for step and also return the serving
-receiver branch: `los_gain_table` scores every (user, transmitter branch) pair
-at once and equals `los_gain` bitwise; `irs_gain_table` steers and scores every
-(user, `MirrorColumns` mirror) pair, users in blocks, and agrees with
-`irs_gain` to rounding. It calls erf only where a lower bound on the mirror's
-intercept does not clear every photodiode capture; elsewhere the capture is
-the minimum, as it is with the true intercept. Both kernels score the
-captured fraction once per distinct photodiode radius, not once per receiver
-branch, and both gate the field of view with one helper that compares
-cosines and takes acos only at the edge.
+Both paths have a numpy kernel, and a scalar reference in
+`owcsim.reference` (`los_gain` for one (transmitter branch, user) pair,
+`irs_gain` for one (transmitter branch, mirror, user) triple) that the
+network evaluation never runs. The kernels repeat the references'
+arithmetic step for step and also return the serving receiver branch:
+`los_gain_table` scores every (user, transmitter branch) pair at once and
+equals `los_gain` bitwise; `irs_gain_table` steers and scores every (user,
+`MirrorColumns` mirror) pair, users in blocks, and agrees with `irs_gain` to
+rounding. It calls erf only where a lower bound on the mirror's intercept
+does not clear every photodiode capture; elsewhere the capture is the
+minimum, as it is with the true intercept. Both kernels score the captured
+fraction once per distinct photodiode radius, not once per receiver branch,
+and both gate the field of view with one helper that compares cosines and
+takes acos only at the edge.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .beam import GaussianBeam, power_through_circle, power_through_rectangle
-from .geometry import (
-    MirrorElement,
-    Orientation,
-    Vec3,
-    direction_from_orientation,
-    fov_gate,
-    incidence_angle,
-    mirror_plane_axes,
-    specular_reflect,
-)
+from .geometry import Orientation, Vec3, direction_from_orientation
+
+if TYPE_CHECKING:
+    from .reference import MirrorElement
 
 
 @dataclass(frozen=True)
@@ -99,75 +92,6 @@ class ChannelGain:
             raise ValueError("q must equal h_los + h_nlos exactly")
 
 
-def los_gain(
-    ap_branch_pos: Vec3,
-    user_pos: Vec3,
-    user_branches: Sequence[AdrBranch],
-    beam: GaussianBeam,
-    blocked: bool,
-) -> tuple[float, int | None]:
-    """Best-branch direct-path gain and the index of the serving branch.
-
-    The beam is aimed at the user, so the photodiode sits on the beam axis
-    and the captured fraction follows the circular-aperture form, gated by
-    each branch's field of view. Returns (0.0, None) when the path is
-    blocked or no branch sees the arrival direction.
-    """
-    if blocked:
-        return 0.0, None
-    separation = ap_branch_pos.distance_to(user_pos)
-    arrival = (user_pos - ap_branch_pos).normalized()
-    unit_beam = replace(beam, power_pt=1.0)
-    return _best_branch(unit_beam, separation, arrival, user_branches)
-
-
-def irs_gain(
-    ap_branch_pos: Vec3,
-    mirror: MirrorElement,
-    user_pos: Vec3,
-    user_branches: Sequence[AdrBranch],
-    beam: GaussianBeam,
-) -> tuple[float, int | None]:
-    """Best-branch mirror-path gain for a beam aimed at the mirror centre.
-
-    The intercept fraction is the power captured by the mirror rectangle
-    projected onto the transverse plane at the mirror range. The reflected
-    field is the same beam continued to the folded distance d1 + d2, and the
-    photodiode capture is clipped so it never exceeds what the mirror
-    intercepted. The mirror is expected to be steered for this geometry so
-    the reflected axis passes through the user.
-    """
-    to_mirror = mirror.center - ap_branch_pos
-    mirror_range = to_mirror.norm()
-    u_in = to_mirror.normalized()
-    leg_out = user_pos - mirror.center
-    # Either endpoint behind the mirror plane cannot couple through it.
-    if leg_out.dot(mirror.normal) <= 0.0:
-        return 0.0, None
-    if (ap_branch_pos - mirror.center).dot(mirror.normal) <= 0.0:
-        return 0.0, None
-    arrival = specular_reflect(u_in, mirror.normal)
-    width_axis, height_axis = mirror_plane_axes(mirror.normal)
-    width_eff = mirror.width * _projected_scale(width_axis, u_in)
-    height_eff = mirror.height * _projected_scale(height_axis, u_in)
-    if width_eff <= 0.0 or height_eff <= 0.0:
-        return 0.0, None
-    unit_beam = replace(beam, power_pt=1.0)
-    intercept = power_through_rectangle(unit_beam, width_eff, height_eff, mirror_range)
-    total_range = mirror_range + leg_out.norm()
-
-    best_gain = 0.0
-    best_index: int | None = None
-    for index, branch in enumerate(user_branches):
-        if not fov_gate(incidence_angle(arrival, branch.normal()), branch.fov_half_angle_rad()):
-            continue
-        captured = power_through_circle(unit_beam, branch.aperture_radius(), total_range)
-        gain = mirror.reflectivity * min(intercept, captured)
-        if gain > best_gain:
-            best_gain, best_index = gain, index
-    return best_gain, best_index
-
-
 @dataclass(frozen=True, eq=False)
 class MirrorColumns:
     """A wall of mirrors as columns: centre coordinates, sizes, reflectivity.
@@ -212,9 +136,10 @@ def irs_gain_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mirror-path gain to every user via every mirror, each mirror steered per pair.
 
-    Vectorised form of `steer_mirror` followed by `irs_gain` for a unit-power
-    beam of the given waist and wavelength, with user i served from the
-    transmitter branch at `ap_branch_positions[i]`. Returns two (users,
+    Vectorised form of `reference.steer_mirror` followed by
+    `reference.irs_gain` for a unit-power beam of the given waist and
+    wavelength, with user i served from the transmitter branch at
+    `ap_branch_positions[i]`. Returns two (users,
     mirrors) arrays: the gain of mirror j steered to bounce that branch onto
     user i, and the serving receiver branch (-1 for None). Pairs the reference
     scores 0 (zero-length leg, degenerate steering, an endpoint behind the
@@ -376,6 +301,8 @@ def los_gain_table(
     if bad.any():
         # Rebuild the first failing beam, in the reference's loop order, on the
         # scalar path, so the error is the reference's own.
+        from .beam import GaussianBeam
+
         i, b = np.argwhere(bad)[0].tolist()
         origin = ap_branch_positions[b]
         GaussianBeam(waist_w0, wavelength, 1.0, origin, (user_positions[i] - origin).normalized())
@@ -396,7 +323,7 @@ def los_gain_table(
             nx, ny, nz = branch.normal().as_tuple()
             seen = _fov_seen(-(gx * nx + gy * ny + gz * nz), branch.fov_half_angle_rad())
             capture = captured[branch.aperture_radius()]
-            # Strict: the lowest-index receiver branch wins a tie, as in `_best_branch`.
+            # Strict: the lowest-index receiver branch wins a tie, as in `reference._best_branch`.
             better = seen & (capture > best)
             best = np.where(better, capture, best)
             index = np.where(better, r, index)
@@ -422,23 +349,6 @@ def aim(
         # `GaussianBeam` would.
         bad = ~(np.abs(np.sqrt(ux * ux + uy * uy + uz * uz) - 1.0) <= 1e-9)
     return separation, (ux, uy, uz), bad
-
-
-def _best_branch(
-    unit_beam: GaussianBeam,
-    total_distance: float,
-    arrival: Vec3,
-    branches: Sequence[AdrBranch],
-) -> tuple[float, int | None]:
-    best_gain = 0.0
-    best_index: int | None = None
-    for index, branch in enumerate(branches):
-        if not fov_gate(incidence_angle(arrival, branch.normal()), branch.fov_half_angle_rad()):
-            continue
-        captured = power_through_circle(unit_beam, branch.aperture_radius(), total_distance)
-        if captured > best_gain:
-            best_gain, best_index = captured, index
-    return best_gain, best_index
 
 
 def coordinates(points: Sequence[Vec3]) -> np.ndarray:
@@ -482,6 +392,15 @@ def _map(fn, values: np.ndarray) -> np.ndarray:
     return flat.reshape(values.shape)
 
 
-def _projected_scale(axis: Vec3, beam_dir: Vec3) -> float:
-    along = axis.dot(beam_dir)
-    return math.sqrt(max(0.0, 1.0 - along * along))
+# perfbench (tracing.py, workloads.py) still looks these names up on this
+# module; ROADMAP item 1 deletes these forwarders.
+def __getattr__(name: str):
+    if name in ("irs_gain", "los_gain"):
+        from . import reference
+
+        return getattr(reference, name)
+    if name in ("power_through_rectangle", "power_through_circle"):
+        from . import beam
+
+        return getattr(beam, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,9 +15,8 @@ from dataclasses import replace
 from itertools import permutations
 
 from .beam import GaussianBeam, power_through_circle, power_through_rectangle, waist_at
-from .channel import irs_gain, los_gain
 from .config import build_default_scenario
-from .geometry import MirrorElement, Vec3, incidence_angle, specular_reflect, steer_mirror
+from .geometry import Vec3
 from .network import (
     assign_mirrors,
     default_adr_branches,
@@ -25,6 +24,14 @@ from .network import (
     power_for_transmit_snr,
     sweep_snr,
     without_irs,
+)
+from .reference import (
+    MirrorElement,
+    incidence_angle,
+    irs_gain,
+    los_gain,
+    specular_reflect,
+    steer_mirror,
 )
 
 

@@ -22,8 +22,9 @@ A Scenario computes two gain tables once, each holding gains and serving
 receiver branches: `direct_table` (one `channel.los_gain_table` call) and
 `mirror_table` (one `channel.irs_gain_table` call over every user, each from
 its serving transmitter branch, and the wall's `MirrorColumns`). Evaluation
-reads them and runs no scalar gain code; the scalar `channel.los_gain`, `channel.irs_gain`
-and `serving_branch_index` are the reference the kernels are tested against.
+reads them and runs no scalar gain code: the scalar `los_gain`, `irs_gain`
+and `serving_branch_index` that the kernels are tested against live in
+`owcsim.reference`, which no evaluation module imports.
 
 An `Assignment` is an owner vector, the user holding each mirror or -1.
 With no per-user cap each mirror goes to its best user, the lowest index on
@@ -41,32 +42,20 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .beam import GaussianBeam
-
-# `irs_gain` and `steer_mirror` are unused here: the benchmark tracer
-# (perfbench/tracing.py) wraps them, like `los_gain`, `serving_branch_index`,
-# `irs_gain_matrix`, `assign_mirrors` and `evaluate_user`, by name on this module.
 from .channel import (
     AdrBranch,
     ChannelGain,
     MirrorColumns,
     aim,
     coordinates,
-    irs_gain,
     irs_gain_table,
-    los_gain,
     los_gain_table,
 )
-from .geometry import (
-    MirrorElement,
-    Orientation,
-    Vec3,
-    steer_mirror,
-)
+from .geometry import Orientation, Vec3
 from .link import (
     LinkResult,
     NoiseParams,
@@ -77,6 +66,9 @@ from .link import (
     thermal_noise_variance,
 )
 from .output import ResultTable
+
+if TYPE_CHECKING:
+    from .reference import MirrorElement
 
 # Each wall: its inward normal, the axis its width runs along (0 = x, 1 = y),
 # and where its plane sits on the other horizontal axis, as a fraction of
@@ -160,6 +152,8 @@ class IrsPanel:
     @cached_property
     def elements(self) -> tuple[MirrorElement, ...]:
         """The mirrors as `MirrorElement` values for the scalar reference, built on first read."""
+        from .reference import MirrorElement
+
         c, inward = self.columns, _WALLS[self.wall][0]
         width, height = self.element_size
         return tuple(
@@ -518,28 +512,6 @@ def without_irs(scenario: Scenario) -> Scenario:
 # Serving-branch choice, gain matrix, and assignment
 
 
-def serving_branch_index(scenario: Scenario, user_index: int) -> int:
-    """Transmitter branch serving this user.
-
-    The branch with the best unblocked direct gain wins; when every branch
-    is blocked or gated out, fall back to the branch best placed for the
-    mirror wall (or nearest the user when there is none).
-    """
-    user = scenario.users[user_index]
-    positions = scenario.adt.branch_positions()
-    best_index: int | None = None
-    best_gain = 0.0
-    for index, pos in enumerate(positions):
-        axis = (user.position - pos).normalized()
-        beam = GaussianBeam(scenario.adt.beam_waist, scenario.adt.beam_wavelength, 1.0, pos, axis)
-        gain, _ = los_gain(pos, user.position, user.branches, beam, user.blocked)
-        if gain > best_gain:
-            best_gain, best_index = gain, index
-    if best_index is not None:
-        return best_index
-    return _fallback_branch(scenario, user_index)
-
-
 def _fallback_branch(scenario: Scenario, user_index: int) -> int:
     """Branch for a user no branch reaches directly: the one nearest the
     mirror wall's centre, or the user when there is no wall."""
@@ -709,10 +681,26 @@ def power_for_transmit_snr(
     noise: NoiseParams, responsivity: float, snr_db: float | Sequence[float]
 ) -> float | np.ndarray:
     """Transmit power that realises a given transmit SNR in dB: a float for
-    one SNR, a float64 array for a sequence of them."""
+    one SNR, a float64 array for a sequence of them. A point above about
+    3,082 dB, whose power ratio overflows a float, raises ValueError naming
+    it: `snr_db`, or `snr_points_db[i]` of a sequence."""
     scalar = np.ndim(snr_db) == 0
-    # Python's ** per point: numpy's power differs from libm's in the last bit.
-    ratio = np.array([10.0 ** (db / 10.0) for db in ([snr_db] if scalar else snr_db)])
+    points = [snr_db] if scalar else snr_db
+    try:
+        # Python's ** per point: numpy's power differs from libm's in the last bit.
+        ratio = np.array([10.0 ** (db / 10.0) for db in points])
+    except OverflowError:
+        # Name the first point that overflows; the common path stays one comprehension.
+        for i, db in enumerate(points):
+            try:
+                10.0 ** (db / 10.0)
+            except OverflowError:
+                name = "snr_db" if scalar else f"snr_points_db[{i}]"
+                raise ValueError(
+                    f"{name} must be at most about 3082 dB, whose power ratio "
+                    f"10^(dB/10) fits a float, got {db}"
+                ) from None
+        raise
     power = np.sqrt(ratio * thermal_noise_variance(noise)) / responsivity
     return float(power[0]) if scalar else power
 
@@ -741,7 +729,7 @@ def sweep_snr(
     power-independent and computed once. The first point, in the order
     given, whose per-beam power exceeds the eye-safety cap is rejected
     before any rate is computed, and before it the first point that is not
-    finite; then one `_evaluate` call per variant gives every user's rate at
+    finite, then the first whose power ratio overflows a float; then one `_evaluate` call per variant gives every user's rate at
     every point.
     """
     points = [float(db) for db in snr_points_db]
@@ -802,3 +790,13 @@ def simulate_scenario(scenario: Scenario) -> ResultTable:
     label = "none" if scenario.irs is None else scenario.irs.label()
     snr_db = transmit_snr_db(scenario.noise, scenario.responsivity, scenario.p_tot)
     return _rate_table([(label, scenario)], [snr_db], np.array([scenario.p_tot]))
+
+
+# perfbench (tracing.py, workloads.py) still looks the scalar reference up on
+# this module; ROADMAP item 1 deletes this forwarder.
+def __getattr__(name: str):
+    if name in ("irs_gain", "los_gain", "steer_mirror", "serving_branch_index"):
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,9 +6,9 @@ import pytest
 
 from owcsim import checks
 from owcsim.beam import GaussianBeam, power_through_circle, waist_at
-from owcsim.channel import AdrBranch, ChannelGain, irs_gain, los_gain
+from owcsim.channel import AdrBranch, ChannelGain
 from owcsim.config import build_default_scenario
-from owcsim.geometry import MirrorElement, Orientation, Vec3, steer_mirror
+from owcsim.geometry import Orientation, Vec3
 from owcsim.network import (
     Assignment,
     assign_mirrors,
@@ -17,6 +17,7 @@ from owcsim.network import (
     irs_gain_matrix,
     scenario_assignment,
 )
+from owcsim.reference import MirrorElement, irs_gain, los_gain, steer_mirror
 
 from oracles import (
     beam_radius,

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -182,7 +183,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["sweep-snr", "sweep-users", "simulate", None])
     def test_a_run_never_imports_numpy_random(self, command, tmp_path):
         # Seeded placement draws numpy's stream without `numpy.random`, whose
-        # import would cost a CLI run more than its own compute.
+        # import would cost a CLI run more than its own compute. Nor does a
+        # run load the scalar reference, the beam closed forms it alone uses,
+        # or the selftest checks.
         src = str(Path(checks.__file__).resolve().parents[1])
         if command is None:
             run = "import owcsim; owcsim.parse_config({}); code = 0"
@@ -193,13 +196,127 @@ class TestExitCodes:
                 "except SystemExit as stop:\n    code = stop.code"
             )
         probe = f"import sys; sys.path.insert(0, {src!r})\n{run}\n"
+        unused = ("numpy.random", "owcsim.reference", "owcsim.beam", "owcsim.checks")
         done = subprocess.run(
-            [sys.executable, "-c", probe + "print(code, 'numpy.random' in sys.modules)"],
+            [sys.executable, "-c", probe + f"print(code, *(m in sys.modules for m in {unused}))"],
             capture_output=True,
             text=True,
             check=True,
         )
-        assert done.stdout.splitlines()[-1].split() == ["0", "False"]
+        assert done.stdout.splitlines()[-1].split() == ["0"] + ["False"] * len(unused)
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter that imports owcsim from this source tree."""
+    src = str(Path(checks.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+
+
+class TestLazyPackage:
+    def test_import_owcsim_loads_no_submodule(self):
+        done = run_python("import owcsim; print(sorted(m for m in sys.modules if 'owcsim' in m))")
+        assert done.stdout.split() == ["['owcsim']"]
+
+    def test_every_exported_name_resolves(self):
+        import owcsim
+
+        assert owcsim.__all__ and len(set(owcsim.__all__)) == len(owcsim.__all__)
+        for name in owcsim.__all__:
+            value = getattr(owcsim, name)
+            assert getattr(value, "__name__", name) == name
+            assert name in dir(owcsim)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            owcsim.no_such_name
+
+    def test_scalar_reference_names_still_resolve_on_their_old_modules(self):
+        import owcsim.channel
+        import owcsim.geometry
+        import owcsim.network
+        from owcsim import beam, reference
+
+        for module, name, owner in (
+            (owcsim.channel, "irs_gain", reference),
+            (owcsim.channel, "los_gain", reference),
+            (owcsim.channel, "power_through_rectangle", beam),
+            (owcsim.channel, "power_through_circle", beam),
+            (owcsim.geometry, "steer_mirror", reference),
+            (owcsim.network, "irs_gain", reference),
+            (owcsim.network, "los_gain", reference),
+            (owcsim.network, "steer_mirror", reference),
+            (owcsim.network, "serving_branch_index", reference),
+        ):
+            assert getattr(module, name) is getattr(owner, name)
+        with pytest.raises(AttributeError):
+            owcsim.geometry.MirrorElement
+
+
+class TestProcessEntry:
+    """`python -m owcsim` in a fresh process: the entry imports with the
+    collector off, freezes that heap, and runs the CLI with it back on."""
+
+    def python_m(self, *args: str) -> subprocess.CompletedProcess:
+        src = str(Path(checks.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "owcsim", *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
+    def test_sweep_snr_writes_what_run_command_writes(self, tmp_path, capsys):
+        config = write_json(tmp_path / "cfg.json", SMALL_SWEEP)
+        child, here = tmp_path / "child", tmp_path / "here"
+        done = self.python_m("sweep-snr", "--config", config, "--out", str(child))
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.startswith("sweep-snr: 6 rows -> ")
+        assert done.stderr == ""
+        assert run_command("sweep-snr", config_path=config, out_dir=str(here)) == EXIT_OK
+        assert done.stdout == capsys.readouterr().out.replace(str(here), str(child))
+        names = sorted(path.name for path in here.iterdir())
+        assert names == ["fig2.csv", "fig2.svg", "fig2_report.json"]
+        assert sorted(path.name for path in child.iterdir()) == names
+        for name in names:
+            assert (child / name).read_bytes() == (here / name).read_bytes(), name
+
+    def test_unknown_config_key_exits_1_naming_it(self, tmp_path):
+        config = write_json(tmp_path / "cfg.json", {"irs": {"bogus": 1}})
+        done = self.python_m("sweep-snr", "--config", config, "--out", str(tmp_path / "out"))
+        assert done.returncode == EXIT_VALIDATION
+        assert "irs.bogus" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_out_under_a_regular_file_exits_2(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        done = self.python_m("sweep-snr", "--out", str(blocker / "out"))
+        assert done.returncode == EXIT_IO
+        assert "I/O error" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_the_run_starts_with_the_collector_on_and_the_import_heap_frozen(self):
+        # `main` imports `cli.main` when it runs, so a stand-in reports the
+        # collector's state at the moment the command would start.
+        done = run_python(
+            "import gc, owcsim.__main__ as entry, owcsim.cli\n"
+            "owcsim.cli.main = lambda: print(gc.isenabled(), gc.get_freeze_count() > 0) or 3\n"
+            "print(gc.isenabled(), gc.get_freeze_count())\n"
+            "print(entry.main())"
+        )
+        assert done.stdout.split() == ["True", "0", "True", "True", "3"]
+
+    def test_main_and_run_command_leave_the_collector_alone(self, tmp_path, capsys):
+        import gc
+
+        frozen = gc.get_freeze_count()
+        assert main(["simulate", "--out", str(tmp_path)]) == EXIT_OK
+        assert run_command("simulate", out_dir=str(tmp_path)) == EXIT_OK
+        assert gc.isenabled() and gc.get_freeze_count() == frozen
+        capsys.readouterr()
 
 
 class TestMain:

@@ -15,15 +15,15 @@ import numpy as np
 import pytest
 
 from owcsim.beam import GaussianBeam
-from owcsim.channel import AdrBranch, los_gain, los_gain_table
+from owcsim.channel import AdrBranch, los_gain_table
 from owcsim.config import build_default_scenario
-from owcsim.geometry import GeometryError, Orientation, Vec3, incidence_angle
+from owcsim.geometry import GeometryError, Orientation, Vec3
 from owcsim.network import (
     UserSpec,
     default_adr_branches,
     evaluate_scenario,
-    serving_branch_index,
 )
+from owcsim.reference import incidence_angle, los_gain, serving_branch_index
 
 WAIST = 5e-6
 WAVELENGTH = 1.55e-6

@@ -19,22 +19,21 @@ from hypothesis import strategies as st
 
 import owcsim.channel
 from owcsim.beam import GaussianBeam
-from owcsim.channel import AdrBranch, MirrorColumns, irs_gain, irs_gain_table
+from owcsim.channel import AdrBranch, MirrorColumns, irs_gain_table
 from owcsim.config import build_default_scenario
-from owcsim.geometry import (
-    GeometryError,
-    MirrorElement,
-    Orientation,
-    Vec3,
-    incidence_angle,
-    specular_reflect,
-    steer_mirror,
-)
+from owcsim.geometry import GeometryError, Orientation, Vec3
 from owcsim.network import (
     UserSpec,
     default_adr_branches,
     irs_gain_matrix,
+)
+from owcsim.reference import (
+    MirrorElement,
+    incidence_angle,
+    irs_gain,
     serving_branch_index,
+    specular_reflect,
+    steer_mirror,
 )
 
 RTOL = 1e-12

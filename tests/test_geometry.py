@@ -5,12 +5,9 @@ import pytest
 
 from owcsim import checks
 from owcsim.checks import rand_unit
-from owcsim.geometry import (
-    GeometryError,
+from owcsim.geometry import GeometryError, Orientation, Vec3, direction_from_orientation
+from owcsim.reference import (
     MirrorElement,
-    Orientation,
-    Vec3,
-    direction_from_orientation,
     fov_gate,
     incidence_angle,
     mirror_plane_axes,

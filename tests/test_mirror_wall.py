@@ -15,7 +15,7 @@ import owcsim.channel
 import owcsim.geometry
 import owcsim.network
 from owcsim.config import build_default_scenario, parse_config
-from owcsim.geometry import MirrorElement, Vec3
+from owcsim.geometry import Vec3
 from owcsim.network import (
     Assignment,
     IrsPanel,
@@ -24,11 +24,11 @@ from owcsim.network import (
     evaluate_user,
     irs_gain_matrix,
     scenario_assignment,
-    serving_branch_index,
     simulate_scenario,
     sweep_snr,
     sweep_users,
 )
+from owcsim.reference import MirrorElement, serving_branch_index
 
 from test_gain_kernel import scalar_path as pair_path
 

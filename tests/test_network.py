@@ -25,7 +25,6 @@ from owcsim.network import (
     place_users_uniform,
     power_for_transmit_snr,
     scenario_assignment,
-    serving_branch_index,
     simulate_scenario,
     sweep_snr,
     sweep_users,
@@ -35,6 +34,7 @@ from owcsim.network import (
 )
 
 from owcsim.output import ResultRow, ResultTable
+from owcsim.reference import serving_branch_index
 
 from oracles import best_matching_value, user_gain_oracle
 
@@ -689,6 +689,21 @@ class TestSweepSnr:
         with pytest.raises(ValueError) as err:
             sweep_snr(s, [70.0, 160.0, bad, 80.0, bad])
         assert str(err.value) == f"snr_points_db[2] must be finite, got {bad}"
+
+    def test_point_whose_power_ratio_overflows_is_named(self):
+        # 10 ** (dB / 10) overflows a float above about 3082.5 dB; the input
+        # is named, as a non-finite one is, before the cap is checked.
+        s = build_default_scenario(None)
+        for points, index in (([70.0, 4000.0], 1), ([3082.5, 160.0, 3082.6, 5000.0], 2)):
+            with pytest.raises(ValueError) as err:
+                sweep_snr(s, points)
+            assert str(err.value).startswith(f"snr_points_db[{index}] must be at most")
+            assert str(err.value).endswith(f"got {points[index]}")
+        with pytest.raises(ValueError, match=r"^snr_db must be at most .* got 4000\.0$"):
+            power_for_transmit_snr(s.noise, s.responsivity, 4000.0)
+        with pytest.raises(ValueError, match=r"^snr_points_db\[0\] must be at most"):
+            power_for_transmit_snr(s.noise, s.responsivity, [1e300])
+        assert math.isfinite(power_for_transmit_snr(s.noise, s.responsivity, 3082.5))
 
 
 def _point_links(variant, gains, p_tot):

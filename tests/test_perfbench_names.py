@@ -16,7 +16,7 @@ import pytest
 import owcsim
 import owcsim.network
 from owcsim.config import build_default_scenario
-from owcsim.geometry import MirrorElement
+from owcsim.reference import MirrorElement
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
