@@ -10,7 +10,7 @@ unfolded-path model: an ideal planar specular reflection preserves the
 Gaussian profile, so the reflected field is the same beam continued to the
 total folded distance, with the finite mirror entering as a multiplicative
 intercept fraction. Receiver combining is select-best across the
-angle-diversity receiver branches.
+branches of the angle-diversity receiver.
 
 Both paths have a numpy kernel, and a scalar reference in
 `owcsim.reference` (`los_gain` for one (transmitter branch, user) pair,
@@ -21,16 +21,16 @@ arithmetic step for step and also return the serving receiver branch:
 equals `los_gain` bitwise; `irs_gain_table` steers and scores every (user,
 `MirrorColumns` mirror) pair, users in blocks, and agrees with `irs_gain` to
 rounding. It calls erf only where a lower bound on the mirror's intercept
-does not clear every photodiode capture; elsewhere the capture is the
-minimum, as it is with the true intercept. Both kernels score the captured
-fraction once per distinct photodiode radius, not once per receiver branch,
-and both gate the field of view with one helper that compares cosines and
-takes acos only at the edge.
+does not clear the photodiode capture; elsewhere the capture is the
+minimum, as it is with the true intercept. Both kernels take one receiver,
+carried by every user, whose branches share one photodiode and field of
+view, so a pair has one captured fraction. Both gate the field of view with
+one helper that compares cosines and takes acos only at the edge, and pick
+the serving branch with another.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -52,7 +52,7 @@ class AdrBranch:
     pd_area: float  # m^2
 
     def __post_init__(self) -> None:
-        if self.pd_area <= 0.0:
+        if not self.pd_area > 0.0:  # NaN too
             raise ValueError(f"pd_area must be positive, got {self.pd_area}")
         if not 0.0 < self.fov_half_angle_deg <= 90.0:
             raise ValueError(
@@ -130,7 +130,7 @@ def irs_gain_table(
     ap_branch_positions: Sequence[Vec3],
     mirrors: MirrorColumns,
     user_positions: Sequence[Vec3],
-    user_branches: Sequence[Sequence[AdrBranch]],
+    receiver: Sequence[AdrBranch],
     waist_w0: float,
     wavelength: float,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -139,46 +139,47 @@ def irs_gain_table(
     Vectorised form of `reference.steer_mirror` followed by
     `reference.irs_gain` for a unit-power beam of the given waist and
     wavelength, with user i served from the transmitter branch at
-    `ap_branch_positions[i]`. Returns two (users,
-    mirrors) arrays: the gain of mirror j steered to bounce that branch onto
-    user i, and the serving receiver branch (-1 for None). Pairs the reference
-    scores 0 (zero-length leg, degenerate steering, an endpoint behind the
-    steered plane, no branch inside its field of view) are exactly 0 here too.
-    Dot and cross products are written out by component in the reference's
-    order; erf and acos go through `math`, as numpy has no erf and its acos
-    may differ from libm's in the last bit. Users sharing receiver branches
-    are scored together, `_BLOCK_PAIRS` pairs at a time. erf runs only on the
-    pairs that are geometrically valid, seen by some receiver branch, and
-    whose intercept's lower bound, a product of erf(1) min(a, 1) over the two
-    erf arguments a, does not clear the largest photodiode capture: elsewhere
-    min(intercept, captured) is the capture whatever the intercept, so the
-    gains stay bitwise those erf would give. The capture and the gain are
-    computed once per distinct photodiode radius.
+    `ap_branch_positions[i]` and every user carrying `receiver`. Returns two
+    (users, mirrors) arrays: the gain of mirror j steered to bounce that branch
+    onto user i, and the serving receiver branch (-1 for None). Pairs the
+    reference scores 0 (zero-length leg, degenerate steering, an endpoint
+    behind the steered plane, no branch inside its field of view) are exactly
+    0 here too. Dot and cross products are written out by component in the
+    reference's order; erf and acos go through `math`, as numpy has no erf and
+    its acos may differ from libm's in the last bit. Users are scored
+    `_BLOCK_PAIRS` pairs at a time. erf runs only on the pairs that are
+    geometrically valid, seen by some receiver branch, and whose intercept's
+    lower bound, a product of erf(1) min(a, 1) over the two erf arguments a,
+    does not clear the photodiode capture: elsewhere min(intercept, captured)
+    is the capture whatever the intercept, so the gains stay bitwise those erf
+    would give. A receiver whose branches differ in photodiode area or field
+    of view raises ValueError.
     """
+    radius, fov = _photodiode(receiver)
     gain = np.zeros((len(user_positions), len(mirrors)))
-    receiver = np.full(gain.shape, -1)
-    ap = coordinates(ap_branch_positions)
-    users = coordinates(user_positions)
+    index = np.full(gain.shape, -1)
+    ap, users = coordinates(ap_branch_positions), coordinates(user_positions)
     step = max(1, _BLOCK_PAIRS // max(1, len(mirrors)))
-    for branches, rows in _branch_groups(user_branches).items():
-        for start in range(0, len(rows), step):
-            block = rows[start : start + step]
-            gain[block], receiver[block] = _irs_gain_block(
-                ap[block], mirrors, users[block], branches, waist_w0, wavelength
-            )
-    return gain, receiver
+    for start in range(0, len(users), step):
+        block = slice(start, start + step)
+        gain[block], index[block] = _irs_gain_block(
+            ap[block], mirrors, users[block], receiver, radius, fov, waist_w0, wavelength
+        )
+    return gain, index
 
 
 def _irs_gain_block(
     ap: np.ndarray,
     mirrors: MirrorColumns,
     users: np.ndarray,
-    branches: tuple[AdrBranch, ...],
+    receiver: Sequence[AdrBranch],
+    radius: float,
+    fov: float,
     waist_w0: float,
     wavelength: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`irs_gain_table` for (block, 3) transmitter and user coordinates that
-    share one tuple of receiver branches."""
+    """`irs_gain_table` for (block, 3) transmitter and user coordinates, with
+    the receiver's shared photodiode radius and field of view in radians."""
     ax, ay, az = ap[:, 0:1], ap[:, 1:2], ap[:, 2:3]
     px, py, pz = users[:, 0:1], users[:, 1:2], users[:, 2:3]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -204,14 +205,10 @@ def _irs_gain_block(
         del lx, ly, lz, diff
 
         twice = 2.0 * (uix * nx + uiy * ny + uiz * nz)
-        rx, ry, rz = uix - nx * twice, uiy - ny * twice, uiz - nz * twice
-        seen = []
-        for branch in branches:
-            bx, by, bz = branch.normal().as_tuple()
-            seen.append(_fov_seen(-(rx * bx + ry * by + rz * bz), branch.fov_half_angle_rad()))
-        del rx, ry, rz, twice
+        seen = _fov_masks(receiver, fov, uix - nx * twice, uiy - ny * twice, uiz - nz * twice)
+        del twice
         # Only a valid pair that some branch sees can score above 0.
-        live = valid & np.logical_or.reduce(seen)
+        live = valid & seen.any(axis=0)
         del valid
 
         # mirror_plane_axes: project +z (+x for near-horizontal mirrors).
@@ -234,52 +231,35 @@ def _irs_gain_block(
         # The reference scores a zero projected width or height 0; so does the
         # zero intercept such a pair keeps here, without calling erf.
         sized = live & (width_eff > 0.0) & (height_eff > 0.0)
+        del live
 
         w_total = _beam_radius(mirror_range + leg_out, waist_w0, wavelength)
-        beam_area = w_total * w_total
+        captured = -np.expm1(-2.0 * radius * radius / (w_total * w_total))
         del leg_out, w_total
-        captured = {
-            radius: -np.expm1(-2.0 * radius * radius / beam_area)
-            for radius in dict.fromkeys(branch.aperture_radius() for branch in branches)
-        }
-        del beam_area
 
         scale = math.sqrt(2.0) / _beam_radius(mirror_range, waist_w0, wavelength)
         arg_w, arg_h = scale * (0.5 * width_eff), scale * (0.5 * height_eff)
         del scale, width_eff, height_eff
         # erf is concave on [0, inf), so erf(a) >= erf(1) min(a, 1), and the
         # product of the two bounds is at most the intercept. Where it clears
-        # every capture, with a margin for rounding, min() takes the capture,
+        # the capture, with a margin for rounding, min() takes the capture,
         # and an infinite intercept stands in without calling erf.
         bound = (_ERF_1 * np.minimum(arg_w, 1.0)) * (_ERF_1 * np.minimum(arg_h, 1.0))
-        most = functools.reduce(np.maximum, captured.values())
-        needs_erf = sized & ~(bound * (1.0 - 1e-9) > most)
+        needs_erf = sized & ~(bound * (1.0 - 1e-9) > captured)
         intercept = np.where(sized, np.inf, 0.0)
         erf_w, erf_h = _map(math.erf, arg_w[needs_erf]), _map(math.erf, arg_h[needs_erf])
         # erf is odd, so the reference's erf(a) - erf(-a) is exactly erf(a) + erf(a).
         intercept[needs_erf] = 0.25 * (erf_w + erf_w) * (erf_h + erf_h)
-        del arg_w, arg_h, bound, most, needs_erf, erf_w, erf_h
-
-        gains = {
-            radius: mirrors.reflectivity * np.minimum(intercept, capture)
-            for radius, capture in captured.items()
-        }
-        del intercept, captured
-        best = np.zeros(live.shape)
-        index = np.full(live.shape, -1)
-        for r, branch in enumerate(branches):
-            gain = gains[branch.aperture_radius()]
-            # Strict: the lowest-index receiver branch wins a tie, as in `irs_gain`.
-            better = live & seen[r] & (gain > best)
-            best = np.where(better, gain, best)
-            index = np.where(better, r, index)
-    return best, index
+        del arg_w, arg_h, bound, needs_erf, erf_w, erf_h
+        # A pair that is not sized keeps a zero intercept, so it scores 0.
+        gain = mirrors.reflectivity * np.minimum(intercept, captured)
+    return _select_best(gain, seen)
 
 
 def los_gain_table(
     ap_branch_positions: Sequence[Vec3],
     user_positions: Sequence[Vec3],
-    user_branches: Sequence[Sequence[AdrBranch]],
+    receiver: Sequence[AdrBranch],
     blocked: Sequence[bool],
     waist_w0: float,
     wavelength: float,
@@ -287,15 +267,17 @@ def los_gain_table(
     """Direct-path gain from every transmitter branch to every user.
 
     Vectorised form of `los_gain` with a unit-power beam of the given waist
-    and wavelength aimed at the user, over all pairs at once. Returns two
-    (users, branches) arrays: the gain, and the serving receiver branch, -1
-    where `los_gain` gives None. Both equal the reference bitwise: the
-    arithmetic follows its order, and acos (near the field-of-view edge, where
-    it decides) and expm1 go through `math`, as numpy's may differ from libm's
-    in the last bit. An error is the one the reference meets first, looping
-    over users, then transmitter branches, and building each aimed beam
-    before anything else.
+    and wavelength aimed at the user, every user carrying `receiver`, over
+    all pairs at once. Returns two (users, branches) arrays: the gain, and
+    the serving receiver branch, -1 where `los_gain` gives None. Both equal
+    the reference bitwise: the arithmetic follows its order, and acos (near
+    the field-of-view edge, where it decides) and expm1 go through `math`, as
+    numpy's may differ from libm's in the last bit. A receiver whose branches
+    differ in photodiode area or field of view raises ValueError. Any other
+    error is the one the reference meets first, looping over users, then
+    transmitter branches, and building each aimed beam before anything else.
     """
+    radius, fov = _photodiode(receiver)
     ap, users = coordinates(ap_branch_positions), coordinates(user_positions)
     separation, (ux, uy, uz), bad = aim(ap, users)
     if bad.any():
@@ -308,29 +290,10 @@ def los_gain_table(
         GaussianBeam(waist_w0, wavelength, 1.0, origin, (user_positions[i] - origin).normalized())
 
     w_d = _beam_radius(separation, waist_w0, wavelength)
-    beam_area = w_d * w_d
-    gain = np.zeros(separation.shape)
-    receiver = np.full(separation.shape, -1)
-    for branches, rows in _branch_groups(user_branches).items():
-        gx, gy, gz, area = ux[rows], uy[rows], uz[rows], beam_area[rows]
-        captured = {
-            radius: -_map(math.expm1, -2.0 * radius * radius / area)
-            for radius in dict.fromkeys(branch.aperture_radius() for branch in branches)
-        }
-        best = np.zeros(area.shape)
-        index = np.full(area.shape, -1)
-        for r, branch in enumerate(branches):
-            nx, ny, nz = branch.normal().as_tuple()
-            seen = _fov_seen(-(gx * nx + gy * ny + gz * nz), branch.fov_half_angle_rad())
-            capture = captured[branch.aperture_radius()]
-            # Strict: the lowest-index receiver branch wins a tie, as in `reference._best_branch`.
-            better = seen & (capture > best)
-            best = np.where(better, capture, best)
-            index = np.where(better, r, index)
-        gain[rows], receiver[rows] = best, index
-    is_blocked = np.array(blocked, dtype=bool)
-    gain[is_blocked], receiver[is_blocked] = 0.0, -1
-    return gain, receiver
+    captured = -_map(math.expm1, -2.0 * radius * radius / (w_d * w_d))
+    # No branch sees a blocked user.
+    seen = _fov_masks(receiver, fov, ux, uy, uz) & ~np.array(blocked, dtype=bool)[:, None]
+    return _select_best(captured, seen)
 
 
 def aim(
@@ -356,14 +319,38 @@ def coordinates(points: Sequence[Vec3]) -> np.ndarray:
     return np.array([c for p in points for c in p.as_tuple()], dtype=np.float64).reshape(-1, 3)
 
 
-def _branch_groups(
-    user_branches: Sequence[Sequence[AdrBranch]],
-) -> dict[tuple[AdrBranch, ...], np.ndarray]:
-    """The indices of the users holding each tuple of receiver branches."""
-    groups: dict[tuple[AdrBranch, ...], list[int]] = {}
-    for i, branches in enumerate(user_branches):
-        groups.setdefault(tuple(branches), []).append(i)
-    return {branches: np.array(rows) for branches, rows in groups.items()}
+def _photodiode(receiver: Sequence[AdrBranch]) -> tuple[float, float]:
+    """The aperture radius and field of view in radians of the receiver's one
+    photodiode; no branch, or branches that differ in either, raise ValueError."""
+    kinds = {(branch.pd_area, branch.fov_half_angle_deg) for branch in receiver}
+    if len(kinds) != 1:
+        raise ValueError(
+            "receiver needs one or more branches sharing one pd_area and one "
+            f"fov_half_angle_deg, got {sorted(kinds)}"
+        )
+    return receiver[0].aperture_radius(), receiver[0].fov_half_angle_rad()
+
+
+def _fov_masks(
+    receiver: Sequence[AdrBranch], fov: float, x: np.ndarray, y: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """The (branches, ...) stack of `_fov_seen` of arrivals (x, y, z) at each branch."""
+    normals = (branch.normal().as_tuple() for branch in receiver)
+    return np.array([_fov_seen(-(x * bx + y * by + z * bz), fov) for bx, by, bz in normals])
+
+
+def _select_best(gain: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Select-best combining over `seen`, the stacked branch masks, when every
+    branch reads one `gain`: the reference keeps a branch only on a strict
+    gain > the best so far, from 0, so a pair some branch sees scores its gain
+    where that is above 0, served by the lowest-index such branch; any other
+    pair scores 0, served by -1. That branch is read from the largest rank,
+    n - r for branch r, that sees the pair (0 for none): `argmax` along the
+    branch axis gives the same and takes twice as long."""
+    n = len(seen)
+    rank = (seen * np.arange(n, 0, -1).reshape((n,) + (1,) * (seen.ndim - 1))).max(axis=0)
+    served = (rank > 0) & (gain > 0.0)
+    return np.where(served, gain, 0.0), np.where(served, n - rank, -1)
 
 
 def _fov_seen(cosine: np.ndarray, fov: float) -> np.ndarray:

@@ -4,14 +4,14 @@ Everything here takes a built Scenario; reading a config document into one
 is the job of `config`. A Scenario is immutable after validation, and is
 the one room check: transmitter apertures and users inside the room, and the
 mirror wall centred on its wall's plane and within that wall. It holds the
-one photodiode responsivity, of every user and of the transmit-SNR axis. Every user
-is served by one transmitter branch, which devotes one aimed beam to the
-user's receiver and one to each mirror assigned to that user. Each beam
-carries the transmit power `p_tot`, held under the per-beam eye-safety cap,
-so a user with total gain q = h_los + h_nlos receives q·p_tot: the power
-that gives the signal (R q p_tot)^2 also gives the shot and RIN noise.
-Evaluations are pure functions of the scenario, so sweep points can be
-computed in any order.
+one receiver of every user, and the one photodiode responsivity, of every
+user and of the transmit-SNR axis. Every user is served by one transmitter
+branch, which devotes one aimed beam to the user's receiver and one to each
+mirror assigned to that user. Each beam carries the transmit power
+`p_tot`, held under the per-beam eye-safety cap, so a user with total gain
+q = h_los + h_nlos receives q·p_tot: the power that gives the signal
+(R q p_tot)^2 also gives the shot and RIN noise. Evaluations are pure
+functions of the scenario, so sweep points can be computed in any order.
 
 Only the transmit power changes between sweep points, so the rate path
 (received power, noise, SNR and rate) runs once over a (users, points)
@@ -179,7 +179,7 @@ def _wall(name: str) -> tuple[Vec3, int, float]:
 
 @dataclass(frozen=True)
 class UserSpec:
-    """One user: floor position, blockage flag, and receiver branches."""
+    """One user: floor position, blockage flag, and the scenario's `receiver`."""
 
     position: Vec3
     blocked: bool
@@ -190,6 +190,8 @@ class UserSpec:
 class Scenario:
     """Validated room, transmitter, mirror wall, users, and power budget.
 
+    Every user carries one `receiver`, as a config writes it: one or more
+    branches of one elevation, field of view and photodiode area.
     `direct_table`, `serving_branches` and `mirror_table` are cached properties:
     `replace` starts them empty, and they take no part in `==`, `hash` or `repr`.
     """
@@ -239,9 +241,18 @@ class Scenario:
                 f"users.positions[{i}] is at the aperture of transmitter branch {b} "
                 "(adt.center, adt.side_offset_m), or too near it for a beam to be aimed at it"
             )
-        for i, user in enumerate(self.users):
-            if not user.branches:
-                raise ValueError(f"users[{i}] must have at least one receiver branch")
+        # Every user carries user 0's receiver, of the one kind a config writes.
+        receiver = self.receiver
+        kinds = {(b.orientation.elevation_deg, b.fov_half_angle_deg, b.pd_area) for b in receiver}
+        odd = 0 if len(kinds) != 1 else next(
+            (i for i, user in enumerate(self.users) if user.branches != receiver), None
+        )
+        if odd is not None:
+            raise ValueError(
+                f"users[{odd}] holds a receiver a config cannot write: users.branch_azimuths_deg, "
+                "users.branch_elevation_deg, users.fov_deg and users.pd_area_m2 set one receiver "
+                "of one or more branches for every user"
+            )
         panel = self.irs
         if panel is not None:
             # On its wall's plane, then within the wall; a NaN centre fails each test.
@@ -282,6 +293,11 @@ class Scenario:
         if self.rng_seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.rng_seed}")
 
+    @property
+    def receiver(self) -> tuple[AdrBranch, ...]:
+        """The receiver branches that every user carries."""
+        return self.users[0].branches
+
     @cached_property
     def direct_table(self) -> tuple[np.ndarray, np.ndarray]:
         """`los_gain_table` of every (user, transmitter branch), computed once.
@@ -292,7 +308,7 @@ class Scenario:
         table = los_gain_table(
             self.adt.branch_positions(),
             [user.position for user in self.users],
-            [user.branches for user in self.users],
+            self.receiver,
             [user.blocked for user in self.users],
             self.adt.beam_waist,
             self.adt.beam_wavelength,
@@ -327,7 +343,7 @@ class Scenario:
                 [positions[branch] for branch in self.serving_branches],
                 self.irs.columns,
                 [user.position for user in self.users],
-                [user.branches for user in self.users],
+                self.receiver,
                 self.adt.beam_waist,
                 self.adt.beam_wavelength,
             )
@@ -757,8 +773,8 @@ def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
 
     User draws are nested prefixes of one seeded stream, so growing K keeps
     every existing user in place and the curves stay nondecreasing under
-    dedicated-beam service. Every placed user is unblocked and takes user 0's
-    receiver branches. A user's direct-path row, serving branch and
+    dedicated-beam service. Every placed user is unblocked and carries the
+    scenario's receiver. A user's direct-path row, serving branch and
     mirror-path row depend on that user alone, so all three are computed
     once for the largest K and sliced. A scenario without a mirror wall has
     nothing to compare, and raises ValueError naming `irs.enabled`.
@@ -774,8 +790,7 @@ def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
     positions = place_users_uniform(
         max(ks), scenario.room_dims, scenario.rng_seed, scenario.receiver_z
     )
-    template = scenario.users[0].branches
-    users = tuple(UserSpec(position, False, template) for position in positions)
+    users = tuple(UserSpec(position, False, scenario.receiver) for position in positions)
     variants = (
         ("none", replace(scenario, irs=None, users=users)),
         (scenario.irs.label(), replace(scenario, users=users)),

@@ -60,8 +60,9 @@ def los_oracle(ap, user, branches):
 
 class TestAdrBranch:
     def test_validation(self):
-        with pytest.raises(ValueError, match="pd_area"):
-            AdrBranch(Orientation(0, 60), 25.0, 0.0)
+        for area in (0.0, math.nan):
+            with pytest.raises(ValueError, match="pd_area"):
+                AdrBranch(Orientation(0, 60), 25.0, area)
         with pytest.raises(ValueError, match="fov_half_angle_deg"):
             AdrBranch(Orientation(0, 60), 0.0, PD_AREA)
         with pytest.raises(ValueError, match="fov_half_angle_deg"):

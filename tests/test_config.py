@@ -5,7 +5,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from owcsim.channel import AdrBranch
 from owcsim.config import (
     DEFAULT_K_VALUES,
     DEFAULT_SNR_POINTS_DB,
@@ -18,9 +21,11 @@ from owcsim.config import (
     parse_config,
     write_config,
 )
+from owcsim.geometry import Orientation
 from owcsim.link import NoiseParams
 from owcsim.network import (
     AdtSpec,
+    UserSpec,
     build_irs_panel,
     default_adr_branches,
     simulate_scenario,
@@ -113,30 +118,44 @@ class TestLoadConfig:
         reloaded, _, _ = load_config(path)
         assert reloaded == scenario
 
+    @staticmethod
+    def assert_receiver_refused(user: int, receiver: tuple) -> None:
+        """A default scenario with user `user` on `receiver` does not build,
+        naming that user; with the user restored, it builds and dumps."""
+        scenario = build_default_scenario(None)
+        users = list(scenario.users)
+        users[user] = dataclasses.replace(users[user], branches=receiver)
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(scenario, users=tuple(users))
+        assert str(err.value) == (
+            f"users[{user}] holds a receiver a config cannot write: users.branch_azimuths_deg, "
+            "users.branch_elevation_deg, users.fov_deg and users.pd_area_m2 set one "
+            "receiver of one or more branches for every user"
+        )
+        users[user] = scenario.users[user]
+        assert effective_config(dataclasses.replace(scenario, users=tuple(users)))
+
     @pytest.mark.parametrize(
         "user, fov_of_branch", [(1, (60.0,) * 4), (0, (25.0, 25.0, 40.0, 25.0))]
     )
     def test_receivers_a_config_cannot_write_are_refused(self, user, fov_of_branch):
-        # The document has one receiver for every user: dumping user 0's would
-        # reload user 1 with a 25 deg field of view, and one fov_deg cannot
-        # hold a receiver whose branches differ.
-        scenario = build_default_scenario(None)
+        # The document has one receiver for every user, and a scenario keeps
+        # the same rule: user 1 cannot hold a 60 deg field of view while user
+        # 0 holds 25, and one fov_deg cannot hold branches that differ.
         receiver = tuple(
             dataclasses.replace(branch, fov_half_angle_deg=fov)
             for branch, fov in zip(default_adr_branches(), fov_of_branch)
         )
-        users = list(scenario.users)
-        users[user] = dataclasses.replace(users[user], branches=receiver)
-        mixed = dataclasses.replace(scenario, users=tuple(users))
-        with pytest.raises(ValueError) as err:
-            effective_config(mixed)
-        assert str(err.value) == (
-            f"users[{user}] has receiver branches a config cannot write: users.pd_area_m2, "
-            "users.fov_deg, users.branch_azimuths_deg and users.branch_elevation_deg "
-            "set one receiver for every user"
-        )
-        users[user] = scenario.users[user]
-        assert effective_config(dataclasses.replace(scenario, users=tuple(users)))
+        self.assert_receiver_refused(user, receiver)
+
+    @pytest.mark.parametrize("user", [0, 2])
+    @pytest.mark.parametrize("receiver", [
+        (),
+        default_adr_branches()[:1] + default_adr_branches((90.0, 180.0), elevation_deg=30.0),
+    ], ids=["empty", "two-elevations"])
+    def test_receivers_without_one_branch_kind_are_refused(self, user, receiver):
+        # No branch at all, or one users.branch_elevation_deg that cannot hold both.
+        self.assert_receiver_refused(user, receiver)
 
     @pytest.mark.parametrize(
         "fov_deg, pd_area, k_values, key",
@@ -377,3 +396,49 @@ class TestEverySettingActs:
             assert path in got
         else:
             assert got != default_outcomes, path
+
+
+# A receiver branch drawn from SCHEMA's ranges: azimuth, then an index into
+# the (elevation, field of view, photodiode area) kinds of one draw.
+BRANCH_KINDS = st.lists(
+    st.tuples(st.floats(0.0, 90.0), st.floats(0.1, 90.0), st.floats(1e-8, 1e-4)),
+    min_size=1, max_size=2,
+)
+BRANCHES = st.lists(
+    st.tuples(st.floats(0.0, 360.0, exclude_max=True), st.integers(0, 1)), max_size=4
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    kinds=BRANCH_KINDS,
+    receivers=st.lists(BRANCHES, min_size=1, max_size=2),
+    users=st.lists(st.tuples(st.integers(0, 1), st.booleans()), min_size=1, max_size=4),
+)
+def test_every_scenario_that_builds_reloads_from_its_effective_config(kinds, receivers, users):
+    # Users pick one of up to two receivers, whose branches pick one of up to
+    # two kinds: a scenario builds only on one receiver of one kind, and then
+    # its dump, through JSON, reloads to an equal scenario.
+    def receiver(branches):
+        return tuple(
+            AdrBranch(Orientation(azimuth, elevation), fov, area)
+            for azimuth, k in branches
+            for elevation, fov, area in [kinds[k % len(kinds)]]
+        )
+
+    base = build_default_scenario(None)
+    held = tuple(
+        UserSpec(spec.position, blocked, receiver(receivers[pick % len(receivers)]))
+        for spec, (pick, blocked) in zip(base.users, users)
+    )
+    one_receiver = len({spec.branches for spec in held}) == 1
+    one_kind = len({
+        (b.orientation.elevation_deg, b.fov_half_angle_deg, b.pd_area) for b in held[0].branches
+    }) == 1
+    if not (one_receiver and one_kind):
+        with pytest.raises(ValueError, match=r"^users\[\d\] holds a receiver a config cannot"):
+            dataclasses.replace(base, users=held)
+        return
+    scenario = dataclasses.replace(base, users=held)
+    document = json.loads(json.dumps(effective_config(scenario)))
+    assert parse_config(document)[0] == scenario

@@ -3,8 +3,9 @@
 `los_gain_table` must give, for every (user, transmitter branch) pair,
 bitwise what `los_gain` gives with the aimed beam `serving_branch_index`
 builds: the same float (compared with `==`, not a tolerance), the same
-receiver branch (-1 for None) and the same error. `Scenario.serving_branches`
-must equal `serving_branch_index` for every user.
+receiver branch (-1 for None) and the same error. Every user of one call
+carries one receiver. `Scenario.serving_branches` must equal
+`serving_branch_index` for every user.
 """
 
 import math
@@ -29,14 +30,14 @@ WAIST = 5e-6
 WAVELENGTH = 1.55e-6
 
 
-def scalar_table(aps, positions, branch_sets, blocked, waist, wavelength):
+def scalar_table(aps, positions, receiver, blocked, waist, wavelength):
     """`los_gain` per pair, looping users then branches as the scenario does."""
     gains, receivers = [], []
-    for pos, branches, is_blocked in zip(positions, branch_sets, blocked):
+    for pos, is_blocked in zip(positions, blocked):
         row_gain, row_receiver = [], []
         for ap in aps:
             beam = GaussianBeam(waist, wavelength, 1.0, ap, (pos - ap).normalized())
-            gain, index = los_gain(ap, pos, branches, beam, is_blocked)
+            gain, index = los_gain(ap, pos, receiver, beam, is_blocked)
             row_gain.append(gain)
             row_receiver.append(-1 if index is None else index)
         gains.append(row_gain)
@@ -44,15 +45,15 @@ def scalar_table(aps, positions, branch_sets, blocked, waist, wavelength):
     return gains, receivers
 
 
-def assert_kernel_matches(aps, positions, branch_sets, blocked, waist=WAIST,
+def assert_kernel_matches(aps, positions, receiver, blocked, waist=WAIST,
                           wavelength=WAVELENGTH):
-    gain, receiver = los_gain_table(aps, positions, branch_sets, blocked, waist, wavelength)
-    want_gain, want_receiver = scalar_table(aps, positions, branch_sets, blocked, waist, wavelength)
-    assert gain.shape == receiver.shape == (len(positions), len(aps))
-    assert gain.dtype == np.float64 and receiver.dtype.kind == "i"
+    gain, index = los_gain_table(aps, positions, receiver, blocked, waist, wavelength)
+    want_gain, want_index = scalar_table(aps, positions, receiver, blocked, waist, wavelength)
+    assert gain.shape == index.shape == (len(positions), len(aps))
+    assert gain.dtype == np.float64 and index.dtype.kind == "i"
     assert gain.tolist() == want_gain
-    assert receiver.tolist() == want_receiver
-    return gain, receiver
+    assert index.tolist() == want_index
+    return gain, index
 
 
 def assert_scenario_matches(scenario):
@@ -62,7 +63,7 @@ def assert_scenario_matches(scenario):
     want_gain, want_receiver = scalar_table(
         scenario.adt.branch_positions(),
         [u.position for u in users],
-        [u.branches for u in users],
+        scenario.receiver,
         [u.blocked for u in users],
         scenario.adt.beam_waist,
         scenario.adt.beam_wavelength,
@@ -135,7 +136,7 @@ class TestRandomScenarios:
             gain, _ = assert_kernel_matches(
                 aps,
                 [u.position for u in users],
-                [u.branches for u in users],
+                s.receiver,
                 [u.blocked for u in users],
                 s.adt.beam_waist,
                 s.adt.beam_wavelength,
@@ -154,23 +155,6 @@ class TestRandomScenarios:
         gain, receiver = assert_scenario_matches(s)
         assert gain.shape == receiver.shape == (1, 5)
         assert (gain > 0.0).any()
-
-    def test_receiver_branch_sets_differ_per_user(self):
-        base = build_default_scenario({"users": {"k": 6}})
-        branch_sets = (
-            default_adr_branches(),
-            default_adr_branches((45.0,), elevation_deg=30.0, fov_deg=60.0),
-            default_adr_branches((0.0, 120.0, 240.0), elevation_deg=75.0, fov_deg=40.0),
-            default_adr_branches((10.0, 100.0), elevation_deg=10.0, fov_deg=89.0, pd_area=7e-5),
-            default_adr_branches(),  # equal to the first set, a different tuple
-            default_adr_branches((45.0,), elevation_deg=30.0, fov_deg=60.0),
-        )
-        users = tuple(
-            UserSpec(user.position, i == 5, branches)
-            for i, (user, branches) in enumerate(zip(base.users, branch_sets))
-        )
-        gain, _ = assert_scenario_matches(replace(base, users=users))
-        assert (gain[:5] > 0.0).any(axis=1).sum() >= 3
 
 
 class TestEdgeCases:
@@ -196,24 +180,20 @@ class TestEdgeCases:
         beyond_edge = degrees_landing_on(math.nextafter(angle, 0.0))
         assert on_edge is not None and beyond_edge is not None
         gain, receiver = assert_kernel_matches(
-            [self.AP],
-            [user, user],
-            [
-                (replace(probe, fov_half_angle_deg=on_edge),),
-                (replace(probe, fov_half_angle_deg=beyond_edge),),
-            ],
-            [False, False],
+            [self.AP], [user], (replace(probe, fov_half_angle_deg=on_edge),), [False]
         )
         assert gain[0, 0] > 0.0 and receiver[0, 0] == 0  # the boundary is inside
-        assert gain[1, 0] == 0.0 and receiver[1, 0] == -1
+        gain, receiver = assert_kernel_matches(
+            [self.AP], [user], (replace(probe, fov_half_angle_deg=beyond_edge),), [False]
+        )
+        assert gain[0, 0] == 0.0 and receiver[0, 0] == -1
 
     def test_acos_runs_only_within_1e_9_of_the_fov_cosine(self, monkeypatch):
         user = Vec3(3.98, 2.59, 0.0)
         probe = AdrBranch(Orientation(100.0, 70.0), 45.0, 2e-5)
         angle = incidence_angle((user - self.AP).normalized(), probe.normal())
         on_edge = (replace(probe, fov_half_angle_deg=degrees_landing_on(angle)),)
-        branch_sets = [default_adr_branches()] * 4 + [on_edge]
-        positions = [u.position for u in build_default_scenario(None).users] + [user]
+        positions = [u.position for u in build_default_scenario(None).users]
         arguments = []
 
         def counted_acos(x, _acos=math.acos):
@@ -221,32 +201,16 @@ class TestEdgeCases:
             return _acos(x)
 
         monkeypatch.setattr(math, "acos", counted_acos)
-        los_gain_table([self.AP], positions, branch_sets, [False] * 5, WAIST, WAVELENGTH)
+        los_gain_table([self.AP], positions, default_adr_branches(), [False] * 4, WAIST,
+                       WAVELENGTH)
+        los_gain_table([self.AP], [user], on_edge, [False], WAIST, WAVELENGTH)
         # Of 4 x 4 + 1 (user, receiver branch) arrivals, only the one on the edge.
         assert len(arguments) == 1
 
-    # The odd branches' larger photodiodes see a narrower cone.
-    TWO_SIZES = tuple(
-        replace(branch, pd_area=7e-5, fov_half_angle_deg=30.0) if r % 2 else branch
-        for r, branch in enumerate(default_adr_branches(fov_deg=60.0))
-    )
-
-    def test_photodiodes_of_two_sizes_match_the_reference(self):
-        users = build_default_scenario({"users": {"k": 12}}).users
-        _, receiver = assert_kernel_matches(
-            build_default_scenario(None).adt.branch_positions(),
-            [u.position for u in users],
-            [self.TWO_SIZES] * len(users),
-            [False] * len(users),
-        )
-        # Both sizes serve some pair: the small photodiodes sit on even branches.
-        assert {r % 2 for r in receiver.ravel().tolist() if r >= 0} == {0, 1}
-
-    @pytest.mark.parametrize("branches", [default_adr_branches(), TWO_SIZES], ids=["one", "two"])
+    @pytest.mark.parametrize("branches", [default_adr_branches()], ids=["one"])
     def test_expm1_runs_once_per_distinct_photodiode_radius(self, monkeypatch, branches):
         aps = build_default_scenario(None).adt.branch_positions()
         positions = [u.position for u in build_default_scenario({"users": {"k": 6}}).users]
-        radii = {branch.aperture_radius() for branch in branches}
         calls = []
 
         def counted_expm1(x, _expm1=math.expm1):
@@ -254,13 +218,26 @@ class TestEdgeCases:
             return _expm1(x)
 
         monkeypatch.setattr(math, "expm1", counted_expm1)
-        los_gain_table(aps, positions, [branches] * 6, [False] * 6, WAIST, WAVELENGTH)
-        assert len(calls) == len(positions) * len(aps) * len(radii)
+        los_gain_table(aps, positions, branches, [False] * 6, WAIST, WAVELENGTH)
+        # The receiver's one photodiode: one expm1 per (user, transmitter branch).
+        assert len(calls) == len(positions) * len(aps)
+
+    @pytest.mark.parametrize(
+        "field, value", [("pd_area", 7e-5), ("fov_half_angle_deg", 30.0)]
+    )
+    def test_receiver_of_two_photodiodes_raises(self, field, value):
+        # Scored with branch 0's photodiode, branch 1 would be silently wrong.
+        receiver = list(default_adr_branches())
+        receiver[1] = replace(receiver[1], **{field: value})
+        for branches in (receiver, ()):  # and a receiver of no branch
+            with pytest.raises(ValueError, match="^receiver needs one or more branches sharing"):
+                los_gain_table([self.AP], [Vec3(2.0, 2.0, 0.0)], branches, [False], WAIST,
+                               WAVELENGTH)
 
     def test_equal_receiver_branches_tie_to_the_lowest_index(self):
         twin = AdrBranch(Orientation(0.0, 90.0), 80.0, 2e-5)
         user = Vec3(2.4, 2.6, 0.0)
-        _, receiver = assert_kernel_matches([self.AP], [user], [(twin, twin, twin)], [False])
+        _, receiver = assert_kernel_matches([self.AP], [user], (twin, twin, twin), [False])
         assert receiver.tolist() == [[0]]
 
     def test_equal_transmitter_branches_tie_to_the_lowest_index(self):
@@ -300,7 +277,7 @@ class TestEdgeCases:
         # Branches 0 and 1 are 1e-160 m apart: a user on one is a subnormal
         # distance from the other, whose aimed beam fails with another message.
         near = Vec3(1e-160, 0.0, 0.0)
-        branches = [default_adr_branches()] * 3
+        receiver = default_adr_branches()
         zero_length = (GeometryError, "zero-length vector has no direction")
         not_unit = (ValueError, "beam axis must be a unit vector")
         cases = [
@@ -313,14 +290,14 @@ class TestEdgeCases:
              [self.AP.scaled(0.5), near, self.AP], not_unit),
         ]
         for aps, positions, want in cases:
-            args = (aps, positions, branches, [False, True, False], WAIST, WAVELENGTH)
+            args = (aps, positions, receiver, [False, True, False], WAIST, WAVELENGTH)
             assert raised(scalar_table, *args) == want
             assert raised(los_gain_table, *args) == want
 
     def test_subnormal_separation_fails_as_the_aimed_beam_does(self):
         # 1e-160 squared is subnormal: the normalised direction is not unit.
         aps = [Vec3(0.0, 0.0, 0.0)]
-        args = (aps, [Vec3(1e-160, 0.0, 0.0)], [default_adr_branches()], [True],
+        args = (aps, [Vec3(1e-160, 0.0, 0.0)], default_adr_branches(), [True],
                 WAIST, WAVELENGTH)
         want = raised(scalar_table, *args)
         assert want == (ValueError, "beam axis must be a unit vector")

@@ -2,10 +2,10 @@
 
 `irs_gain_table` must give, for every (user, mirror) pair, what
 `steer_mirror` followed by `irs_gain` gives for that one pair: nonzero gains
-to 1e-12 relative and zeros in exactly the same places. A user's row must
-not depend on which other users share the call or its blocks, and erf runs
-only on pairs some receiver branch sees whose intercept may be below the
-photodiode's capture.
+to 1e-12 relative and zeros in exactly the same places. Every user of one
+call carries one receiver. A user's row must not depend on which other users
+share the call or its blocks, and erf runs only on pairs some receiver branch
+sees whose intercept may be below the photodiode's capture.
 """
 
 import math
@@ -22,11 +22,7 @@ from owcsim.beam import GaussianBeam
 from owcsim.channel import AdrBranch, MirrorColumns, irs_gain_table
 from owcsim.config import build_default_scenario
 from owcsim.geometry import GeometryError, Orientation, Vec3
-from owcsim.network import (
-    UserSpec,
-    default_adr_branches,
-    irs_gain_matrix,
-)
+from owcsim.network import default_adr_branches, irs_gain_matrix
 from owcsim.reference import (
     MirrorElement,
     incidence_angle,
@@ -64,36 +60,34 @@ def assert_close(got, want, where):
         assert abs(got - want) <= RTOL * want, f"{where}: kernel {got!r}, scalar {want!r}"
 
 
-def assert_table_matches(aps, mirrors, users, branch_sets, waist=WAIST, wavelength=WAVELENGTH):
+def assert_table_matches(aps, mirrors, users, receiver, waist=WAIST, wavelength=WAVELENGTH):
     """Every (user, mirror) pair of one `irs_gain_table` call against the
     scalar path, user i served from `aps[i]`."""
-    gain, receiver = irs_gain_table(
-        aps, MirrorColumns.of(mirrors), users, branch_sets, waist, wavelength
-    )
-    assert gain.shape == receiver.shape == (len(users), len(mirrors))
-    assert gain.dtype == np.float64 and receiver.dtype.kind == "i"
-    for i, (ap, user, branches) in enumerate(zip(aps, users, branch_sets)):
-        paths = [scalar_path(ap, m, user, branches, waist, wavelength) for m in mirrors]
+    gain, index = irs_gain_table(aps, MirrorColumns.of(mirrors), users, receiver, waist, wavelength)
+    assert gain.shape == index.shape == (len(users), len(mirrors))
+    assert gain.dtype == np.float64 and index.dtype.kind == "i"
+    for i, (ap, user) in enumerate(zip(aps, users)):
+        paths = [scalar_path(ap, m, user, receiver, waist, wavelength) for m in mirrors]
         for j, (got, (want, _)) in enumerate(zip(gain[i].tolist(), paths)):
             assert_close(got, want, f"({i}, {j})")
-        assert receiver[i].tolist() == [index for _, index in paths]
-    return gain, receiver
+        assert index[i].tolist() == [branch for _, branch in paths]
+    return gain, index
 
 
-def assert_row_matches(ap, mirrors, user, branches, waist=WAIST, wavelength=WAVELENGTH):
+def assert_row_matches(ap, mirrors, user, receiver, waist=WAIST, wavelength=WAVELENGTH):
     """A one-user call: its single row against the scalar path."""
-    gain, receiver = assert_table_matches([ap], mirrors, [user], [branches], waist, wavelength)
-    return gain[0], receiver[0]
+    gain, index = assert_table_matches([ap], mirrors, [user], receiver, waist, wavelength)
+    return gain[0], index[0]
 
 
-def assert_rows_are_independent(aps, mirrors, users, branch_sets):
+def assert_rows_are_independent(aps, mirrors, users, receiver):
     """Each row of a many-user call equals, bitwise, a one-user call."""
     columns = MirrorColumns.of(mirrors)
-    gain, receiver = irs_gain_table(aps, columns, users, branch_sets, WAIST, WAVELENGTH)
-    for i, (ap, user, branches) in enumerate(zip(aps, users, branch_sets)):
-        row, row_receiver = irs_gain_table([ap], columns, [user], [branches], WAIST, WAVELENGTH)
+    gain, index = irs_gain_table(aps, columns, users, receiver, WAIST, WAVELENGTH)
+    for i, (ap, user) in enumerate(zip(aps, users)):
+        row, row_index = irs_gain_table([ap], columns, [user], receiver, WAIST, WAVELENGTH)
         assert gain[i].tobytes() == row[0].tobytes()
-        assert receiver[i].tolist() == row_receiver[0].tolist()
+        assert index[i].tolist() == row_index[0].tolist()
 
 
 def assert_matrix_matches(scenario):
@@ -104,7 +98,7 @@ def assert_matrix_matches(scenario):
         ap = positions[serving_branch_index(scenario, i)]
         for j, mirror in enumerate(scenario.irs.elements):
             want = scalar_gain(
-                ap, mirror, user.position, user.branches,
+                ap, mirror, user.position, scenario.receiver,
                 scenario.adt.beam_waist, scenario.adt.beam_wavelength,
             )
             assert_close(float(matrix[i, j]), want, f"({i}, {j})")
@@ -160,7 +154,7 @@ class TestRandomScenarios:
         for ap in s.adt.branch_positions():
             assert_table_matches(
                 [ap] * len(s.users), s.irs.elements,
-                [user.position for user in s.users], [user.branches for user in s.users],
+                [user.position for user in s.users], s.receiver,
             )
 
     def test_single_mirror_grid(self):
@@ -193,37 +187,10 @@ class TestRandomScenarios:
         users = floor_users(random.Random(13), 3)
         receiver = (AdrBranch(Orientation(0.0, 90.0), 80.0, 0.5),)
         gain, _ = assert_table_matches(
-            [Vec3(2.5, 2.5, 3.0)] * 3, mirrors, users, [receiver] * 3,
+            [Vec3(2.5, 2.5, 3.0)] * 3, mirrors, users, receiver,
             waist=2e-5, wavelength=3.5e-7,
         )
         assert (gain > 0.0).all()
-
-    @pytest.mark.parametrize("areas", [(2e-5, 0.5), (0.5, 2e-5)])
-    def test_one_receiver_with_photodiodes_of_two_sizes(self, areas):
-        # Only the large photodiode's capture exceeds the intercept: the erf
-        # test must take the largest capture, and each branch its own gain.
-        s = build_default_scenario({"irs": {"grid_m": 5}})
-        receiver = tuple(AdrBranch(Orientation(0.0, 90.0), 80.0, area) for area in areas)
-        users = floor_users(random.Random(5), 3)
-        gain, index = assert_table_matches(
-            [s.adt.branch_positions()[0]] * 3, s.irs.elements, users, [receiver] * 3
-        )
-        assert (index >= 0).any()
-        assert (index[index >= 0] == areas.index(0.5)).all()
-
-    def test_receiver_branch_sets_differ_per_user(self):
-        base = build_default_scenario({"irs": {"grid_m": 5}})
-        branch_sets = (
-            default_adr_branches(),
-            default_adr_branches((45.0,), elevation_deg=30.0, fov_deg=60.0),
-            default_adr_branches((0.0, 120.0, 240.0), elevation_deg=75.0, fov_deg=40.0),
-            default_adr_branches((10.0, 100.0), elevation_deg=10.0, fov_deg=89.0),
-        )
-        users = tuple(
-            UserSpec(user.position, False, branches)
-            for user, branches in zip(base.users, branch_sets)
-        )
-        assert_matrix_matches(replace(base, users=users))
 
 
 class TestEdgeGeometry:
@@ -304,8 +271,21 @@ class TestEdgeGeometry:
     def test_empty_wall(self):
         users = [Vec3(1.0, 1.0, 0.0), Vec3(2.0, 3.0, 0.0), Vec3(4.0, 1.0, 0.0)]
         gain, receiver = irs_gain_table([Vec3(2.5, 2.5, 3.0)] * 3, MirrorColumns.of([]), users,
-                                        [one_branch()] * 3, WAIST, WAVELENGTH)
+                                        one_branch(), WAIST, WAVELENGTH)
         assert gain.shape == receiver.shape == (3, 0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("pd_area", 0.5), ("fov_half_angle_deg", 30.0)]
+    )
+    def test_receiver_of_two_photodiodes_raises(self, field, value):
+        # Scored with branch 0's photodiode, branch 1 would be silently wrong.
+        mirrors = MirrorColumns.of([wall_mirror(Vec3(2.0, 5.0, 1.5))])
+        receiver = list(default_adr_branches())
+        receiver[1] = replace(receiver[1], **{field: value})
+        ap, user = Vec3(2.5, 2.5, 3.0), Vec3(2.0, 2.0, 0.0)
+        for branches in (receiver, ()):  # and a receiver of no branch
+            with pytest.raises(ValueError, match="^receiver needs one or more branches sharing"):
+                irs_gain_table([ap], mirrors, [user], branches, WAIST, WAVELENGTH)
 
 
 def floor_users(rng, k, dims=(5.0, 5.0)):
@@ -314,23 +294,10 @@ def floor_users(rng, k, dims=(5.0, 5.0)):
 
 
 class TestManyUsers:
-    """One call over many users: rows mixed by receiver branches and blocks."""
+    """One call over many users: rows over receivers and blocks."""
 
     WIDE = default_adr_branches(fov_deg=50.0)
     TILTED = default_adr_branches((270.0, 90.0), elevation_deg=30.0, fov_deg=60.0)
-
-    def test_two_receiver_branch_tuples_in_one_call(self):
-        s = build_default_scenario({"irs": {"grid_m": 6}})
-        positions = s.adt.branch_positions()
-        users = floor_users(random.Random(7), 7)
-        aps = [positions[i % len(positions)] for i in range(len(users))]
-        branch_sets = [self.WIDE if i % 3 else self.TILTED for i in range(len(users))]
-        gain, receiver = assert_table_matches(aps, s.irs.elements, users, branch_sets)
-        # The tilted pair serves only through its second branch, which faces
-        # the wall; the four wide branches also serve through the first.
-        assert set(receiver[::3].ravel().tolist()) == {1}
-        assert (receiver[4] == 0).any()
-        assert_rows_are_independent(aps, s.irs.elements, users, branch_sets)
 
     def test_user_outside_every_field_of_view(self):
         # An upward branch with a 10 degree field of view, 4 m from a wall
@@ -338,10 +305,11 @@ class TestManyUsers:
         mirrors = build_default_scenario({"irs": {"grid_m": 5}}).irs.elements
         ap, users = Vec3(2.5, 2.5, 3.0), [Vec3(2.5, 1.0, 0.0), Vec3(2.0, 3.5, 0.0)]
         gain, receiver = assert_table_matches(
-            [ap, ap], mirrors, users, [one_branch(elevation=90.0, fov=10.0), self.WIDE]
+            [ap], mirrors, users[:1], one_branch(elevation=90.0, fov=10.0)
         )
-        assert not gain[0].any() and (receiver[0] == -1).all()
-        assert gain[1].any()
+        assert not gain.any() and (receiver == -1).all()
+        gain, _ = assert_table_matches([ap], mirrors, users[1:], self.WIDE)
+        assert gain.any()
         for mirror in mirrors:  # gated by the field of view alone
             steer_mirror(ap, mirror.center, users[0])
 
@@ -349,7 +317,7 @@ class TestManyUsers:
         s = build_default_scenario({"irs": {"grid_m": 3}})
         user = s.users[0]
         gain, receiver = assert_table_matches(
-            [s.adt.branch_positions()[0]], s.irs.elements, [user.position], [user.branches]
+            [s.adt.branch_positions()[0]], s.irs.elements, [user.position], s.receiver
         )
         assert gain.shape == receiver.shape == (1, 9)
         assert gain.any()
@@ -361,16 +329,22 @@ class TestManyUsers:
         assert len(users) * len(mirrors) > 2 * owcsim.channel._BLOCK_PAIRS
         assert per_block >= 1 and len(users) % per_block
         aps = [Vec3(2.5 + 0.3 * (i % 2), 2.5, 3.0) for i in range(len(users))]
-        branch_sets = [self.WIDE if i % 2 else self.TILTED for i in range(len(users))]
-        assert_table_matches(aps, mirrors, users, branch_sets)
-        assert_rows_are_independent(aps, mirrors, users, branch_sets)
+        served = []
+        for receiver in (self.WIDE, self.TILTED):
+            _, index = assert_table_matches(aps, mirrors, users, receiver)
+            assert_rows_are_independent(aps, mirrors, users, receiver)
+            served.append(set(index.ravel().tolist()) - {-1})
+        # The tilted pair serves only through its second branch, which faces
+        # the wall; the four wide branches also serve through the first.
+        assert served[1] == {1} and 0 in served[0]
 
     def counted_erf_table(self, monkeypatch, pd_area):
-        """The erf arguments and the table of one call over floor users; one
-        at the centre of mirror 5 (a zero-length leg); one in line with the
-        transmitter and mirror 0 (degenerate steering); and one whose only
-        branch sees no reflection arrive (gated pairs). Every photodiode has
-        area `pd_area`, and the table is checked against the scalar path."""
+        """The erf arguments and the table of two calls: one over floor
+        users, one at the centre of mirror 5 (a zero-length leg) and one in
+        line with the transmitter and mirror 0 (degenerate steering); and one
+        over a user whose only branch sees no reflection arrive (gated pairs).
+        Every photodiode has area `pd_area`, and each call's table is checked
+        against the scalar path."""
         mirrors = build_default_scenario({"irs": {"grid_m": 10}}).irs.elements
         ap, first = Vec3(2.5, 2.5, 3.0), mirrors[0].center
         users = [
@@ -379,10 +353,10 @@ class TestManyUsers:
             first + (first - ap),
             Vec3(2.5, 1.0, 0.0),
         ]
-        branch_sets = [default_adr_branches(pd_area=pd_area)] * 6 + [
-            (AdrBranch(Orientation(0.0, 90.0), 10.0, pd_area),)
+        calls = [
+            (users[:6], default_adr_branches(pd_area=pd_area)),
+            (users[6:], (AdrBranch(Orientation(0.0, 90.0), 10.0, pd_area),)),
         ]
-        aps = [ap] * len(users)
         arguments = []
 
         def counted_erf(x, _erf=math.erf):
@@ -391,12 +365,16 @@ class TestManyUsers:
 
         with monkeypatch.context() as patch:
             patch.setattr(math, "erf", counted_erf)
-            gain, receiver = irs_gain_table(
-                aps, MirrorColumns.of(mirrors), users, branch_sets, WAIST, WAVELENGTH
-            )
-        scored = assert_table_matches(aps, mirrors, users, branch_sets)
-        assert gain.tobytes() == scored[0].tobytes()
-        assert receiver.tobytes() == scored[1].tobytes()
+            tables = [
+                irs_gain_table([ap] * len(group), MirrorColumns.of(mirrors), group, receiver,
+                               WAIST, WAVELENGTH)
+                for group, receiver in calls
+            ]
+        scored = [assert_table_matches([ap] * len(group), mirrors, group, receiver)
+                  for group, receiver in calls]
+        gain, receiver = (np.vstack(arrays) for arrays in zip(*tables))
+        assert gain.tobytes() == np.vstack([table[0] for table in scored]).tobytes()
+        assert receiver.tobytes() == np.vstack([table[1] for table in scored]).tobytes()
         served = int((receiver >= 0).sum())
         assert (gain[receiver >= 0] > 0.0).all()
         assert 0 < served < gain.size // 2
