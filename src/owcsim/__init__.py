@@ -24,7 +24,7 @@ _EXPORTS = {
         "beam",
     ),
     **dict.fromkeys(
-        ("AdrBranch", "ChannelGain", "MirrorColumns", "irs_gain_table", "los_gain_table"),
+        ("AdrBranch", "MirrorColumns", "irs_gain_table", "los_gain_table"),
         "channel",
     ),
     **dict.fromkeys(

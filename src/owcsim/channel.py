@@ -5,7 +5,7 @@ it aimed at its target, the user's receiver or a mirror centre, so a gain
 depends on where the branch sits and not on how it is pointed. Each gain is
 a power fraction of the beam that carries it, dimensionless in [0, 1]; a
 user's mirror-path total sums one such fraction per assigned mirror, and
-`ChannelGain` holds both paths and their sum q. The mirror path uses the
+`network` adds the two paths into each user's q. The mirror path uses the
 unfolded-path model: an ideal planar specular reflection preserves the
 Gaussian profile, so the reflected field is the same beam continued to the
 total folded distance, with the finite mirror entering as a multiplicative
@@ -67,29 +67,6 @@ class AdrBranch:
 
     def fov_half_angle_rad(self) -> float:
         return math.radians(self.fov_half_angle_deg)
-
-
-@dataclass(frozen=True)
-class ChannelGain:
-    """Direct gain, summed mirror gain, their total, and serving branches.
-
-    Each gain is a fraction of its own beam, so h_los is in [0, 1] while
-    h_nlos, a sum over one beam per assigned mirror, may exceed 1.
-    """
-
-    h_los: float
-    h_nlos: float
-    q: float
-    serving_branch_los: int | None
-    serving_branch_nlos: int | None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.h_los <= 1.0:
-            raise ValueError(f"h_los must be in [0, 1], got {self.h_los}")
-        if not self.h_nlos >= 0.0:
-            raise ValueError(f"h_nlos must be nonnegative, got {self.h_nlos}")
-        if self.q != self.h_los + self.h_nlos:
-            raise ValueError("q must equal h_los + h_nlos exactly")
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,9 @@ float. On arrays the steps run in place where the operands allow it (the same
 products and sums), so a large block holds few temporaries at once.
 `sum_rate` of a (users, points) block makes one nonnegativity check and one
 reduce that adds the user rows in order, as the loop over users does.
+
+`LinkResult` is one user's whole outcome, from channel gains to rate. This
+module imports no other owcsim module.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .channel import ChannelGain
 
 ELECTRON_CHARGE = 1.602176634e-19  # C, exact
 
@@ -36,32 +37,42 @@ class NoiseParams:
     bandwidth_b: float = 1.5e9  # Hz
 
     def __post_init__(self) -> None:
-        if self.bandwidth_b <= 0.0:
-            raise ValueError(f"bandwidth_b must be positive, got {self.bandwidth_b}")
-        if self.noise_current_density < 0.0:
-            raise ValueError(
-                f"noise_current_density must be nonnegative, got {self.noise_current_density}"
-            )
-        if self.rin_db_per_hz >= 0.0:
-            raise ValueError(
-                f"rin_db_per_hz must be negative, got {self.rin_db_per_hz}"
-            )
+        for name, sign, ok in (  # each test is written so that NaN fails it
+            ("rin_db_per_hz", "negative", -math.inf < self.rin_db_per_hz < 0.0),
+            ("noise_current_density", "nonnegative", 0.0 <= self.noise_current_density < math.inf),
+            ("tia_noise_figure_db", "nonnegative", 0.0 <= self.tia_noise_figure_db < math.inf),
+            ("bandwidth_b", "positive", 0.0 < self.bandwidth_b < math.inf),
+        ):
+            if not ok:
+                raise ValueError(f"noise.{name} must be finite and {sign}, got {vars(self)[name]}")
 
 
 @dataclass(frozen=True)
 class LinkResult:
-    """Per-user link outcome: received power, noise, electrical SNR, rate."""
+    """One user's outcome: gains, serving receiver branches (None for none),
+    received power, noise, electrical SNR and rate. Each gain is a fraction of
+    its own beam, so h_los is in [0, 1] while h_nlos, a sum over one beam per
+    assigned mirror, may exceed 1; q is their sum."""
 
+    h_los: float
+    h_nlos: float
+    q: float
+    serving_branch_los: int | None
+    serving_branch_nlos: int | None
     received_optical_power: float  # W
     noise_variance: float  # A^2
     sinr: float
     rate: float  # bit/s
-    gain: ChannelGain | None = None
 
     def __post_init__(self) -> None:
-        for name in ("received_optical_power", "noise_variance", "sinr", "rate"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+        # Each test is written so that NaN fails it.
+        if not 0.0 <= self.h_los <= 1.0:
+            raise ValueError(f"h_los must be in [0, 1], got {self.h_los}")
+        for name in ("h_nlos", "received_optical_power", "noise_variance", "sinr", "rate"):
+            if not 0.0 <= (value := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if self.q != self.h_los + self.h_nlos:
+            raise ValueError("q must equal h_los + h_nlos exactly")
 
 
 def thermal_noise_variance(params: NoiseParams) -> float:
@@ -101,20 +112,19 @@ def noise_variance(
 
 
 def sinr(
-    gain: ChannelGain | float | np.ndarray,
+    q: float | np.ndarray,
     transmit_power: float | np.ndarray,
     responsivity: float | np.ndarray,
     sigma2: float | np.ndarray,
 ) -> float | np.ndarray:
-    """Electrical SNR (R q P)^2 / sigma^2, with P the power of each aimed beam.
+    """Electrical SNR (R q P)^2 / sigma^2, with q the total channel gain and P
+    the power of each aimed beam.
 
     There is no interference term: every beam serves one user, so the
     model is noise-limited and the value is an SNR.
-    `gain` is a ChannelGain or its total gain q, a float or an array.
     """
     if np.less_equal(sigma2, 0.0).any():
         raise ValueError("nonpositive noise variance")
-    q = gain.q if isinstance(gain, ChannelGain) else gain
     signal = responsivity * q * transmit_power
     signal *= signal
     return signal / sigma2

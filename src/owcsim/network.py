@@ -26,11 +26,11 @@ reads them and runs no scalar gain code: the scalar `los_gain`, `irs_gain`
 and `serving_branch_index` that the kernels are tested against live in
 `owcsim.reference`, which no evaluation module imports.
 
-An `Assignment` is an owner vector, the user holding each mirror or -1.
-With no per-user cap each mirror goes to its best user, the lowest index on
-a tie; only a finite cap runs the greedy loop. Every user's h_nlos is one
+An `Assignment` is an owner vector over the wall, the user holding each mirror
+or -1. With no per-user cap each mirror goes to its best user, the lowest index
+on a tie; only a finite cap runs the greedy loop. Every user's h_nlos is one
 `np.bincount` over the wall, added in mirror order, and only `evaluate_scenario`
-and `evaluate_user` build `ChannelGain`/`LinkResult` values.
+and `evaluate_user` build `LinkResult` records.
 
 Seeded placement follows numpy's PCG64 stream, `default_rng(seed).random((k, 2))`,
 computed in pure Python, so no run imports `numpy.random`.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -48,7 +48,6 @@ import numpy as np
 
 from .channel import (
     AdrBranch,
-    ChannelGain,
     MirrorColumns,
     aim,
     coordinates,
@@ -96,10 +95,14 @@ class AdtSpec:
     side_offset: float = 0.3  # m, horizontal displacement of side branches
 
     def __post_init__(self) -> None:
-        if self.beam_waist <= 0.0 or self.beam_wavelength <= 0.0:
-            raise ValueError("adt beam waist and wavelength must be positive")
-        if self.side_offset < 0.0:
-            raise ValueError("adt.side_offset_m must be nonnegative")
+        # Each test is written so that NaN fails it.
+        waist, wavelength, offset = self.beam_waist, self.beam_wavelength, self.side_offset
+        if not 0.0 < waist < math.inf:
+            raise ValueError(f"adt.beam_waist_m must be finite and positive, got {waist}")
+        if not 0.0 < wavelength < math.inf:
+            raise ValueError(f"adt.wavelength_m must be finite and positive, got {wavelength}")
+        if not 0.0 <= offset < math.inf:
+            raise ValueError(f"adt.side_offset_m must be finite and nonnegative, got {offset}")
 
     def branch_positions(self) -> tuple[Vec3, ...]:
         """Branch apertures: the first sits at the centre, the four side
@@ -130,8 +133,9 @@ class IrsPanel:
         if self.grid_m < 1:
             raise ValueError(f"irs.grid_m must be >= 1, got {self.grid_m}")
         width, height = self.element_size
-        if width <= 0.0 or height <= 0.0:
-            raise ValueError("irs element size must be positive")
+        for key, size in (("irs.element_width_m", width), ("irs.element_height_m", height)):
+            if not 0.0 < size < math.inf:  # NaN too
+                raise ValueError(f"irs element size must be positive and finite: {key} is {size}")
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError(f"mirror reflectivity must be in [0, 1], got {self.reflectivity}")
 
@@ -210,8 +214,8 @@ class Scenario:
 
     def __post_init__(self) -> None:
         dx, dy, dz = self.room_dims
-        if dx <= 0.0 or dy <= 0.0 or dz <= 0.0:
-            raise ValueError(f"room.dims must be positive, got {self.room_dims}")
+        if not all(0.0 < d < math.inf for d in self.room_dims):  # NaN too
+            raise ValueError(f"room.dims must be finite and positive, got {self.room_dims}")
         if not 0.0 <= self.receiver_z <= dz:
             raise ValueError(
                 f"room.receiver_z must be inside the room height, got {self.receiver_z}"
@@ -280,10 +284,13 @@ class Scenario:
             raise ValueError(
                 f"users.responsivity_a_per_w must be positive, got {self.responsivity}"
             )
-        if self.p_tot <= 0.0:
-            raise ValueError(f"power.p_tot_w must be positive, got {self.p_tot}")
-        if self.eye_safety_cap <= 0.0:
-            raise ValueError(f"power.eye_safety_cap_w must be positive, got {self.eye_safety_cap}")
+        # NaN fails both tests; a NaN cap would otherwise switch the cap off.
+        if not 0.0 < self.p_tot < math.inf:
+            raise ValueError(f"power.p_tot_w must be finite and positive, got {self.p_tot}")
+        if not 0.0 < self.eye_safety_cap < math.inf:
+            raise ValueError(
+                f"power.eye_safety_cap_w must be finite and positive, got {self.eye_safety_cap}"
+            )
         if self.p_tot > self.eye_safety_cap:
             raise ValueError(
                 "power.p_tot_w exceeds power.eye_safety_cap_w: every aimed beam carries p_tot_w"
@@ -365,44 +372,45 @@ class Scenario:
         )
         return prefix
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
-    """The mirrors each user holds; every mirror serves at most one user.
+    """The user holding each mirror of the wall, -1 for none, out of `users`.
 
-    `per_user` lists each user's mirrors; `owner` is the read-only user of each
-    mirror, -1 for none. `assign_mirrors` builds one from an owner vector over
-    the whole wall; `Assignment(per_user)` rejects a mirror held twice, and its
-    `owner` ends at the highest mirror held.
+    `owner` is a read-only copy of the integer vector given, each entry in
+    [-1, users), so no mirror can be held twice. `per_user` lists each user's
+    mirrors, ascending, built on first read. `==` compares users and owners.
     """
 
-    per_user: tuple[tuple[int, ...], ...]
-    owner: np.ndarray = field(init=False, repr=False, compare=False)
+    owner: np.ndarray
+    users: int
 
     def __post_init__(self) -> None:
-        owner = np.full(max((m for row in self.per_user for m in row), default=-1) + 1, -1)
-        for user_index, mirrors in enumerate(self.per_user):
-            for index in mirrors:
-                if index < 0:
-                    raise ValueError(f"mirror index must be nonnegative, got {index}")
-                if owner[index] >= 0:
-                    raise ValueError(f"mirror {index} assigned to more than one user")
-                owner[index] = user_index
+        given = np.asarray(self.owner)
+        integral = given.dtype.kind in "iu" or given.size == 0
+        if operator.index(self.users) < 0 or given.ndim != 1 or not integral:
+            raise ValueError(f"owner must be an integer vector, users >= 0: {given}, {self.users}")
+        owner = given.astype(np.intp)  # a copy, so no caller can write it
+        outside = (owner < -1) | (owner >= self.users)
+        if outside.any():
+            mirror = int(outside.argmax())
+            raise ValueError(
+                f"owner[{mirror}] must be a user in [-1, {self.users}), got {owner[mirror]}"
+            )
         owner.flags.writeable = False
         object.__setattr__(self, "owner", owner)
 
-    @classmethod
-    def _of_owner(cls, owner: np.ndarray, users: int) -> Assignment:
-        """The assignment an owner vector gives, each user's mirrors ascending: one
-        stable argsort groups the mirrors by owner and the owners' counts split it.
-        An owner vector cannot hold a mirror twice, so nothing is checked again."""
-        order = np.argsort(owner, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(owner + 1, minlength=users + 1)).tolist()
-        per_user = tuple(tuple(order[start:end]) for start, end in zip(ends, ends[1:]))
-        owner.flags.writeable = False
-        assignment = object.__new__(cls)
-        object.__setattr__(assignment, "per_user", per_user)
-        object.__setattr__(assignment, "owner", owner)
-        return assignment
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Assignment):
+            return NotImplemented
+        return self.users == other.users and np.array_equal(self.owner, other.owner)
+
+    @cached_property
+    def per_user(self) -> tuple[tuple[int, ...], ...]:
+        """Each user's mirrors, ascending: one stable argsort groups the mirrors
+        by owner and the owners' counts split it."""
+        order = np.argsort(self.owner, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.owner + 1, minlength=self.users + 1)).tolist()
+        return tuple(tuple(order[start:end]) for start, end in zip(ends, ends[1:]))
 
 
 def default_adr_branches(
@@ -590,7 +598,7 @@ def assign_mirrors(
                 held[mirror_index] = user_index
                 counts[user_index] += 1
         owner = np.array(held, dtype=np.intp)
-    return Assignment._of_owner(owner, len(matrix))
+    return Assignment(owner, len(matrix))
 
 
 def scenario_assignment(scenario: Scenario) -> Assignment:
@@ -612,12 +620,13 @@ def _gains(scenario: Scenario, assignment: Assignment) -> tuple[np.ndarray, ...]
     branch = np.array(scenario.serving_branches)
     h_los, los_branch = gain[users, branch], receiver[users, branch]
     mirror_gain, mirror_receiver = scenario.mirror_table
-    # An `Assignment(per_user)` ends at its last mirror held: the rest are unheld.
-    owner = assignment.owner
+    owner, mirrors = assignment.owner, mirror_gain.shape[1]
+    if owner.shape != (mirrors,) or assignment.users != len(users):
+        raise ValueError(f"the assignment must cover {mirrors} mirrors and {len(users)} users")
     h_nlos, nlos_branch = np.zeros(len(users)), np.full(len(users), -1)
-    if len(owner):  # else there is no wall, or no mirror is held
+    if mirrors:  # else there is no wall
         # An unheld mirror (owner -1) reads the last user's row into bin 0, which is dropped.
-        held = mirror_gain[owner, np.arange(len(owner))]
+        held = mirror_gain[owner, np.arange(mirrors)]
         h_nlos = np.bincount(owner + 1, held, len(users) + 1)[1:]
         # argmax takes the first maximum: the lowest mirror index wins a tie.
         best = np.where(owner == users[:, None], held, -1.0).argmax(axis=1)
@@ -644,8 +653,8 @@ def _link_results(scenario: Scenario, assignment: Assignment) -> list[LinkResult
     gains, link = _evaluate(scenario, assignment, np.array([scenario.p_tot]))
     h_los, h_nlos, q = (values.tolist() for values in gains[:3])
     los, nlos = ([None if b < 0 else b for b in values.tolist()] for values in gains[3:])
-    channel = map(ChannelGain, h_los, h_nlos, q, los, nlos)
-    return list(map(LinkResult, *(values[:, 0].tolist() for values in link), channel))
+    outcome = (values[:, 0].tolist() for values in link)
+    return list(map(LinkResult, h_los, h_nlos, q, los, nlos, *outcome))
 
 
 def evaluate_user(scenario: Scenario, assignment: Assignment, user_index: int) -> LinkResult:
@@ -781,12 +790,13 @@ def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
     """
     if scenario.irs is None:
         raise ValueError("sweep-users compares against the mirror wall: irs.enabled must be true")
-    ks = [int(k) for k in k_values]
+    ks = list(k_values)
     if not ks:
         raise ValueError("k_values must be nonempty")
-    for k in ks:
-        if k < 1:
-            raise ValueError(f"k_values must be >= 1, got {k}")
+    for i, k in enumerate(ks):
+        # int() would truncate 2.5 to 2 and read True as 1.
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"k_values[{i}] must be an integer >= 1, got {k!r}")
     positions = place_users_uniform(
         max(ks), scenario.room_dims, scenario.rng_seed, scenario.receiver_z
     )

@@ -16,7 +16,6 @@ from owcsim import checks
 from owcsim.beam import GaussianBeam, power_through_circle, power_through_rectangle, waist_at
 from owcsim.cli import EXIT_OK, run_command
 from owcsim.geometry import Vec3
-from owcsim.channel import ChannelGain
 from owcsim.link import NoiseParams, achievable_rate, noise_variance, sinr
 from owcsim.config import build_default_scenario
 from owcsim.network import assign_mirrors, sweep_snr, sweep_users
@@ -148,7 +147,7 @@ def test_criterion_6_link_math_spot_checks():
     assert abs(q - 1.4528e-4) / 1.4528e-4 < 5e-3
     sigma2 = noise_variance(params, q * 0.01, 0.4)
     assert abs(sigma2 - 9.506e-14) / 9.506e-14 < 5e-3
-    gamma = sinr(ChannelGain(q, 0.0, q, 0, None), 0.01, 0.4, sigma2)
+    gamma = sinr(q, 0.01, 0.4, sigma2)
     assert abs(gamma - 3.553) / 3.553 < 5e-3
     rate = achievable_rate(gamma, params.bandwidth_b)
     assert abs(rate - 2.005e9) / 2.005e9 < 5e-3

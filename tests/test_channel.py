@@ -6,9 +6,10 @@ import pytest
 
 from owcsim import checks
 from owcsim.beam import GaussianBeam, power_through_circle, waist_at
-from owcsim.channel import AdrBranch, ChannelGain
+from owcsim.channel import AdrBranch
 from owcsim.config import build_default_scenario
 from owcsim.geometry import Orientation, Vec3
+from owcsim.link import LinkResult
 from owcsim.network import (
     Assignment,
     assign_mirrors,
@@ -77,17 +78,24 @@ class TestAdrBranch:
         assert abs(FOUR_BRANCHES[0].aperture_radius() - math.sqrt(PD_AREA / math.pi)) < 1e-15
 
 
+def channel_gain(h_los, h_nlos, q, los, nlos):
+    """A `LinkResult` with these channel-gain fields and an in-range link."""
+    return LinkResult(h_los, h_nlos, q, los, nlos, 1e-6, 1e-13, 2.0, 1e9)
+
+
 class TestChannelGain:
+    """The channel-gain fields of `LinkResult` and their checks."""
+
     def test_sum_enforced_exactly(self):
-        ChannelGain(0.2, 0.1, 0.2 + 0.1, 0, 1)
+        channel_gain(0.2, 0.1, 0.2 + 0.1, 0, 1)
         with pytest.raises(ValueError, match="exactly"):
-            ChannelGain(0.2, 0.1, 0.3000001, 0, 1)
+            channel_gain(0.2, 0.1, 0.3000001, 0, 1)
 
     def test_bounds(self):
         with pytest.raises(ValueError, match="h_los"):
-            ChannelGain(1.2, 0.0, 1.2, 0, None)
+            channel_gain(1.2, 0.0, 1.2, 0, None)
         with pytest.raises(ValueError, match="h_nlos"):
-            ChannelGain(0.0, -0.1, -0.1, None, 0)
+            channel_gain(0.0, -0.1, -0.1, None, 0)
 
 
 class TestLosGain:
@@ -233,15 +241,14 @@ NARROW_SPREAD = {"adt": {"beam_waist_m": 2e-5, "wavelength_m": 3.5e-7}, "irs": {
 
 
 class TestTotalGain:
-    """The total gain q = h_los + h_nlos of each user's `ChannelGain`, as the
+    """The total gain q = h_los + h_nlos of each user's `LinkResult`, as the
     network builds it: one fraction of its own beam per held mirror, added in
     mirror order."""
 
     def test_no_mirror_path(self):
         results = evaluate_scenario(build_default_scenario({"irs": {"enabled": False}}))
-        assert any(r.gain.h_los > 0.0 for r in results)
-        for result in results:
-            g = result.gain
+        assert any(r.h_los > 0.0 for r in results)
+        for g in results:
             assert g.q == g.h_los and g.h_nlos == 0.0 and g.serving_branch_nlos is None
 
     def test_blocked_direct_with_one_mirror(self):
@@ -249,20 +256,20 @@ class TestTotalGain:
             {"users": {"k": 1, "positions": [[2.5, 4.2, 0.0]], "blocked": [0]},
              "power": {"max_mirrors_per_user": 1}}
         )
-        g = evaluate_scenario(s)[0].gain
+        g = evaluate_scenario(s)[0]
         assert g.q == g.h_nlos > 0.0 and g.h_los == 0.0 and g.serving_branch_los is None
 
     def test_additivity(self):
         s = build_default_scenario({"irs": {"grid_m": 10}})
         gains, assignment = irs_gain_matrix(s), scenario_assignment(s)
         results = evaluate_scenario(s)
-        assert any(r.gain.h_los > 0.0 and r.gain.h_nlos > 0.0 for r in results)
+        assert any(r.h_los > 0.0 and r.h_nlos > 0.0 for r in results)
         for i, (result, held) in enumerate(zip(results, assignment.per_user)):
             h_nlos = 0.0
             for m in held:
                 h_nlos += gains[i, m]
-            assert result.gain.h_nlos == h_nlos
-            assert result.gain.q == result.gain.h_los + h_nlos
+            assert result.h_nlos == h_nlos
+            assert result.q == result.h_los + h_nlos
 
     def test_contribution_bounds_enforced(self):
         s = build_default_scenario({"irs": {"grid_m": 10}})
@@ -274,23 +281,24 @@ class TestTotalGain:
         with pytest.raises(ValueError, match="nonnegative"):
             assign_mirrors(s, negative)
         with pytest.raises(ValueError, match="h_los"):
-            ChannelGain(-0.1, 0.0, -0.1, None, None)
+            channel_gain(-0.1, 0.0, -0.1, None, None)
 
     def test_bound_holds_per_beam_not_on_the_sum(self):
         s = build_default_scenario(NARROW_SPREAD)
         assert irs_gain_matrix(s).max() <= 1.0
-        assert max(r.gain.h_nlos for r in evaluate_scenario(s)) > 1.0
+        assert max(r.h_nlos for r in evaluate_scenario(s)) > 1.0
 
     def test_removing_contribution_never_increases_q(self):
         s = build_default_scenario(NARROW_SPREAD)
-        per_user = scenario_assignment(s).per_user
+        assignment = scenario_assignment(s)
         checked = 0
-        for i, held in enumerate(per_user):
-            full = evaluate_user(s, Assignment(per_user), i).gain.q
-            for drop in range(min(len(held), 6)):
-                reduced = held[:drop] + held[drop + 1 :]
-                fewer = Assignment(per_user[:i] + (reduced,) + per_user[i + 1 :])
-                assert evaluate_user(s, fewer, i).gain.q <= full + 1e-18
+        for i, held in enumerate(assignment.per_user):
+            full = evaluate_user(s, assignment, i).q
+            for drop in held[:6]:
+                owner = assignment.owner.copy()
+                owner[drop] = -1
+                fewer = Assignment(owner, len(s.users))
+                assert evaluate_user(s, fewer, i).q <= full + 1e-18
                 checked += 1
         assert checked > 6
 
@@ -302,7 +310,7 @@ class TestTotalGain:
         )
         planted = (np.array([[1.0, 1e-16, 1e-16, 0.0]]), np.zeros((1, 4), dtype=int))
         vars(s)["mirror_table"] = planted
-        assert evaluate_user(s, Assignment(((0, 1, 2),)), 0).gain.h_nlos == 1.0
+        assert evaluate_user(s, Assignment([0, 0, 0, -1], 1), 0).h_nlos == 1.0
 
     def test_branches_recorded(self):
         s = build_default_scenario({"irs": {"grid_m": 10}})
@@ -310,8 +318,8 @@ class TestTotalGain:
         gains, assignment = irs_gain_matrix(s), scenario_assignment(s)
         for i, result in enumerate(evaluate_scenario(s)):
             los = direct[i, s.serving_branches[i]]
-            assert result.gain.serving_branch_los == (None if los < 0 else los)
+            assert result.serving_branch_los == (None if los < 0 else los)
             held = assignment.per_user[i]
             best = max(held, key=lambda m: (gains[i, m], -m)) if held else None
             nlos = None if best is None else mirror[i, best]
-            assert result.gain.serving_branch_nlos == nlos
+            assert result.serving_branch_nlos == nlos

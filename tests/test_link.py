@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from owcsim.channel import ChannelGain
 from owcsim.link import (
     ELECTRON_CHARGE,
     LinkResult,
@@ -17,10 +16,6 @@ from owcsim.link import (
 )
 
 TABLE = NoiseParams()  # all defaults
-
-
-def gain_of(q: float) -> ChannelGain:
-    return ChannelGain(q, 0.0, q, 0, None)
 
 
 class TestNoiseParams:
@@ -82,17 +77,17 @@ class TestNoiseVariance:
 
 class TestSinr:
     def test_zero_gain(self):
-        assert sinr(gain_of(0.0), 0.01, 0.4, 1e-13) == 0.0
+        assert sinr(0.0, 0.01, 0.4, 1e-13) == 0.0
 
     def test_unity_when_signal_equals_noise_std(self):
         sigma2 = 4e-14
         q = math.sqrt(sigma2) / (0.4 * 0.01)
-        assert sinr(gain_of(q), 0.01, 0.4, sigma2) == pytest.approx(1.0, rel=1e-12)
+        assert sinr(q, 0.01, 0.4, sigma2) == pytest.approx(1.0, rel=1e-12)
 
     def test_hand_derived_chain_value(self):
         # q = 1.4528220319e-4, P = 10 mW, R = 0.4, sigma2 = 9.5057212042e-14
         # gives gamma = 3.5527098865
-        gamma = sinr(gain_of(1.4528220319e-4), 0.01, 0.4, 9.5057212042e-14)
+        gamma = sinr(1.4528220319e-4, 0.01, 0.4, 9.5057212042e-14)
         assert abs(gamma - 3.5527098865) < 1e-8
         assert abs(gamma - 3.553) / 3.553 < 5e-3
 
@@ -104,13 +99,13 @@ class TestSinr:
             p = rng.uniform(1e-4, 1e-1)
             sigma2 = rng.uniform(1e-15, 1e-12)
             c = rng.uniform(0.1, 100.0)
-            base = sinr(gain_of(q), p, 0.4, sigma2)
-            scaled = sinr(gain_of(q * c), p / c, 0.4, sigma2)
+            base = sinr(q, p, 0.4, sigma2)
+            scaled = sinr(q * c, p / c, 0.4, sigma2)
             assert abs(scaled - base) / base < 1e-12
 
     def test_nonpositive_noise_rejected(self):
         with pytest.raises(ValueError, match="nonpositive noise variance"):
-            sinr(gain_of(1e-4), 0.01, 0.4, 0.0)
+            sinr(1e-4, 0.01, 0.4, 0.0)
 
 
 class TestAchievableRate:
@@ -178,7 +173,7 @@ class TestArrayInputs:
 
     def test_float_in_float_out(self):
         sigma2 = noise_variance(TABLE, 1e-6, 0.4)
-        gamma = sinr(gain_of(1e-4), 0.01, 0.4, sigma2)
+        gamma = sinr(1e-4, 0.01, 0.4, sigma2)
         rate = achievable_rate(gamma, 1.5e9)
         for value in (sigma2, gamma, rate, sum_rate([rate, rate])):
             assert type(value) is float
@@ -192,9 +187,9 @@ class TestArrayInputs:
     def test_sinr_elementwise_bitwise(self):
         powers = self.values(42, -6.0, 2.0)
         sigma2 = self.values(43, -15.0, -8.0)
-        got = sinr(gain_of(1.7e-4), powers, 0.4, sigma2)
+        got = sinr(1.7e-4, powers, 0.4, sigma2)
         expected = [
-            sinr(gain_of(1.7e-4), p, 0.4, s2) for p, s2 in zip(powers.tolist(), sigma2.tolist())
+            sinr(1.7e-4, p, 0.4, s2) for p, s2 in zip(powers.tolist(), sigma2.tolist())
         ]
         assert got.tolist() == expected
 
@@ -218,7 +213,7 @@ class TestArrayInputs:
             for j, p in enumerate(powers.tolist()):
                 s2 = noise_variance(TABLE, received[u, j], r)
                 assert sigma2[u, j] == s2
-                assert gamma[u, j] == sinr(gain_of(g), p, r, s2)
+                assert gamma[u, j] == sinr(g, p, r, s2)
                 assert rate[u, j] == achievable_rate(gamma[u, j], 1.5e9)
 
     def test_scalar_rate_is_a_python_float(self):
@@ -240,9 +235,9 @@ class TestArrayInputs:
         assert str(array.value) == str(scalar.value)
 
         with pytest.raises(ValueError) as scalar:
-            sinr(gain_of(1e-4), 0.01, 0.4, 0.0)
+            sinr(1e-4, 0.01, 0.4, 0.0)
         with pytest.raises(ValueError) as array:
-            sinr(gain_of(1e-4), np.full(3, 0.01), 0.4, np.array([1e-13, 0.0, 1e-13]))
+            sinr(1e-4, np.full(3, 0.01), 0.4, np.array([1e-13, 0.0, 1e-13]))
         assert str(array.value) == str(scalar.value)
 
         with pytest.raises(ValueError) as scalar:
@@ -258,11 +253,34 @@ class TestArrayInputs:
         assert str(array.value) == str(scalar.value)
 
 
+# One user's outcome, every field in range.
+RESULT = {
+    "h_los": 1e-4,
+    "h_nlos": 2e-4,
+    "q": 1e-4 + 2e-4,
+    "serving_branch_los": 0,
+    "serving_branch_nlos": 1,
+    "received_optical_power": 3e-6,
+    "noise_variance": 1e-13,
+    "sinr": 2.0,
+    "rate": 1e9,
+}
+
+
 class TestLinkResult:
     def test_nonnegative_enforced(self):
-        LinkResult(1e-6, 1e-13, 2.0, 1e9)
+        LinkResult(**RESULT)
         with pytest.raises(ValueError, match="sinr"):
-            LinkResult(1e-6, 1e-13, -2.0, 1e9)
+            LinkResult(**{**RESULT, "sinr": -2.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["h_los", "h_nlos", "q", "received_optical_power", "noise_variance", "sinr", "rate"],
+    )
+    def test_nonfinite_field_rejected_naming_it(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            LinkResult(**{**RESULT, field: value})
 
 
 class TestSumRateBlock:

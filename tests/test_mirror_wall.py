@@ -194,14 +194,14 @@ class TestMirrorTable:
                 best = max(mirrors, key=lambda m: (gains[i, m], -m))
                 want = scalar_path(s, i, best)[1]
                 held += 1
-            assert results[i].gain.serving_branch_nlos == want
+            assert results[i].serving_branch_nlos == want
         assert held >= 2
 
     def test_nlos_branch_tie_goes_to_the_first_assigned_mirror(self):
         s = build_default_scenario({"irs": {"grid_m": 2}, "users": {"k": 1}})
         table = (np.array([[0.0, 0.3, 0.1, 0.3]]), np.array([[-1, 2, 0, 3]]))
         vars(s)["mirror_table"] = table
-        gain = evaluate_user(s, Assignment(((1, 2, 3),)), 0).gain
+        gain = evaluate_user(s, Assignment([-1, 0, 0, 0], 1), 0)
         assert gain.serving_branch_nlos == 2
         assert gain.h_nlos == 0.3 + 0.1 + 0.3
 
@@ -267,7 +267,7 @@ class TestNoScalarGainCode:
         calls = _count_scalar_code(monkeypatch)
         s = build_default_scenario({"irs": {"grid_m": 10}})
         results = evaluate_scenario(s)
-        assert any(r.gain.serving_branch_nlos is not None for r in results)
+        assert any(r.serving_branch_nlos is not None for r in results)
         sweep_snr(s, [60.0, 90.0, 120.0])
         sweep_users(s, [1, 3, 4])
         simulate_scenario(s)

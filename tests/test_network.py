@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +9,17 @@ import pytest
 
 import owcsim.network
 from owcsim import checks
-from owcsim.channel import ChannelGain
 from owcsim.config import build_default_scenario
 from owcsim.geometry import Vec3
 from owcsim.config import DEFAULT_SNR_POINTS_DB
-from owcsim.link import achievable_rate, noise_variance, sinr, sum_rate, thermal_noise_variance
+from owcsim.link import (
+    NoiseParams,
+    achievable_rate,
+    noise_variance,
+    sinr,
+    sum_rate,
+    thermal_noise_variance,
+)
 from owcsim.network import (
     _WALLS,
     Assignment,
@@ -120,6 +128,38 @@ class TestBuildDefaultScenario:
         assert [u.blocked for u in s.users] == [False, True, False, True]
         with pytest.raises(ValueError, match="users.blocked"):
             build_default_scenario({"users": {"blocked": [9]}})
+
+
+class TestLibraryBuiltValuesAreFinite:
+    """A value built in code, where no config check ran, is held to a finite
+    range too, NaN included; the error names the field's config key. Before,
+    a NaN waist gave all-zero rates, NaN noise gave NaN rates, and a NaN cap
+    switched the eye-safety cap off."""
+
+    CHANGES = {
+        "adt.beam_waist_m": lambda s, v: replace(s.adt, beam_waist=v),
+        "adt.wavelength_m": lambda s, v: replace(s.adt, beam_wavelength=v),
+        "adt.side_offset_m": lambda s, v: replace(s.adt, side_offset=v),
+        "irs.element_width_m": lambda s, v: replace(s.irs, element_size=(v, 0.1)),
+        "irs.element_height_m": lambda s, v: replace(s.irs, element_size=(0.15, v)),
+        "noise.rin_db_per_hz": lambda s, v: replace(s.noise, rin_db_per_hz=v),
+        "noise.noise_current_density": lambda s, v: replace(s.noise, noise_current_density=v),
+        "noise.tia_noise_figure_db": lambda s, v: replace(s.noise, tia_noise_figure_db=v),
+        "noise.bandwidth_b": lambda s, v: replace(s.noise, bandwidth_b=v),
+        "power.p_tot_w": lambda s, v: replace(s, p_tot=v),
+        "power.eye_safety_cap_w": lambda s, v: replace(s, eye_safety_cap=v),
+        "room.dims": lambda s, v: replace(s, room_dims=(5.0, v, 3.0)),
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", sorted(CHANGES))
+    def test_nonfinite_value_rejected_naming_its_key(self, key, value):
+        with pytest.raises(ValueError, match=re.escape(key)):
+            self.CHANGES[key](build_default_scenario(None), value)
+
+    def test_noise_figure_below_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"noise\.tia_noise_figure_db must be finite"):
+            NoiseParams(tia_noise_figure_db=-1.0)
 
 
 class TestIrsPanel:
@@ -360,10 +400,6 @@ class TestAssignMirrors:
                     expected[u].append(m)
             assert from_list.per_user == tuple(tuple(sorted(m)) for m in expected)
 
-    def test_duplicate_assignment_rejected(self):
-        with pytest.raises(ValueError, match="more than one user"):
-            Assignment(((0, 1), (1,)))
-
     def test_uncapped_equals_greedy_with_a_cap_of_every_mirror(self):
         # Gains from {0, 0.25, 0.5} force ties, and one column is all zero.
         rng = random.Random(44)
@@ -392,15 +428,41 @@ class TestAssignMirrors:
             assert not assignment.owner.flags.writeable
         assert assign_mirrors(s, gains).per_user == ((0, 3), (2,), ())
 
-    def test_constructed_assignment_owner_ends_at_its_last_mirror(self):
-        assignment = Assignment(((4, 1), (), (2,)))
+    def test_constructed_assignment_copies_its_owner_vector(self):
+        given = np.array([-1, 0, 2, -1, 0])
+        assignment = Assignment(given, 3)
+        given[0] = 1
         assert assignment.owner.tolist() == [-1, 0, 2, -1, 0]
-        assert Assignment(((), ())).owner.tolist() == []
-        assert assignment == Assignment(((4, 1), (), (2,)))
-        with pytest.raises(ValueError, match="more than one user"):
-            Assignment(((3, 3),))
-        with pytest.raises(ValueError, match="nonnegative"):
-            Assignment(((1,), (-1,)))
+        assert assignment.owner.dtype == np.intp and not assignment.owner.flags.writeable
+        assert assignment.per_user == ((1, 4), (), (2,))
+        assert Assignment([], 2).per_user == ((), ())
+        assert assignment == Assignment([-1, 0, 2, -1, 0], 3)
+        assert assignment != Assignment([-1, 0, 2, -1, 0], 4)
+        assert assignment != Assignment([-1, 0, 2, -1, 1], 3)
+
+    @pytest.mark.parametrize(
+        "owner, users, first",
+        [([0, 3, -1, 5], 3, "owner[1] must be a user in [-1, 3), got 3"),
+         ([0, -1, -2], 2, "owner[2] must be a user in [-1, 2), got -2"),
+         ([0], 0, "owner[0] must be a user in [-1, 0), got 0")],
+    )
+    def test_owner_outside_the_users_rejected_naming_the_first_mirror(self, owner, users, first):
+        with pytest.raises(ValueError, match=re.escape(first)):
+            Assignment(owner, users)
+
+    @pytest.mark.parametrize(
+        "owner, users", [([0.0, 1.0], 2), ([[0, 1]], 2), ([True, False], 2), ([0], -1)]
+    )
+    def test_owner_not_an_integer_vector_rejected(self, owner, users):
+        with pytest.raises(ValueError, match="owner must be an integer vector"):
+            Assignment(owner, users)
+
+    def test_evaluation_rejects_an_assignment_of_another_wall(self):
+        s = build_default_scenario({"users": {"k": 2}})
+        with pytest.raises(ValueError, match="must cover 25 mirrors and 2 users"):
+            evaluate_user(s, Assignment([0, 1], 2), 0)
+        with pytest.raises(ValueError, match="must cover 25 mirrors and 2 users"):
+            evaluate_user(s, Assignment([-1] * 25, 3), 0)
 
 
 def _wall_scale_scene(seed, grid_m=30, users=16):
@@ -430,13 +492,58 @@ class TestOwnerVectorGains:
         assert assignment == assign_mirrors(s, gains, max_per_user=gains.shape[1])
         results = evaluate_scenario(s)
         held = 0
-        for i, result in enumerate(results):
-            g = result.gain
+        for i, g in enumerate(results):
             got = (g.h_los, g.h_nlos, g.q, g.serving_branch_los, g.serving_branch_nlos)
             assert got == user_gain_oracle(s, assignment.per_user, i), i
-            assert evaluate_user(s, assignment, i) == result
+            assert evaluate_user(s, assignment, i) == g
             held += bool(assignment.per_user[i])
         assert held >= 1
+
+
+class TestPerUserOnRead:
+    """`Assignment.per_user` is built only when read, and reads as before."""
+
+    # sha256 of `repr(per_user)` on 30x30-wall, 16-user scenes, taken from the
+    # assignment that built `per_user` eagerly; 20 caps every user's mirrors.
+    DIGESTS = {
+        (0, None): "c7d7c47e34e296d145e1a8c1a8cae7c0b75f5fe747a0002113c18d0309aed850",
+        (0, 20): "58964701467d8cdffde195ea31d2bbdb746afc39b9d17d6d1618ae71fa9a1e60",
+        (1, None): "3159edeacaca56abc85adbc477c0cbfd4bf05bfc5ec03412d62eaadc9f5fec01",
+        (1, 20): "541961f403c4a79e9fee751a1efb3b2c5fbe73b7f478044b120a33802dbf450d",
+        (2, None): "8446d90d306cc52552ae3f993b80e803bec3b5e5781daddf735f50822d22d9a8",
+        (2, 20): "c47b163ac79f70f6096fa400c957c00b5ddfb9b40296f0fb4f481243f30f9221",
+    }
+
+    @pytest.mark.parametrize("seed, cap", sorted(DIGESTS, key=str))
+    def test_wall_scale_per_user_is_unchanged(self, seed, cap):
+        s = replace(_wall_scale_scene(seed), max_mirrors_per_user=cap)
+        per_user = scenario_assignment(s).per_user
+        assert hashlib.sha256(repr(per_user).encode()).hexdigest() == self.DIGESTS[seed, cap]
+        assert all(type(m) is int for row in per_user for m in row)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            evaluate_scenario,
+            simulate_scenario,
+            lambda s: sweep_snr(s, [70.0, 90.0]),
+            lambda s: sweep_users(s, [1, 3]),
+        ],
+        ids=["evaluate_scenario", "simulate_scenario", "sweep_snr", "sweep_users"],
+    )
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_evaluation_builds_no_per_user(self, monkeypatch, run, cap):
+        built = []
+        original = owcsim.network.assign_mirrors
+
+        def capture(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(owcsim.network, "assign_mirrors", capture)
+        run(build_default_scenario({"power": {"max_mirrors_per_user": cap}}))
+        assert built and any((a.owner >= 0).any() for a in built)
+        assert all("per_user" not in vars(a) for a in built)
 
 
 class TestEvaluateUser:
@@ -445,10 +552,10 @@ class TestEvaluateUser:
             {"users": {"k": 1, "positions": [[2.5, 2.5, 0.0]], "blocked": [0]},
              "irs": {"enabled": False}}
         )
-        result = evaluate_user(s, Assignment(((),)), 0)
+        result = evaluate_user(s, Assignment([], 1), 0)
         assert result.rate == 0.0
         assert result.sinr == 0.0
-        assert result.gain.q == 0.0
+        assert result.q == 0.0
 
     def test_blocked_user_with_one_mirror_recovers(self):
         # wall-adjacent blocked user: one reflected path alone carries the link
@@ -459,8 +566,8 @@ class TestEvaluateUser:
             }
         )
         results = evaluate_scenario(s)
-        assert results[0].gain.h_los == 0.0
-        assert results[0].gain.h_nlos > 0.0
+        assert results[0].h_los == 0.0
+        assert results[0].h_nlos > 0.0
         assert results[0].rate > 0.0
 
     def test_centre_user_rate_matches_hand_chain(self):
@@ -469,8 +576,8 @@ class TestEvaluateUser:
         s = build_default_scenario(
             {"users": {"k": 1, "positions": [[2.5, 2.5, 0.0]]}, "irs": {"enabled": False}}
         )
-        result = evaluate_user(s, Assignment(((),)), 0)
-        assert abs(result.gain.q - 1.4384386899e-4) / 1.4384386899e-4 < 1e-9
+        result = evaluate_user(s, Assignment([], 1), 0)
+        assert abs(result.q - 1.4384386899e-4) / 1.4384386899e-4 < 1e-9
         assert abs(result.rate - 1.9887382175e9) / 1.9887382175e9 < 1e-9
         assert abs(result.rate - 2.0e9) / 2.0e9 < 0.02
 
@@ -484,9 +591,9 @@ class TestEvaluateUser:
         # power behind the signal (R q p_tot)^2, for mirror-served users too.
         s = build_default_scenario({"irs": {"grid_m": 10}})
         results = evaluate_scenario(s)
-        assert any(r.gain.h_nlos > 0.0 for r in results)
+        assert any(r.h_nlos > 0.0 for r in results)
         for result in results:
-            assert result.received_optical_power == result.gain.q * s.p_tot
+            assert result.received_optical_power == result.q * s.p_tot
 
     def test_standalone_call_matches_scenario_evaluation(self):
         s = build_default_scenario({"irs": {"grid_m": 10}})
@@ -502,8 +609,8 @@ class TestEvaluateUser:
         s = build_default_scenario({"irs": {"grid_m": 10}})
         results = evaluate_scenario(s)
         assert len(s.users) == 4
-        assert any(r.gain.h_nlos > 0.0 for r in results)
-        assert any(r.gain.h_los > 0.0 for r in results)
+        assert any(r.h_nlos > 0.0 for r in results)
+        assert any(r.h_los > 0.0 for r in results)
         assert calls["los_gain_table"] == 1
         assert calls["irs_gain_table"] == 1
         assert calls["serving_branch_index"] == calls["los_gain"] == 0
@@ -661,7 +768,7 @@ class TestSweepSnr:
         s = build_default_scenario(None)
         with pytest.raises(ValueError, match="k_values must be nonempty"):
             sweep_users(s, [])
-        with pytest.raises(ValueError, match="k_values must be >= 1, got 0"):
+        with pytest.raises(ValueError, match=r"k_values\[0\] must be an integer >= 1, got 0"):
             sweep_users(s, [0])
 
     def test_responsivity_cancels_on_the_snr_axis(self):
@@ -711,20 +818,18 @@ def _point_links(variant, gains, p_tot):
     per-beam power, one scalar link call chain per user: the per-point path
     the array path must reproduce bit for bit."""
     links = []
-    for user, gain in zip(variant.users, gains):
-        received = gain.q * p_tot
+    for q in gains:
+        received = q * p_tot
         sigma2 = noise_variance(variant.noise, received, variant.responsivity)
-        gamma = sinr(gain, p_tot, variant.responsivity, sigma2)
+        gamma = sinr(q, p_tot, variant.responsivity, sigma2)
         links.append((received, sigma2, gamma, achievable_rate(gamma, variant.noise.bandwidth_b)))
     return links
 
 
 def _user_gains(variant):
+    """Every user's total gain q, from the per-user oracle."""
     assignment = assign_mirrors(variant, irs_gain_matrix(variant), variant.max_mirrors_per_user)
-    return [
-        ChannelGain(*user_gain_oracle(variant, assignment.per_user, i))
-        for i in range(len(variant.users))
-    ]
+    return [user_gain_oracle(variant, assignment.per_user, i)[2] for i in range(len(variant.users))]
 
 
 def _per_point_sweep_snr(scenario, points, variants):
@@ -873,7 +978,7 @@ class TestSweepSnrRowOrder:
             variant = owcsim.network._variant_scenario(s, label)
             assignment = scenario_assignment(variant)
             assert assignment.per_user[1] == ()
-            assert evaluate_user(variant, assignment, 1).gain.q == 0.0
+            assert evaluate_user(variant, assignment, 1).q == 0.0
             assert user_gain_oracle(variant, assignment.per_user, 1)[2] == 0.0
         table = sweep_snr(s, points, self.VARIANTS)
         assert table == _per_point_sweep_snr(s, points, self.VARIANTS)
@@ -933,6 +1038,18 @@ class TestSweepUsers:
         s = build_default_scenario({"irs": {"enabled": False}})
         with pytest.raises(ValueError, match=r"irs\.enabled must be true"):
             sweep_users(s, [1, 2])
+
+    @pytest.mark.parametrize(
+        "ks, index", [([2.5, True], 0), ([2, True], 1), ([1, 2.0], 1), ([3, "2"], 1)]
+    )
+    def test_non_integral_or_bool_k_rejected_naming_it(self, ks, index):
+        # int() would have run K = 2 for 2.5 and K = 1 for True.
+        with pytest.raises(ValueError, match=rf"^k_values\[{index}\] must be an integer >= 1"):
+            sweep_users(build_default_scenario(None), ks)
+
+    def test_numpy_integer_k_accepted(self):
+        s = build_default_scenario(None)
+        assert sweep_users(s, np.array([1, 3])) == sweep_users(s, [1, 3])
 
 
 class TestSimulate:
