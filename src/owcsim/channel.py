@@ -20,9 +20,10 @@ arithmetic step for step and also return the serving receiver branch:
 `los_gain_table` scores every (user, transmitter branch) pair at once and
 equals `los_gain` bitwise; `irs_gain_table` steers and scores every (user,
 `MirrorColumns` mirror) pair, users in blocks, and agrees with `irs_gain` to
-rounding. It calls erf only where a lower bound on the mirror's intercept
-does not clear the photodiode capture; elsewhere the capture is the
-minimum, as it is with the true intercept. Both kernels take one receiver,
+rounding. Where a lower bound on the mirror's intercept, first taken from
+the incidence cosine alone, clears the photodiode capture, the capture is the
+minimum, as it is with the true intercept; only the other pairs build the
+mirror axes, and fewer still call erf. Both kernels take one receiver,
 carried by every user, whose branches share one photodiode and field of
 view, so a pair has one captured fraction. Both gate the field of view with
 one helper that compares cosines and takes acos only at the edge, and pick
@@ -101,6 +102,7 @@ class MirrorColumns:
 _BLOCK_PAIRS = 4096
 
 _ERF_1 = math.erf(1.0)
+_COSINE_GUARD, _TILT_GUARD = 1e-2, 1.0 - 1e-4  # for the cosine bound: least |n.u|, most |n_z|
 
 
 def irs_gain_table(
@@ -124,13 +126,14 @@ def irs_gain_table(
     0 here too. Dot and cross products are written out by component in the
     reference's order; erf and acos go through `math`, as numpy has no erf and
     its acos may differ from libm's in the last bit. Users are scored
-    `_BLOCK_PAIRS` pairs at a time. erf runs only on the pairs that are
-    geometrically valid, seen by some receiver branch, and whose intercept's
-    lower bound, a product of erf(1) min(a, 1) over the two erf arguments a,
-    does not clear the photodiode capture: elsewhere min(intercept, captured)
-    is the capture whatever the intercept, so the gains stay bitwise those erf
-    would give. A receiver whose branches differ in photodiode area or field
-    of view raises ValueError.
+    `_BLOCK_PAIRS` pairs at a time. A valid pair some receiver branch sees
+    scores its capture where a lower bound on its intercept, erf(1) min(a, 1)
+    over both erf arguments a, clears the capture, as min(intercept, captured)
+    then is the capture bitwise. The bound is first taken from each size times
+    the incidence cosine |n.u|, its projection's least; only the pairs left
+    build the mirror axes, and erf runs on those whose bound still falls short.
+    A receiver whose branches differ in photodiode area or field of view
+    raises ValueError.
     """
     radius, fov = _photodiode(receiver)
     gain = np.zeros((len(user_positions), len(mirrors)))
@@ -183,54 +186,66 @@ def _irs_gain_block(
 
         twice = 2.0 * (uix * nx + uiy * ny + uiz * nz)
         seen = _fov_masks(receiver, fov, uix - nx * twice, uiy - ny * twice, uiz - nz * twice)
+        cosine = 0.5 * np.abs(twice)  # |n.u|, of the incidence angle
         del twice
         # Only a valid pair that some branch sees can score above 0.
         live = valid & seen.any(axis=0)
         del valid
 
-        # mirror_plane_axes: project +z (+x for near-horizontal mirrors).
-        flat = np.abs(nz) > 1.0 - 1e-9
-        along_ref = np.where(flat, nx, nz)
-        hx = np.where(flat, 1.0, 0.0) - nx * along_ref
-        hy = 0.0 - ny * along_ref
-        hz = np.where(flat, 0.0, 1.0) - nz * along_ref
-        inv = 1.0 / np.sqrt(hx * hx + hy * hy + hz * hz)
-        hx, hy, hz = hx * inv, hy * inv, hz * inv
-        del flat, along_ref, inv
-        wx, wy, wz = hy * nz - hz * ny, hz * nx - hx * nz, hx * ny - hy * nx
-        along_w = wx * uix + wy * uiy + wz * uiz
-        del wx, wy, wz, nx, ny, nz
-        along_h = hx * uix + hy * uiy + hz * uiz
-        del hx, hy, hz, uix, uiy, uiz
-        width_eff = mirrors.width * np.sqrt(np.maximum(0.0, 1.0 - along_w * along_w))
-        height_eff = mirrors.height * np.sqrt(np.maximum(0.0, 1.0 - along_h * along_h))
-        del along_w, along_h
-        # The reference scores a zero projected width or height 0; so does the
-        # zero intercept such a pair keeps here, without calling erf.
-        sized = live & (width_eff > 0.0) & (height_eff > 0.0)
-        del live
-
         w_total = _beam_radius(mirror_range + leg_out, waist_w0, wavelength)
         captured = -np.expm1(-2.0 * radius * radius / (w_total * w_total))
         del leg_out, w_total
-
         scale = math.sqrt(2.0) / _beam_radius(mirror_range, waist_w0, wavelength)
-        arg_w, arg_h = scale * (0.5 * width_eff), scale * (0.5 * height_eff)
-        del scale, width_eff, height_eff
-        # erf is concave on [0, inf), so erf(a) >= erf(1) min(a, 1), and the
-        # product of the two bounds is at most the intercept. Where it clears
-        # the capture, with a margin for rounding, min() takes the capture,
-        # and an infinite intercept stands in without calling erf.
-        bound = (_ERF_1 * np.minimum(arg_w, 1.0)) * (_ERF_1 * np.minimum(arg_h, 1.0))
-        needs_erf = sized & ~(bound * (1.0 - 1e-9) > captured)
-        intercept = np.where(sized, np.inf, 0.0)
-        erf_w, erf_h = _map(math.erf, arg_w[needs_erf]), _map(math.erf, arg_h[needs_erf])
-        # erf is odd, so the reference's erf(a) - erf(-a) is exactly erf(a) + erf(a).
-        intercept[needs_erf] = 0.25 * (erf_w + erf_w) * (erf_h + erf_h)
-        del arg_w, arg_h, bound, needs_erf, erf_w, erf_h
-        # A pair that is not sized keeps a zero intercept, so it scores 0.
-        gain = mirrors.reflectivity * np.minimum(intercept, captured)
+        # A projected size is at least the size times the cosine, as
+        # 1 - (w.u)^2 = (h.u)^2 + (n.u)^2. Computed, it can fall short of that
+        # by about 7e-16 / cosine^2 relative, more for n near vertical; inside
+        # the guards by under 1e-11, far inside `_clears`'s margin.
+        least = scale * cosine
+        settled = live & (cosine > _COSINE_GUARD) & (np.abs(nz) < _TILT_GUARD)
+        settled &= _clears(least * (0.5 * mirrors.width), least * (0.5 * mirrors.height), captured)
+        gain = np.where(settled, mirrors.reflectivity * captured, 0.0)
+        left = live ^ settled
+        del cosine, live, settled, least
+        if left.any():
+            width_eff, height_eff = _projected_sizes(mirrors, nx, ny, nz, uix, uiy, uiz)
+            # The reference scores a zero projected width or height 0; so does
+            # the zero intercept such a pair keeps here, without calling erf.
+            sized = left & (width_eff > 0.0) & (height_eff > 0.0)
+            arg_w, arg_h = scale * (0.5 * width_eff), scale * (0.5 * height_eff)
+            needs_erf = sized & ~_clears(arg_w, arg_h, captured)
+            intercept = np.where(sized, np.inf, 0.0)
+            erf_w, erf_h = _map(math.erf, arg_w[needs_erf]), _map(math.erf, arg_h[needs_erf])
+            # erf is odd, so the reference's erf(a) - erf(-a) is exactly erf(a) + erf(a).
+            intercept[needs_erf] = 0.25 * (erf_w + erf_w) * (erf_h + erf_h)
+            # A pair that is not sized keeps a zero intercept, so it scores 0.
+            gain = np.where(left, mirrors.reflectivity * np.minimum(intercept, captured), gain)
     return _select_best(gain, seen)
+
+
+def _clears(arg_w: np.ndarray, arg_h: np.ndarray, captured: np.ndarray) -> np.ndarray:
+    """Where an intercept of erf arguments at least (arg_w, arg_h) clears the
+    capture, with a margin for rounding: erf is concave on [0, inf), so
+    erf(a) >= erf(1) min(a, 1), and the product of the two is at most it."""
+    bound = (_ERF_1 * np.minimum(arg_w, 1.0)) * (_ERF_1 * np.minimum(arg_h, 1.0))
+    return bound * (1.0 - 1e-9) > captured
+
+
+def _projected_sizes(mirrors: MirrorColumns, nx, ny, nz, uix, uiy, uiz) -> tuple:
+    """Each mirror's width and height as the incoming direction u sees them,
+    size x sqrt(1 - (axis.u)^2), on `reference.mirror_plane_axes` of normal n."""
+    # mirror_plane_axes: project +z (+x for near-horizontal mirrors).
+    flat = np.abs(nz) > 1.0 - 1e-9
+    along_ref = np.where(flat, nx, nz)
+    hx = np.where(flat, 1.0, 0.0) - nx * along_ref
+    hy = 0.0 - ny * along_ref
+    hz = np.where(flat, 0.0, 1.0) - nz * along_ref
+    inv = 1.0 / np.sqrt(hx * hx + hy * hy + hz * hz)
+    hx, hy, hz = hx * inv, hy * inv, hz * inv
+    wx, wy, wz = hy * nz - hz * ny, hz * nx - hx * nz, hx * ny - hy * nx
+    along_w = wx * uix + wy * uiy + wz * uiz
+    along_h = hx * uix + hy * uiy + hz * uiz
+    width_eff = mirrors.width * np.sqrt(np.maximum(0.0, 1.0 - along_w * along_w))
+    return width_eff, mirrors.height * np.sqrt(np.maximum(0.0, 1.0 - along_h * along_h))
 
 
 def los_gain_table(

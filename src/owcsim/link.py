@@ -45,6 +45,17 @@ class NoiseParams:
         ):
             if not ok:
                 raise ValueError(f"noise.{name} must be finite and {sign}, got {vars(self)[name]}")
+        try:
+            floor = thermal_noise_variance(self)
+        except OverflowError:  # 10 ** (NF / 10) past the float range
+            floor = math.inf
+        # Every SNR divides by the floor, so it must be positive too.
+        if not 0.0 < floor < math.inf:
+            raise ValueError(
+                "noise.noise_current_density, noise.tia_noise_figure_db and noise.bandwidth_b "
+                "must give a positive, finite thermal noise floor, density^2 x bandwidth x "
+                f"10^(NF/10), got {floor}"
+            )
 
 
 @dataclass(frozen=True)

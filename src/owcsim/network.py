@@ -280,9 +280,9 @@ class Scenario:
                     "irs panel exceeds the wall extent along its height: irs.grid_m x "
                     "irs.element_height_m centred at irs.center_height_m must fit room.dims"
                 )
-        if not self.responsivity > 0.0:
+        if not 0.0 < self.responsivity < math.inf:
             raise ValueError(
-                f"users.responsivity_a_per_w must be positive, got {self.responsivity}"
+                f"users.responsivity_a_per_w must be positive and finite, got {self.responsivity}"
             )
         # NaN fails both tests; a NaN cap would otherwise switch the cap off.
         if not 0.0 < self.p_tot < math.inf:

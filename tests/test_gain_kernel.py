@@ -5,9 +5,12 @@
 to 1e-12 relative and zeros in exactly the same places. Every user of one
 call carries one receiver. A user's row must not depend on which other users
 share the call or its blocks, and erf runs only on pairs some receiver branch
-sees whose intercept may be below the photodiode's capture.
+sees whose intercept may be below the photodiode's capture. The mirror axes
+are built only for pairs the incidence cosine does not settle, and the
+tables of fixed scenes keep the bits they had before that bound.
 """
 
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -27,6 +30,7 @@ from owcsim.reference import (
     MirrorElement,
     incidence_angle,
     irs_gain,
+    mirror_plane_axes,
     serving_branch_index,
     specular_reflect,
     steer_mirror,
@@ -411,6 +415,216 @@ def test_erf_bound_holds_in_floating_point(a):
     # The kernel skips erf where erf(1) min(a, 1), which bounds erf(a) from
     # below as erf is concave on [0, inf), already clears every capture.
     assert ERF_1 * min(a, 1.0) <= math.erf(a)
+
+
+def columns(width, height):
+    """One mirror at the origin, as `MirrorColumns`."""
+    return MirrorColumns(*(np.array([value]) for value in (0.0, 0.0, 0.0, width, height, 0.95)))
+
+
+def unit(x, y, z):
+    """(x, y, z) scaled by the reciprocal of its length, as the kernel scales."""
+    inv = 1.0 / math.sqrt(x * x + y * y + z * z)
+    return x * inv, y * inv, z * inv
+
+
+GUARD, TILT_GUARD = owcsim.channel._COSINE_GUARD, owcsim.channel._TILT_GUARD
+# log10 of the least tangent of a normal's tilt from vertical, at the tilt guard.
+STEEPEST = math.log10(math.sqrt(1.0 - TILT_GUARD**2) / TILT_GUARD)
+
+
+@settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(-3.0, 1.0),
+    st.booleans(),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(0.0, -math.log10(GUARD)),
+    st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, 2.0 * math.pi)),
+    st.floats(1e-3, 10.0),
+    st.floats(1e-3, 10.0),
+)
+@example(-3.0, True, 0.0, 0.0, math.pi / 2, 0.15, 0.10)  # n steepest, u along h
+@example(-3.0, False, 1.0, 0.0, 0.0, 0.15, 0.10)  # u along w
+@example(1.0, True, 0.3, 0.0, 0.0, 0.15, 0.10)  # a nearly vertical mirror
+@example(1.0, True, 0.3, 0.0, math.pi / 2, 0.15, 0.10)
+@example(-0.5, False, 2.0, 2.0, 0.0, 0.15, 0.10)  # normal incidence
+def test_projected_size_is_at_least_size_times_incidence_cosine(
+    steeper, up, azimuth, larger, turn, width, height
+):
+    # The kernel settles a pair from width c and height c, c = |n.u| read from
+    # the reflection, where they clear the capture with a 1e-9 margin; that
+    # holds only if the projected sizes it skips are that large in floating
+    # point too, for every normal n and cosine c the guards let through. The
+    # guards keep the rounding to a tenth of that margin. Both are drawn on
+    # log scales that crowd the guards, where rounding costs most: n's tilt
+    # from vertical has a tangent of 10 ** (STEEPEST + 10 ** steeper), and
+    # u is at cosine GUARD x 10 ** larger to n, turned from the mirror's
+    # width axis towards its height axis, along either of which one
+    # projected size is at its least.
+    across = 10.0 ** (STEEPEST + 10.0**steeper)
+    n = unit(across * math.cos(azimuth), across * math.sin(azimuth), 1.0 if up else -1.0)
+    w, h = (axis.as_tuple() for axis in mirror_plane_axes(Vec3(*n)))
+    cosine = min(1.0, GUARD * 10.0**larger)
+    along = math.sqrt(1.0 - cosine * cosine)
+    u = unit(*(-cosine * n[k] + along * (math.cos(turn) * w[k] + math.sin(turn) * h[k])
+               for k in range(3)))
+    twice = 2.0 * (u[0] * n[0] + u[1] * n[1] + u[2] * n[2])
+    c = 0.5 * abs(twice)
+    width_eff, height_eff = owcsim.channel._projected_sizes(
+        columns(width, height), *(np.array([[value]]) for value in (*n, *u))
+    )
+    assert width_eff[0, 0] >= width * c * (1.0 - 1e-10)
+    assert height_eff[0, 0] >= height * c * (1.0 - 1e-10)
+
+
+class TestCosineBound:
+    """Pairs the incidence cosine settles skip the mirror axes, and only those."""
+
+    def full_path_calls(self, monkeypatch):
+        calls = []
+        original = owcsim.channel._projected_sizes
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return original(*args)
+
+        monkeypatch.setattr(owcsim.channel, "_projected_sizes", counted)
+        return calls
+
+    def test_benchmark_and_default_walls_never_build_the_mirror_axes(self, monkeypatch):
+        # The default 2e-5 m^2 photodiode captures so little of each beam
+        # that the cosine bound clears it on every live pair.
+        calls = self.full_path_calls(monkeypatch)
+        for document in ({}, {"irs": {"grid_m": 10}}, wall_scale_document(0),
+                         wall_scale_document(1)):
+            s = build_default_scenario(document)
+            assert (s.mirror_table[0] > 0.0).sum() > len(s.users)
+        assert calls == []
+
+    def test_near_grazing_pairs_build_the_mirror_axes(self, monkeypatch):
+        # Transmitter, mirror and user nearly in a line: the beam is turned
+        # by a few degrees or less, so |n.u| is near the guard. A 1 mm waist
+        # at 350 nm stays about 1 mm wide over the 3.5 m path, and a 1e-10 m^2
+        # photodiode captures little of it, so the cosine bound would clear
+        # the capture on each pair. Still, at or below the guard a pair must
+        # take the full path, and every pair matches the reference.
+        ap, center = Vec3(1.0, 1.0, 3.0), Vec3(2.0, 2.0, 2.0)
+        receiver = (AdrBranch(Orientation(0.0, 90.0), 90.0, 1e-10),)
+        incoming = (center - ap).normalized()
+        below = []
+        for offset in (1e-3, 1e-2, 3e-2, 4e-2, 4.2e-2, 4.3e-2, 5e-2, 0.1):
+            user = Vec3(3.0 + offset, 3.0, 1.0)
+            normal = steer_mirror(ap, center, user)
+            cosine = abs(normal.x * incoming.x + normal.y * incoming.y + normal.z * incoming.z)
+            below.append(cosine <= GUARD)
+            calls = self.full_path_calls(monkeypatch)
+            row, _ = assert_row_matches(ap, [wall_mirror(center)], user, receiver,
+                                        waist=1e-3, wavelength=3.5e-7)
+            assert row[0] > 0.0
+            if below[-1]:
+                assert len(calls) == 1, (offset, cosine)
+        assert True in below and False in below
+
+    def test_near_vertical_normals_build_the_mirror_axes(self, monkeypatch):
+        # A ceiling mirror between a transmitter and a user at equal height
+        # is steered to face nearly straight down, where mirror_plane_axes
+        # projects +z onto a nearly flat plane and its axes lose bits. The
+        # cosine bound clears the capture on each pair, yet with |n_z| at
+        # or above the tilt guard a pair must take the full path.
+        center = Vec3(2.0, 2.0, 3.0)
+        mirror = MirrorElement(center, Vec3(0.0, 0.0, -1.0), 0.15, 0.10, 0.95)
+        ap = Vec3(1.0, 2.0, 1.0)
+        steep = []
+        for tilt in (0.0, 1e-4, 1e-3, 1e-2, 2e-2, 3e-2, 5e-2, 0.1):
+            user = Vec3(3.0, 2.0 + tilt, 1.0)
+            steep.append(abs(steer_mirror(ap, center, user).z) >= TILT_GUARD)
+            calls = self.full_path_calls(monkeypatch)
+            row, _ = assert_row_matches(ap, [mirror], user, one_branch())
+            assert row[0] > 0.0
+            if steep[-1]:
+                assert len(calls) == 1, tilt
+        assert True in steep and False in steep
+
+
+def wall_scale_document(seed, users=16):
+    """A 30x30 wall with 16 seeded floor users, as the benchmark draws them."""
+    positions = [[p.x, p.y, p.z] for p in floor_users(random.Random(seed), users)]
+    return {"irs": {"grid_m": 30}, "users": {"k": users, "positions": positions}}
+
+
+def many_users_binding_table():
+    """TestManyUsers' floor users, zero-length leg and degenerate steering,
+    with 0.5 m^2 photodiodes: the intercept binds on every served pair."""
+    mirrors = build_default_scenario({"irs": {"grid_m": 10}}).irs.elements
+    ap, first = Vec3(2.5, 2.5, 3.0), mirrors[0].center
+    users = [*floor_users(random.Random(3), 4), mirrors[5].center, first + (first - ap)]
+    return irs_gain_table([ap] * len(users), MirrorColumns.of(mirrors), users,
+                          default_adr_branches(pd_area=0.5), WAIST, WAVELENGTH)
+
+
+def narrow_beam_table():
+    """TestRandomScenarios' 20 um waist at 350 nm on 0.15 x 0.10 m mirrors."""
+    mirrors = build_default_scenario({"irs": {"grid_m": 5}}).irs.elements
+    receiver = (AdrBranch(Orientation(0.0, 90.0), 80.0, 0.5),)
+    return irs_gain_table([Vec3(2.5, 2.5, 3.0)] * 3, MirrorColumns.of(mirrors),
+                          floor_users(random.Random(13), 3), receiver, 2e-5, 3.5e-7)
+
+
+class TestPinnedBits:
+    """sha256 of both arrays of the mirror table, gains then serving receiver
+    branches, taken before the cosine bound: every later edit of the kernel
+    must keep them bitwise."""
+
+    TABLES = {
+        **{
+            f"wall-scale-{seed}": lambda seed=seed: build_default_scenario(
+                wall_scale_document(seed)
+            ).mirror_table
+            for seed in range(3)
+        },
+        "binding-many-users": many_users_binding_table,
+        "binding-millimetre-mirrors": lambda: build_default_scenario(
+            {
+                "irs": {"grid_m": 4, "element_width_m": 2e-3, "element_height_m": 1e-3},
+                "users": {"pd_area_m2": 1e-4, "fov_deg": 80.0},
+            }
+        ).mirror_table,
+        "binding-narrow-beam": narrow_beam_table,
+    }
+    DIGESTS = {
+        "binding-many-users": [
+            "ecb6b7ccd1a70f8cc3c81ecc369f65af2c4879287b3229805432a715954b4e0d",
+            "5973a55ff1339ed2932dfcfaece73ea2a1414594e5da64a5a4165fa1eae208a9",
+        ],
+        "binding-millimetre-mirrors": [
+            "acd7ffb7a36ad68a36127072c373ede8dd3286fde296f324ec1bac90f3863458",
+            "fbc0678489e82e0194c1842962a275a38a68fc3acaa2365c66e1142bc0f213ac",
+        ],
+        "binding-narrow-beam": [
+            "dcbe963b14e9b31d7878cecc9575f8840c02c5d9216c31437b83552edc9c99f6",
+            "bd50e12c55dda3ee443c1cb6d71c7bcf6351c4ec96f7bc8d6adec015d1192eea",
+        ],
+        "wall-scale-0": [
+            "0acf5b9cd0ad2ac5dca6aab09f7bd8eb9ad2a8a5362b7e755404181909733f88",
+            "f8027ef4464d2b2adb587331bed5a8d481701a129ff9f57fe3d9f652211297e4",
+        ],
+        "wall-scale-1": [
+            "e7c5e1682a85bb4ed06f1f5bd9c6b56b0ae53aef779f844c80d17e7939e72824",
+            "282d76ebe17027c5b2f7b8fe248fcac6b23570283e853aefd754baecbdd66152",
+        ],
+        "wall-scale-2": [
+            "307cbd73c5516e9a89549c7f7befed356b0efa53d757344a637ca72aa7886076",
+            "2a9a3a1401d1e8627c22cc41d93abcf24d0ca86d0e1a9fd768e6f1c6da03873f",
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_mirror_table_bits_are_pinned(self, name):
+        gain, receiver = self.TABLES[name]()
+        assert gain.dtype == np.float64 and receiver.dtype == np.int64
+        assert (gain > 0.0).any()
+        digests = [hashlib.sha256(array.tobytes()).hexdigest() for array in (gain, receiver)]
+        assert digests == self.DIGESTS[name]
 
 
 def test_matrix_without_wall_is_empty():

@@ -149,6 +149,7 @@ class TestLibraryBuiltValuesAreFinite:
         "power.p_tot_w": lambda s, v: replace(s, p_tot=v),
         "power.eye_safety_cap_w": lambda s, v: replace(s, eye_safety_cap=v),
         "room.dims": lambda s, v: replace(s, room_dims=(5.0, v, 3.0)),
+        "users.responsivity_a_per_w": lambda s, v: replace(s, responsivity=v),
     }
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -160,6 +161,27 @@ class TestLibraryBuiltValuesAreFinite:
     def test_noise_figure_below_zero_rejected(self):
         with pytest.raises(ValueError, match=r"noise\.tia_noise_figure_db must be finite"):
             NoiseParams(tia_noise_figure_db=-1.0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"noise_current_density": 1e150},  # density^2 overflows to inf
+            {"tia_noise_figure_db": 3100.0},  # 10 ** 310 raises OverflowError
+            {"noise_current_density": 1e10, "bandwidth_b": 1e300},  # the product overflows
+            {"noise_current_density": 0.0},  # no floor: every SNR would divide by 0
+            {"noise_current_density": 1e-170},  # density^2 underflows to 0
+        ],
+        ids=["density", "noise-figure", "bandwidth", "zero-density", "underflow"],
+    )
+    def test_thermal_floor_zero_or_past_the_float_range_rejected_naming_its_keys(self, fields):
+        message = r"noise\.noise_current_density, noise\.tia_noise_figure_db and noise\.bandwidth_b"
+        with pytest.raises(ValueError, match=message):
+            NoiseParams(**fields)
+
+    def test_finite_floor_at_a_large_noise_figure_builds(self):
+        # 10 ** (3080 / 10) is finite, and so is the floor it gives with a small density.
+        noise = NoiseParams(noise_current_density=1e-160, tia_noise_figure_db=3080.0)
+        assert 0.0 < thermal_noise_variance(noise) < math.inf
 
 
 class TestIrsPanel:
