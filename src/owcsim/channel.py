@@ -338,11 +338,13 @@ def _select_best(gain: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.nda
     where that is above 0, served by the lowest-index such branch; any other
     pair scores 0, served by -1. That branch is read from the largest rank,
     n - r for branch r, that sees the pair (0 for none): `argmax` along the
-    branch axis gives the same and takes twice as long."""
+    branch axis gives the same and takes twice as long. The ranks take the
+    smallest unsigned type that holds n, and the branch is cast back to intp."""
     n = len(seen)
-    rank = (seen * np.arange(n, 0, -1).reshape((n,) + (1,) * (seen.ndim - 1))).max(axis=0)
+    ranks = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))
+    rank = (seen * ranks.reshape((n,) + (1,) * (seen.ndim - 1))).max(axis=0)
     served = (rank > 0) & (gain > 0.0)
-    return np.where(served, gain, 0.0), np.where(served, n - rank, -1)
+    return np.where(served, gain, 0.0), np.where(served, (n - rank).astype(np.intp), -1)
 
 
 def _fov_seen(cosine: np.ndarray, fov: float) -> np.ndarray:

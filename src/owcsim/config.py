@@ -100,6 +100,12 @@ class ListOf:
             or (self.length is not None and len(value) != self.length)
         ):
             raise ValueError(f"{path} must be a {self}")
+        try:
+            return tuple(self.item(path, entry) for entry in value)
+        except ValueError:
+            pass
+        # An entry's path is built only once some entry fails: the rerun names
+        # each entry, outside the handler, so its error chains nothing.
         return tuple(self.item(f"{path}[{i}]", entry) for i, entry in enumerate(value))
 
     def __str__(self) -> str:

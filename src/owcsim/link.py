@@ -3,12 +3,14 @@
 `noise_variance`, `sinr`, `achievable_rate` and `sum_rate` take either
 Python floats or float64 ndarrays in their per-user and power-dependent
 arguments, so one copy of each formula serves a single operating point and a
-whole (users, points) block. Arrays go through the same operations in the same
-order as floats and give bitwise the same elements; a float input returns a
-float. On arrays the steps run in place where the operands allow it (the same
-products and sums), so a large block holds few temporaries at once.
-`sum_rate` of a (users, points) block makes one nonnegativity check and one
-reduce that adds the user rows in order, as the loop over users does.
+(users, points) chunk of a sweep, as `network` passes them. Arrays go through
+the same operations in the same order as floats and give bitwise the same
+elements, whatever the chunk; a float input returns a float. On arrays the
+steps run in place where the operands allow it (the same products and sums),
+so a chunk holds few temporaries at once. `sum_rate` of a (users, points)
+block makes one nonnegativity check and one reduce that adds the user rows in
+order, as the loop over users does, when the block has two or more points;
+numpy sums a single column pairwise.
 
 `LinkResult` is one user's whole outcome, from channel gains to rate. This
 module imports no other owcsim module.
@@ -163,7 +165,9 @@ def sum_rate(rates: Sequence[float] | Sequence[np.ndarray] | np.ndarray) -> floa
     equals the sum of the floats at each element. A 2-D ndarray is a
     (users, points) block: one check covers all of it, and one
     `np.add.reduce` over its rows gives bitwise the loop's sum, as numpy adds
-    the rows of a C-contiguous block in order. A (0, points) block sums to
+    the rows of a C-contiguous block in order when it has two or more points.
+    A (users, 1) block numpy sums pairwise, which from eight users on may
+    differ from the loop in the last bit. A (0, points) block sums to
     zeros. A negative rate is named as the loop would name it, the first in
     row-major order.
     """

@@ -13,9 +13,10 @@ q = h_los + h_nlos receives q·p_tot: the power that gives the signal
 (R q p_tot)^2 also gives the shot and RIN noise. Evaluations are pure
 functions of the scenario, so sweep points can be computed in any order.
 
-Only the transmit power changes between sweep points, so the rate path
-(received power, noise, SNR and rate) runs once over a (users, points)
-block: `sweep_snr` calls it once per variant for the whole SNR grid, and an
+Only the transmit power changes between sweep points, so the gains and the
+assignment are computed once per variant, and the rate path (received power,
+noise, SNR and rate) runs over (users, points) chunks of about
+`_RATE_ELEMENTS` elements, each written straight into the table's block; an
 evaluation at the scenario's own power passes one point.
 
 A Scenario computes two gain tables once, each holding gains and serving
@@ -635,22 +636,19 @@ def _gains(scenario: Scenario, assignment: Assignment) -> tuple[np.ndarray, ...]
     return h_los, h_nlos, h_los + h_nlos, los_branch, nlos_branch
 
 
-def _evaluate(
-    scenario: Scenario, assignment: Assignment, p_tot: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The gain-then-rate path: every user's gains (`_gains`), then the
-    (users, points) received power q·p_tot, noise variance, SNR and rate at
-    each per-beam power in `p_tot`, all users at once."""
-    gains = _gains(scenario, assignment)
-    q = gains[2][:, None]
+def _link(scenario: Scenario, q: np.ndarray, p_tot: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rate path for a (users, 1) column of total gains `q`: the (users,
+    points) received power q·p_tot, noise variance, SNR and rate at each
+    per-beam power in `p_tot`, all users at once."""
     received = q * p_tot
     sigma2 = noise_variance(scenario.noise, received, scenario.responsivity)
     gamma = sinr(q, p_tot, scenario.responsivity, sigma2)
-    return gains, (received, sigma2, gamma, achievable_rate(gamma, scenario.noise.bandwidth_b))
+    return received, sigma2, gamma, achievable_rate(gamma, scenario.noise.bandwidth_b)
 
 
 def _link_results(scenario: Scenario, assignment: Assignment) -> list[LinkResult]:
-    gains, link = _evaluate(scenario, assignment, np.array([scenario.p_tot]))
+    gains = _gains(scenario, assignment)
+    link = _link(scenario, gains[2][:, None], np.array([scenario.p_tot]))
     h_los, h_nlos, q = (values.tolist() for values in gains[:3])
     los, nlos = ([None if b < 0 else b for b in values.tolist()] for values in gains[3:])
     outcome = (values[:, 0].tolist() for values in link)
@@ -667,14 +665,22 @@ def evaluate_scenario(scenario: Scenario) -> list[LinkResult]:
     return _link_results(scenario, scenario_assignment(scenario))
 
 
+# (user, point) elements per chunk of `_rate_table`'s rate path: its dozen
+# temporaries then stay in cache, as `channel._BLOCK_PAIRS` keeps the mirror
+# kernel's.
+_RATE_ELEMENTS = 16384
+
+
 def _rate_table(
     cases: Sequence[tuple[str, Scenario]],
     sweep_var: Sequence[float] | np.ndarray,
     p_tot: np.ndarray,
 ) -> ResultTable:
     """Rates of every (labelled scenario, transmit power) pair, in that order,
-    as table rows with the given sweep values; each scenario's users run
-    through `_evaluate` once, over the whole of `p_tot`. The counts go to
+    as table rows with the given sweep values. Each scenario's gains and
+    assignment are computed once; its rate path runs over chunks of about
+    `_RATE_ELEMENTS` (user, point) elements, at least two points each, and
+    every chunk's rates and sums go straight to the table. The counts go to
     `ResultTable.from_block` as an array, and the labels as one list."""
     points, users = len(p_tot), [len(variant.users) for _, variant in cases]
     # Allocated before the rate path's temporaries, so that the heap can
@@ -682,9 +688,16 @@ def _rate_table(
     block = np.zeros((len(cases) * points, max(users)))
     sums = []
     for c, (_, variant) in enumerate(cases):
-        rates = _evaluate(variant, scenario_assignment(variant), p_tot)[1][3]
-        block[c * points : (c + 1) * points, : users[c]] = rates.T
-        sums.append(sum_rate(rates))
+        q = _gains(variant, scenario_assignment(variant))[2][:, None]
+        rows = block[c * points : (c + 1) * points, : users[c]]
+        step = max(2, _RATE_ELEMENTS // users[c])
+        # numpy sums a one-column chunk pairwise, not row by row as `sum_rate`
+        # sums wider ones, so a one-point tail joins the chunk before it.
+        bounds = [*range(0, max(1, points - 1), step), points]
+        for start, stop in zip(bounds, bounds[1:]):
+            rates = _link(variant, q, p_tot[start:stop])[3]
+            rows[start:stop] = rates.T
+            sums.append(sum_rate(rates))
         del rates  # free it before the next case's temporaries, or the table's copy
     labels = []
     for label, _ in cases:
@@ -754,8 +767,9 @@ def sweep_snr(
     power-independent and computed once. The first point, in the order
     given, whose per-beam power exceeds the eye-safety cap is rejected
     before any rate is computed, and before it the first point that is not
-    finite, then the first whose power ratio overflows a float; then one `_evaluate` call per variant gives every user's rate at
-    every point.
+    finite, then the first whose power ratio overflows a float. Then each
+    variant's rate path runs per chunk of points (`_rate_table`), giving
+    every user's rate at every point.
     """
     points = [float(db) for db in snr_points_db]
     if not points or not variants:

@@ -99,6 +99,30 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="JSON object"):
             parse_config([1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (
+                {"users": {"k": 3, "positions": [[1, 1, 0], [2, 2, 0], [3, "x", 0]]}},
+                "users.positions[2][1] must be a number in [0, 1000], got 'x'",
+            ),
+            (
+                {"room": {"dims": [0.01, 5, 3]}},
+                "room.dims[0] must be a number in [0.1, 1000], got 0.01",
+            ),
+            (
+                {"sweep": {"k_values": [1, 2, 3, 0]}},
+                "sweep.k_values[3] must be an integer in [1, 1000], got 0",
+            ),
+        ],
+    )
+    def test_list_entry_error_names_its_index(self, document, message):
+        # Entries are checked under the list's path and named only on failure.
+        with pytest.raises(ValueError) as err:
+            parse_config(document)
+        assert str(err.value) == message
+        assert err.value.__context__ is None
+
 
 class TestLoadConfig:
     def test_round_trip_reproduces_scenario(self, tmp_path):

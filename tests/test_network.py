@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -967,6 +968,86 @@ class TestSweepSnrArrayPath:
             assert calls["achievable_rate"] <= len(self.VARIANTS) * len(s.users)
             counts.append(dict(calls))
         assert counts[0] == counts[1]
+
+
+class TestRateChunks:
+    """`_rate_table` runs each case's rate path over chunks of about
+    `_RATE_ELEMENTS` (user, point) elements, at least two points each, and
+    the table is bitwise the same whatever the budget."""
+
+    VARIANTS = ("none", "5x5", "10x10")
+    BUDGETS = (1, 256, 16384)
+
+    @staticmethod
+    def scenario(users):
+        rng = random.Random(users)
+        positions = [[rng.uniform(0.1, 4.9), rng.uniform(0.1, 4.9), 0.0] for _ in range(users)]
+        return build_default_scenario({"users": {"k": users, "positions": positions}})
+
+    @staticmethod
+    def record_chunks(monkeypatch):
+        """Every rate-path call's (users, points) shape, and each `_gains` call."""
+        calls = {"_link": [], "_gains": []}
+        for name in calls:
+            original = getattr(owcsim.network, name)
+
+            def recorded(scenario, *args, _original=original, _name=name):
+                calls[_name].append(
+                    len(scenario.users) if _name == "_gains" else (len(args[0]), len(args[1]))
+                )
+                return _original(scenario, *args)
+
+            monkeypatch.setattr(owcsim.network, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize("points", [13, 1025, 1201])
+    @pytest.mark.parametrize("users", [1, 7, 64])
+    def test_sweep_snr_equal_for_every_budget(self, monkeypatch, users, points):
+        # 1025 points leave a one-point tail at 64 users and the default
+        # budget (4 x 256 + 1), 1201 a 177-point one; 13 points at 64 users
+        # and 256 elements leave one too (3 x 4 + 1).
+        s = self.scenario(users)
+        grid = [60.0 + 60.0 * i / (points - 1) for i in range(points)]
+        monkeypatch.setattr(owcsim.network, "_RATE_ELEMENTS", sys.maxsize)
+        whole = sweep_snr(s, grid, self.VARIANTS)
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(owcsim.network, "_RATE_ELEMENTS", budget)
+            assert sweep_snr(s, grid, self.VARIANTS) == whole, budget
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("users, points", [(1, 13), (7, 1201), (64, 13), (64, 1025)])
+    def test_chunks_cover_the_grid_in_order(self, monkeypatch, budget, users, points):
+        monkeypatch.setattr(owcsim.network, "_RATE_ELEMENTS", budget)
+        calls = self.record_chunks(monkeypatch)
+        sweep_snr(self.scenario(users), [70.0] * points, ("none",))
+        step = max(2, budget // users)
+        widths = [shape[1] for shape in calls["_link"]]
+        assert calls["_gains"] == [users]  # once per case, not per chunk
+        assert {shape[0] for shape in calls["_link"]} == {users}
+        assert sum(widths) == points
+        assert widths[:-1] == [step] * (len(widths) - 1)
+        assert 2 <= widths[-1] <= step + 1 or widths == [points]
+
+    def test_more_users_than_the_budget(self, monkeypatch):
+        s = self.scenario(64)
+        grid = [60.0 + 0.05 * i for i in range(201)]
+        whole = sweep_snr(s, grid, self.VARIANTS)
+        monkeypatch.setattr(owcsim.network, "_RATE_ELEMENTS", 16)
+        calls = self.record_chunks(monkeypatch)
+        assert sweep_snr(s, grid, self.VARIANTS) == whole
+        # Two points per chunk; the one-point tail joins the last.
+        assert [shape[1] for shape in calls["_link"]] == ([2] * 99 + [3]) * 3
+
+    @pytest.mark.parametrize("budget", [1, 256, sys.maxsize])
+    def test_sweep_users_equal_for_every_budget(self, monkeypatch, budget):
+        s = build_default_scenario(None)
+        ks = [1, 3, 8, 20, 64]
+        whole = sweep_users(s, ks)
+        monkeypatch.setattr(owcsim.network, "_RATE_ELEMENTS", budget)
+        calls = self.record_chunks(monkeypatch)
+        assert sweep_users(s, ks) == whole
+        # One point per case: each case is one chunk.
+        assert calls["_link"] == [(k, 1) for k in ks for _ in range(2)]
 
 
 class TestSweepSnrRowOrder:
