@@ -18,12 +18,18 @@ Both paths have a numpy kernel, and a scalar reference in
 network evaluation never runs. The kernels repeat the references'
 arithmetic step for step and also return the serving receiver branch:
 `los_gain_table` scores every (user, transmitter branch) pair at once and
-equals `los_gain` bitwise; `irs_gain_table` steers and scores every (user,
-`MirrorColumns` mirror) pair, users in blocks, and agrees with `irs_gain` to
-rounding. Where a lower bound on the mirror's intercept, first taken from
-the incidence cosine alone, clears the photodiode capture, the capture is the
-minimum, as it is with the true intercept; only the other pairs build the
-mirror axes, and fewer still call erf. Both kernels take one receiver,
+equals `los_gain` bitwise; `irs_gain_table` scores every (user,
+`MirrorColumns` mirror) pair and agrees with `irs_gain` to rounding. It runs
+in two stages. A mirror steered to a user reflects the beam along the leg
+from its centre to that user, so whether any receiver branch can see a pair
+is known from that leg before the mirror is steered: the first stage, over
+blocks of users, keeps only the pairs whose leg arrives inside some branch's
+field of view widened by a small margin, and the second steers and scores the
+pairs kept, gathered into 1-D arrays, with the arithmetic of the reference.
+Where a lower bound on the mirror's intercept, first taken from the incidence
+cosine alone, clears the photodiode capture, the capture is the minimum, as
+it is with the true intercept; only the other pairs build the mirror axes,
+and fewer still call erf. Both kernels take one receiver,
 carried by every user, whose branches share one photodiode and field of
 view, so a pair has one captured fraction. Both gate the field of view with
 one helper that compares cosines and takes acos only at the edge, and pick
@@ -96,13 +102,21 @@ class MirrorColumns:
     def __len__(self) -> int:
         return len(self.cx)
 
+    def take(self, j: np.ndarray) -> MirrorColumns:
+        """The columns of mirrors `j`, one entry per index."""
+        columns = (self.cx, self.cy, self.cz, self.width, self.height, self.reflectivity)
+        return MirrorColumns(*(column[j] for column in columns))
 
-# (user, mirror) pairs per block of `irs_gain_table`: its few dozen
-# temporaries of this many floats then stay under a megabyte.
+
+# (user, mirror) pairs per block of either stage of `irs_gain_table`: its
+# few dozen temporaries of this many floats then stay under a megabyte.
 _BLOCK_PAIRS = 4096
 
 _ERF_1 = math.erf(1.0)
 _COSINE_GUARD, _TILT_GUARD = 1e-2, 1.0 - 1e-4  # for the cosine bound: least |n.u|, most |n_z|
+# How far past the field of view's cosine `_reachable` keeps a pair; see
+# `irs_gain_table` for why this margin holds.
+_REACH = 1e-5
 
 
 def irs_gain_table(
@@ -123,32 +137,76 @@ def irs_gain_table(
     onto user i, and the serving receiver branch (-1 for None). Pairs the
     reference scores 0 (zero-length leg, degenerate steering, an endpoint
     behind the steered plane, no branch inside its field of view) are exactly
-    0 here too. Dot and cross products are written out by component in the
-    reference's order; erf and acos go through `math`, as numpy has no erf and
-    its acos may differ from libm's in the last bit. Users are scored
-    `_BLOCK_PAIRS` pairs at a time. A valid pair some receiver branch sees
-    scores its capture where a lower bound on its intercept, erf(1) min(a, 1)
-    over both erf arguments a, clears the capture, as min(intercept, captured)
-    then is the capture bitwise. The bound is first taken from each size times
-    the incidence cosine |n.u|, its projection's least; only the pairs left
-    build the mirror axes, and erf runs on those whose bound still falls short.
-    A receiver whose branches differ in photodiode area or field of view
-    raises ValueError.
+    0 here too. A receiver whose branches differ in photodiode area or field
+    of view raises ValueError.
+
+    Stage 1, `_reachable`, drops the pairs no branch can see. Steering makes
+    the reflected direction r the outgoing leg's unit vector l^ = (user -
+    centre) / |user - centre|: with u the incoming direction, d = l^ - u and
+    n = d / |d|, u.n = -|d| / 2, so r = u - 2 (u.n) n = u + d = l^. Computed,
+    r differs from l^ by about 1e-15 / |d|, under 1e-6 on any pair that can
+    score, as steering needs |d| >= 1e-9. So a pair whose leg l has l.b >=
+    (`_REACH` - cos fov) |l| for every branch normal b arrives at least
+    `_REACH` - 1e-6 outside every field of view in cosine, beyond the 1e-9
+    band where the gate takes acos, and the exact pass would score it 0,
+    served by -1. A NaN leg fails the comparison and is dropped; the exact
+    pass scores it 0 too. The tables are bitwise those of a call keeping
+    every pair.
+
+    Stage 2, `_irs_gain_pairs`, steers and scores the pairs kept, `_BLOCK_PAIRS`
+    at a time, as 1-D arrays gathered from the coordinates and mirror
+    columns, and writes them into the tables. Each pair goes through the
+    reference's operations in its order: dot and cross products are written
+    out by component; erf and acos go through `math`, as numpy has no erf and
+    its acos may differ from libm's in the last bit. A valid pair some
+    receiver branch sees scores its capture where a lower bound on its
+    intercept, erf(1) min(a, 1) over both erf arguments a, clears the
+    capture, as min(intercept, captured) then is the capture bitwise. The
+    bound is first taken from each size times the incidence cosine |n.u|, its
+    projection's least; only the pairs left build the mirror axes, and erf
+    runs on those whose bound still falls short.
     """
     radius, fov = _photodiode(receiver)
     gain = np.zeros((len(user_positions), len(mirrors)))
     index = np.full(gain.shape, -1)
-    ap, users = coordinates(ap_branch_positions), coordinates(user_positions)
-    step = max(1, _BLOCK_PAIRS // max(1, len(mirrors)))
-    for start in range(0, len(users), step):
-        block = slice(start, start + step)
-        gain[block], index[block] = _irs_gain_block(
-            ap[block], mirrors, users[block], receiver, radius, fov, waist_w0, wavelength
+    ap, users = (coordinates(points).T.copy() for points in (ap_branch_positions, user_positions))
+    kept = _reachable(mirrors, users, receiver, fov)
+    for start in range(0, len(kept), _BLOCK_PAIRS):
+        flat = kept[start : start + _BLOCK_PAIRS]
+        i, j = np.divmod(flat, len(mirrors))
+        gain.reshape(-1)[flat], index.reshape(-1)[flat] = _irs_gain_pairs(
+            ap[:, i], mirrors.take(j), users[:, i], receiver, radius, fov, waist_w0, wavelength
         )
     return gain, index
 
 
-def _irs_gain_block(
+def _reachable(
+    mirrors: MirrorColumns, users: np.ndarray, receiver: Sequence[AdrBranch], fov: float
+) -> np.ndarray:
+    """The flat (user, mirror) indices, in row order, of the pairs whose
+    outgoing leg l, from the mirror centre to the user, arrives inside some
+    branch's field of view widened by `_REACH`: l.b < (_REACH - cos fov) |l|
+    for some branch normal b. The users are (3, users) coordinates, taken in
+    blocks of about `_BLOCK_PAIRS` pairs."""
+    normals = [branch.normal().as_tuple() for branch in receiver]
+    reach = _REACH - math.cos(fov)
+    step = max(1, _BLOCK_PAIRS // max(1, len(mirrors)))
+    kept = [np.empty(0, dtype=np.intp)]
+    for start in range(0, users.shape[1], step):
+        px, py, pz = users[:, start : start + step, None]
+        lx, ly, lz = px - mirrors.cx, py - mirrors.cy, pz - mirrors.cz
+        bound = reach * np.sqrt(lx * lx + ly * ly + lz * lz)
+        seen = np.zeros(lx.shape, dtype=bool)
+        # Branches of one elevation share b_z, so their bound - l_z b_z too.
+        for bz in dict.fromkeys(b[2] for b in normals):
+            edge = bound - lz * bz
+            for bx, by, _ in (b for b in normals if b[2] == bz):
+                seen |= lx * bx + ly * by < edge
+        kept.append(np.flatnonzero(seen) + start * len(mirrors))
+    return np.concatenate(kept)
+
+
+def _irs_gain_pairs(
     ap: np.ndarray,
     mirrors: MirrorColumns,
     users: np.ndarray,
@@ -158,18 +216,19 @@ def _irs_gain_block(
     waist_w0: float,
     wavelength: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`irs_gain_table` for (block, 3) transmitter and user coordinates, with
-    the receiver's shared photodiode radius and field of view in radians."""
-    ax, ay, az = ap[:, 0:1], ap[:, 1:2], ap[:, 2:3]
-    px, py, pz = users[:, 0:1], users[:, 1:2], users[:, 2:3]
+    """`irs_gain_table` of n pairs, from (3, n) transmitter and user
+    coordinates and n mirror columns, with the receiver's shared photodiode
+    radius and field of view in radians."""
+    ax, ay, az = ap
+    px, py, pz = users
     with np.errstate(divide="ignore", invalid="ignore"):
         # Steering: the normal bisects the incoming and outgoing directions.
         tx, ty, tz = mirrors.cx - ax, mirrors.cy - ay, mirrors.cz - az
         mirror_range = np.sqrt(tx * tx + ty * ty + tz * tz)
         inv = 1.0 / mirror_range
         uix, uiy, uiz = tx * inv, ty * inv, tz * inv
-        # Each name is dropped after its last read, so that few (block,
-        # mirrors) arrays are alive at once.
+        # Each name is dropped after its last read, so that few pair arrays
+        # are alive at once.
         del tx, ty, tz
         lx, ly, lz = px - mirrors.cx, py - mirrors.cy, pz - mirrors.cz
         leg_out = np.sqrt(lx * lx + ly * ly + lz * lz)

@@ -8,9 +8,8 @@ the same operations in the same order as floats and give bitwise the same
 elements, whatever the chunk; a float input returns a float. On arrays the
 steps run in place where the operands allow it (the same products and sums),
 so a chunk holds few temporaries at once. `sum_rate` of a (users, points)
-block makes one nonnegativity check and one reduce that adds the user rows in
-order, as the loop over users does, when the block has two or more points;
-numpy sums a single column pairwise.
+block makes one nonnegativity check and one sum that adds the user rows in
+order, as the loop over users does, at any number of points.
 
 `LinkResult` is one user's whole outcome, from channel gains to rate. This
 module imports no other owcsim module.
@@ -163,18 +162,20 @@ def sum_rate(rates: Sequence[float] | Sequence[np.ndarray] | np.ndarray) -> floa
 
     The users are added one at a time, left to right, so a sum of arrays
     equals the sum of the floats at each element. A 2-D ndarray is a
-    (users, points) block: one check covers all of it, and one
-    `np.add.reduce` over its rows gives bitwise the loop's sum, as numpy adds
-    the rows of a C-contiguous block in order when it has two or more points.
-    A (users, 1) block numpy sums pairwise, which from eight users on may
-    differ from the loop in the last bit. A (0, points) block sums to
-    zeros. A negative rate is named as the loop would name it, the first in
-    row-major order.
+    (users, points) block: one check covers all of it, and its sum over the
+    rows, in order, is bitwise the loop's. numpy's `np.add.reduce` adds the
+    rows of a C-contiguous block in order when it has two or more points, but
+    a single column it sums pairwise, so a (users, 1) block is summed by
+    `np.add.accumulate`, which runs down the column one row at a time. A
+    (0, points) block sums to zeros. A negative rate is named as the loop
+    would name it, the first in row-major order.
     """
     if isinstance(rates, np.ndarray) and rates.ndim == 2:
         block = np.ascontiguousarray(rates)  # other layouts may add in another order
         if np.less(block, 0.0).any():
             raise ValueError(f"rates must be nonnegative, got {_first_negative(block)}")
+        if block.shape[1] == 1 and len(block):
+            return np.add.accumulate(block, axis=0)[-1]
         return np.add.reduce(block, axis=0)
     total = 0.0
     for rate in rates:

@@ -691,8 +691,8 @@ def _rate_table(
         q = _gains(variant, scenario_assignment(variant))[2][:, None]
         rows = block[c * points : (c + 1) * points, : users[c]]
         step = max(2, _RATE_ELEMENTS // users[c])
-        # numpy sums a one-column chunk pairwise, not row by row as `sum_rate`
-        # sums wider ones, so a one-point tail joins the chunk before it.
+        # A one-point tail joins the chunk before it. `sum_rate` adds rows in
+        # order at any width, so this keeps the chunk count down, not the bits.
         bounds = [*range(0, max(1, points - 1), step), points]
         for start, stop in zip(bounds, bounds[1:]):
             rates = _link(variant, q, p_tot[start:stop])[3]

@@ -7,7 +7,9 @@ call carries one receiver. A user's row must not depend on which other users
 share the call or its blocks, and erf runs only on pairs some receiver branch
 sees whose intercept may be below the photodiode's capture. The mirror axes
 are built only for pairs the incidence cosine does not settle, and the
-tables of fixed scenes keep the bits they had before that bound.
+tables of fixed scenes keep the bits they had before that bound. The
+prefilter drops only pairs the exact pass would score 0, so the tables are
+bitwise those of a call that keeps every pair.
 """
 
 import hashlib
@@ -546,6 +548,145 @@ class TestCosineBound:
             if steep[-1]:
                 assert len(calls) == 1, tilt
         assert True in steep and False in steep
+
+
+class TestPrefilter:
+    """`_reachable` hands the exact pass only the pairs some branch may see."""
+
+    @staticmethod
+    def kept_pairs(monkeypatch):
+        """The flat indices of every `_reachable` call, in call order."""
+        kept = []
+        original = owcsim.channel._reachable
+
+        def recorded(*args):
+            kept.append(original(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(owcsim.channel, "_reachable", recorded)
+        return kept
+
+    def test_wall_scale_keeps_few_pairs_and_every_scored_one(self, monkeypatch):
+        kept = self.kept_pairs(monkeypatch)
+        for seed in range(5):
+            gain, receiver = build_default_scenario(wall_scale_document(seed)).mirror_table
+            assert len(kept[-1]) <= 0.3 * gain.size
+            assert np.isin(np.flatnonzero(gain), kept[-1]).all()
+            assert np.isin(np.flatnonzero(receiver >= 0), kept[-1]).all()
+            assert (gain > 0.0).sum() > len(gain)
+
+    def test_arrivals_at_the_fov_edge_are_kept_and_gated_by_acos(self, monkeypatch):
+        # TestEdgeGeometry's pair, whose arrival lies exactly on a field of
+        # view; a few ulps either side of that edge, the cosine is within
+        # 1e-9 of cos(fov), so the exact pass must take acos, as the
+        # reference does, and the prefilter must not have dropped the pair.
+        ap, user = Vec3(2.5, 2.5, 3.0), Vec3(1.7, 3.9, 0.0)
+        mirror = wall_mirror(Vec3(2.3, 5.0, 1.5))
+        arrival = specular_reflect((mirror.center - ap).normalized(),
+                                   steer_mirror(ap, mirror.center, user))
+        probe = one_branch(elevation=70.0, fov=45.0, azimuth=100.0)[0]
+        angle = incidence_angle(arrival, probe.normal())
+        fov_deg = math.degrees(angle)
+        while math.radians(fov_deg) > angle:
+            fov_deg = math.nextafter(fov_deg, 0.0)
+        kept = self.kept_pairs(monkeypatch)
+        angles = []
+
+        def counted_acos(x, _acos=math.acos):
+            angles.append(x)
+            return _acos(x)
+
+        monkeypatch.setattr(math, "acos", counted_acos)
+        scored = set()
+        for ulps in range(-3, 4):
+            fov = fov_deg
+            for _ in range(abs(ulps)):
+                fov = math.nextafter(fov, 90.0 if ulps > 0 else 0.0)
+            receiver = (replace(probe, fov_half_angle_deg=fov),)
+            calls = len(angles)
+            gain, _ = irs_gain_table([ap], MirrorColumns.of([mirror]), [user], receiver,
+                                     WAIST, WAVELENGTH)
+            assert kept[-1].tolist() == [0]
+            assert len(angles) > calls
+            assert_close(float(gain[0, 0]), scalar_gain(ap, mirror, user, receiver), fov)
+            scored.add(gain[0, 0] > 0.0)
+        assert scored == {True, False}
+
+    def test_small_blocks_give_the_same_tables(self, monkeypatch):
+        # 7 pairs per block: every user of the 5x5 wall is a stage-1 block
+        # of its own, and the exact pass runs over many chunks.
+        s = build_default_scenario({"irs": {"grid_m": 5}})
+        args = ([s.adt.branch_positions()[b] for b in s.serving_branches], s.irs.columns,
+                [user.position for user in s.users], s.receiver, s.adt.beam_waist,
+                s.adt.beam_wavelength)
+        whole = irs_gain_table(*args)
+        chunks = []
+        original = owcsim.channel._irs_gain_pairs
+
+        def recorded(ap, *rest):
+            chunks.append(ap.shape[1])
+            return original(ap, *rest)
+
+        monkeypatch.setattr(owcsim.channel, "_BLOCK_PAIRS", 7)
+        monkeypatch.setattr(owcsim.channel, "_irs_gain_pairs", recorded)
+        small = irs_gain_table(*args)
+        assert len(chunks) > 2 and max(chunks) == 7 and (whole[0] > 0.0).any()
+        for got, want in zip(small, whole):
+            assert got.tobytes() == want.tobytes()
+
+
+def log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+point = st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    mirrors=st.lists(st.tuples(point, log_uniform(1e-3, 1.0), log_uniform(1e-3, 1.0)),
+                     min_size=1, max_size=6),
+    ap=point,
+    users=st.lists(point, max_size=4),
+    grazing=st.lists(st.tuples(st.integers(0, 5), st.floats(0.1, 2.0), log_uniform(1e-12, 0.1)),
+                     max_size=3),
+    branches=st.lists(st.tuples(st.floats(0.0, 360.0), st.floats(0.0, 90.0)),
+                      min_size=1, max_size=4),
+    fov=st.floats(0.1, 90.0),
+    pd_area=log_uniform(1e-10, 1.0),
+    waist=log_uniform(1e-6, 1e-3),
+)
+# Transmitter, mirror and user in a line, and a user on the mirror centre.
+@example(mirrors=[((2.0, 5.0, 1.5), 0.15, 0.1)], ap=(2.5, 2.5, 3.0), users=[(2.0, 5.0, 1.5)],
+         grazing=[(0, 1.0, 1e-12), (0, 0.5, 1e-9)], branches=[(0.0, 90.0)], fov=90.0,
+         pd_area=2e-5, waist=5e-6)
+# Horizontal and upward branches mixed, at the narrowest field of view.
+@example(mirrors=[((1.0, 5.0, 2.0), 0.15, 0.1), ((4.0, 5.0, 0.5), 0.15, 0.1)],
+         ap=(2.5, 2.5, 3.0), users=[(1.0, 1.0, 0.0), (4.0, 4.0, 1.0)], grazing=[(1, 0.3, 1e-6)],
+         branches=[(90.0, 0.0), (270.0, 90.0), (0.0, 45.0)], fov=0.1, pd_area=1.0,
+         waist=1e-3)
+def test_prefilter_drops_only_pairs_the_exact_pass_scores_zero(
+    mirrors, ap, users, grazing, branches, fov, pd_area, waist
+):
+    # With _REACH = 2 the prefilter keeps every pair (each l.b is below
+    # (2 - cos fov) |l|), so the exact pass scores the whole table; the
+    # default margin must give the same table bitwise. Grazing users sit
+    # nearly in line with the transmitter and a mirror, beyond it, where
+    # steering is nearly degenerate and rounding in the reflection is worst.
+    elements = [wall_mirror(Vec3(*center), size=size) for center, *size in mirrors]
+    people = [Vec3(*p) for p in users]
+    for m, reach, offset in grazing:
+        center = elements[m % len(elements)].center
+        people.append(center + (center - Vec3(*ap)).scaled(reach) + Vec3(offset, -offset, offset))
+    receiver = tuple(AdrBranch(Orientation(az, el), fov, pd_area) for az, el in branches)
+    args = ([Vec3(*ap)] * len(people), MirrorColumns.of(elements), people, receiver,
+            waist, WAVELENGTH)
+    table = irs_gain_table(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(owcsim.channel, "_REACH", 2.0)
+        every = irs_gain_table(*args)
+    for got, want in zip(table, every):
+        assert got.tobytes() == want.tobytes()
 
 
 def wall_scale_document(seed, users=16):

@@ -1103,6 +1103,18 @@ class TestSweepUsers:
             assert none[b] >= none[a]
             assert irs[b] >= irs[a]
 
+    def test_row_sums_add_users_in_order(self):
+        # Each K is a one-point case, a (K, 1) rate block, which numpy's
+        # reduce would sum pairwise; the sum must be the loop over the row's
+        # rates, left to right, at every K.
+        table = sweep_users(build_default_scenario(None), range(1, 65))
+        assert len(table) == 128
+        for row in table.rows:
+            total = 0.0
+            for rate in row.user_rates_bps:
+                total = total + rate
+            assert row.sum_rate_bps == total, (row.variant, row.sweep_var)
+
     def test_nested_users_between_k_values(self):
         s = build_default_scenario(None)
         table = sweep_users(s, [3, 4])
