@@ -18,7 +18,8 @@ Both paths have a numpy kernel, and a scalar reference in
 network evaluation never runs. The kernels repeat the references'
 arithmetic step for step and also return the serving receiver branch:
 `los_gain_table` scores every (user, transmitter branch) pair at once and
-equals `los_gain` bitwise; `irs_gain_table` scores every (user,
+equals `los_gain` bitwise (`aimed_los_gain_table` is its half after `aim`,
+for pairs already aimed); `irs_gain_table` scores every (user,
 `MirrorColumns` mirror) pair and agrees with `irs_gain` to rounding. It runs
 in two stages. A mirror steered to a user reflects the beam along the leg
 from its centre to that user, so whether any receiver branch can see a pair
@@ -328,18 +329,27 @@ def los_gain_table(
     error is the one the reference meets first, looping over users, then
     transmitter branches, and building each aimed beam before anything else.
     """
-    radius, fov = _photodiode(receiver)
-    ap, users = coordinates(ap_branch_positions), coordinates(user_positions)
-    separation, (ux, uy, uz), bad = aim(ap, users)
-    if bad.any():
+    _photodiode(receiver)  # a receiver's error comes before any beam's
+    aimed = aim(coordinates(ap_branch_positions), coordinates(user_positions))
+    if aimed[2].any():
         # Rebuild the first failing beam, in the reference's loop order, on the
         # scalar path, so the error is the reference's own.
         from .beam import GaussianBeam
 
-        i, b = np.argwhere(bad)[0].tolist()
+        i, b = np.argwhere(aimed[2])[0].tolist()
         origin = ap_branch_positions[b]
         GaussianBeam(waist_w0, wavelength, 1.0, origin, (user_positions[i] - origin).normalized())
+    return aimed_los_gain_table(aimed, receiver, blocked, waist_w0, wavelength)
 
+
+def aimed_los_gain_table(
+    aimed: tuple, receiver: Sequence[AdrBranch], blocked: Sequence[bool], waist_w0: float,
+    wavelength: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`los_gain_table` from `aim` of its pairs, none unaimable, as a Scenario
+    holds them from its validation."""
+    radius, fov = _photodiode(receiver)
+    separation, (ux, uy, uz), _ = aimed
     w_d = _beam_radius(separation, waist_w0, wavelength)
     captured = -_map(math.expm1, -2.0 * radius * radius / (w_d * w_d))
     # No branch sees a blocked user.

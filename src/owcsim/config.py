@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .geometry import Vec3
 from .link import NoiseParams
 from .network import (
@@ -114,6 +116,29 @@ class ListOf:
         return f"{'nonempty list' if self.min_len else 'list'} of ({self.item})"
 
 
+class Points(ListOf):
+    """`ListOf(POINT)`, tried first as one array: plain lists or tuples of three
+    ints or floats (no bools) and one range test. Any other input, or a failed
+    test, reruns the entry-by-entry walk, which names what is wrong."""
+
+    def __init__(self) -> None:
+        super().__init__(POINT)
+
+    def __call__(self, path: str, value: object) -> tuple:
+        try:
+            if isinstance(value, (list, tuple)) and value and all(
+                type(point) in (list, tuple) and all(type(c) in (int, float) for c in point)
+                for point in value
+            ):
+                xyz = np.array(value, dtype=np.float64)
+                inside = LENGTH.lo <= xyz.min() <= xyz.max() <= LENGTH.hi  # NaN is not
+                if xyz.shape == (len(value), 3) and inside:
+                    return tuple(map(tuple, xyz.tolist()))
+        except (TypeError, ValueError, OverflowError):  # ragged, or an int past the float range
+            pass
+        return super().__call__(path, value)
+
+
 class Nullable:
     def __init__(self, check: Check) -> None:
         self.check = check
@@ -148,7 +173,7 @@ SCHEMA: dict[str, tuple[object, Check]] = {
     "irs.center_height_m": (1.5, LENGTH),
     "irs.center_along_m": (None, Nullable(LENGTH)),
     "users.k": (4, Integer(1, 1000)),
-    "users.positions": (None, Nullable(ListOf(POINT))),
+    "users.positions": (None, Nullable(Points())),
     "users.blocked": ([], ListOf(Integer(0), min_len=0)),
     "users.pd_area_m2": (2.0e-5, Number(1e-8, 1e-4)),
     "users.responsivity_a_per_w": (0.4, Number(0.01, 1.5)),

@@ -7,9 +7,10 @@ arguments, so one copy of each formula serves a single operating point and a
 the same operations in the same order as floats and give bitwise the same
 elements, whatever the chunk; a float input returns a float. On arrays the
 steps run in place where the operands allow it (the same products and sums),
-so a chunk holds few temporaries at once. `sum_rate` of a (users, points)
-block makes one nonnegativity check and one sum that adds the user rows in
-order, as the loop over users does, at any number of points.
+so a chunk holds few temporaries at once. Each sign guard is one reduction.
+`sum_rate` of a (users, points) block makes one nonnegativity check and one
+sum that adds the user rows in order, as the loop over users does, at any
+number of points.
 
 `LinkResult` is one user's whole outcome, from channel gains to rate. This
 module imports no other owcsim module.
@@ -107,9 +108,9 @@ def noise_variance(
     Strictly increasing in received power; the thermal floor keeps the
     variance positive in the dark.
     """
-    if np.less(received_optical_power, 0.0).any():
+    if _least(received_optical_power) < 0.0:
         raise ValueError("received_optical_power must be nonnegative")
-    if np.less(responsivity, 0.0).any():
+    if _least(responsivity) < 0.0:
         raise ValueError("responsivity must be nonnegative")
     photocurrent = responsivity * received_optical_power
     shot = 2.0 * ELECTRON_CHARGE * photocurrent
@@ -135,7 +136,7 @@ def sinr(
     There is no interference term: every beam serves one user, so the
     model is noise-limited and the value is an SNR.
     """
-    if np.less_equal(sigma2, 0.0).any():
+    if _least(sigma2) <= 0.0:
         raise ValueError("nonpositive noise variance")
     signal = responsivity * q * transmit_power
     signal *= signal
@@ -144,7 +145,7 @@ def sinr(
 
 def achievable_rate(gamma: float | np.ndarray, bandwidth: float) -> float | np.ndarray:
     """Rate bound B log2(1 + (e / 2 pi) gamma) in bit/s."""
-    if np.less(gamma, 0.0).any():
+    if _least(gamma) < 0.0:
         raise ValueError(f"gamma must be nonnegative, got {_first_negative(gamma)}")
     if bandwidth <= 0.0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
@@ -172,17 +173,25 @@ def sum_rate(rates: Sequence[float] | Sequence[np.ndarray] | np.ndarray) -> floa
     """
     if isinstance(rates, np.ndarray) and rates.ndim == 2:
         block = np.ascontiguousarray(rates)  # other layouts may add in another order
-        if np.less(block, 0.0).any():
+        if _least(block) < 0.0:
             raise ValueError(f"rates must be nonnegative, got {_first_negative(block)}")
         if block.shape[1] == 1 and len(block):
             return np.add.accumulate(block, axis=0)[-1]
         return np.add.reduce(block, axis=0)
     total = 0.0
     for rate in rates:
-        if np.less(rate, 0.0).any():
+        if _least(rate) < 0.0:
             raise ValueError(f"rates must be nonnegative, got {_first_negative(rate)}")
         total = total + rate
     return total
+
+
+def _least(values: float | np.ndarray) -> float:
+    """The least element of `values`, skipping NaN (+inf for an array of none),
+    so `_least(x) < bound` holds where the elementwise `x < bound` finds one."""
+    if isinstance(values, np.ndarray):
+        return np.fmin.reduce(values, axis=None) if values.size else math.inf
+    return values
 
 
 def _first_negative(values: float | np.ndarray) -> float:

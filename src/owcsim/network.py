@@ -16,11 +16,13 @@ functions of the scenario, so sweep points can be computed in any order.
 Only the transmit power changes between sweep points, so the gains and the
 assignment are computed once per variant, and the rate path (received power,
 noise, SNR and rate) runs over (users, points) chunks of about
-`_RATE_ELEMENTS` elements, each written straight into the table's block; an
-evaluation at the scenario's own power passes one point.
+`_RATE_ELEMENTS` elements, each written straight into its final rows of the
+table's block, whose row order is found once; an evaluation at the
+scenario's own power passes one point.
 
 A Scenario computes two gain tables once, each holding gains and serving
-receiver branches: `direct_table` (one `channel.los_gain_table` call) and
+receiver branches: `direct_table` (one `channel.aimed_los_gain_table` call,
+on the (user, aperture) pairs that validation `aim`ed) and
 `mirror_table` (one `channel.irs_gain_table` call over every user, each from
 its serving transmitter branch, and the wall's `MirrorColumns`). Evaluation
 reads them and runs no scalar gain code: the scalar `los_gain`, `irs_gain`
@@ -51,9 +53,9 @@ from .channel import (
     AdrBranch,
     MirrorColumns,
     aim,
+    aimed_los_gain_table,
     coordinates,
     irs_gain_table,
-    los_gain_table,
 )
 from .geometry import Orientation, Vec3
 from .link import (
@@ -199,6 +201,8 @@ class Scenario:
     branches of one elevation, field of view and photodiode area.
     `direct_table`, `serving_branches` and `mirror_table` are cached properties:
     `replace` starts them empty, and they take no part in `==`, `hash` or `repr`.
+    Nor does `_aimed`, the `channel.aim` of every (user, aperture) pair, which
+    validation computes and `direct_table` scores.
     """
 
     room_dims: tuple[float, float, float]
@@ -239,7 +243,8 @@ class Scenario:
             raise ValueError(f"{name}: position out of bounds of room.dims {points[k].as_tuple()}")
         if not self.users:
             raise ValueError("users.k must be >= 1")
-        unaimable = aim(xyz[: len(apertures)], xyz[len(apertures) :])[2]
+        aimed = vars(self)["_aimed"] = aim(xyz[: len(apertures)], xyz[len(apertures) :])
+        unaimable = aimed[2]
         if unaimable.any():
             i, b = np.argwhere(unaimable)[0].tolist()
             raise ValueError(
@@ -313,9 +318,8 @@ class Scenario:
         Read-only (users, branches) arrays of the direct gain and of the
         serving receiver branch, -1 where there is none.
         """
-        table = los_gain_table(
-            self.adt.branch_positions(),
-            [user.position for user in self.users],
+        table = aimed_los_gain_table(
+            self._aimed,
             self.receiver,
             [user.blocked for user in self.users],
             self.adt.beam_waist,
@@ -327,14 +331,14 @@ class Scenario:
 
     @cached_property
     def serving_branches(self) -> tuple[int, ...]:
-        """`serving_branch_index` of every user, read from `direct_table`."""
+        """`serving_branch_index` of every user, read from `direct_table`; a
+        user no branch sees takes `_fallback_branch`, for all users at once."""
         gain = self.direct_table[0]
+        # Nearest the wall's centre, or the user: `aim` sums the squares in
+        # `Vec3.distance_to`'s order, and argmin takes the lowest index on a tie.
+        fallback = self._aimed[0].argmin(axis=1) if self.irs is None else _fallback_branch(self, 0)
         # argmax takes the first maximum: the lowest index wins a tie.
-        best = gain.argmax(axis=1).tolist()
-        seen = (gain.max(axis=1) > 0.0).tolist()
-        return tuple(
-            b if s else _fallback_branch(self, i) for i, (b, s) in enumerate(zip(best, seen))
-        )
+        return tuple(np.where(gain.max(axis=1) > 0.0, gain.argmax(axis=1), fallback).tolist())
 
     @cached_property
     def mirror_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -679,31 +683,34 @@ def _rate_table(
     """Rates of every (labelled scenario, transmit power) pair, in that order,
     as table rows with the given sweep values. Each scenario's gains and
     assignment are computed once; its rate path runs over chunks of about
-    `_RATE_ELEMENTS` (user, point) elements, at least two points each, and
-    every chunk's rates and sums go straight to the table. The counts go to
-    `ResultTable.from_block` as an array, and the labels as one list."""
+    `_RATE_ELEMENTS` (user, point) elements. `ResultTable.from_block`'s row
+    order is found up front, so every chunk's rates and sums go straight to
+    their final rows, and the labels are one run per variant name."""
     points, users = len(p_tot), [len(variant.users) for _, variant in cases]
+    names = sorted({label for label, _ in cases})
+    code = np.repeat([names.index(label) for label, _ in cases], points)
+    sweep = np.asarray(sweep_var, dtype=np.float64)
+    order = np.lexsort((sweep, code))
+    row = np.empty_like(order)  # the final row of each (case, point)
+    row[order] = np.arange(len(order))
     # Allocated before the rate path's temporaries, so that the heap can
     # return their memory once they are freed.
-    block = np.zeros((len(cases) * points, max(users)))
-    sums = []
+    block, sums = np.zeros((len(order), max(users))), np.empty(len(order))
     for c, (_, variant) in enumerate(cases):
         q = _gains(variant, scenario_assignment(variant))[2][:, None]
-        rows = block[c * points : (c + 1) * points, : users[c]]
-        step = max(2, _RATE_ELEMENTS // users[c])
-        # A one-point tail joins the chunk before it. `sum_rate` adds rows in
-        # order at any width, so this keeps the chunk count down, not the bits.
-        bounds = [*range(0, max(1, points - 1), step), points]
-        for start, stop in zip(bounds, bounds[1:]):
+        step = max(1, _RATE_ELEMENTS // users[c])
+        for start in range(0, points, step):
+            stop = min(start + step, points)
             rates = _link(variant, q, p_tot[start:stop])[3]
-            rows[start:stop] = rates.T
-            sums.append(sum_rate(rates))
-        del rates  # free it before the next case's temporaries, or the table's copy
+            at = row[c * points + start : c * points + stop]
+            block[at, : users[c]] = rates.T
+            sums[at] = sum_rate(rates)
+        del rates  # free it before the next case's temporaries
     labels = []
-    for label, _ in cases:
-        labels += [label] * points
-    counts = np.repeat(users, points)
-    return ResultTable.from_block(sweep_var, labels, block, np.concatenate(sums), counts)
+    for name in names:  # one run of rows per variant name, as the order sorts them
+        labels += [name] * (points * sum(label == name for label, _ in cases))
+    counts = np.repeat(users, points)[order]
+    return ResultTable._adopt(sweep[order], tuple(labels), sums, block, counts)
 
 
 # ---------------------------------------------------------------------------

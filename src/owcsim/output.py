@@ -66,9 +66,9 @@ class ResultTable:
 
         The columns may be sequences or arrays. One stable `np.lexsort` over
         the float64 sweep column and an integer code per variant name orders
-        the rows, and the labels are gathered in that order. Raises
-        ValueError for a rate block that is not 2-D, and naming the first
-        rate that is not finite and nonnegative.
+        the rows, gathered in that order into new arrays, none the caller's.
+        Raises ValueError for a rate block that is not 2-D, and naming the
+        first rate that is not finite and nonnegative.
         """
         rates = np.asarray(user_rates_bps, dtype=np.float64)
         if rates.ndim != 2:
@@ -85,12 +85,18 @@ class ResultTable:
         codes = {name: i for i, name in enumerate(sorted(set(variant)))}
         code = np.fromiter(map(codes.__getitem__, variant), np.intp, len(variant))
         order = np.lexsort((sweep, code))
-        arrays = [c[order] for c in (sweep, sums, rates, counts)]
-        for array in arrays:
+        labels = tuple(map(variant.__getitem__, order.tolist()))
+        return cls._adopt(sweep[order], labels, sums[order], rates[order], counts[order])
+
+    @classmethod
+    def _adopt(cls, sweep_var, variant, sum_rate_bps, user_rates_bps, user_counts) -> ResultTable:
+        """The table of columns already in (variant, sweep_var) order, frozen in
+        place and checked as `from_block` ends: the caller keeps no reference."""
+        for array in (sweep_var, sum_rate_bps, user_rates_bps, user_counts):
             array.flags.writeable = False
-        _check_rates(arrays[2], "user rate at (row {}, user {})")
-        _check_rates(arrays[1][:, None], "sum_rate_bps at row {}")
-        return cls(arrays[0], tuple(map(variant.__getitem__, order.tolist())), *arrays[1:])
+        _check_rates(user_rates_bps, "user rate at (row {}, user {})")
+        _check_rates(sum_rate_bps[:, None], "sum_rate_bps at row {}")
+        return cls(sweep_var, variant, sum_rate_bps, user_rates_bps, user_counts)
 
     @classmethod
     def from_rows(cls, rows: Iterable[ResultRow]) -> ResultTable:
@@ -137,13 +143,14 @@ class ResultTable:
 
 def _check_rates(block: np.ndarray, where: str) -> None:
     """Raise ValueError naming the first element of the 2-D `block` that is
-    not finite and nonnegative."""
-    bad = ~((block >= 0.0) & (block < math.inf))
-    if bad.any():
-        index = tuple(np.argwhere(bad)[0].tolist())
-        raise ValueError(
-            f"{where.format(*index)} must be finite and nonnegative, got {float(block[index])}"
-        )
+    not finite and nonnegative. One min and one max decide (NaN carries through
+    both); only a failing block builds the mask that finds the element."""
+    if not block.size or (block.min() >= 0.0 and block.max() < math.inf):
+        return
+    index = tuple(np.argwhere(~((block >= 0.0) & (block < math.inf)))[0].tolist())
+    raise ValueError(
+        f"{where.format(*index)} must be finite and nonnegative, got {float(block[index])}"
+    )
 
 
 def format_rate(value: float) -> str:

@@ -1,18 +1,22 @@
 import dataclasses
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owcsim.channel import AdrBranch
 from owcsim.config import (
     DEFAULT_K_VALUES,
     DEFAULT_SNR_POINTS_DB,
+    POINT,
     SCHEMA,
+    ListOf,
+    Nullable,
     OutputSpec,
     SweepSpec,
     build_default_scenario,
@@ -466,3 +470,59 @@ def test_every_scenario_that_builds_reloads_from_its_effective_config(kinds, rec
     scenario = dataclasses.replace(base, users=held)
     document = json.loads(json.dumps(effective_config(scenario)))
     assert parse_config(document)[0] == scenario
+
+
+def checked(check, value) -> str:
+    """What a check makes of a value: the repr of its result, so ints and
+    floats and the sign of zero count, or its error's type and message."""
+    try:
+        return repr(check("users.positions", value))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+COORDINATE = st.one_of(
+    st.floats(0.0, 1000.0),
+    st.integers(-2, 1002),
+    st.floats(),  # NaN, the infinities, out of range
+    st.sampled_from([True, False, None, "x", "1", 10**400, -(10**400), 2**53 + 1, -0.0,
+                     1000.0, math.nextafter(1000.0, math.inf), -5e-324, [1.0], (2,)]),
+)
+GOOD_POINT = st.lists(st.floats(0.0, 1000.0) | st.integers(0, 1000), min_size=3, max_size=3)
+POINT_LIKE = st.one_of(
+    GOOD_POINT,
+    GOOD_POINT.map(tuple),
+    st.lists(COORDINATE, min_size=2, max_size=4),
+    st.tuples(COORDINATE, COORDINATE, COORDINATE),
+    COORDINATE,
+    st.dictionaries(st.text(max_size=1), st.integers(0, 5), min_size=3, max_size=3),
+)
+POSITIONS = st.one_of(
+    st.lists(GOOD_POINT, min_size=1, max_size=6),
+    st.lists(POINT_LIKE, max_size=6),
+    st.lists(POINT_LIKE, min_size=1, max_size=3).map(tuple),
+    COORDINATE,
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(value=POSITIONS)
+@example(value=[[1.0, 2.0, 0.0], [3, 4, 0], [1, "x", 0]])
+@example(value=[[1.0, 2.0, 0.0], [True, 4.0, 0.0]])
+@example(value=[[1.0, 2.0, 0.0], [1.0, 2.0]])
+@example(value=[[0.5, 0.5, 10**400]])
+@example(value=[[0.5, math.nan, 0.0]])
+@example(value=[])
+def test_positions_check_gives_the_walks_result_and_message(value):
+    # The array fast path either agrees with the entry-by-entry walk or
+    # hands the value to it.
+    assert checked(SCHEMA["users.positions"][1], value) == checked(
+        Nullable(ListOf(POINT)), value
+    )
+
+
+def test_positions_error_names_the_coordinate():
+    document = {"users": {"k": 3, "positions": [[1.0, 2.0, 0.0], [3, 4, 0], [1, "x", 0]]}}
+    with pytest.raises(ValueError) as err:
+        parse_config(document)
+    assert str(err.value) == "users.positions[2][1] must be a number in [0, 1000], got 'x'"

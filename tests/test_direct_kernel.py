@@ -358,6 +358,24 @@ class TestEdgeCases:
         # Nearest the panel centre is one branch for all; nearest the user is not.
         assert (len(set(s.serving_branches)) == 1) == (s.irs is not None)
 
+    @pytest.mark.parametrize("irs", [{"enabled": False}, {"grid_m": 5}, {"wall": "x_min"}])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seen_and_unseen_users_mixed(self, irs, seed):
+        # Blocked users, and users a narrow field of view misses, take the
+        # fallback next to users some branch sees; the last users sit where
+        # two or four apertures are equally near.
+        rng = random.Random(seed)
+        positions = [[rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0), 0.0] for _ in range(20)]
+        positions += [[2.5, 2.5, 0.0], [2.5 + 1.25, 2.5 + 1.25, 0.0], [2.5, 0.5, 0.0]]
+        s = build_default_scenario(
+            {"irs": irs, "users": {"k": len(positions), "positions": positions,
+                                   "fov_deg": rng.choice([5.0, 25.0]),
+                                   "blocked": rng.sample(range(len(positions)), 6)}}
+        )
+        gain, _ = assert_scenario_matches(s)
+        seen = gain.max(axis=1) > 0.0
+        assert seen.any() and not seen.all()
+
     def test_only_blocked_users_take_the_fallback(self):
         s = build_default_scenario({"users": {"k": 5, "blocked": [0, 1, 2, 3, 4]}})
         for variant in (s, replace(s, irs=None)):

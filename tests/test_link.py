@@ -324,3 +324,64 @@ class TestSumRateBlock:
             with pytest.raises(ValueError) as blocked:
                 sum_rate(block)
             assert str(blocked.value) == str(listed.value) == "rates must be nonnegative, got -5.0"
+
+
+def _sum_rate_of(x):
+    """`sum_rate` of a float as a one-rate list, else of the array itself."""
+    return sum_rate([x] if isinstance(x, float) else x)
+
+
+# Each guard: the call, the elementwise test that raises, and its message
+# ("{}" is the first failing value, row-major).
+GUARDS = {
+    "received_optical_power": (
+        lambda x: noise_variance(TABLE, x, 0.4), np.less,
+        "received_optical_power must be nonnegative",
+    ),
+    "responsivity": (
+        lambda x: noise_variance(TABLE, 1e-6, x), np.less, "responsivity must be nonnegative"
+    ),
+    "sigma2": (lambda x: sinr(1e-4, 0.01, 0.4, x), np.less_equal, "nonpositive noise variance"),
+    "gamma": (lambda x: achievable_rate(x, 1.5e9), np.less, "gamma must be nonnegative, got {}"),
+    "rates": (_sum_rate_of, np.less, "rates must be nonnegative, got {}"),
+}
+GUARD_VALUES = [
+    [0.5, -2.0, 0.25, -3.0],
+    [0.5, math.nan, 0.25, 1.0],
+    [math.nan, 0.5, -2.0, 1.0],
+    [0.0, 0.5, -0.0, 1.0],
+    [0.5, 1.0, 2.0, math.inf],
+    [-math.inf, 1.0, math.nan, 2.0],
+    [-5e-324, 1.0, 2.0, 3.0],
+]
+
+
+def _guard_inputs():
+    for i, values in enumerate(GUARD_VALUES):
+        array = np.array(values)
+        yield from ((f"{i}-float{j}", value) for j, value in enumerate(values))
+        yield f"{i}-1d", array
+        yield f"{i}-2d", array.reshape(2, 2)
+    yield "empty-1d", np.zeros(0)
+    yield "empty-2d", np.zeros((2, 0))
+    yield "int-1d", np.array([3, 2, 0, 1])
+    yield "int-2d", np.array([[3, -2], [0, 1]])
+
+
+class TestGuardsAsReductions:
+    """Each sign guard is one reduction; it raises exactly where the
+    elementwise test finds an element, with the same message. NaN is never
+    below a bound, so NaN alone passes, as it does elementwise."""
+
+    @pytest.mark.parametrize("guard", GUARDS)
+    @pytest.mark.parametrize("x", [x for _, x in _guard_inputs()],
+                             ids=[name for name, _ in _guard_inputs()])
+    def test_raises_where_the_elementwise_test_does(self, guard, x):
+        call, test, message = GUARDS[guard]
+        failing = np.asarray(x)[test(x, 0.0)]
+        if not failing.size:
+            call(x)
+            return
+        with pytest.raises(ValueError) as err:
+            call(x)
+        assert str(err.value) == message.format(float(failing.flat[0]))

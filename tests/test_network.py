@@ -634,7 +634,7 @@ class TestEvaluateUser:
         assert len(s.users) == 4
         assert any(r.h_nlos > 0.0 for r in results)
         assert any(r.h_los > 0.0 for r in results)
-        assert calls["los_gain_table"] == 1
+        assert calls["aimed_los_gain_table"] == 1
         assert calls["irs_gain_table"] == 1
         assert calls["serving_branch_index"] == calls["los_gain"] == 0
         assert calls["irs_gain"] == 0
@@ -644,18 +644,19 @@ class TestEvaluateUser:
         calls = _count_calls(monkeypatch)
         s = build_default_scenario(None)
         sweep_users(s, ks)
-        assert calls["los_gain_table"] <= 2
+        assert calls["aimed_los_gain_table"] <= 2
         assert calls["serving_branch_index"] == calls["los_gain"] == 0
         calls.update(dict.fromkeys(calls, 0))
         sweep_snr(s, [60.0, 90.0], ("none", "5x5", "10x10"))
-        assert calls["los_gain_table"] <= 3
+        assert calls["aimed_los_gain_table"] <= 3
         assert calls["serving_branch_index"] == calls["los_gain"] == 0
 
 
 def _count_calls(monkeypatch):
     """Count calls to the gain kernels and the scalar reference path."""
     calls = dict.fromkeys(
-        ("los_gain_table", "irs_gain_table", "los_gain", "irs_gain", "serving_branch_index"), 0
+        ("aimed_los_gain_table", "irs_gain_table", "los_gain", "irs_gain", "serving_branch_index"),
+        0,
     )
     for name in calls:
         original = getattr(owcsim.network, name)
@@ -972,7 +973,7 @@ class TestSweepSnrArrayPath:
 
 class TestRateChunks:
     """`_rate_table` runs each case's rate path over chunks of about
-    `_RATE_ELEMENTS` (user, point) elements, at least two points each, and
+    `_RATE_ELEMENTS` (user, point) elements, at least one point each, and
     the table is bitwise the same whatever the budget."""
 
     VARIANTS = ("none", "5x5", "10x10")
@@ -1003,9 +1004,10 @@ class TestRateChunks:
     @pytest.mark.parametrize("points", [13, 1025, 1201])
     @pytest.mark.parametrize("users", [1, 7, 64])
     def test_sweep_snr_equal_for_every_budget(self, monkeypatch, users, points):
-        # 1025 points leave a one-point tail at 64 users and the default
+        # 1025 points leave a one-point tail chunk at 64 users and the default
         # budget (4 x 256 + 1), 1201 a 177-point one; 13 points at 64 users
-        # and 256 elements leave one too (3 x 4 + 1).
+        # and 256 elements leave one too (3 x 4 + 1). A budget of 1 gives
+        # every point its own one-column chunk.
         s = self.scenario(users)
         grid = [60.0 + 60.0 * i / (points - 1) for i in range(points)]
         monkeypatch.setattr(owcsim.network, "_RATE_ELEMENTS", sys.maxsize)
@@ -1020,13 +1022,13 @@ class TestRateChunks:
         monkeypatch.setattr(owcsim.network, "_RATE_ELEMENTS", budget)
         calls = self.record_chunks(monkeypatch)
         sweep_snr(self.scenario(users), [70.0] * points, ("none",))
-        step = max(2, budget // users)
+        step = max(1, budget // users)
         widths = [shape[1] for shape in calls["_link"]]
         assert calls["_gains"] == [users]  # once per case, not per chunk
         assert {shape[0] for shape in calls["_link"]} == {users}
         assert sum(widths) == points
         assert widths[:-1] == [step] * (len(widths) - 1)
-        assert 2 <= widths[-1] <= step + 1 or widths == [points]
+        assert 1 <= widths[-1] <= step
 
     def test_more_users_than_the_budget(self, monkeypatch):
         s = self.scenario(64)
@@ -1035,8 +1037,8 @@ class TestRateChunks:
         monkeypatch.setattr(owcsim.network, "_RATE_ELEMENTS", 16)
         calls = self.record_chunks(monkeypatch)
         assert sweep_snr(s, grid, self.VARIANTS) == whole
-        # Two points per chunk; the one-point tail joins the last.
-        assert [shape[1] for shape in calls["_link"]] == ([2] * 99 + [3]) * 3
+        # One point per chunk: the budget is under one column of users.
+        assert [shape[1] for shape in calls["_link"]] == [1] * 201 * 3
 
     @pytest.mark.parametrize("budget", [1, 256, sys.maxsize])
     def test_sweep_users_equal_for_every_budget(self, monkeypatch, budget):
@@ -1176,3 +1178,72 @@ class TestSimulate:
         assert row.variant == "5x5"
         assert len(row.user_rates_bps) == 4
         assert row.sum_rate_bps == pytest.approx(sum(row.user_rates_bps), rel=1e-12)
+
+
+def _from_block_table(cases, sweep_var, p_tot):
+    """A `_rate_table` call's table assembled the way `ResultTable.from_block`
+    does it: every case's rates in case-major rows, then sorted and copied."""
+    users = [len(variant.users) for _, variant in cases]
+    block = np.zeros((len(cases) * len(p_tot), max(users)))
+    sums, labels = [], []
+    for c, (label, variant) in enumerate(cases):
+        q = owcsim.network._gains(variant, scenario_assignment(variant))[2][:, None]
+        rates = owcsim.network._link(variant, q, p_tot)[3]
+        block[c * len(p_tot) : (c + 1) * len(p_tot), : users[c]] = rates.T
+        sums.append(sum_rate(rates))
+        labels += [label] * len(p_tot)
+    counts = np.repeat(users, len(p_tot))
+    return ResultTable.from_block(sweep_var, labels, block, np.concatenate(sums), counts)
+
+
+class TestTableWrittenInPlace:
+    """`_rate_table` writes each chunk into its final row: every sweep's table
+    equals the one `ResultTable.from_block` sorts from case-major rows."""
+
+    @staticmethod
+    def assert_equals_from_block(monkeypatch, run):
+        calls = []
+        original = owcsim.network._rate_table
+
+        def recorded(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(owcsim.network, "_rate_table", recorded)
+        table = run()
+        assert len(calls) == 1
+        assert table == _from_block_table(*calls[0])
+        assert table.variant == tuple(sorted(table.variant))
+        for array in table._arrays():
+            assert array.flags.writeable is False
+        return table
+
+    @pytest.mark.parametrize("budget", [8, 16384])
+    @pytest.mark.parametrize("variants", [("none",), ("10x10", "none", "5x5")])
+    @pytest.mark.parametrize(
+        "points",
+        [[60.0, 70.0, 80.0, 90.0], [90.0, 80.0, 70.0, 60.0], [75.0, 60.0, 95.0, 80.0, 65.0],
+         [80.0, 60.0, 80.0, 70.0, 60.0]],
+        ids=["ascending", "descending", "shuffled", "duplicated"],
+    )
+    def test_sweep_snr(self, monkeypatch, points, variants, budget):
+        # A budget of 8 elements runs the 4 users two points at a time.
+        monkeypatch.setattr(owcsim.network, "_RATE_ELEMENTS", budget)
+        s = build_default_scenario({"users": {"blocked": [2]}})
+        table = self.assert_equals_from_block(
+            monkeypatch, lambda: sweep_snr(s, points, variants)
+        )
+        assert [(r.variant, r.sweep_var) for r in table.rows] == sorted(
+            (label, db) for label in variants for db in points
+        )
+
+    @pytest.mark.parametrize("ks", [[3, 12, 5], [1], [8, 6, 1], [4, 4, 2]])
+    def test_sweep_users(self, monkeypatch, ks):
+        s = build_default_scenario({"irs": {"grid_m": 10}})
+        table = self.assert_equals_from_block(monkeypatch, lambda: sweep_users(s, ks))
+        assert table.user_counts.tolist() == sorted(ks) * 2
+
+    @pytest.mark.parametrize("doc", [None, {"irs": {"enabled": False}}])
+    def test_simulate_scenario(self, monkeypatch, doc):
+        s = build_default_scenario(doc)
+        self.assert_equals_from_block(monkeypatch, lambda: simulate_scenario(s))

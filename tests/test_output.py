@@ -102,6 +102,57 @@ class TestResultTable:
         assert one_variant.sum_rate_bps.tolist() == [1.0, 3.0, 5.0, 6.0, 0.0, 2.0, 4.0]
         assert one_variant.user_counts.tolist() == [2] * 7
 
+    @pytest.mark.parametrize(
+        "sweep", [[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], ids=["sorted", "unsorted"]
+    )
+    def test_from_block_never_aliases_the_callers_arrays(self, sweep):
+        # Rows already in order still gather into new arrays: the caller's
+        # stay writable, and writing them leaves the table as it was.
+        columns = {
+            "sweep_var": np.array(sweep),
+            "user_rates_bps": np.arange(6.0).reshape(3, 2),
+            "sum_rate_bps": np.array([1.0, 5.0, 9.0]),
+            "user_counts": np.array([2, 2, 2], dtype=np.intp),
+        }
+        table = ResultTable.from_block(variant=["a"] * 3, **columns)
+        before = ResultTable.from_block(
+            variant=["a"] * 3, **{name: array.copy() for name, array in columns.items()}
+        )
+        for name, array in columns.items():
+            assert not np.shares_memory(getattr(table, name), array), name
+            assert array.flags.writeable
+            array[...] = 0
+        assert table == before
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 1), (0, 3), (3, 0), (0, 0)])
+    @pytest.mark.parametrize(
+        "bad", [None, -1.0, -0.0, float("nan"), float("inf"), -float("inf"), -5e-324]
+    )
+    def test_rate_check_names_what_the_elementwise_test_finds(self, shape, bad):
+        # One min and one max decide whether the block passes; the message
+        # names the first element, row-major, that the elementwise test fails.
+        rng = np.random.default_rng(len(shape) + shape[0] * 7 + shape[1])
+        block = rng.uniform(0.0, 1e9, shape)
+        if bad is not None and block.size:
+            block.flat[rng.integers(block.size)] = bad
+            block.flat[-1] = bad
+        failing = np.argwhere(~((block >= 0.0) & (block < float("inf"))))
+        rows = shape[0]
+
+        def build():
+            return ResultTable.from_block([0.0] * rows, ["a"] * rows, block, [0.0] * rows)
+
+        if not len(failing):
+            assert build().user_rates_bps.tolist() == block.tolist()
+            return
+        row, user = failing[0].tolist()
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == (
+            f"user rate at (row {row}, user {user}) must be finite and nonnegative, "
+            f"got {float(block[row, user])}"
+        )
+
     @pytest.mark.parametrize("shape", [(3,), (), (1, 3, 1)])
     def test_rate_block_must_be_2d(self, shape):
         with pytest.raises(ValueError) as err:
