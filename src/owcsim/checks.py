@@ -18,6 +18,7 @@ from .beam import GaussianBeam, power_through_circle, power_through_rectangle, w
 from .config import build_default_scenario
 from .geometry import Vec3
 from .network import (
+    _grid_powers,
     assign_mirrors,
     default_adr_branches,
     evaluate_scenario,
@@ -150,10 +151,16 @@ def no_irs_equivalence(rng: random.Random | None = None, draws: int = 0) -> None
 
 
 def determinism(rng: random.Random | None, draws: int) -> None:
-    """Two default sweeps over the first `draws` points of 60, 65, ... dB are equal."""
+    """Two default sweeps over the first `draws` points of 60, 65, ... dB are
+    equal, each computing its own transmit powers (the grid memo is cleared
+    before each)."""
     scenario = build_default_scenario(None)
     points = [60.0 + 5.0 * i for i in range(draws)]
-    same = sweep_snr(scenario, points) == sweep_snr(scenario, points)
+    tables = []
+    for _ in range(2):
+        _grid_powers.cache_clear()
+        tables.append(sweep_snr(scenario, points))
+    same = tables[0] == tables[1]
     _expect(same, "sweep tables must be bit-identical across runs")
 
 

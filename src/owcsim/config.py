@@ -3,8 +3,9 @@
 A config document is a JSON object with sections room, adt, irs, users,
 noise, power, sweep, and output plus a top-level seed. SCHEMA has one row
 per dotted key path: the key's default and the check that parses it (type,
-finite, range). Missing keys take the defaults, unknown keys are rejected
-with their full path, and every error names the key it is about. This
+finite, range). Missing keys take the defaults, which are checked once, at
+import; a document's own keys are checked on every parse. Unknown keys are
+rejected with their full path, and every error names the key it is about. This
 module owns the document format; `network` works on the built Scenario.
 docs/config_schema.md documents the same table.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -116,19 +118,25 @@ class ListOf:
         return f"{'nonempty list' if self.min_len else 'list'} of ({self.item})"
 
 
+_SEQUENCES, _REALS = frozenset((list, tuple)), frozenset((int, float))  # exact types
+
+
 class Points(ListOf):
     """`ListOf(POINT)`, tried first as one array: plain lists or tuples of three
-    ints or floats (no bools) and one range test. Any other input, or a failed
-    test, reruns the entry-by-entry walk, which names what is wrong."""
+    ints or floats (no bools), found by two type scans that run in C, and one
+    range test. Any other input, or a failed test, reruns the entry-by-entry
+    walk, which names what is wrong."""
 
     def __init__(self) -> None:
         super().__init__(POINT)
 
     def __call__(self, path: str, value: object) -> tuple:
         try:
-            if isinstance(value, (list, tuple)) and value and all(
-                type(point) in (list, tuple) and all(type(c) in (int, float) for c in point)
-                for point in value
+            if (
+                isinstance(value, (list, tuple))
+                and value
+                and set(map(type, value)) <= _SEQUENCES
+                and set(map(type, chain.from_iterable(value))) <= _REALS
             ):
                 xyz = np.array(value, dtype=np.float64)
                 inside = LENGTH.lo <= xyz.min() <= xyz.max() <= LENGTH.hi  # NaN is not
@@ -200,8 +208,12 @@ SCHEMA: dict[str, tuple[object, Check]] = {
 
 _SECTIONS = {path.split(".")[0] for path in SCHEMA if "." in path}
 
-DEFAULT_SNR_POINTS_DB = tuple(SCHEMA["sweep.snr_points_db"][0])
-DEFAULT_K_VALUES = tuple(SCHEMA["sweep.k_values"][0])
+# Each key's default as its check returns it, checked once here: tuples, not
+# the lists above, so no run can change one.
+_CHECKED_DEFAULTS = {path: check(path, default) for path, (default, check) in SCHEMA.items()}
+
+DEFAULT_SNR_POINTS_DB = _CHECKED_DEFAULTS["sweep.snr_points_db"]
+DEFAULT_K_VALUES = _CHECKED_DEFAULTS["sweep.k_values"]
 
 
 @dataclass(frozen=True)
@@ -212,7 +224,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class OutputSpec:
-    svg: bool = SCHEMA["output.svg"][0]
+    svg: bool = _CHECKED_DEFAULTS["output.svg"]
 
 
 def load_config(path: str | Path, seed: int | None = None) -> tuple[Scenario, SweepSpec, OutputSpec]:
@@ -235,8 +247,11 @@ def parse_config(
     given = _flatten(document)
     if seed is not None:
         given["seed"] = seed
+    # Only the keys the document sets are checked, in SCHEMA order, so the
+    # first bad key named is the same as when every key was checked.
     values = {
-        path: check(path, given.get(path, default)) for path, (default, check) in SCHEMA.items()
+        path: check(path, given[path]) if path in given else _CHECKED_DEFAULTS[path]
+        for path, (_, check) in SCHEMA.items()
     }
     if not values["irs.enabled"]:
         for path in given:

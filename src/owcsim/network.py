@@ -18,7 +18,9 @@ assignment are computed once per variant, and the rate path (received power,
 noise, SNR and rate) runs over (users, points) chunks of about
 `_RATE_ELEMENTS` elements, each written straight into its final rows of the
 table's block, whose row order is found once; an evaluation at the
-scenario's own power passes one point.
+scenario's own power passes one point. `sweep_snr` keeps the powers of the
+last SNR grid it priced, so a grid swept again over new users is priced
+once.
 
 A Scenario computes two gain tables once, each holding gains and serving
 receiver branches: `direct_table` (one `channel.aimed_los_gain_table` call,
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -763,6 +765,17 @@ def _variant_scenario(scenario: Scenario, label: str) -> Scenario:
         raise ValueError(f"variant {label}: {exc}") from exc
 
 
+@lru_cache(maxsize=1)
+def _grid_powers(column: bytes, noise: NoiseParams, responsivity: float) -> np.ndarray:
+    """The read-only per-beam powers of an SNR grid, given as the bytes of its
+    float64 column; only the last grid is kept, as a sweep over many user
+    drops repeats one grid. A point whose power ratio overflows raises in
+    here, so an error is never kept."""
+    power = power_for_transmit_snr(noise, responsivity, np.frombuffer(column).tolist())
+    power.flags.writeable = False
+    return power
+
+
 def sweep_snr(
     scenario: Scenario,
     snr_points_db: Sequence[float],
@@ -771,27 +784,29 @@ def sweep_snr(
     """Sum rate against transmit SNR for each mirror-wall variant.
 
     All variants see identical users; per-variant gains and assignments are
-    power-independent and computed once. The first point, in the order
-    given, whose per-beam power exceeds the eye-safety cap is rejected
-    before any rate is computed, and before it the first point that is not
-    finite, then the first whose power ratio overflows a float. Then each
-    variant's rate path runs per chunk of points (`_rate_table`), giving
-    every user's rate at every point.
+    power-independent and computed once. A grid swept again is priced once:
+    the per-beam powers of the last grid are kept, keyed by the exact bits
+    of the points (so -0.0 and 0.0 stay apart), the noise and the
+    responsivity. Every call still checks its own points: the first point, in
+    the order given, that is not finite is rejected, then the first whose
+    power ratio overflows a float, then the first whose per-beam power
+    exceeds this scenario's eye-safety cap, all before any rate is computed.
+    Then each variant's rate path runs per chunk of points (`_rate_table`),
+    giving every user's rate at every point.
     """
-    points = [float(db) for db in snr_points_db]
-    if not points or not variants:
+    column = np.fromiter(map(float, snr_points_db), np.float64)
+    if not column.size or not variants:
         raise ValueError("snr_points_db and variants must be nonempty")
-    column = np.array(points)
     finite = np.isfinite(column)
     if not finite.all():
         first = int(finite.argmin())
-        raise ValueError(f"snr_points_db[{first}] must be finite, got {points[first]}")
-    p_tot = power_for_transmit_snr(scenario.noise, scenario.responsivity, points)
+        raise ValueError(f"snr_points_db[{first}] must be finite, got {float(column[first])}")
+    p_tot = _grid_powers(column.tobytes(), scenario.noise, scenario.responsivity)
     over = p_tot > scenario.eye_safety_cap
     if over.any():
         first = int(over.argmax())
         raise ValueError(
-            f"per-beam power {p_tot[first]:.6g} W at {points[first]:g} dB exceeds "
+            f"per-beam power {p_tot[first]:.6g} W at {float(column[first]):g} dB exceeds "
             f"power.eye_safety_cap_w {scenario.eye_safety_cap:.6g} W"
         )
     cases = [(label, _variant_scenario(scenario, label)) for label in variants]

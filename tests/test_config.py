@@ -15,6 +15,7 @@ from owcsim.config import (
     DEFAULT_SNR_POINTS_DB,
     POINT,
     SCHEMA,
+    _CHECKED_DEFAULTS,
     ListOf,
     Nullable,
     OutputSpec,
@@ -258,6 +259,21 @@ class TestSchemaTable:
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="adt.beam_waist_m"):
                 parse_config({"adt": {"beam_waist_m": value}})
+
+    def test_defaults_are_checked_once_into_immutable_values(self):
+        # parse_config reads these for every key a document leaves out.
+        assert list(_CHECKED_DEFAULTS) == list(SCHEMA)
+        for path, (default, check) in SCHEMA.items():
+            checked = _CHECKED_DEFAULTS[path]
+            assert checked == check(path, default), path
+            assert type(checked) is type(check(path, default)), path
+            hash(checked)  # a list, such as a raw default, raises TypeError
+
+    def test_first_bad_key_in_schema_order_is_named(self):
+        # Only the keys a document sets are checked, still in SCHEMA order.
+        document = {"users": {"fov_deg": 0.0}, "room": {"dims": [1.0, 2.0]}}
+        with pytest.raises(ValueError, match=r"^room\.dims must be"):
+            parse_config(document)
 
     def test_dotted_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key: room.dims"):

@@ -971,6 +971,131 @@ class TestSweepSnrArrayPath:
         assert counts[0] == counts[1]
 
 
+class TestGridMemo:
+    """`sweep_snr` prices a repeated SNR grid once: `_grid_powers` keeps the
+    per-beam powers of the last grid, keyed by the bits of the points, the
+    noise and the responsivity, and every call still checks its own points
+    and its own eye-safety cap."""
+
+    POINTS = [60.0 + 0.25 * i for i in range(161)]  # 60 to 100 dB
+
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        owcsim.network._grid_powers.cache_clear()
+        yield
+        owcsim.network._grid_powers.cache_clear()
+
+    @staticmethod
+    def memo():
+        return owcsim.network._grid_powers.cache_info()
+
+    def test_hit_gives_the_misses_table_bitwise(self):
+        s = build_default_scenario(None)
+        miss = sweep_snr(s, self.POINTS)
+        hit = sweep_snr(s, self.POINTS)
+        assert (self.memo().misses, self.memo().hits) == (1, 1)
+        assert hit == miss
+        assert hit.user_rates_bps.tobytes() == miss.user_rates_bps.tobytes()
+        assert hit.sum_rate_bps.tobytes() == miss.sum_rate_bps.tobytes()
+
+    def test_grid_priced_once_until_grid_noise_or_responsivity_changes(self, monkeypatch):
+        calls = []
+        original = owcsim.network.power_for_transmit_snr
+
+        def counted(noise, responsivity, points):
+            calls.append((noise, responsivity, len(points)))
+            return original(noise, responsivity, points)
+
+        monkeypatch.setattr(owcsim.network, "power_for_transmit_snr", counted)
+        s = build_default_scenario(None)
+        for _ in range(3):
+            sweep_snr(s, self.POINTS, ("none",))
+        sweep_snr(build_default_scenario({"seed": 3}), self.POINTS, ("none",))  # new users
+        assert calls == [(s.noise, s.responsivity, len(self.POINTS))]
+        noisier = replace(s, noise=replace(s.noise, bandwidth_b=2.0e9))
+        keys = [
+            (s, self.POINTS[:-1]),
+            (noisier, self.POINTS),
+            (replace(s, responsivity=0.5), self.POINTS),
+        ]
+        for scenario, points in keys:
+            for _ in range(2):
+                sweep_snr(scenario, points, ("none",))
+        assert calls[1:] == [(sc.noise, sc.responsivity, len(p)) for sc, p in keys]
+
+    def test_determinism_check_prices_each_sweep_itself(self, monkeypatch):
+        calls = []
+        original = owcsim.network.power_for_transmit_snr
+
+        def counted(noise, responsivity, points):
+            calls.append(len(points))
+            return original(noise, responsivity, points)
+
+        monkeypatch.setattr(owcsim.network, "power_for_transmit_snr", counted)
+        checks.determinism(None, 3)
+        assert calls == [3, 3]
+
+    def test_kept_powers_reject_writes(self):
+        s = build_default_scenario(None)
+        column = np.array(self.POINTS).tobytes()
+        power = owcsim.network._grid_powers(column, s.noise, s.responsivity)
+        assert owcsim.network._grid_powers(column, s.noise, s.responsivity) is power
+        want = power_for_transmit_snr(s.noise, s.responsivity, self.POINTS)
+        assert power.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            power[0] = 1.0
+
+    def test_cap_checked_against_each_scenario_after_a_hit(self):
+        # 0.05 W is reached at about 96 dB; the default 1 W cap holds the grid.
+        low = build_default_scenario({"power": {"eye_safety_cap_w": 0.05}})
+        with pytest.raises(ValueError, match="eye_safety_cap") as miss:
+            sweep_snr(low, self.POINTS, ("none",))
+        sweep_snr(build_default_scenario(None), self.POINTS, ("none",))
+        with pytest.raises(ValueError, match="eye_safety_cap") as hit:
+            sweep_snr(low, self.POINTS, ("none",))
+        assert self.memo().hits == 2 and str(hit.value) == str(miss.value)
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([70.0, math.nan], r"^snr_points_db\[1\] must be finite, got nan$"),
+            ([70.0, 4000.0, 80.0], r"^snr_points_db\[1\] must be at most .* got 4000\.0$"),
+        ],
+    )
+    def test_point_errors_repeat_and_are_not_kept(self, points, message):
+        s = build_default_scenario(None)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                sweep_snr(s, points)
+        assert self.memo().currsize == 0
+
+    @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_grids_keep_their_own_sweep_values(self, zeros):
+        s = build_default_scenario(None)
+        for zero in zeros:
+            table = sweep_snr(s, [zero, 60.0], ("none",))
+            assert np.signbit(table.sweep_var).tolist() == [math.copysign(1.0, zero) < 0, False]
+        assert (self.memo().misses, self.memo().hits) == (2, 0)
+
+    def test_grid_containers_give_equal_tables(self):
+        s = build_default_scenario(None)
+        grids = (
+            self.POINTS,
+            tuple(self.POINTS),
+            np.array(self.POINTS),
+            (db for db in self.POINTS),
+        )
+        tables = [sweep_snr(s, grid, ("none",)) for grid in grids]
+        assert all(table == tables[0] for table in tables[1:])
+        assert self.memo().currsize == 1
+
+    def test_a_new_grid_evicts_the_last_one(self):
+        s = build_default_scenario(None)
+        for db in (60.0, 61.0, 60.0):
+            sweep_snr(s, [db], ("none",))
+        assert (self.memo().currsize, self.memo().misses, self.memo().hits) == (1, 3, 0)
+
+
 class TestRateChunks:
     """`_rate_table` runs each case's rate path over chunks of about
     `_RATE_ELEMENTS` (user, point) elements, at least one point each, and

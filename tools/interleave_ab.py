@@ -12,9 +12,12 @@ a perfbench run. Both trees thus share one heap, one host speed and the same
 inputs, which separates changes of a few percent that perfbench's
 process-to-process spread hides.
 
-Prints each tree's median op time, the median over inputs of the per-input
-ratio B/A, and whether every op's output digest agrees between the trees;
-the last line is the same as one JSON object.
+Prints each tree's median op time, the quartiles over inputs of the
+per-input ratio B/A (`ratio_q1`, `ratio_p50`, `ratio_q3`, inclusive linear
+interpolation, as numpy's default percentile), the share of inputs on which
+B ran faster (`b_faster_frac`, the in-process form of a perfbench pair
+count), and whether every op's output digest agrees between the trees; the
+last line is the same as one JSON object.
 """
 
 from __future__ import annotations
@@ -96,12 +99,18 @@ def interleave(workloads: ModuleType, workload, packages: tuple, inputs: int) ->
             elapsed, digests[side] = op(packages[side], inp)
             times[side].append(elapsed)
         same = same and digests[0] == digests[1]
+    ratios = [b / a for a, b in zip(*times)]
+    # quantiles() needs two ratios; one ratio is its own quartiles.
+    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if inputs > 1 else ratios * 3
     return {
         "workload": workload.name,
         "inputs": inputs,
         "a_op_s_p50": statistics.median(times[0]),
         "b_op_s_p50": statistics.median(times[1]),
-        "ratio_p50": statistics.median(b / a for a, b in zip(*times)),
+        "ratio_q1": q1,
+        "ratio_p50": statistics.median(ratios),
+        "ratio_q3": q3,
+        "b_faster_frac": sum(b < a for a, b in zip(*times)) / inputs,
         "digests_equal": same,
     }
 
@@ -121,7 +130,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"workload {result['workload']}  seed {args.seed}  inputs {args.inputs}")
     print(f"A op_s_p50 {result['a_op_s_p50']:.6g} s  ({args.a_src})")
     print(f"B op_s_p50 {result['b_op_s_p50']:.6g} s  ({args.b_src})")
-    print(f"median per-op ratio B/A {result['ratio_p50']:.4f}")
+    print(
+        f"per-op ratio B/A  median {result['ratio_p50']:.4f}  "
+        f"quartiles {result['ratio_q1']:.4f} {result['ratio_q3']:.4f}"
+    )
+    faster = round(result["b_faster_frac"] * args.inputs)
+    print(f"B faster on {faster} of {args.inputs} inputs ({result['b_faster_frac']:.3f})")
     print(f"per-op digests equal: {result['digests_equal']}")
     print(json.dumps(result))
     return 0 if result["digests_equal"] else 1
