@@ -107,13 +107,13 @@ def _run_sweep_snr(
         table, "fig2", output, out, "Sum rate vs transmit SNR", "transmit SNR [dB]"
     )
     report_path = out / "fig2_report.json"
-    _write_snr_report(scenario, sweep, table, report_path)
+    _write_snr_report(scenario, sweep, output, table, report_path)
     written.append(str(report_path))
     print(f"sweep-snr: {len(table)} rows -> {', '.join(written)}")
 
 
 def _write_snr_report(
-    scenario: Scenario, sweep: SweepSpec, table: ResultTable, path: Path
+    scenario: Scenario, sweep: SweepSpec, output: OutputSpec, table: ResultTable, path: Path
 ) -> None:
     mid = sorted(sweep.snr_points_db)[len(sweep.snr_points_db) // 2]
     sums = {
@@ -128,7 +128,7 @@ def _write_snr_report(
         "gain_10x10_vs_5x5_pct": 100.0 * (sums["10x10"] / sums["5x5"] - 1.0)
         if sums["5x5"] > 0.0
         else None,
-        "effective_config": effective_config(scenario, sweep),
+        "effective_config": effective_config(scenario, sweep, output),
     }
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

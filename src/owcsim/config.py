@@ -1,24 +1,21 @@
-"""JSON configuration: the schema table, validation, and the effective-config dump.
+"""JSON configuration: validation and the effective-config dump.
 
 A config document is a JSON object with sections room, adt, irs, users,
-noise, power, sweep, and output plus a top-level seed. SCHEMA has one row
-per dotted key path: the key's default and the check that parses it (type,
-finite, range). Missing keys take the defaults, which are checked once, at
-import; a document's own keys are checked on every parse. Unknown keys are
-rejected with their full path, and every error names the key it is about. This
-module owns the document format; `network` works on the built Scenario.
-docs/config_schema.md documents the same table.
+noise, power, sweep, and output plus a top-level seed: one key per row of
+`schema.SCHEMA`. Missing keys take the defaults, which are checked once, at
+import; a parse checks the document's own keys, converting their types and
+naming any list entry at fault. Unknown keys are rejected with their full
+path. The built types hold their fields to the same rows, so every dump
+reloads. This module owns the document format; `network` works on the built
+Scenario. docs/config_schema.md documents the same table.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import Mapping
 
 from .geometry import Vec3
 from .link import NoiseParams
@@ -30,190 +27,12 @@ from .network import (
     default_adr_branches,
     place_users_uniform,
 )
-
-# Each check is a plain class: a dataclass would generate and exec its methods at import.
-Check = Callable[[str, object], object]
-
-
-class Number:
-    """A finite int or float in [lo, hi], or [lo, hi) when hi_open."""
-
-    def __init__(self, lo: float, hi: float, hi_open: bool = False) -> None:
-        self.lo, self.hi, self.hi_open = lo, hi, hi_open
-
-    def __call__(self, path: str, value: object) -> float:
-        # Both bounds are finite, so NaN and the infinities fail the range test.
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not self.lo <= value <= self.hi
-            or (self.hi_open and value == self.hi)
-        ):
-            raise ValueError(f"{path} must be a {self}, got {value!r}")
-        return float(value)
-
-    def __str__(self) -> str:
-        return f"number in [{self.lo:g}, {self.hi:g}{')' if self.hi_open else ']'}"
-
-
-class Integer:
-    """An int (not a bool) in [lo, hi], or >= lo when hi is None."""
-
-    def __init__(self, lo: int, hi: int | None = None) -> None:
-        self.lo, self.hi = lo, hi
-
-    def __call__(self, path: str, value: object) -> int:
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, int)
-            or value < self.lo
-            or (self.hi is not None and value > self.hi)
-        ):
-            raise ValueError(f"{path} must be an {self}, got {value!r}")
-        return value
-
-    def __str__(self) -> str:
-        return f"integer >= {self.lo}" if self.hi is None else f"integer in [{self.lo}, {self.hi}]"
-
-
-class OneOf:
-    def __init__(self, options: tuple[object, ...]) -> None:
-        self.options = options
-
-    def __call__(self, path: str, value: object) -> object:
-        # Compare types too: 1 == True, yet 1 is no JSON boolean.
-        if not any(type(value) is type(o) and value == o for o in self.options):
-            raise ValueError(f"{path} must be {self}, got {value!r}")
-        return value
-
-    def __str__(self) -> str:
-        return "one of " + ", ".join(json.dumps(option) for option in self.options)
-
-
-class ListOf:
-    """A JSON list of at least min_len items, or of exactly `length` items
-    when it is set, each parsed by `item`."""
-
-    def __init__(self, item: Check, min_len: int = 1, length: int | None = None) -> None:
-        self.item, self.min_len, self.length = item, min_len, length
-
-    def __call__(self, path: str, value: object) -> tuple:
-        if (
-            not isinstance(value, (list, tuple))
-            or len(value) < self.min_len
-            or (self.length is not None and len(value) != self.length)
-        ):
-            raise ValueError(f"{path} must be a {self}")
-        try:
-            return tuple(self.item(path, entry) for entry in value)
-        except ValueError:
-            pass
-        # An entry's path is built only once some entry fails: the rerun names
-        # each entry, outside the handler, so its error chains nothing.
-        return tuple(self.item(f"{path}[{i}]", entry) for i, entry in enumerate(value))
-
-    def __str__(self) -> str:
-        if self.length is not None:
-            return f"{self.length}-item list of ({self.item})"
-        return f"{'nonempty list' if self.min_len else 'list'} of ({self.item})"
-
-
-_SEQUENCES, _REALS = frozenset((list, tuple)), frozenset((int, float))  # exact types
-
-
-class Points(ListOf):
-    """`ListOf(POINT)`, tried first as one array: plain lists or tuples of three
-    ints or floats (no bools), found by two type scans that run in C, and one
-    range test. Any other input, or a failed test, reruns the entry-by-entry
-    walk, which names what is wrong."""
-
-    def __init__(self) -> None:
-        super().__init__(POINT)
-
-    def __call__(self, path: str, value: object) -> tuple:
-        try:
-            if (
-                isinstance(value, (list, tuple))
-                and value
-                and set(map(type, value)) <= _SEQUENCES
-                and set(map(type, chain.from_iterable(value))) <= _REALS
-            ):
-                xyz = np.array(value, dtype=np.float64)
-                inside = LENGTH.lo <= xyz.min() <= xyz.max() <= LENGTH.hi  # NaN is not
-                if xyz.shape == (len(value), 3) and inside:
-                    return tuple(map(tuple, xyz.tolist()))
-        except (TypeError, ValueError, OverflowError):  # ragged, or an int past the float range
-            pass
-        return super().__call__(path, value)
-
-
-class Nullable:
-    def __init__(self, check: Check) -> None:
-        self.check = check
-
-    def __call__(self, path: str, value: object) -> object:
-        return None if value is None else self.check(path, value)
-
-    def __str__(self) -> str:
-        return f"{self.check} or null"
-
-
-FLAG = OneOf((True, False))
-LENGTH = Number(0.0, 1000.0)  # m: a coordinate inside the room
-POINT = ListOf(LENGTH, length=3)
-
-# One row per key: dotted path -> (default, check). The physical ranges keep
-# every derived quantity finite, e.g. 10**(dB / 10) for the noise figures.
-SCHEMA: dict[str, tuple[object, Check]] = {
-    "seed": (7, Integer(0)),
-    "room.dims": ([5.0, 5.0, 3.0], ListOf(Number(0.1, 1000.0), length=3)),
-    "room.receiver_z": (0.0, LENGTH),
-    "adt.center": (None, Nullable(POINT)),
-    "adt.side_offset_m": (0.3, Number(0.0, 10.0)),
-    "adt.beam_waist_m": (5.0e-6, Number(1e-6, 2e-5)),
-    "adt.wavelength_m": (1.55e-6, Number(3.5e-7, 2e-6)),
-    "irs.enabled": (True, FLAG),
-    "irs.wall": ("y_max", OneOf(("x_min", "x_max", "y_min", "y_max"))),
-    "irs.grid_m": (5, Integer(1, 100)),
-    "irs.element_width_m": (0.15, Number(1e-3, 10.0)),
-    "irs.element_height_m": (0.10, Number(1e-3, 10.0)),
-    "irs.reflectivity": (0.95, Number(0.0, 1.0)),
-    "irs.center_height_m": (1.5, LENGTH),
-    "irs.center_along_m": (None, Nullable(LENGTH)),
-    "users.k": (4, Integer(1, 1000)),
-    "users.positions": (None, Nullable(Points())),
-    "users.blocked": ([], ListOf(Integer(0), min_len=0)),
-    "users.pd_area_m2": (2.0e-5, Number(1e-8, 1e-4)),
-    "users.responsivity_a_per_w": (0.4, Number(0.01, 1.5)),
-    "users.branch_azimuths_deg": (
-        [0.0, 90.0, 180.0, 270.0],
-        ListOf(Number(0.0, 360.0, hi_open=True)),
-    ),
-    "users.branch_elevation_deg": (60.0, Number(0.0, 90.0)),
-    "users.fov_deg": (25.0, Number(0.1, 90.0)),
-    "noise.rin_db_per_hz": (-155.0, Number(-200.0, -100.0)),
-    "noise.noise_current_density": (4.47e-12, Number(1e-14, 1e-9)),
-    "noise.tia_noise_figure_db": (5.0, Number(0.0, 30.0)),
-    "noise.bandwidth_b": (1.5e9, Number(1e3, 1e12)),
-    "power.p_tot_w": (0.01, Number(1e-6, 100.0)),
-    "power.eye_safety_cap_w": (1.0, Number(1e-6, 100.0)),
-    "power.max_mirrors_per_user": (None, Nullable(Integer(1))),
-    "sweep.snr_points_db": (
-        [float(db) for db in range(60, 121, 5)],
-        ListOf(Number(-50.0, 200.0)),
-    ),
-    "sweep.k_values": (list(range(1, 9)), ListOf(Integer(1, 1000))),
-    "output.svg": (True, FLAG),
-}
+from .schema import CHECKED_DEFAULTS, SCHEMA, check_fields
 
 _SECTIONS = {path.split(".")[0] for path in SCHEMA if "." in path}
 
-# Each key's default as its check returns it, checked once here: tuples, not
-# the lists above, so no run can change one.
-_CHECKED_DEFAULTS = {path: check(path, default) for path, (default, check) in SCHEMA.items()}
-
-DEFAULT_SNR_POINTS_DB = _CHECKED_DEFAULTS["sweep.snr_points_db"]
-DEFAULT_K_VALUES = _CHECKED_DEFAULTS["sweep.k_values"]
+DEFAULT_SNR_POINTS_DB = CHECKED_DEFAULTS["sweep.snr_points_db"]
+DEFAULT_K_VALUES = CHECKED_DEFAULTS["sweep.k_values"]
 
 
 @dataclass(frozen=True)
@@ -221,10 +40,16 @@ class SweepSpec:
     snr_points_db: tuple[float, ...] = DEFAULT_SNR_POINTS_DB
     k_values: tuple[int, ...] = DEFAULT_K_VALUES
 
+    def __post_init__(self) -> None:
+        check_fields(*((f"sweep.{name}", value) for name, value in vars(self).items()))
+
 
 @dataclass(frozen=True)
 class OutputSpec:
-    svg: bool = _CHECKED_DEFAULTS["output.svg"]
+    svg: bool = CHECKED_DEFAULTS["output.svg"]
+
+    def __post_init__(self) -> None:
+        check_fields(("output.svg", self.svg))
 
 
 def load_config(path: str | Path, seed: int | None = None) -> tuple[Scenario, SweepSpec, OutputSpec]:
@@ -250,7 +75,7 @@ def parse_config(
     # Only the keys the document sets are checked, in SCHEMA order, so the
     # first bad key named is the same as when every key was checked.
     values = {
-        path: check(path, given[path]) if path in given else _CHECKED_DEFAULTS[path]
+        path: check(path, given[path]) if path in given else CHECKED_DEFAULTS[path]
         for path, (_, check) in SCHEMA.items()
     }
     if not values["irs.enabled"]:
@@ -363,8 +188,8 @@ def effective_config(
     wall. User positions are dumped explicitly, so reloading the result
     rebuilds an identical Scenario regardless of how the original was
     placed. The scenario's one receiver is written as the four `users.*`
-    receiver keys. A value outside its `SCHEMA` check raises ValueError,
-    naming its key.
+    receiver keys. Each value was checked against its `SCHEMA` row when its
+    object was built, so the document reloads.
     """
     sweep = sweep or SweepSpec()
     output = output or OutputSpec()
@@ -412,9 +237,6 @@ def effective_config(
         )
     document: dict = {}
     for path, value in values.items():
-        # A library-built scenario may hold what no document can, and the
-        # dump must reload: the error names the key now, not at reload.
-        SCHEMA[path][1](path, value)
         section, _, key = path.rpartition(".")
         (document.setdefault(section, {}) if section else document)[key] = value
     return document

@@ -12,8 +12,8 @@ so a chunk holds few temporaries at once. Each sign guard is one reduction.
 sum that adds the user rows in order, as the loop over users does, at any
 number of points.
 
-`LinkResult` is one user's whole outcome, from channel gains to rate. This
-module imports no other owcsim module.
+`LinkResult` is one user's whole outcome, from channel gains to rate. Of the
+owcsim modules, this one imports only `schema`, whose rows `NoiseParams` meets.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .schema import check_fields
 
 ELECTRON_CHARGE = 1.602176634e-19  # C, exact
 
@@ -39,25 +41,9 @@ class NoiseParams:
     bandwidth_b: float = 1.5e9  # Hz
 
     def __post_init__(self) -> None:
-        for name, sign, ok in (  # each test is written so that NaN fails it
-            ("rin_db_per_hz", "negative", -math.inf < self.rin_db_per_hz < 0.0),
-            ("noise_current_density", "nonnegative", 0.0 <= self.noise_current_density < math.inf),
-            ("tia_noise_figure_db", "nonnegative", 0.0 <= self.tia_noise_figure_db < math.inf),
-            ("bandwidth_b", "positive", 0.0 < self.bandwidth_b < math.inf),
-        ):
-            if not ok:
-                raise ValueError(f"noise.{name} must be finite and {sign}, got {vars(self)[name]}")
-        try:
-            floor = thermal_noise_variance(self)
-        except OverflowError:  # 10 ** (NF / 10) past the float range
-            floor = math.inf
-        # Every SNR divides by the floor, so it must be positive too.
-        if not 0.0 < floor < math.inf:
-            raise ValueError(
-                "noise.noise_current_density, noise.tia_noise_figure_db and noise.bandwidth_b "
-                "must give a positive, finite thermal noise floor, density^2 x bandwidth x "
-                f"10^(NF/10), got {floor}"
-            )
+        # Each field is named as its noise.* key. The rows bound the thermal
+        # floor to [1e-25, 1e-3] A^2, so every SNR can divide by it.
+        check_fields(*((f"noise.{name}", value) for name, value in vars(self).items()))
 
 
 @dataclass(frozen=True)

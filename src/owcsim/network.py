@@ -1,17 +1,19 @@
 """Scenario types, mirror assignment, per-user evaluation, and sweeps.
 
-Everything here takes a built Scenario; reading a config document into one
-is the job of `config`. A Scenario is immutable after validation, and is
-the one room check: transmitter apertures and users inside the room, and the
-mirror wall centred on its wall's plane and within that wall. It holds the
-one receiver of every user, and the one photodiode responsivity, of every
-user and of the transmit-SNR axis. Every user is served by one transmitter
-branch, which devotes one aimed beam to the user's receiver and one to each
-mirror assigned to that user. Each beam carries the transmit power
-`p_tot`, held under the per-beam eye-safety cap, so a user with total gain
-q = h_los + h_nlos receives q·p_tot: the power that gives the signal
-(R q p_tot)^2 also gives the shot and RIN noise. Evaluations are pure
-functions of the scenario, so sweep points can be computed in any order.
+Everything here takes a built Scenario; reading a config document into one is
+the job of `config`. `AdtSpec`, `IrsPanel` and `Scenario` hold each field a
+config key sets to that key's `schema.SCHEMA` row, and add only the checks no
+row states. A Scenario is immutable after validation, and is the one room
+check: transmitter apertures and users inside the room, and the mirror wall
+centred on its wall's plane and within that wall. It holds the one receiver
+of every user, and the one photodiode responsivity, of every user and of the
+transmit-SNR axis. Every user is served by one transmitter branch, which
+devotes one aimed beam to the user's receiver and one to each mirror assigned
+to that user. Each beam carries the transmit power `p_tot`, held under the
+per-beam eye-safety cap, so a user with total gain q = h_los + h_nlos
+receives q·p_tot: the power that gives the signal (R q p_tot)^2 also gives
+the shot and RIN noise. Evaluations are pure functions of the scenario, so
+sweep points can be computed in any order.
 
 Only the transmit power changes between sweep points, so the gains and the
 assignment are computed once per variant, and the rate path (received power,
@@ -70,6 +72,7 @@ from .link import (
     thermal_noise_variance,
 )
 from .output import ResultTable
+from .schema import check_fields
 
 if TYPE_CHECKING:
     from .reference import MirrorElement
@@ -100,14 +103,11 @@ class AdtSpec:
     side_offset: float = 0.3  # m, horizontal displacement of side branches
 
     def __post_init__(self) -> None:
-        # Each test is written so that NaN fails it.
-        waist, wavelength, offset = self.beam_waist, self.beam_wavelength, self.side_offset
-        if not 0.0 < waist < math.inf:
-            raise ValueError(f"adt.beam_waist_m must be finite and positive, got {waist}")
-        if not 0.0 < wavelength < math.inf:
-            raise ValueError(f"adt.wavelength_m must be finite and positive, got {wavelength}")
-        if not 0.0 <= offset < math.inf:
-            raise ValueError(f"adt.side_offset_m must be finite and nonnegative, got {offset}")
+        check_fields(
+            ("adt.beam_waist_m", self.beam_waist),
+            ("adt.wavelength_m", self.beam_wavelength),
+            ("adt.side_offset_m", self.side_offset),
+        )
 
     def branch_positions(self) -> tuple[Vec3, ...]:
         """Branch apertures: the first sits at the centre, the four side
@@ -134,15 +134,14 @@ class IrsPanel:
     panel_center: Vec3
 
     def __post_init__(self) -> None:
-        _wall(self.wall)  # raises for an unknown wall name
-        if self.grid_m < 1:
-            raise ValueError(f"irs.grid_m must be >= 1, got {self.grid_m}")
         width, height = self.element_size
-        for key, size in (("irs.element_width_m", width), ("irs.element_height_m", height)):
-            if not 0.0 < size < math.inf:  # NaN too
-                raise ValueError(f"irs element size must be positive and finite: {key} is {size}")
-        if not 0.0 <= self.reflectivity <= 1.0:
-            raise ValueError(f"mirror reflectivity must be in [0, 1], got {self.reflectivity}")
+        check_fields(
+            ("irs.wall", self.wall),
+            ("irs.grid_m", self.grid_m),
+            ("irs.element_width_m", width),
+            ("irs.element_height_m", height),
+            ("irs.reflectivity", self.reflectivity),
+        )
 
     @cached_property
     def columns(self) -> MirrorColumns:
@@ -179,13 +178,6 @@ class IrsPanel:
         return f"{self.grid_m}x{self.grid_m}"
 
 
-def _wall(name: str) -> tuple[Vec3, int, float]:
-    """The `_WALLS` row of a wall name, which must be one of its keys."""
-    if name not in _WALLS:
-        raise ValueError(f"irs.wall must be one of {sorted(_WALLS)}, got {name}")
-    return _WALLS[name]
-
-
 @dataclass(frozen=True)
 class UserSpec:
     """One user: floor position, blockage flag, and the scenario's `receiver`."""
@@ -220,10 +212,16 @@ class Scenario:
     rng_seed: int
 
     def __post_init__(self) -> None:
-        dx, dy, dz = self.room_dims
-        if not all(0.0 < d < math.inf for d in self.room_dims):  # NaN too
-            raise ValueError(f"room.dims must be finite and positive, got {self.room_dims}")
-        if not 0.0 <= self.receiver_z <= dz:
+        check_fields(
+            ("seed", self.rng_seed),
+            ("room.dims", self.room_dims),
+            ("users.k", len(self.users)),
+            ("users.responsivity_a_per_w", self.responsivity),
+            ("power.p_tot_w", self.p_tot),
+            ("power.eye_safety_cap_w", self.eye_safety_cap),
+            ("power.max_mirrors_per_user", self.max_mirrors_per_user),
+        )
+        if not 0.0 <= self.receiver_z <= self.room_dims[2]:
             raise ValueError(
                 f"room.receiver_z must be inside the room height, got {self.receiver_z}"
             )
@@ -243,8 +241,6 @@ class Scenario:
                 else f"adt branch {k} (adt.center, adt.side_offset_m)"
             )
             raise ValueError(f"{name}: position out of bounds of room.dims {points[k].as_tuple()}")
-        if not self.users:
-            raise ValueError("users.k must be >= 1")
         aimed = vars(self)["_aimed"] = aim(xyz[: len(apertures)], xyz[len(apertures) :])
         unaimable = aimed[2]
         if unaimable.any():
@@ -265,6 +261,10 @@ class Scenario:
                 "users.branch_elevation_deg, users.fov_deg and users.pd_area_m2 set one receiver "
                 "of one or more branches for every user"
             )
+        check_fields(
+            ("users.pd_area_m2", receiver[0].pd_area),
+            ("users.fov_deg", receiver[0].fov_half_angle_deg),
+        )
         panel = self.irs
         if panel is not None:
             # On its wall's plane, then within the wall; a NaN centre fails each test.
@@ -283,30 +283,15 @@ class Scenario:
                     "irs panel exceeds the wall extent along its width: irs.grid_m x "
                     "irs.element_width_m centred at irs.center_along_m must fit room.dims"
                 )
-            if not (0.0 <= center[2] - half_h and center[2] + half_h <= dz):
+            if not (0.0 <= center[2] - half_h and center[2] + half_h <= self.room_dims[2]):
                 raise ValueError(
                     "irs panel exceeds the wall extent along its height: irs.grid_m x "
                     "irs.element_height_m centred at irs.center_height_m must fit room.dims"
                 )
-        if not 0.0 < self.responsivity < math.inf:
-            raise ValueError(
-                f"users.responsivity_a_per_w must be positive and finite, got {self.responsivity}"
-            )
-        # NaN fails both tests; a NaN cap would otherwise switch the cap off.
-        if not 0.0 < self.p_tot < math.inf:
-            raise ValueError(f"power.p_tot_w must be finite and positive, got {self.p_tot}")
-        if not 0.0 < self.eye_safety_cap < math.inf:
-            raise ValueError(
-                f"power.eye_safety_cap_w must be finite and positive, got {self.eye_safety_cap}"
-            )
         if self.p_tot > self.eye_safety_cap:
             raise ValueError(
                 "power.p_tot_w exceeds power.eye_safety_cap_w: every aimed beam carries p_tot_w"
             )
-        if self.max_mirrors_per_user is not None and self.max_mirrors_per_user < 1:
-            raise ValueError("power.max_mirrors_per_user must be >= 1 or null")
-        if self.rng_seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.rng_seed}")
 
     @property
     def receiver(self) -> tuple[AdrBranch, ...]:
@@ -441,7 +426,8 @@ def build_irs_panel(
 ) -> IrsPanel:
     """Tile an M x M mirror array on the chosen wall, centred as requested
     (mid-wall by default); `Scenario` checks that it fits the room."""
-    _, along, side = _wall(wall)
+    check_fields(("irs.wall", wall))
+    _, along, side = _WALLS[wall]
     center = [0.0, 0.0, center_height]
     center[along] = room_dims[along] / 2.0 if center_along is None else center_along
     center[1 - along] = side * room_dims[1 - along]

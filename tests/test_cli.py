@@ -9,6 +9,7 @@ import pytest
 
 from owcsim import checks
 from owcsim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main, run_command
+from owcsim.config import parse_config
 from owcsim.output import read_result_csv
 
 
@@ -70,6 +71,16 @@ class TestSweepSnr:
             assert run_command(command, config_path=config, out_dir=str(out)) == EXIT_OK
             assert (out / f"{stem}.csv").exists()
             assert not (out / f"{stem}.svg").exists()
+
+    @pytest.mark.parametrize("svg", [True, False])
+    def test_report_reloads_to_the_run(self, tmp_path, svg):
+        # The report's effective_config is the run's whole config, output.svg included.
+        document = {**SMALL_SWEEP, "seed": 3, "output": {"svg": svg}}
+        out = tmp_path / "out"
+        config = write_json(tmp_path / "cfg.json", document)
+        assert run_command("sweep-snr", config_path=config, out_dir=str(out)) == EXIT_OK
+        report = json.loads((out / "fig2_report.json").read_text())
+        assert parse_config(report["effective_config"]) == parse_config(document)
 
     def test_wall_that_does_not_fit_names_its_variant(self, tmp_path, capsys):
         # 5 x 0.6 m fits the 5 m wall; the sweep's fixed 10x10 variant does not.

@@ -13,11 +13,6 @@ from owcsim.channel import AdrBranch
 from owcsim.config import (
     DEFAULT_K_VALUES,
     DEFAULT_SNR_POINTS_DB,
-    POINT,
-    SCHEMA,
-    _CHECKED_DEFAULTS,
-    ListOf,
-    Nullable,
     OutputSpec,
     SweepSpec,
     build_default_scenario,
@@ -38,6 +33,7 @@ from owcsim.network import (
     sweep_users,
     with_irs_grid,
 )
+from owcsim.schema import CHECKED_DEFAULTS, POINT, SCHEMA, ListOf, Nullable
 
 SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
 
@@ -197,8 +193,8 @@ class TestLoadConfig:
     def test_values_a_config_cannot_hold_are_refused_by_key(
         self, fov_deg, pd_area, k_values, key
     ):
-        # A library-built scenario or sweep can hold values outside SCHEMA's
-        # ranges; the dump checks each one, so no written document fails to load.
+        # A library-built scenario or sweep is held to SCHEMA's rows when it is
+        # built, so no dump is reached, and no written document fails to load.
         scenario = build_default_scenario(None)
         receiver = default_adr_branches(fov_deg=fov_deg, pd_area=pd_area)
         users = tuple(dataclasses.replace(user, branches=receiver) for user in scenario.users)
@@ -262,9 +258,9 @@ class TestSchemaTable:
 
     def test_defaults_are_checked_once_into_immutable_values(self):
         # parse_config reads these for every key a document leaves out.
-        assert list(_CHECKED_DEFAULTS) == list(SCHEMA)
+        assert list(CHECKED_DEFAULTS) == list(SCHEMA)
         for path, (default, check) in SCHEMA.items():
-            checked = _CHECKED_DEFAULTS[path]
+            checked = CHECKED_DEFAULTS[path]
             assert checked == check(path, default), path
             assert type(checked) is type(check(path, default)), path
             hash(checked)  # a list, such as a raw default, raises TypeError

@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owcsim.cli import EXIT_OK, EXIT_VALIDATION, run_command
-from owcsim.config import SCHEMA
 from owcsim.output import read_result_csv
+from owcsim.schema import SCHEMA
 
 POOL = [None, True, "x", [], [None], {}, -1, 0, 0.5, 1e308, -1e308, 1e-308]
 SMALL_SWEEP = {

@@ -118,11 +118,17 @@ class TestPanelChecks:
     @pytest.mark.parametrize(
         "changes, message",
         [
-            ({"reflectivity": 1.5}, r"mirror reflectivity must be in \[0, 1\], got 1.5"),
-            ({"reflectivity": -0.1}, r"mirror reflectivity must be in \[0, 1\], got -0.1"),
-            ({"element_width": 0.0}, "irs element size must be positive"),
-            ({"element_height": -0.1}, "irs element size must be positive"),
-            ({"grid_m": 0}, "irs.grid_m must be >= 1, got 0"),
+            ({"reflectivity": 1.5}, r"irs\.reflectivity must be a number in \[0, 1\], got 1.5"),
+            ({"reflectivity": -0.1}, r"irs\.reflectivity must be a number in \[0, 1\], got -0.1"),
+            (
+                {"element_width": 0.0},
+                r"irs\.element_width_m must be a number in \[0\.001, 10\], got 0\.0",
+            ),
+            (
+                {"element_height": -0.1},
+                r"irs\.element_height_m must be a number in \[0\.001, 10\], got -0\.1",
+            ),
+            ({"grid_m": 0}, r"irs\.grid_m must be an integer in \[1, 100\], got 0"),
             ({"wall": "z_max"}, "irs.wall must be one of"),
         ],
     )

@@ -4,15 +4,21 @@ import random
 import re
 import sys
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
 import owcsim.network
 from owcsim import checks
-from owcsim.config import build_default_scenario
+from owcsim.config import (
+    DEFAULT_SNR_POINTS_DB,
+    OutputSpec,
+    SweepSpec,
+    build_default_scenario,
+    parse_config,
+)
 from owcsim.geometry import Vec3
-from owcsim.config import DEFAULT_SNR_POINTS_DB
 from owcsim.link import (
     NoiseParams,
     achievable_rate,
@@ -28,6 +34,7 @@ from owcsim.network import (
     UserSpec,
     assign_mirrors,
     build_irs_panel,
+    default_adr_branches,
     evaluate_scenario,
     evaluate_user,
     irs_gain_matrix,
@@ -44,6 +51,7 @@ from owcsim.network import (
 
 from owcsim.output import ResultRow, ResultTable
 from owcsim.reference import serving_branch_index
+from owcsim.schema import SCHEMA
 
 from oracles import best_matching_value, user_gain_oracle
 
@@ -84,7 +92,8 @@ class TestBuildDefaultScenario:
     def test_responsivity_must_be_positive(self):
         s = build_default_scenario(None)
         for value in (0.0, -0.4, math.nan):
-            with pytest.raises(ValueError, match="users.responsivity_a_per_w must be positive"):
+            message = r"users\.responsivity_a_per_w must be a number in \[0\.01, 1\.5\], got"
+            with pytest.raises(ValueError, match=message):
                 replace(s, responsivity=value)
 
     def test_override_user_count(self):
@@ -131,58 +140,151 @@ class TestBuildDefaultScenario:
             build_default_scenario({"users": {"blocked": [9]}})
 
 
+def _row(key: str):
+    """The `Number` or `Integer` that checks a key's value, or its entries'."""
+    check = SCHEMA[key][1]
+    check = getattr(check, "check", check)  # a Nullable's own check
+    return getattr(check, "item", check)  # a ListOf's entry check
+
+
+def _below(key: str) -> float:
+    return math.nextafter(_row(key).lo, -math.inf)
+
+
+def _above(key: str) -> float:
+    return math.nextafter(_row(key).hi, math.inf)
+
+
+def _with_receiver(s, **fields):
+    branches = default_adr_branches(**fields)
+    return replace(s, users=tuple(replace(user, branches=branches) for user in s.users))
+
+
 class TestLibraryBuiltValuesAreFinite:
-    """A value built in code, where no config check ran, is held to a finite
-    range too, NaN included; the error names the field's config key. Before,
+    """A value built in code, where no config check ran, is held to its key's
+    SCHEMA row, NaN included, and the error is the document's own. Before,
     a NaN waist gave all-zero rates, NaN noise gave NaN rates, and a NaN cap
     switched the eye-safety cap off."""
 
+    # Per key: how a value reaches the type that holds it, and one finite value
+    # outside the row (one nextafter past a bound, the next integer past it, or
+    # a choice the row does not offer).
     CHANGES = {
         "adt.beam_waist_m": lambda s, v: replace(s.adt, beam_waist=v),
         "adt.wavelength_m": lambda s, v: replace(s.adt, beam_wavelength=v),
         "adt.side_offset_m": lambda s, v: replace(s.adt, side_offset=v),
+        "irs.wall": lambda s, v: replace(s.irs, wall=v),
+        "irs.grid_m": lambda s, v: replace(s.irs, grid_m=v),
         "irs.element_width_m": lambda s, v: replace(s.irs, element_size=(v, 0.1)),
         "irs.element_height_m": lambda s, v: replace(s.irs, element_size=(0.15, v)),
+        "irs.reflectivity": lambda s, v: replace(s.irs, reflectivity=v),
         "noise.rin_db_per_hz": lambda s, v: replace(s.noise, rin_db_per_hz=v),
         "noise.noise_current_density": lambda s, v: replace(s.noise, noise_current_density=v),
         "noise.tia_noise_figure_db": lambda s, v: replace(s.noise, tia_noise_figure_db=v),
         "noise.bandwidth_b": lambda s, v: replace(s.noise, bandwidth_b=v),
         "power.p_tot_w": lambda s, v: replace(s, p_tot=v),
         "power.eye_safety_cap_w": lambda s, v: replace(s, eye_safety_cap=v),
+        "power.max_mirrors_per_user": lambda s, v: replace(s, max_mirrors_per_user=v),
         "room.dims": lambda s, v: replace(s, room_dims=(5.0, v, 3.0)),
+        "seed": lambda s, v: replace(s, rng_seed=v),
+        "users.k": lambda s, v: replace(s, users=s.users[:1] * v),
         "users.responsivity_a_per_w": lambda s, v: replace(s, responsivity=v),
+        "users.pd_area_m2": lambda s, v: _with_receiver(s, pd_area=v),
+        "users.fov_deg": lambda s, v: _with_receiver(s, fov_deg=v),
+        "sweep.snr_points_db": lambda s, v: SweepSpec(snr_points_db=(v,)),
+        "sweep.k_values": lambda s, v: SweepSpec(k_values=(v,)),
+        "output.svg": lambda s, v: OutputSpec(svg=v),
+    }
+    OUTSIDE = {
+        "adt.beam_waist_m": _below("adt.beam_waist_m"),
+        "adt.wavelength_m": _above("adt.wavelength_m"),
+        "adt.side_offset_m": _above("adt.side_offset_m"),
+        "irs.wall": "z_max",
+        "irs.grid_m": _row("irs.grid_m").hi + 1,
+        "irs.element_width_m": _above("irs.element_width_m"),
+        "irs.element_height_m": _below("irs.element_height_m"),
+        "irs.reflectivity": _above("irs.reflectivity"),
+        "noise.rin_db_per_hz": _above("noise.rin_db_per_hz"),
+        "noise.noise_current_density": _below("noise.noise_current_density"),
+        "noise.tia_noise_figure_db": _above("noise.tia_noise_figure_db"),
+        "noise.bandwidth_b": _above("noise.bandwidth_b"),
+        "power.p_tot_w": _below("power.p_tot_w"),
+        "power.eye_safety_cap_w": _above("power.eye_safety_cap_w"),
+        "power.max_mirrors_per_user": _row("power.max_mirrors_per_user").lo - 1,
+        "room.dims": _below("room.dims"),
+        "seed": _row("seed").lo - 1,
+        "users.k": _row("users.k").lo - 1,
+        "users.responsivity_a_per_w": _above("users.responsivity_a_per_w"),
+        "users.pd_area_m2": _above("users.pd_area_m2"),
+        # Below the row, not above: AdrBranch refuses more than 90 deg itself.
+        "users.fov_deg": _below("users.fov_deg"),
+        "sweep.snr_points_db": _above("sweep.snr_points_db"),
+        "sweep.k_values": _row("sweep.k_values").lo - 1,
+        "output.svg": 1,
+    }
+    # How a document writes each key's value, where that is not the value itself.
+    IN_DOCUMENT = {
+        "room.dims": lambda v: [5.0, v, 3.0],
+        "sweep.snr_points_db": lambda v: [v],
+        "sweep.k_values": lambda v: [v],
     }
 
+    # A user count is never a float, and the kernel's AdrBranch refuses a NaN
+    # photodiode area or field of view before any row is read.
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("key", sorted(CHANGES))
+    @pytest.mark.parametrize(
+        "key", sorted(set(CHANGES) - {"users.k", "users.pd_area_m2", "users.fov_deg"})
+    )
     def test_nonfinite_value_rejected_naming_its_key(self, key, value):
         with pytest.raises(ValueError, match=re.escape(key)):
             self.CHANGES[key](build_default_scenario(None), value)
 
+    @pytest.mark.parametrize("key", sorted(CHANGES))
+    def test_a_value_outside_its_row_gets_the_document_message(self, key):
+        value = self.OUTSIDE[key]
+        with pytest.raises(ValueError) as built:
+            self.CHANGES[key](build_default_scenario(None), value)
+        section, _, name = key.rpartition(".")
+        written = self.IN_DOCUMENT.get(key, lambda v: v)(value)
+        with pytest.raises(ValueError) as parsed:
+            parse_config({section: {name: written}} if section else {name: written})
+        assert str(built.value) == str(parsed.value)
+        assert str(built.value).startswith(key)
+
     def test_noise_figure_below_zero_rejected(self):
-        with pytest.raises(ValueError, match=r"noise\.tia_noise_figure_db must be finite"):
+        message = r"^noise\.tia_noise_figure_db must be a number in \[0, 30\], got -1\.0$"
+        with pytest.raises(ValueError, match=message):
             NoiseParams(tia_noise_figure_db=-1.0)
 
     @pytest.mark.parametrize(
-        "fields",
+        "fields, first",
         [
-            {"noise_current_density": 1e150},  # density^2 overflows to inf
-            {"tia_noise_figure_db": 3100.0},  # 10 ** 310 raises OverflowError
-            {"noise_current_density": 1e10, "bandwidth_b": 1e300},  # the product overflows
-            {"noise_current_density": 0.0},  # no floor: every SNR would divide by 0
-            {"noise_current_density": 1e-170},  # density^2 underflows to 0
+            ({"noise_current_density": 1e150}, "noise_current_density"),  # density^2 overflows
+            ({"tia_noise_figure_db": 3100.0}, "tia_noise_figure_db"),  # 10 ** 310 overflows
+            ({"noise_current_density": 1e10, "bandwidth_b": 1e300}, "noise_current_density"),
+            ({"noise_current_density": 0.0}, "noise_current_density"),  # no floor at all
+            ({"noise_current_density": 1e-170}, "noise_current_density"),  # density^2 underflows
         ],
         ids=["density", "noise-figure", "bandwidth", "zero-density", "underflow"],
     )
-    def test_thermal_floor_zero_or_past_the_float_range_rejected_naming_its_keys(self, fields):
-        message = r"noise\.noise_current_density, noise\.tia_noise_figure_db and noise\.bandwidth_b"
-        with pytest.raises(ValueError, match=message):
+    def test_thermal_floor_zero_or_past_the_float_range_rejected_naming_its_keys(
+        self, fields, first
+    ):
+        # Each of these floors is refused by the first row its fields leave.
+        key = f"noise.{first}"
+        message = f"{key} must be a {SCHEMA[key][1]}, got {fields[first]!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             NoiseParams(**fields)
 
-    def test_finite_floor_at_a_large_noise_figure_builds(self):
-        # 10 ** (3080 / 10) is finite, and so is the floor it gives with a small density.
-        noise = NoiseParams(noise_current_density=1e-160, tia_noise_figure_db=3080.0)
-        assert 0.0 < thermal_noise_variance(noise) < math.inf
+    def test_thermal_floor_is_positive_and_finite_at_every_corner_of_the_noise_rows(self):
+        # density^2 x bandwidth x 10^(NF/10) is monotone in each key, so its
+        # corners bound it over the rows, and NoiseParams needs no check of
+        # its own. The bounds are read from SCHEMA: a row edit reruns this.
+        keys = ("noise_current_density", "tia_noise_figure_db", "bandwidth_b")
+        corners = product(*((_row(f"noise.{key}").lo, _row(f"noise.{key}").hi) for key in keys))
+        floors = [thermal_noise_variance(NoiseParams(**dict(zip(keys, c)))) for c in corners]
+        assert len(floors) == 8
+        assert all(0.0 < floor < math.inf for floor in floors), floors
 
 
 class TestIrsPanel:

@@ -17,7 +17,8 @@ per-input ratio B/A (`ratio_q1`, `ratio_p50`, `ratio_q3`, inclusive linear
 interpolation, as numpy's default percentile), the share of inputs on which
 B ran faster (`b_faster_frac`, the in-process form of a perfbench pair
 count), and whether every op's output digest agrees between the trees; the
-last line is the same as one JSON object.
+last line is the same as one JSON object, which also stamps each tree with
+`tree_hash` (`a_tree`, `b_tree`), so a result names the code it measured.
 """
 
 from __future__ import annotations
@@ -35,6 +36,18 @@ from types import ModuleType
 
 ROOT = Path(__file__).resolve().parents[1]
 SUBMODULES = ("channel", "cli", "geometry", "network")  # the ones workloads.py imports
+
+
+def tree_hash(src: str | Path) -> str:
+    """sha256 over the sorted relative paths and the bytes of `owcsim/**/*.py`
+    under `src`; each file's path and length frame its bytes."""
+    root = Path(src).resolve()
+    digest = hashlib.sha256()
+    for rel in sorted(path.relative_to(root).as_posix() for path in root.glob("owcsim/**/*.py")):
+        data = (root / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def load_tree(src: str | Path, name: str) -> ModuleType:
@@ -127,9 +140,10 @@ def main(argv: list[str] | None = None) -> int:
     workloads = import_workloads(packages[0])
     kind = workloads.SnrDense if args.workload == "snr-dense" else workloads.WallScale
     result = interleave(workloads, kind(args.seed), packages, args.inputs)
+    result.update(a_tree=tree_hash(args.a_src), b_tree=tree_hash(args.b_src))
     print(f"workload {result['workload']}  seed {args.seed}  inputs {args.inputs}")
-    print(f"A op_s_p50 {result['a_op_s_p50']:.6g} s  ({args.a_src})")
-    print(f"B op_s_p50 {result['b_op_s_p50']:.6g} s  ({args.b_src})")
+    print(f"A op_s_p50 {result['a_op_s_p50']:.6g} s  ({args.a_src}, tree {result['a_tree']})")
+    print(f"B op_s_p50 {result['b_op_s_p50']:.6g} s  ({args.b_src}, tree {result['b_tree']})")
     print(
         f"per-op ratio B/A  median {result['ratio_p50']:.4f}  "
         f"quartiles {result['ratio_q1']:.4f} {result['ratio_q3']:.4f}"
