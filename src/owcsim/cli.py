@@ -38,7 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", dest="config_path", metavar="CONFIG", help="JSON config path")
-        cmd.add_argument("--out", dest="out_dir", metavar="OUT", default=".", help="output directory")
+        cmd.add_argument(
+            "--out", dest="out_dir", metavar="OUT", default=".", help="output directory"
+        )
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_parser("selftest", help="run the built-in invariant checks")
     return parser

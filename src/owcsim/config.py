@@ -52,7 +52,9 @@ class OutputSpec:
         check_fields(("output.svg", self.svg))
 
 
-def load_config(path: str | Path, seed: int | None = None) -> tuple[Scenario, SweepSpec, OutputSpec]:
+def load_config(
+    path: str | Path, seed: int | None = None
+) -> tuple[Scenario, SweepSpec, OutputSpec]:
     """Parse and validate a JSON config file into a ready-to-run triple.
 
     `seed` overrides the document's seed before user placement happens.

@@ -72,7 +72,7 @@ from .link import (
     thermal_noise_variance,
 )
 from .output import ResultTable
-from .schema import check_fields
+from .schema import SCHEMA, check_fields
 
 if TYPE_CHECKING:
     from .reference import MirrorElement
@@ -718,23 +718,18 @@ def power_for_transmit_snr(
     3,082 dB, whose power ratio overflows a float, raises ValueError naming
     it: `snr_db`, or `snr_points_db[i]` of a sequence."""
     scalar = np.ndim(snr_db) == 0
-    points = [snr_db] if scalar else snr_db
-    try:
-        # Python's ** per point: numpy's power differs from libm's in the last bit.
-        ratio = np.array([10.0 ** (db / 10.0) for db in points])
-    except OverflowError:
-        # Name the first point that overflows; the common path stays one comprehension.
-        for i, db in enumerate(points):
-            try:
-                10.0 ** (db / 10.0)
-            except OverflowError:
-                name = "snr_db" if scalar else f"snr_points_db[{i}]"
-                raise ValueError(
-                    f"{name} must be at most about 3082 dB, whose power ratio "
-                    f"10^(dB/10) fits a float, got {db}"
-                ) from None
-        raise
-    power = np.sqrt(ratio * thermal_noise_variance(noise)) / responsivity
+    ratios = []
+    for i, db in enumerate([snr_db] if scalar else snr_db):
+        try:
+            # Python's ** per point: numpy's power differs from libm's in the last bit.
+            ratios.append(10.0 ** (db / 10.0))
+        except OverflowError:
+            name = "snr_db" if scalar else f"snr_points_db[{i}]"
+            raise ValueError(
+                f"{name} must be at most about 3082 dB, whose power ratio "
+                f"10^(dB/10) fits a float, got {db}"
+            ) from None
+    power = np.sqrt(np.array(ratios) * thermal_noise_variance(noise)) / responsivity
     return float(power[0]) if scalar else power
 
 
@@ -812,13 +807,11 @@ def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
     """
     if scenario.irs is None:
         raise ValueError("sweep-users compares against the mirror wall: irs.enabled must be true")
-    ks = list(k_values)
-    if not ks:
-        raise ValueError("k_values must be nonempty")
-    for i, k in enumerate(ks):
-        # int() would truncate 2.5 to 2 and read True as 1.
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise ValueError(f"k_values[{i}] must be an integer >= 1, got {k!r}")
+    # The sweep.k_values row, with numpy integers taken as ints; int() of every
+    # value would read 2.5 as 2 and True as 1.
+    ks = SCHEMA["sweep.k_values"][1](
+        "k_values", [int(k) if isinstance(k, np.integer) else k for k in k_values]
+    )
     positions = place_users_uniform(
         max(ks), scenario.room_dims, scenario.rng_seed, scenario.receiver_z
     )

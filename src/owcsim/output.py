@@ -153,16 +153,12 @@ def _check_rates(block: np.ndarray, where: str) -> None:
     )
 
 
-def format_rate(value: float) -> str:
-    return f"{value:.9e}"
-
-
 def write_csv(table: ResultTable, path: str | Path) -> None:
     """Emit the table as UTF-8 CSV with LF endings, byte-deterministic."""
     lines = [CSV_HEADER]
     for x, label, total, rates in table._records():
-        user_rates = ";".join(format_rate(r) for r in rates)
-        lines.append(f"{x:.10g},{label},{format_rate(total)},{user_rates}")
+        user_rates = ";".join(f"{r:.9e}" for r in rates)
+        lines.append(f"{x:.10g},{label},{total:.9e},{user_rates}")
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -180,6 +176,26 @@ def read_result_csv(path: str | Path) -> ResultTable:
     return ResultTable.from_rows(rows)
 
 
+def _line(x1: float, y1: float, x2: float, y2: float, color="#333333", width=1) -> str:
+    return (
+        f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+        f'stroke="{color}" stroke-width="{width}"/>'
+    )
+
+
+def _text(
+    x: float | str, y: float | str, size: int, body: str, anchor: str = "middle", tail: str = ""
+) -> str:
+    """A sans-serif text element: a str coordinate as given, a float to 2
+    decimals; no text-anchor when `anchor` is empty; `tail` adds attributes."""
+    x, y = (v if isinstance(v, str) else f"{v:.2f}" for v in (x, y))
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+        f'font-size="{size}"{tail}>{body}</text>'
+    )
+
+
 def render_line_plot(
     table: ResultTable,
     title: str,
@@ -187,102 +203,55 @@ def render_line_plot(
     y_label: str,
     path: str | Path,
 ) -> None:
-    """Write a standalone SVG line chart of sum rate per variant."""
+    """Write a standalone SVG line chart of sum rate per variant, its y axis from 0."""
     if not len(table):
         raise ValueError("cannot plot an empty table")
     xs = table.sweep_var.tolist()
-    ys = table.sum_rate_bps.tolist()
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = 0.0, max(ys)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-
+    x_lo = min(xs)
+    x_span = (max(xs) - x_lo) or 1.0
+    y_span = max(table.sum_rate_bps.tolist()) or 1.0
     inner_w = _PLOT_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     inner_h = _PLOT_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+    x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + inner_h  # the axes' corner
 
-    def to_px(x: float, y: float) -> tuple[float, float]:
-        px = _MARGIN_LEFT + (x - x_lo) / x_span * inner_w
-        py = _MARGIN_TOP + inner_h - (y - y_lo) / y_span * inner_h
-        return px, py
+    def px(x: float) -> float:
+        return x0 + (x - x_lo) / x_span * inner_w
 
-    parts: list[str] = []
-    parts.append(
+    def py(y: float) -> float:
+        return y0 - y / y_span * inner_h
+
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PLOT_WIDTH:.0f}" '
-        f'height="{_PLOT_HEIGHT:.0f}" viewBox="0 0 {_PLOT_WIDTH:.0f} {_PLOT_HEIGHT:.0f}">'
-    )
-    parts.append('<rect width="100%" height="100%" fill="white"/>')
-    parts.append(
-        f'<text x="{_PLOT_WIDTH / 2:.2f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>'
-    )
-
-    axis_color = "#333333"
-    x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + inner_h
-    parts.append(
-        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0 + inner_w:.2f}" y2="{y0:.2f}" '
-        f'stroke="{axis_color}" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{_MARGIN_TOP:.2f}" '
-        f'stroke="{axis_color}" stroke-width="1"/>'
-    )
-
-    n_ticks = 6
-    for i in range(n_ticks):
-        frac = i / (n_ticks - 1)
-        x_val = x_lo + frac * x_span
-        px, _ = to_px(x_val, y_lo)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{y0:.2f}" x2="{px:.2f}" y2="{y0 + 5:.2f}" '
-            f'stroke="{axis_color}" stroke-width="1"/>'
+        f'height="{_PLOT_HEIGHT:.0f}" viewBox="0 0 {_PLOT_WIDTH:.0f} {_PLOT_HEIGHT:.0f}">',
+        '<rect width="100%" height="100%" fill="white"/>',
+        _text(_PLOT_WIDTH / 2, "24", 16, title),
+        _line(x0, y0, x0 + inner_w, y0),
+        _line(x0, y0, x0, _MARGIN_TOP),
+    ]
+    for i in range(6):  # six ticks per axis, at fifths of its span
+        x_val, y_val = x_lo + i / 5 * x_span, i / 5 * y_span
+        parts += (
+            _line(px(x_val), y0, px(x_val), y0 + 5),
+            _text(px(x_val), y0 + 20, 11, f"{x_val:.4g}"),
+            _line(x0 - 5, py(y_val), x0, py(y_val)),
+            _text(x0 - 8, py(y_val) + 4, 11, f"{y_val:.3g}", "end"),
         )
-        parts.append(
-            f'<text x="{px:.2f}" y="{y0 + 20:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{x_val:.4g}</text>'
-        )
-        y_val = y_lo + frac * y_span
-        _, py = to_px(x_lo, y_val)
-        parts.append(
-            f'<line x1="{x0 - 5:.2f}" y1="{py:.2f}" x2="{x0:.2f}" y2="{py:.2f}" '
-            f'stroke="{axis_color}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x0 - 8:.2f}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{y_val:.3g}</text>'
-        )
-
-    parts.append(
-        f'<text x="{x0 + inner_w / 2:.2f}" y="{_PLOT_HEIGHT - 14:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>'
+    mid_y = _MARGIN_TOP + inner_h / 2
+    parts += (
+        _text(x0 + inner_w / 2, _PLOT_HEIGHT - 14, 13, x_label),
+        _text("20", mid_y, 13, y_label, tail=f' transform="rotate(-90 20 {mid_y:.2f})"'),
     )
-    parts.append(
-        f'<text x="20" y="{_MARGIN_TOP + inner_h / 2:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {_MARGIN_TOP + inner_h / 2:.2f})">{y_label}</text>'
-    )
-
+    legend_x = x0 + inner_w + 14
     for idx, variant in enumerate(table.variants()):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = table.series(variant)
-        coords = " ".join(
-            "{:.2f},{:.2f}".format(*to_px(x, y)) for x, y in points
-        )
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>'
-        )
-        for x, y in points:
-            px, py = to_px(x, y)
-            parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="{color}"/>')
+        points = [(px(x), py(y)) for x, y in table.series(variant)]
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>')
+        parts += (f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>' for x, y in points)
         legend_y = _MARGIN_TOP + 16 + 20 * idx
-        legend_x = _MARGIN_LEFT + inner_w + 14
-        parts.append(
-            f'<line x1="{legend_x:.2f}" y1="{legend_y:.2f}" x2="{legend_x + 24:.2f}" '
-            f'y2="{legend_y:.2f}" stroke="{color}" stroke-width="2"/>'
+        parts += (
+            _line(legend_x, legend_y, legend_x + 24, legend_y, color, 2),
+            _text(legend_x + 30, legend_y + 4, 12, variant, anchor=""),
         )
-        parts.append(
-            f'<text x="{legend_x + 30:.2f}" y="{legend_y + 4:.2f}" '
-            f'font-family="sans-serif" font-size="12">{variant}</text>'
-        )
-
     parts.append("</svg>")
     Path(path).write_bytes(("\n".join(parts) + "\n").encode("utf-8"))

@@ -892,9 +892,9 @@ class TestSweepSnr:
 
     def test_empty_or_zero_user_counts_rejected(self):
         s = build_default_scenario(None)
-        with pytest.raises(ValueError, match="k_values must be nonempty"):
+        with pytest.raises(ValueError, match="^k_values must be a nonempty list"):
             sweep_users(s, [])
-        with pytest.raises(ValueError, match=r"k_values\[0\] must be an integer >= 1, got 0"):
+        with pytest.raises(ValueError, match=r"k_values\[0\] must be an integer in \[1, 1000\]"):
             sweep_users(s, [0])
 
     def test_responsivity_cancels_on_the_snr_axis(self):
@@ -1388,8 +1388,16 @@ class TestSweepUsers:
     )
     def test_non_integral_or_bool_k_rejected_naming_it(self, ks, index):
         # int() would have run K = 2 for 2.5 and K = 1 for True.
-        with pytest.raises(ValueError, match=rf"^k_values\[{index}\] must be an integer >= 1"):
+        with pytest.raises(ValueError, match=rf"^k_values\[{index}\] must be an integer in \["):
             sweep_users(build_default_scenario(None), ks)
+
+    @pytest.mark.parametrize("ks", [[2, 1001], np.array([1, 1001])])
+    def test_k_past_the_rows_cap_names_k_values(self, ks):
+        # The sweep.k_values row caps K at 1000; past it the error names the
+        # sweep's own argument, not the users.k it would have built.
+        with pytest.raises(ValueError) as err:
+            sweep_users(build_default_scenario(None), ks)
+        assert str(err.value) == "k_values[1] must be an integer in [1, 1000], got 1001"
 
     def test_numpy_integer_k_accepted(self):
         s = build_default_scenario(None)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -242,7 +244,45 @@ class TestWriteCsv:
         assert read_result_csv(copy) == table
 
 
+# Tables the golden figures never draw, as (sweep_var, variant, sum rate) rows
+# whose one user carries the sum, each with the sha256 of its SVG.
+PINNED_SVGS = {
+    "palette_wraps": (
+        [(float(x), f"v{i}", 1e8 * (i + 1) * (x + 1)) for i in range(7) for x in range(3)],
+        "cb2a2527f602346c742310159a4510729b611a3703293157bbd32da899f87346",
+    ),
+    "one_row": (
+        [(3.0, "only", 2.5e9)],
+        "79fd5cf39b3c6d214298b233343e4c4e594a27081f19b57125a8fa2b624b026c",
+    ),
+    "zero_rates": (
+        [(x, v, 0.0) for v in ("none", "5x5") for x in (60.0, 70.0, 80.0)],
+        "127f7090a24cc580e85c9859406b6a6d7fd5c95846d46e860e9c47b3ce0c6cd4",
+    ),
+    "negative_fractional": (
+        [
+            (-12.5, "a", 1.25e9), (-0.75, "a", 2.5e8), (3.125, "a", 7.5e8),
+            (-12.5, "b", 3.3e8), (-0.75, "b", 1.7e9), (3.125, "b", 0.0),
+        ],
+        "065671cfb6f43dfcbcce273f19c0fe95f5ae181e5e40a93cdb1a83c8b7af8848",
+    ),
+    "one_variant": (
+        [(float(k), "10x10", 4.2e8 * k) for k in range(1, 9)],
+        "9a5e73c809d5be27c049af2dbf5ca1833cecb5b6ba3697b99ddb2a346875c9ef",
+    ),
+}
+
+
 class TestRenderLinePlot:
+    @pytest.mark.parametrize("name", list(PINNED_SVGS))
+    def test_pinned_bytes(self, tmp_path, name):
+        # A palette that wraps, zero x and y spans, negative and fractional
+        # sweep values, and one variant: each SVG byte for byte as pinned.
+        rows, digest = PINNED_SVGS[name]
+        table = ResultTable.from_rows([ResultRow(x, v, s, (s,)) for x, v, s in rows])
+        render_line_plot(table, "Sum rate", "x label", "y label", tmp_path / "p.svg")
+        assert hashlib.sha256((tmp_path / "p.svg").read_bytes()).hexdigest() == digest
+
     def test_svg_structure(self, tmp_path):
         path = tmp_path / "plot.svg"
         render_line_plot(sample_table(), "title", "x", "y", path)

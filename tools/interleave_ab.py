@@ -1,6 +1,7 @@
 """Interleaved in-process A/B of two owcsim source trees on a perfbench workload.
 
     python3 tools/interleave_ab.py A_SRC B_SRC --workload snr-dense --inputs 300
+    python3 tools/interleave_ab.py A_SRC B_SRC --workload paper --inputs 40
 
 A_SRC and B_SRC are directories that each hold an `owcsim` package, such as
 the `src` of two checkouts. They load into one interpreter as the distinct
@@ -11,6 +12,13 @@ check of each op runs right after it, outside the timed region, as it does in
 a perfbench run. Both trees thus share one heap, one host speed and the same
 inputs, which separates changes of a few percent that perfbench's
 process-to-process spread hides.
+
+`paper` runs each input through one perfbench `Paper` per tree: its two CLI
+commands run as child processes with PYTHONPATH set to that tree, each tree
+in a work directory of its own, and the check reads the outputs with that
+tree's package. The op digest covers the bytes of every output file, SVGs
+included; the result adds each tree's largest child peak RSS
+(`a_peak_rss_mb`, `b_peak_rss_mb`).
 
 Prints each tree's median op time, the quartiles over inputs of the
 per-input ratio B/A (`ratio_q1`, `ratio_p50`, `ratio_q3`, inclusive linear
@@ -30,6 +38,7 @@ import importlib.util
 import json
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 from types import ModuleType
@@ -88,20 +97,34 @@ def import_workloads(package: ModuleType) -> ModuleType:
                 sys.modules[name] = module
 
 
-def interleave(workloads: ModuleType, workload, packages: tuple, inputs: int) -> dict:
-    """Run `inputs` drawn inputs on both packages, the first side alternating,
-    each op checked after it runs; one untimed warm-up op per side first."""
+def paper_sides(workloads: ModuleType, seed: int, srcs: tuple, work_root: Path) -> tuple:
+    """One perfbench `Paper` per tree, its CLI children run on that tree's
+    `src` and writing under a work directory of its own in `work_root`."""
+    return tuple(
+        workloads.Paper(seed, Path(work_root) / side, Path(src).resolve())
+        for side, src in zip("ab", srcs)
+    )
 
-    def op(package, inp) -> tuple[float, str]:
-        workloads.owcsim = package
+
+def interleave(
+    workloads: ModuleType, workload, packages: tuple, inputs: int, runners: tuple = ()
+) -> dict:
+    """Run `inputs` inputs drawn by `workload` on both packages, the first side
+    alternating, each op checked after it runs; one untimed warm-up op per side
+    first. `runners`, when given, holds the workload object that runs and
+    checks each side's ops (a `paper` side's own tree and work directory)."""
+    runners = runners or (workload, workload)
+
+    def op(side: int, inp) -> tuple[float, str]:
+        workloads.owcsim = packages[side]
         start = time.perf_counter()
-        out = workload.run(inp)
+        out = runners[side].run(inp)
         elapsed = time.perf_counter() - start
-        return elapsed, hashlib.sha256(workload.check(inp, out)).hexdigest()
+        return elapsed, hashlib.sha256(runners[side].check(inp, out)).hexdigest()
 
     warmup = workload.next_input()
-    for package in packages:
-        op(package, warmup)
+    for side in (0, 1):
+        op(side, warmup)
     times: tuple[list[float], list[float]] = ([], [])
     same = True
     for i in range(inputs):
@@ -109,7 +132,7 @@ def interleave(workloads: ModuleType, workload, packages: tuple, inputs: int) ->
         sides = (0, 1) if i % 2 == 0 else (1, 0)
         digests = {}
         for side in sides:
-            elapsed, digests[side] = op(packages[side], inp)
+            elapsed, digests[side] = op(side, inp)
             times[side].append(elapsed)
         same = same and digests[0] == digests[1]
     ratios = [b / a for a, b in zip(*times)]
@@ -132,14 +155,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a_src", help="directory holding the A tree's owcsim package")
     parser.add_argument("b_src", help="directory holding the B tree's owcsim package")
-    parser.add_argument("--workload", choices=("snr-dense", "wall-scale"), default="snr-dense")
+    parser.add_argument(
+        "--workload", choices=("snr-dense", "wall-scale", "paper"), default="snr-dense"
+    )
     parser.add_argument("--inputs", type=int, default=300)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     packages = (load_tree(args.a_src, "owcsim_a"), load_tree(args.b_src, "owcsim_b"))
     workloads = import_workloads(packages[0])
-    kind = workloads.SnrDense if args.workload == "snr-dense" else workloads.WallScale
-    result = interleave(workloads, kind(args.seed), packages, args.inputs)
+    if args.workload == "paper":
+        with tempfile.TemporaryDirectory() as work:
+            sides = paper_sides(workloads, args.seed, (args.a_src, args.b_src), Path(work))
+            result = interleave(workloads, sides[0], packages, args.inputs, sides)
+        result.update(a_peak_rss_mb=sides[0].peak_rss_mb, b_peak_rss_mb=sides[1].peak_rss_mb)
+    else:
+        kind = workloads.SnrDense if args.workload == "snr-dense" else workloads.WallScale
+        result = interleave(workloads, kind(args.seed), packages, args.inputs)
     result.update(a_tree=tree_hash(args.a_src), b_tree=tree_hash(args.b_src))
     print(f"workload {result['workload']}  seed {args.seed}  inputs {args.inputs}")
     print(f"A op_s_p50 {result['a_op_s_p50']:.6g} s  ({args.a_src}, tree {result['a_tree']})")
@@ -150,6 +181,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     faster = round(result["b_faster_frac"] * args.inputs)
     print(f"B faster on {faster} of {args.inputs} inputs ({result['b_faster_frac']:.3f})")
+    if "a_peak_rss_mb" in result:
+        rss = (result["a_peak_rss_mb"], result["b_peak_rss_mb"])
+        print("peak child RSS  A {:.2f} MB  B {:.2f} MB".format(*rss))
     print(f"per-op digests equal: {result['digests_equal']}")
     print(json.dumps(result))
     return 0 if result["digests_equal"] else 1
