@@ -5,9 +5,12 @@ Python floats or float64 ndarrays in their per-user and power-dependent
 arguments, so one copy of each formula serves a single operating point and a
 (users, points) chunk of a sweep, as `network` passes them. Arrays go through
 the same operations in the same order as floats and give bitwise the same
-elements, whatever the chunk; a float input returns a float. On arrays the
-steps run in place where the operands allow it (the same products and sums),
-so a chunk holds few temporaries at once. Each sign guard is one reduction.
+elements, whatever the chunk; a float input returns a float. Given `out=`
+(float64 buffers of the result's shape; `noise_variance` takes the
+variance's and a scratch one, which may hold the received power), each
+formula runs its steps in place in them and returns the one holding the
+result, bitwise the call without; `achievable_rate`'s may be `gamma`. Each
+sign guard is one reduction, made before any buffer is written.
 `sum_rate` of a (users, points) block makes one nonnegativity check and one
 sum that adds the user rows in order, as the loop over users does, at any
 number of points.
@@ -84,6 +87,7 @@ def noise_variance(
     params: NoiseParams,
     received_optical_power: float | np.ndarray,
     responsivity: float | np.ndarray,
+    out=None,
 ) -> float | np.ndarray:
     """Total shot + thermal + RIN current variance in A^2.
 
@@ -98,10 +102,11 @@ def noise_variance(
         raise ValueError("received_optical_power must be nonnegative")
     if _least(responsivity) < 0.0:
         raise ValueError("responsivity must be nonnegative")
-    photocurrent = responsivity * received_optical_power
-    shot = 2.0 * ELECTRON_CHARGE * photocurrent
+    variance, scratch = out or (None, None)
+    photocurrent = _product(responsivity, received_optical_power, scratch)
+    shot = _product(2.0 * ELECTRON_CHARGE, photocurrent, variance)
     shot *= params.bandwidth_b
-    rin = photocurrent * photocurrent
+    rin = _product(photocurrent, photocurrent, scratch)
     del photocurrent
     rin *= 10.0 ** (params.rin_db_per_hz / 10.0)
     rin *= params.bandwidth_b
@@ -115,6 +120,7 @@ def sinr(
     transmit_power: float | np.ndarray,
     responsivity: float | np.ndarray,
     sigma2: float | np.ndarray,
+    out=None,
 ) -> float | np.ndarray:
     """Electrical SNR (R q P)^2 / sigma^2, with q the total channel gain and P
     the power of each aimed beam.
@@ -124,18 +130,18 @@ def sinr(
     """
     if _least(sigma2) <= 0.0:
         raise ValueError("nonpositive noise variance")
-    signal = responsivity * q * transmit_power
+    signal = _product(responsivity * q, transmit_power, out)
     signal *= signal
-    return signal / sigma2
+    return signal / sigma2 if out is None else np.divide(signal, sigma2, out=out)
 
 
-def achievable_rate(gamma: float | np.ndarray, bandwidth: float) -> float | np.ndarray:
+def achievable_rate(gamma: float | np.ndarray, bandwidth: float, out=None) -> float | np.ndarray:
     """Rate bound B log2(1 + (e / 2 pi) gamma) in bit/s."""
     if _least(gamma) < 0.0:
         raise ValueError(f"gamma must be nonnegative, got {_first_negative(gamma)}")
     if bandwidth <= 0.0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    rate = RATE_SNR_SCALE * gamma
+    rate = _product(RATE_SNR_SCALE, gamma, out)
     rate += 1.0
     if isinstance(rate, np.ndarray):
         np.log2(rate, out=rate)
@@ -170,6 +176,11 @@ def sum_rate(rates: Sequence[float] | Sequence[np.ndarray] | np.ndarray) -> floa
             raise ValueError(f"rates must be nonnegative, got {_first_negative(rate)}")
         total = total + rate
     return total
+
+
+def _product(a: float | np.ndarray, b: float | np.ndarray, out: np.ndarray | None):
+    """a * b, written into `out` when it is given."""
+    return a * b if out is None else np.multiply(a, b, out=out)
 
 
 def _least(values: float | np.ndarray) -> float:

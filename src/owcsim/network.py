@@ -351,13 +351,20 @@ class Scenario:
         return table
 
     def _first_users(self, k: int) -> Scenario:
-        """The first k users, the per-user caches sliced rather than recomputed.
+        """The first k users, k >= 1, built from this checked scenario's
+        fields without checking them again, the per-user arrays sliced rather
+        than recomputed.
 
-        A user's direct-path row, serving branch and mirror-path row depend
-        on that user and the wall alone.
+        The first k of checked users pass every check the whole passes, and
+        a user's aim, direct-path row, serving branch and mirror-path row
+        depend on that user and the wall alone.
         """
-        prefix = replace(self, users=self.users[:k])
+        prefix = object.__new__(type(self))
+        separation, directions, unaimable = self._aimed
         vars(prefix).update(
+            vars(self),
+            users=self.users[:k],
+            _aimed=(separation[:k], tuple(array[:k] for array in directions), unaimable[:k]),
             direct_table=tuple(array[:k] for array in self.direct_table),
             mirror_table=tuple(array[:k] for array in self.mirror_table),
             serving_branches=self.serving_branches[:k],
@@ -628,14 +635,17 @@ def _gains(scenario: Scenario, assignment: Assignment) -> tuple[np.ndarray, ...]
     return h_los, h_nlos, h_los + h_nlos, los_branch, nlos_branch
 
 
-def _link(scenario: Scenario, q: np.ndarray, p_tot: np.ndarray) -> tuple[np.ndarray, ...]:
+def _link(
+    scenario: Scenario, q: np.ndarray, p_tot: np.ndarray, sigma2=None, rate=None
+) -> tuple[np.ndarray, ...]:
     """The rate path for a (users, 1) column of total gains `q`: the (users,
     points) received power q·p_tot, noise variance, SNR and rate at each
-    per-beam power in `p_tot`, all users at once."""
-    received = q * p_tot
-    sigma2 = noise_variance(scenario.noise, received, scenario.responsivity)
-    gamma = sinr(q, p_tot, scenario.responsivity, sigma2)
-    return received, sigma2, gamma, achievable_rate(gamma, scenario.noise.bandwidth_b)
+    per-beam power in `p_tot`, all users at once, into the buffers given,
+    where `rate`'s holds the received power, then the SNR, then the rate."""
+    received = np.multiply(q, p_tot, out=rate)
+    sigma2 = noise_variance(scenario.noise, received, scenario.responsivity, out=(sigma2, rate))
+    gamma = sinr(q, p_tot, scenario.responsivity, sigma2, out=rate)
+    return received, sigma2, gamma, achievable_rate(gamma, scenario.noise.bandwidth_b, out=rate)
 
 
 def _link_results(scenario: Scenario, assignment: Assignment) -> list[LinkResult]:
@@ -657,9 +667,9 @@ def evaluate_scenario(scenario: Scenario) -> list[LinkResult]:
     return _link_results(scenario, scenario_assignment(scenario))
 
 
-# (user, point) elements per chunk of `_rate_table`'s rate path: its dozen
-# temporaries then stay in cache, as `channel._BLOCK_PAIRS` keeps the mirror
-# kernel's.
+# (user, point) elements per chunk of `_rate_table`'s rate path: its two
+# buffers then stay in cache, as `channel._BLOCK_PAIRS` keeps the mirror
+# kernel's temporaries.
 _RATE_ELEMENTS = 16384
 
 
@@ -671,9 +681,10 @@ def _rate_table(
     """Rates of every (labelled scenario, transmit power) pair, in that order,
     as table rows with the given sweep values. Each scenario's gains and
     assignment are computed once; its rate path runs over chunks of about
-    `_RATE_ELEMENTS` (user, point) elements. `ResultTable.from_block`'s row
-    order is found up front, so every chunk's rates and sums go straight to
-    their final rows, and the labels are one run per variant name."""
+    `_RATE_ELEMENTS` (user, point) elements, in place in C-contiguous views
+    of two buffers sized for the largest chunk. `ResultTable.from_block`'s
+    row order is found up front, so every chunk's rates and sums go straight
+    to their final rows, and the labels are one run per variant name."""
     points, users = len(p_tot), [len(variant.users) for _, variant in cases]
     names = sorted({label for label, _ in cases})
     code = np.repeat([names.index(label) for label, _ in cases], points)
@@ -681,19 +692,19 @@ def _rate_table(
     order = np.lexsort((sweep, code))
     row = np.empty_like(order)  # the final row of each (case, point)
     row[order] = np.arange(len(order))
-    # Allocated before the rate path's temporaries, so that the heap can
-    # return their memory once they are freed.
     block, sums = np.zeros((len(order), max(users))), np.empty(len(order))
+    steps = [min(max(1, _RATE_ELEMENTS // n), points) for n in users]
+    size = max(map(operator.mul, users, steps))
+    buffers = np.empty(size), np.empty(size)
     for c, (_, variant) in enumerate(cases):
         q = _gains(variant, scenario_assignment(variant))[2][:, None]
-        step = max(1, _RATE_ELEMENTS // users[c])
-        for start in range(0, points, step):
-            stop = min(start + step, points)
-            rates = _link(variant, q, p_tot[start:stop])[3]
+        for start in range(0, points, steps[c]):
+            stop = min(start + steps[c], points)
+            views = (flat[: users[c] * (stop - start)].reshape(users[c], -1) for flat in buffers)
+            rates = _link(variant, q, p_tot[start:stop], *views)[3]
             at = row[c * points + start : c * points + stop]
             block[at, : users[c]] = rates.T
             sums[at] = sum_rate(rates)
-        del rates  # free it before the next case's temporaries
     labels = []
     for name in names:  # one run of rows per variant name, as the order sorts them
         labels += [name] * (points * sum(label == name for label, _ in cases))

@@ -253,6 +253,91 @@ class TestArrayInputs:
         assert str(array.value) == str(scalar.value)
 
 
+class TestOutBuffers:
+    """Given `out=`, each rate-path formula runs in place in the buffers it is
+    given, returns the one holding its result and is bitwise the call without
+    `out`; each guard raises first, with the same message, writing nothing."""
+
+    # Per-beam powers: zeros, subnormals and huge values, then the usual range.
+    POWERS = [0.0, 5e-324, 2.2e-310, 1e-300, 1e150, 3.3e120, *np.logspace(-9, 1, 11).tolist()]
+    Q = np.array([[1.7e-4], [0.0], [3.1e-3], [1e-307], [0.62]])
+
+    @staticmethod
+    def buffers(count, shape):
+        """`count` C-contiguous views of the leading elements of NaN-filled
+        flat buffers, larger than `shape`, as `_rate_table` hands them out."""
+        size = math.prod(shape)
+        return [np.full(size + 5, np.nan)[:size].reshape(shape) for _ in range(count)]
+
+    def chunk(self, width):
+        powers = np.resize(np.array(self.POWERS), width)
+        return powers, self.Q * powers
+
+    @staticmethod
+    def assert_same_bits(got, expected):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 17, 513])
+    def test_each_formula_returns_its_buffer_bitwise(self, width):
+        powers, received = self.chunk(width)
+        sigma2 = noise_variance(TABLE, received, 0.4)
+        gamma = sinr(self.Q, powers, 0.4, sigma2)
+        rate = achievable_rate(gamma, 1.5e9)
+
+        variance, scratch, out = self.buffers(3, received.shape)
+        got = noise_variance(TABLE, received, 0.4, out=(variance, scratch))
+        assert np.shares_memory(got, variance)
+        self.assert_same_bits(got, sigma2)
+        # The scratch buffer holding the received power, as a sweep passes it.
+        scratch[...] = received
+        got = noise_variance(TABLE, scratch, 0.4, out=(variance, scratch))
+        assert np.shares_memory(got, variance)
+        self.assert_same_bits(got, sigma2)
+        got = sinr(self.Q, powers, 0.4, sigma2, out=out)
+        assert np.shares_memory(got, out)
+        self.assert_same_bits(got, gamma)
+        (fresh,) = self.buffers(1, received.shape)
+        got = achievable_rate(gamma, 1.5e9, out=fresh)
+        assert np.shares_memory(got, fresh)
+        self.assert_same_bits(got, rate)
+        # In place over gamma itself, as a sweep passes it.
+        got = achievable_rate(out, 1.5e9, out=out)
+        assert np.shares_memory(got, out)
+        self.assert_same_bits(got, rate)
+        assert rate[1].tolist() == [0.0] * width  # q = 0: dark, zero rate
+
+    def test_rows_equal_the_float_path(self):
+        powers, received = self.chunk(17)
+        variance, scratch, out = self.buffers(3, received.shape)
+        sigma2 = noise_variance(TABLE, received, 0.4, out=(variance, scratch))
+        rate = achievable_rate(sinr(self.Q, powers, 0.4, sigma2, out=out), 1.5e9, out=out)
+        for u, q in enumerate(self.Q[:, 0].tolist()):
+            for j, p in enumerate(powers.tolist()):
+                s2 = noise_variance(TABLE, q * p, 0.4)
+                assert sigma2[u, j] == s2
+                assert rate[u, j] == achievable_rate(sinr(q, p, 0.4, s2), 1.5e9)
+
+    def test_guards_raise_the_same_message_and_write_nothing(self):
+        negative = np.array([[1e-6, -3e-7, 0.0]])
+        zero = np.array([[1e-13, 0.0, 1e-13]])
+        calls = [
+            lambda out: noise_variance(TABLE, negative, 0.4, **out),
+            lambda out: noise_variance(TABLE, np.abs(negative), -np.ones((1, 3)), **out),
+            lambda out: sinr(1e-4, np.full(3, 0.01), 0.4, zero, **out),
+            lambda out: achievable_rate(np.array([[1.0, -0.1, -2.0]]), 1.5e9, **out),
+            lambda out: achievable_rate(np.ones((1, 3)), 0.0, **out),
+        ]
+        for i, call in enumerate(calls):
+            with pytest.raises(ValueError) as without:
+                call({})
+            buffers = self.buffers(2, (1, 3))
+            with pytest.raises(ValueError) as given:
+                call({"out": tuple(buffers) if i < 2 else buffers[0]})
+            assert str(given.value) == str(without.value)
+            assert all(np.isnan(buffer).all() for buffer in buffers)
+
+
 # One user's outcome, every field in range.
 RESULT = {
     "h_los": 1e-4,

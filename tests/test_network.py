@@ -12,6 +12,7 @@ import pytest
 import owcsim.network
 from owcsim import checks
 from owcsim.config import (
+    DEFAULT_K_VALUES,
     DEFAULT_SNR_POINTS_DB,
     OutputSpec,
     SweepSpec,
@@ -1278,6 +1279,31 @@ class TestRateChunks:
         # One point per case: each case is one chunk.
         assert calls["_link"] == [(k, 1) for k in ks for _ in range(2)]
 
+    @pytest.mark.parametrize("budget, width", [(100, 14), (16384, 50), (sys.maxsize, 50)])
+    def test_every_chunk_writes_into_one_block_per_buffer(self, monkeypatch, budget, width):
+        # 7 users and a budget of 100 give chunks of 14, 14, 14 and 8 points,
+        # so each of the two buffers holds 98 elements, the largest chunk,
+        # not the budget.
+        monkeypatch.setattr(owcsim.network, "_RATE_ELEMENTS", budget)
+        chunks = []
+        original = owcsim.network._link
+
+        def recorded(scenario, q, p_tot, *buffers):
+            chunks.append(buffers)
+            return original(scenario, q, p_tot, *buffers)
+
+        monkeypatch.setattr(owcsim.network, "_link", recorded)
+        sweep_snr(self.scenario(7), [60.0 + i for i in range(50)], ("none", "5x5"))
+        widths = [14, 14, 14, 8] if width == 14 else [50]
+        assert [buffers[0].shape for buffers in chunks] == [(7, w) for w in widths] * 2
+        blocks = chunks[0][0].base, chunks[0][1].base
+        assert [block.shape for block in blocks] == [(7 * width,)] * 2
+        assert not np.shares_memory(*blocks)
+        for buffers in chunks:
+            for view, block in zip(buffers, blocks, strict=True):
+                assert view.base is block and view.ctypes.data == block.ctypes.data
+                assert view.flags.c_contiguous and view.shape == buffers[0].shape
+
 
 class TestSweepSnrRowOrder:
     """Duplicate and unsorted SNR points: the block path keeps the per-point
@@ -1371,6 +1397,43 @@ class TestSweepUsers:
                     rates = [result.rate for result in evaluate_scenario(variant)]
                     rows.append(ResultRow(float(k), label, sum_rate(rates), tuple(rates)))
             assert sweep_users(s, ks) == ResultTable.from_rows(rows)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [None, {"irs": {"grid_m": 10}, "users": {"k": 9, "blocked": [2, 7]}, "seed": 4},
+         {"irs": {"enabled": False}, "users": {"k": 6}}],
+    )
+    def test_prefixes_equal_rebuilt_scenarios_bitwise(self, doc):
+        s = build_default_scenario(doc)
+
+        def arrays(scenario):
+            separation, directions, unaimable = scenario._aimed
+            return [separation, *directions, unaimable, *scenario.direct_table,
+                    *scenario.mirror_table, np.array(scenario.serving_branches)]
+
+        for k in range(1, len(s.users) + 1):
+            prefix, rebuilt = s._first_users(k), replace(s, users=s.users[:k])
+            assert prefix == rebuilt and len(prefix.users) == k
+            for got, expected in zip(arrays(prefix), arrays(rebuilt), strict=True):
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+            assert prefix.serving_branches == rebuilt.serving_branches
+        assert s._first_users(len(s.users)) == s
+
+    def test_default_sweep_builds_two_scenarios(self, monkeypatch):
+        # The two variants at the largest K; every smaller K is a prefix of one.
+        s = build_default_scenario(None)
+        built = []
+        original = owcsim.network.Scenario.__post_init__
+
+        def counted(scenario):
+            built.append(len(scenario.users))
+            original(scenario)
+
+        monkeypatch.setattr(owcsim.network.Scenario, "__post_init__", counted)
+        table = sweep_users(s, DEFAULT_K_VALUES)
+        assert built == [max(DEFAULT_K_VALUES)] * 2
+        assert len(table) == 2 * len(DEFAULT_K_VALUES)
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,14 @@ B ran faster (`b_faster_frac`, the in-process form of a perfbench pair
 count), and whether every op's output digest agrees between the trees; the
 last line is the same as one JSON object, which also stamps each tree with
 `tree_hash` (`a_tree`, `b_tree`), so a result names the code it measured.
+
+Each side's median count of minor page faults per op is reported too
+(`a_minflt_per_op_p50`, `b_minflt_per_op_p50`): `ru_minflt` of this process
+read right before and right after each op's timed run. Each op's output is
+released after its check, before the next op runs, as perfbench's `run_op`
+does, so no op's faults depend on whether the previous table is still held.
+A `paper` op's work runs in child processes, whose faults this process does
+not count.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import resource
 import statistics
 import sys
 import tempfile
@@ -106,6 +115,11 @@ def paper_sides(workloads: ModuleType, seed: int, srcs: tuple, work_root: Path) 
     )
 
 
+def minor_faults() -> int:
+    """This process's minor page faults so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def interleave(
     workloads: ModuleType, workload, packages: tuple, inputs: int, runners: tuple = ()
 ) -> dict:
@@ -115,25 +129,31 @@ def interleave(
     checks each side's ops (a `paper` side's own tree and work directory)."""
     runners = runners or (workload, workload)
 
-    def op(side: int, inp) -> tuple[float, str]:
+    def op(side: int, inp) -> tuple[float, str, int]:
         workloads.owcsim = packages[side]
+        faults = minor_faults()
         start = time.perf_counter()
         out = runners[side].run(inp)
         elapsed = time.perf_counter() - start
-        return elapsed, hashlib.sha256(runners[side].check(inp, out)).hexdigest()
+        faults = minor_faults() - faults
+        digest = hashlib.sha256(runners[side].check(inp, out)).hexdigest()
+        del out  # released before the next op, as perfbench's run_op does
+        return elapsed, digest, faults
 
     warmup = workload.next_input()
     for side in (0, 1):
         op(side, warmup)
     times: tuple[list[float], list[float]] = ([], [])
+    faults: tuple[list[int], list[int]] = ([], [])
     same = True
     for i in range(inputs):
         inp = workload.next_input()
         sides = (0, 1) if i % 2 == 0 else (1, 0)
         digests = {}
         for side in sides:
-            elapsed, digests[side] = op(side, inp)
+            elapsed, digests[side], op_faults = op(side, inp)
             times[side].append(elapsed)
+            faults[side].append(op_faults)
         same = same and digests[0] == digests[1]
     ratios = [b / a for a, b in zip(*times)]
     # quantiles() needs two ratios; one ratio is its own quartiles.
@@ -148,6 +168,8 @@ def interleave(
         "ratio_q3": q3,
         "b_faster_frac": sum(b < a for a, b in zip(*times)) / inputs,
         "digests_equal": same,
+        "a_minflt_per_op_p50": statistics.median(faults[0]),
+        "b_minflt_per_op_p50": statistics.median(faults[1]),
     }
 
 
@@ -184,6 +206,8 @@ def main(argv: list[str] | None = None) -> int:
     if "a_peak_rss_mb" in result:
         rss = (result["a_peak_rss_mb"], result["b_peak_rss_mb"])
         print("peak child RSS  A {:.2f} MB  B {:.2f} MB".format(*rss))
+    faults = (result["a_minflt_per_op_p50"], result["b_minflt_per_op_p50"])
+    print("minor page faults per op, median  A {:g}  B {:g}".format(*faults))
     print(f"per-op digests equal: {result['digests_equal']}")
     print(json.dumps(result))
     return 0 if result["digests_equal"] else 1
