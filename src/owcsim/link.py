@@ -3,17 +3,19 @@
 `noise_variance`, `sinr`, `achievable_rate` and `sum_rate` take either
 Python floats or float64 ndarrays in their per-user and power-dependent
 arguments, so one copy of each formula serves a single operating point and a
-(users, points) chunk of a sweep, as `network` passes them. Arrays go through
+chunk of a sweep: `network` passes a (users, 1) column of gains and a row of
+powers, for a block of users over all of a case's points. Arrays go through
 the same operations in the same order as floats and give bitwise the same
 elements, whatever the chunk; a float input returns a float. Given `out=`
-(float64 buffers of the result's shape; `noise_variance` takes the
-variance's and a scratch one, which may hold the received power), each
-formula runs its steps in place in them and returns the one holding the
-result, bitwise the call without; `achievable_rate`'s may be `gamma`. Each
-sign guard is one reduction, made before any buffer is written.
-`sum_rate` of a (users, points) block makes one nonnegativity check and one
-sum that adds the user rows in order, as the loop over users does, at any
-number of points.
+(float64 buffers of the result's shape, which may be strided views, as the
+slice of a sweep table's user-major block that `network` passes for the
+rate; `noise_variance` takes the variance's and a scratch one, which may
+hold the received power), each formula runs its steps in place in them and
+returns the one holding the result, bitwise the call without;
+`achievable_rate`'s may be `gamma`. Each sign guard is one reduction, made
+before any buffer is written. `sum_rate` of a (users, points) block makes one
+nonnegativity check and one sum that adds the user rows in order, as the
+loop over users does, at any number of points.
 
 `LinkResult` is one user's whole outcome, from channel gains to rate. Of the
 owcsim modules, this one imports only `schema`, whose rows `NoiseParams` meets.

@@ -17,12 +17,13 @@ sweep points can be computed in any order.
 
 Only the transmit power changes between sweep points, so the gains and the
 assignment are computed once per variant, and the rate path (received power,
-noise, SNR and rate) runs over (users, points) chunks of about
-`_RATE_ELEMENTS` elements, each written straight into its final rows of the
-table's block, whose row order is found once; an evaluation at the
-scenario's own power passes one point. `sweep_snr` keeps the powers of the
-last SNR grid it priced, so a grid swept again over new users is priced
-once.
+noise, SNR and rate) runs over chunks of users, each over all of its case's
+points and about `_RATE_ELEMENTS` elements. The table's rate block is
+user-major, and each case's rows are one run of it, in the row order found
+once, so every chunk writes its rates straight into their final place; an
+evaluation at the scenario's own power passes one point. `sweep_snr` keeps
+the powers of the last SNR grid it priced, so a grid swept again over new
+users is priced once.
 
 A Scenario computes two gain tables once, each holding gains and serving
 receiver branches: `direct_table` (one `channel.aimed_los_gain_table` call,
@@ -667,8 +668,9 @@ def evaluate_scenario(scenario: Scenario) -> list[LinkResult]:
     return _link_results(scenario, scenario_assignment(scenario))
 
 
-# (user, point) elements per chunk of `_rate_table`'s rate path: its two
-# buffers then stay in cache, as `channel._BLOCK_PAIRS` keeps the mirror
+# (user, point) elements per chunk of `_rate_table`'s rate path, a block of
+# users over all of a case's points: its variance buffer and its slice of the
+# table then stay in cache, as `channel._BLOCK_PAIRS` keeps the mirror
 # kernel's temporaries.
 _RATE_ELEMENTS = 16384
 
@@ -678,38 +680,37 @@ def _rate_table(
     sweep_var: Sequence[float] | np.ndarray,
     p_tot: np.ndarray,
 ) -> ResultTable:
-    """Rates of every (labelled scenario, transmit power) pair, in that order,
-    as table rows with the given sweep values. Each scenario's gains and
-    assignment are computed once; its rate path runs over chunks of about
-    `_RATE_ELEMENTS` (user, point) elements, in place in C-contiguous views
-    of two buffers sized for the largest chunk. `ResultTable.from_block`'s
-    row order is found up front, so every chunk's rates and sums go straight
-    to their final rows, and the labels are one run per variant name."""
+    """Rates of every (labelled scenario, transmit power) pair, as table rows
+    with the given sweep values; cases sharing a label have one point each.
+    `ResultTable.from_block`'s row order is found up front, so each case's
+    rows are one run of the user-major (users, rows) block, its points in
+    ascending sweep order, stable. Run by run, each scenario's gains and
+    assignment are computed once; its rate path runs in chunks of
+    `_RATE_ELEMENTS // points` users (at least one) written in place into the
+    run, the variance in one flat buffer, and its sums are one `sum_rate`."""
     points, users = len(p_tot), [len(variant.users) for _, variant in cases]
     names = sorted({label for label, _ in cases})
     code = np.repeat([names.index(label) for label, _ in cases], points)
     sweep = np.asarray(sweep_var, dtype=np.float64)
     order = np.lexsort((sweep, code))
-    row = np.empty_like(order)  # the final row of each (case, point)
-    row[order] = np.arange(len(order))
-    block, sums = np.zeros((len(order), max(users))), np.empty(len(order))
-    steps = [min(max(1, _RATE_ELEMENTS // n), points) for n in users]
-    size = max(map(operator.mul, users, steps))
-    buffers = np.empty(size), np.empty(size)
-    for c, (_, variant) in enumerate(cases):
+    power = np.tile(p_tot, len(cases))[order]  # each row's per-beam power
+    block, sums = np.zeros((max(users), len(order))), np.empty(len(order))
+    step = max(1, _RATE_ELEMENTS // points)  # users per chunk
+    variance = np.empty(min(step, max(users)) * points)
+    for start in range(0, len(order), points):  # one run of rows per case
+        c, run = int(order[start]) // points, slice(start, start + points)
+        variant = cases[c][1]
         q = _gains(variant, scenario_assignment(variant))[2][:, None]
-        for start in range(0, points, steps[c]):
-            stop = min(start + steps[c], points)
-            views = (flat[: users[c] * (stop - start)].reshape(users[c], -1) for flat in buffers)
-            rates = _link(variant, q, p_tot[start:stop], *views)[3]
-            at = row[c * points + start : c * points + stop]
-            block[at, : users[c]] = rates.T
-            sums[at] = sum_rate(rates)
+        for u in range(0, users[c], step):
+            n = min(step, users[c] - u)
+            scratch = variance[: n * points].reshape(n, points)
+            _link(variant, q[u : u + n], power[run], scratch, block[u : u + n, run])
+        sums[run] = sum_rate(block[: users[c], run])
     labels = []
     for name in names:  # one run of rows per variant name, as the order sorts them
         labels += [name] * (points * sum(label == name for label, _ in cases))
     counts = np.repeat(users, points)[order]
-    return ResultTable._adopt(sweep[order], tuple(labels), sums, block, counts)
+    return ResultTable._adopt(sweep[order], tuple(labels), sums, block.T, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -776,19 +777,23 @@ def sweep_snr(
     """Sum rate against transmit SNR for each mirror-wall variant.
 
     All variants see identical users; per-variant gains and assignments are
-    power-independent and computed once. A grid swept again is priced once:
+    power-independent and computed once. A variant label given twice raises
+    ValueError naming it and both indices. A grid swept again is priced once:
     the per-beam powers of the last grid are kept, keyed by the exact bits
     of the points (so -0.0 and 0.0 stay apart), the noise and the
     responsivity. Every call still checks its own points: the first point, in
     the order given, that is not finite is rejected, then the first whose
     power ratio overflows a float, then the first whose per-beam power
     exceeds this scenario's eye-safety cap, all before any rate is computed.
-    Then each variant's rate path runs per chunk of points (`_rate_table`),
-    giving every user's rate at every point.
+    Then each variant's rate path runs per chunk of users over all the
+    points (`_rate_table`), giving every user's rate at every point.
     """
     column = np.fromiter(map(float, snr_points_db), np.float64)
     if not column.size or not variants:
         raise ValueError("snr_points_db and variants must be nonempty")
+    for j, label in enumerate(variants):
+        if label in variants[:j]:
+            raise ValueError(f"variants[{j}] repeats variants[{variants.index(label)}]: {label!r}")
     finite = np.isfinite(column)
     if not finite.all():
         first = int(finite.argmin())

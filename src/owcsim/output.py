@@ -43,7 +43,10 @@ class ResultTable:
     `user_rates_bps` is a read-only float64 (rows, users) block; row i holds
     `user_counts[i]` rates and zeros after them, as a user sweep's rows differ
     in length. Build one with `from_block` or `from_rows`, which sort the rows
-    stably and check every rate once. `==` compares every array bitwise.
+    stably and check every rate once. A sweep's table holds the transposed
+    view of a user-major (users, rows) block instead, with the same values,
+    the same `==` and the same CSV bytes. `==` compares every array bitwise,
+    in row-major order whatever its layout.
     """
 
     sweep_var: np.ndarray  # (rows,)

@@ -891,6 +891,25 @@ class TestSweepSnr:
         with pytest.raises(ValueError):
             sweep_snr(build_default_scenario(None), [])
 
+    @pytest.mark.parametrize(
+        "variants, message",
+        [
+            (("none", "none"), "variants[1] repeats variants[0]: 'none'"),
+            (["5x5", "none", "10x10", "none"], "variants[3] repeats variants[1]: 'none'"),
+            (("10x10", "5x5", "10x10", "5x5"), "variants[2] repeats variants[0]: '10x10'"),
+        ],
+    )
+    def test_repeated_variant_rejected_before_any_rate(self, monkeypatch, variants, message):
+        # A repeated label would double every row of its variant; the check
+        # runs before any variant is built or any rate computed.
+        def unreached(*args):
+            raise AssertionError("a rate was computed")
+
+        monkeypatch.setattr(owcsim.network, "_variant_scenario", unreached)
+        monkeypatch.setattr(owcsim.network, "_rate_table", unreached)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep_snr(build_default_scenario(None), [80.0, 60.0, 70.0], variants)
+
     def test_empty_or_zero_user_counts_rejected(self):
         s = build_default_scenario(None)
         with pytest.raises(ValueError, match="^k_values must be a nonempty list"):
@@ -1200,9 +1219,10 @@ class TestGridMemo:
 
 
 class TestRateChunks:
-    """`_rate_table` runs each case's rate path over chunks of about
-    `_RATE_ELEMENTS` (user, point) elements, at least one point each, and
-    the table is bitwise the same whatever the budget."""
+    """`_rate_table` runs each case's rate path over chunks of
+    `_RATE_ELEMENTS // points` users, at least one each, every chunk over all
+    of the case's points, and the table is bitwise the same whatever the
+    budget."""
 
     VARIANTS = ("none", "5x5", "10x10")
     BUDGETS = (1, 256, 16384)
@@ -1215,16 +1235,21 @@ class TestRateChunks:
 
     @staticmethod
     def record_chunks(monkeypatch):
-        """Every rate-path call's (users, points) shape, and each `_gains` call."""
-        calls = {"_link": [], "_gains": []}
-        for name in calls:
+        """Every rate-path call's (users, points) shape and its gains, and
+        each `_gains` call's user count and q."""
+        calls = {"_link": [], "_gains": [], "chunk q": [], "case q": []}
+        for name in ("_link", "_gains"):
             original = getattr(owcsim.network, name)
 
             def recorded(scenario, *args, _original=original, _name=name):
-                calls[_name].append(
-                    len(scenario.users) if _name == "_gains" else (len(args[0]), len(args[1]))
-                )
-                return _original(scenario, *args)
+                result = _original(scenario, *args)
+                if _name == "_gains":
+                    calls["_gains"].append(len(scenario.users))
+                    calls["case q"].append(result[2].copy())
+                else:
+                    calls["_link"].append((len(args[0]), len(args[1])))
+                    calls["chunk q"].append(args[0][:, 0].copy())
+                return result
 
             monkeypatch.setattr(owcsim.network, name, recorded)
         return calls
@@ -1247,16 +1272,21 @@ class TestRateChunks:
     @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("users, points", [(1, 13), (7, 1201), (64, 13), (64, 1025)])
     def test_chunks_cover_the_grid_in_order(self, monkeypatch, budget, users, points):
+        # 64 users at 1025 points and the default budget give chunks of 15
+        # users and a 4-user tail; 7 users at 1201 points fit one chunk, under
+        # the 13 the budget allows.
         monkeypatch.setattr(owcsim.network, "_RATE_ELEMENTS", budget)
         calls = self.record_chunks(monkeypatch)
         sweep_snr(self.scenario(users), [70.0] * points, ("none",))
-        step = max(1, budget // users)
-        widths = [shape[1] for shape in calls["_link"]]
+        step = max(1, budget // points)
+        sizes = [shape[0] for shape in calls["_link"]]
         assert calls["_gains"] == [users]  # once per case, not per chunk
-        assert {shape[0] for shape in calls["_link"]} == {users}
-        assert sum(widths) == points
-        assert widths[:-1] == [step] * (len(widths) - 1)
-        assert 1 <= widths[-1] <= step
+        assert {shape[1] for shape in calls["_link"]} == {points}  # all of the case's points
+        assert sum(sizes) == users
+        assert sizes[:-1] == [step] * (len(sizes) - 1)
+        assert 1 <= sizes[-1] <= step
+        # The chunks take the case's users in order.
+        assert np.concatenate(calls["chunk q"]).tobytes() == calls["case q"][0].tobytes()
 
     def test_more_users_than_the_budget(self, monkeypatch):
         s = self.scenario(64)
@@ -1265,10 +1295,11 @@ class TestRateChunks:
         monkeypatch.setattr(owcsim.network, "_RATE_ELEMENTS", 16)
         calls = self.record_chunks(monkeypatch)
         assert sweep_snr(s, grid, self.VARIANTS) == whole
-        # One point per chunk: the budget is under one column of users.
-        assert [shape[1] for shape in calls["_link"]] == [1] * 201 * 3
+        # One user per chunk: the budget is under one row of points.
+        assert calls["_gains"] == [64] * 3
+        assert calls["_link"] == [(1, 201)] * 64 * 3
 
-    @pytest.mark.parametrize("budget", [1, 256, sys.maxsize])
+    @pytest.mark.parametrize("budget", [1, 3, 256, sys.maxsize])
     def test_sweep_users_equal_for_every_budget(self, monkeypatch, budget):
         s = build_default_scenario(None)
         ks = [1, 3, 8, 20, 64]
@@ -1276,14 +1307,20 @@ class TestRateChunks:
         monkeypatch.setattr(owcsim.network, "_RATE_ELEMENTS", budget)
         calls = self.record_chunks(monkeypatch)
         assert sweep_users(s, ks) == whole
-        # One point per case: each case is one chunk.
-        assert calls["_link"] == [(k, 1) for k in ks for _ in range(2)]
+        # One point per case: each chunk holds `budget` users, and a case
+        # with no more users than that is one chunk. The cases run in row
+        # order, "5x5" then "none", each by ascending K.
+        assert calls["_gains"] == ks * 2
+        assert calls["_link"] == [
+            (min(budget, k - u), 1) for _ in range(2) for k in ks for u in range(0, k, budget)
+        ]
 
-    @pytest.mark.parametrize("budget, width", [(100, 14), (16384, 50), (sys.maxsize, 50)])
+    @pytest.mark.parametrize("budget, width", [(100, 2), (16384, 7), (sys.maxsize, 7)])
     def test_every_chunk_writes_into_one_block_per_buffer(self, monkeypatch, budget, width):
-        # 7 users and a budget of 100 give chunks of 14, 14, 14 and 8 points,
-        # so each of the two buffers holds 98 elements, the largest chunk,
-        # not the budget.
+        # 50 points and a budget of 100 give chunks of 2, 2, 2 and 1 of the 7
+        # users, so the variance buffer holds 100 elements, the largest
+        # chunk, not the budget. Each chunk's rates are a slice of the
+        # returned table's block, and the chunks' slices tile it.
         monkeypatch.setattr(owcsim.network, "_RATE_ELEMENTS", budget)
         chunks = []
         original = owcsim.network._link
@@ -1293,16 +1330,20 @@ class TestRateChunks:
             return original(scenario, q, p_tot, *buffers)
 
         monkeypatch.setattr(owcsim.network, "_link", recorded)
-        sweep_snr(self.scenario(7), [60.0 + i for i in range(50)], ("none", "5x5"))
-        widths = [14, 14, 14, 8] if width == 14 else [50]
-        assert [buffers[0].shape for buffers in chunks] == [(7, w) for w in widths] * 2
-        blocks = chunks[0][0].base, chunks[0][1].base
-        assert [block.shape for block in blocks] == [(7 * width,)] * 2
-        assert not np.shares_memory(*blocks)
-        for buffers in chunks:
-            for view, block in zip(buffers, blocks, strict=True):
-                assert view.base is block and view.ctypes.data == block.ctypes.data
-                assert view.flags.c_contiguous and view.shape == buffers[0].shape
+        table = sweep_snr(self.scenario(7), [60.0 + i for i in range(50)], ("none", "5x5"))
+        sizes = [2, 2, 2, 1] if width == 2 else [7]
+        assert [buffers[0].shape for buffers in chunks] == [(n, 50) for n in sizes] * 2
+        scratch = chunks[0][0].base
+        assert scratch.shape == (width * 50,)
+        for variance, rate in chunks:
+            assert variance.base is scratch and variance.ctypes.data == scratch.ctypes.data
+            assert variance.flags.c_contiguous and rate.shape == variance.shape
+            assert np.shares_memory(rate, table.user_rates_bps)
+            assert not np.shares_memory(rate, scratch)
+        rates = [rate for _, rate in chunks]
+        assert sum(rate.size for rate in rates) == table.user_rates_bps.size
+        for i, rate in enumerate(rates):
+            assert not any(np.shares_memory(rate, other) for other in rates[i + 1 :])
 
 
 class TestSweepSnrRowOrder:

@@ -2,6 +2,7 @@
 
     python3 tools/interleave_ab.py A_SRC B_SRC --workload snr-dense --inputs 300
     python3 tools/interleave_ab.py A_SRC B_SRC --workload paper --inputs 40
+    python3 tools/interleave_ab.py A_SRC B_SRC --workload setup --inputs 60
 
 A_SRC and B_SRC are directories that each hold an `owcsim` package, such as
 the `src` of two checkouts. They load into one interpreter as the distinct
@@ -19,6 +20,16 @@ in a work directory of its own, and the check reads the outputs with that
 tree's package. The op digest covers the bytes of every output file, SVGs
 included; the result adds each tree's largest child peak RSS
 (`a_peak_rss_mb`, `b_peak_rss_mb`).
+
+`setup` times perfbench's setup body (`SETUP_BODY` in `perfbench/run.py`,
+imported unedited: `import owcsim`, then `parse_config` of a workload's setup
+document) in a fresh interpreter per op, with PYTHONPATH set to the op's
+tree, by the child's own clock, as perfbench's `setup_s` probe does. The
+inputs take the setup documents of `paper`, `wall-scale` and `snr-dense` at
+`--seed` in turn, and the result adds the median ratio per document
+(`ratio_p50_by_document`). A child has no output to compare and its faults
+are its own, so this workload reports no digests and no fault columns; a
+child that fails stops the run.
 
 Prints each tree's median op time, the quartiles over inputs of the
 per-input ratio B/A (`ratio_q1`, `ratio_p50`, `ratio_q3`, inclusive linear
@@ -44,8 +55,10 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -115,6 +128,88 @@ def paper_sides(workloads: ModuleType, seed: int, srcs: tuple, work_root: Path) 
     )
 
 
+def perfbench_run() -> ModuleType:
+    """perfbench's `run.py`, imported unedited for its probe code."""
+    sys.path.insert(0, str(ROOT / "perfbench"))  # for its `from reference import`
+    try:
+        path = ROOT / "perfbench" / "run.py"
+        spec = importlib.util.spec_from_file_location("perfbench_run", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return module
+
+
+def setup_documents(workloads: ModuleType, seed: int) -> list[tuple[str, dict]]:
+    """Each workload's perfbench setup document at `seed`, with its name."""
+    kinds = (
+        workloads.Paper(seed, Path(os.devnull), ROOT / "src"),  # never run
+        workloads.WallScale(seed),
+        workloads.SnrDense(seed),
+    )
+    return [(kind.name, kind.setup_document()) for kind in kinds]
+
+
+def probe_setup(code: str, src: str | Path, document: dict) -> float:
+    """Seconds the probe `code` takes on `document` in a fresh interpreter
+    that imports owcsim from `src`, by the child's own clock."""
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(document)],
+        env=dict(os.environ, PYTHONPATH=str(Path(src).resolve())),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return float(done.stdout.strip().splitlines()[-1])
+
+
+def interleave_setup(srcs: tuple, documents: list[tuple[str, dict]], inputs: int) -> dict:
+    """Time perfbench's setup body on `inputs` inputs, each the next of
+    `documents`, in a fresh interpreter per tree, the first side alternating;
+    one untimed warm-up child per side first."""
+    run = perfbench_run()
+    code = run.PROBE_CODE.format(body=run.SETUP_BODY)
+    for src in srcs:
+        probe_setup(code, src, documents[0][1])
+    times: tuple[list[float], list[float]] = ([], [])
+    names = []
+    for i in range(inputs):
+        name, document = documents[i % len(documents)]
+        names.append(name)
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            times[side].append(probe_setup(code, srcs[side], document))
+    by_document = {
+        name: statistics.median(b / a for a, b, n in zip(*times, names) if n == name)
+        for name in dict.fromkeys(names)
+    }
+    return {
+        "workload": "setup",
+        "inputs": inputs,
+        **ratio_summary(times),
+        "ratio_p50_by_document": by_document,
+    }
+
+
+def ratio_summary(times: tuple[list[float], list[float]]) -> dict:
+    """Each side's median time, the quartiles of the per-input ratio B/A and
+    the share of inputs on which B ran faster."""
+    ratios = [b / a for a, b in zip(*times)]
+    # quantiles() needs two ratios; one ratio is its own quartiles.
+    q1, _, q3 = (
+        statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+    )
+    return {
+        "a_op_s_p50": statistics.median(times[0]),
+        "b_op_s_p50": statistics.median(times[1]),
+        "ratio_q1": q1,
+        "ratio_p50": statistics.median(ratios),
+        "ratio_q3": q3,
+        "b_faster_frac": sum(b < a for a, b in zip(*times)) / len(ratios),
+    }
+
+
 def minor_faults() -> int:
     """This process's minor page faults so far."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -155,18 +250,10 @@ def interleave(
             times[side].append(elapsed)
             faults[side].append(op_faults)
         same = same and digests[0] == digests[1]
-    ratios = [b / a for a, b in zip(*times)]
-    # quantiles() needs two ratios; one ratio is its own quartiles.
-    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if inputs > 1 else ratios * 3
     return {
         "workload": workload.name,
         "inputs": inputs,
-        "a_op_s_p50": statistics.median(times[0]),
-        "b_op_s_p50": statistics.median(times[1]),
-        "ratio_q1": q1,
-        "ratio_p50": statistics.median(ratios),
-        "ratio_q3": q3,
-        "b_faster_frac": sum(b < a for a, b in zip(*times)) / inputs,
+        **ratio_summary(times),
         "digests_equal": same,
         "a_minflt_per_op_p50": statistics.median(faults[0]),
         "b_minflt_per_op_p50": statistics.median(faults[1]),
@@ -178,14 +265,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("a_src", help="directory holding the A tree's owcsim package")
     parser.add_argument("b_src", help="directory holding the B tree's owcsim package")
     parser.add_argument(
-        "--workload", choices=("snr-dense", "wall-scale", "paper"), default="snr-dense"
+        "--workload", choices=("snr-dense", "wall-scale", "paper", "setup"), default="snr-dense"
     )
     parser.add_argument("--inputs", type=int, default=300)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     packages = (load_tree(args.a_src, "owcsim_a"), load_tree(args.b_src, "owcsim_b"))
     workloads = import_workloads(packages[0])
-    if args.workload == "paper":
+    if args.workload == "setup":
+        documents = setup_documents(workloads, args.seed)
+        result = interleave_setup((args.a_src, args.b_src), documents, args.inputs)
+    elif args.workload == "paper":
         with tempfile.TemporaryDirectory() as work:
             sides = paper_sides(workloads, args.seed, (args.a_src, args.b_src), Path(work))
             result = interleave(workloads, sides[0], packages, args.inputs, sides)
@@ -206,11 +296,15 @@ def main(argv: list[str] | None = None) -> int:
     if "a_peak_rss_mb" in result:
         rss = (result["a_peak_rss_mb"], result["b_peak_rss_mb"])
         print("peak child RSS  A {:.2f} MB  B {:.2f} MB".format(*rss))
-    faults = (result["a_minflt_per_op_p50"], result["b_minflt_per_op_p50"])
-    print("minor page faults per op, median  A {:g}  B {:g}".format(*faults))
-    print(f"per-op digests equal: {result['digests_equal']}")
+    if "ratio_p50_by_document" in result:
+        by_document = result["ratio_p50_by_document"].items()
+        print("median B/A per setup document  " + "  ".join(f"{k} {v:.4f}" for k, v in by_document))
+    else:
+        faults = (result["a_minflt_per_op_p50"], result["b_minflt_per_op_p50"])
+        print("minor page faults per op, median  A {:g}  B {:g}".format(*faults))
+        print(f"per-op digests equal: {result['digests_equal']}")
     print(json.dumps(result))
-    return 0 if result["digests_equal"] else 1
+    return 0 if result.get("digests_equal", True) else 1
 
 
 if __name__ == "__main__":
