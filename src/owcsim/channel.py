@@ -30,11 +30,11 @@ pairs kept, gathered into 1-D arrays, with the arithmetic of the reference.
 Where a lower bound on the mirror's intercept, first taken from the incidence
 cosine alone, clears the photodiode capture, the capture is the minimum, as
 it is with the true intercept; only the other pairs build the mirror axes,
-and fewer still call erf. Both kernels take one receiver,
-carried by every user, whose branches share one photodiode and field of
-view, so a pair has one captured fraction. Both gate the field of view with
-one helper that compares cosines and takes acos only at the edge, and pick
-the serving branch with another.
+and fewer still call erf. Both kernels take points as `Vec3`s or an (n, 3)
+array, and one receiver, carried by every user, whose branches share one
+photodiode and field of view, so a pair has one captured fraction. Both gate
+the field of view with one helper that compares cosines and takes acos only
+at the edge, and pick the serving branch with another.
 """
 
 from __future__ import annotations
@@ -375,8 +375,10 @@ def aim(
     return separation, (ux, uy, uz), bad
 
 
-def coordinates(points: Sequence[Vec3]) -> np.ndarray:
-    """The points as an (n, 3) float array."""
+def coordinates(points: Sequence[Vec3] | np.ndarray) -> np.ndarray:
+    """The points as an (n, 3) float array: an array is returned as it is."""
+    if isinstance(points, np.ndarray):
+        return points
     return np.array([c for p in points for c in p.as_tuple()], dtype=np.float64).reshape(-1, 3)
 
 

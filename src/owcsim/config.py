@@ -6,8 +6,9 @@ noise, power, sweep, and output plus a top-level seed: one key per row of
 import; a parse checks the document's own keys, converting their types and
 naming any list entry at fault. Unknown keys are rejected with their full
 path. The built types hold their fields to the same rows, so every dump
-reloads. This module owns the document format; `network` works on the built
-Scenario. docs/config_schema.md documents the same table.
+reloads; users pass as the row's position tuples, blocked flags and one
+receiver. This module owns the document format; `network` works on the
+built Scenario. docs/config_schema.md documents the same table.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .link import NoiseParams
 from .network import (
     AdtSpec,
     Scenario,
-    UserSpec,
     build_irs_panel,
     default_adr_branches,
     place_users_uniform,
@@ -142,31 +142,31 @@ def _scenario(values: Mapping[str, object]) -> Scenario:
     k = values["users.k"]
     positions = values["users.positions"]
     if positions is None:
-        points = place_users_uniform(k, dims, values["seed"], receiver_z)
+        placed = place_users_uniform(k, dims, values["seed"], receiver_z)
+        positions = tuple(map(Vec3.as_tuple, placed))
     elif len(positions) != k:
         raise ValueError(
             f"users.k ({k}) must match the number of users.positions ({len(positions)})"
         )
-    else:
-        points = [Vec3(*p) for p in positions]
     blocked = set(values["users.blocked"])
     if blocked and max(blocked) >= k:
         raise ValueError(
             f"users.blocked entries must be user indices below users.k ({k}), got {max(blocked)}"
         )
-    branches = default_adr_branches(
-        azimuths_deg=values["users.branch_azimuths_deg"],
-        elevation_deg=values["users.branch_elevation_deg"],
-        fov_deg=values["users.fov_deg"],
-        pd_area=values["users.pd_area_m2"],
-    )
 
     return Scenario(
         room_dims=dims,
         receiver_z=receiver_z,
         adt=adt,
         irs=irs,
-        users=tuple(UserSpec(p, i in blocked, branches) for i, p in enumerate(points)),
+        positions=positions,
+        blocked=tuple(i in blocked for i in range(k)),
+        receiver=default_adr_branches(
+            azimuths_deg=values["users.branch_azimuths_deg"],
+            elevation_deg=values["users.branch_elevation_deg"],
+            fov_deg=values["users.fov_deg"],
+            pd_area=values["users.pd_area_m2"],
+        ),
         responsivity=values["users.responsivity_a_per_w"],
         noise=NoiseParams(
             rin_db_per_hz=values["noise.rin_db_per_hz"],
@@ -206,9 +206,9 @@ def effective_config(
         "adt.beam_waist_m": adt.beam_waist,
         "adt.wavelength_m": adt.beam_wavelength,
         "irs.enabled": panel is not None,
-        "users.k": len(scenario.users),
-        "users.positions": [list(u.position.as_tuple()) for u in scenario.users],
-        "users.blocked": [i for i, u in enumerate(scenario.users) if u.blocked],
+        "users.k": len(scenario.positions),
+        "users.positions": [list(p) for p in scenario.positions],
+        "users.blocked": [i for i, b in enumerate(scenario.blocked) if b],
         "users.pd_area_m2": branch.pd_area,
         "users.responsivity_a_per_w": scenario.responsivity,
         "users.branch_azimuths_deg": [b.orientation.azimuth_deg for b in scenario.receiver],

@@ -5,15 +5,15 @@ the job of `config`. `AdtSpec`, `IrsPanel` and `Scenario` hold each field a
 config key sets to that key's `schema.SCHEMA` row, and add only the checks no
 row states. A Scenario is immutable after validation, and is the one room
 check: transmitter apertures and users inside the room, and the mirror wall
-centred on its wall's plane and within that wall. It holds the one receiver
-of every user, and the one photodiode responsivity, of every user and of the
-transmit-SNR axis. Every user is served by one transmitter branch, which
-devotes one aimed beam to the user's receiver and one to each mirror assigned
-to that user. Each beam carries the transmit power `p_tot`, held under the
-per-beam eye-safety cap, so a user with total gain q = h_los + h_nlos
-receives q·p_tot: the power that gives the signal (R q p_tot)^2 also gives
-the shot and RIN noise. Evaluations are pure functions of the scenario, so
-sweep points can be computed in any order.
+centred on its wall's plane and within that wall. It holds the users'
+positions, blocked flags and one receiver, and the one photodiode
+responsivity, of every user and of the transmit-SNR axis. Every user is
+served by one transmitter branch, which devotes one aimed beam to the user's
+receiver and one to each mirror assigned to that user. Each beam carries the
+transmit power `p_tot`, held under the per-beam eye-safety cap, so a user
+with total gain q = h_los + h_nlos receives q·p_tot: the power that gives the
+signal (R q p_tot)^2 also gives the shot and RIN noise. Evaluations are pure
+functions of the scenario, so sweep points can be computed in any order.
 
 Only the transmit power changes between sweep points, so the gains and the
 assignment are computed once per variant, and the rate path (received power,
@@ -26,13 +26,14 @@ the powers of the last SNR grid it priced, so a grid swept again over new
 users is priced once.
 
 A Scenario computes two gain tables once, each holding gains and serving
-receiver branches: `direct_table` (one `channel.aimed_los_gain_table` call,
-on the (user, aperture) pairs that validation `aim`ed) and
-`mirror_table` (one `channel.irs_gain_table` call over every user, each from
-its serving transmitter branch, and the wall's `MirrorColumns`). Evaluation
-reads them and runs no scalar gain code: the scalar `los_gain`, `irs_gain`
-and `serving_branch_index` that the kernels are tested against live in
-`owcsim.reference`, which no evaluation module imports.
+receiver branches, from the (users, 3) positions that validation holds:
+`direct_table` (one `channel.aimed_los_gain_table` call, on the pairs that
+validation `aim`ed) and `mirror_table` (one `channel.irs_gain_table` call
+over every user, each from its serving transmitter branch, and the wall's
+`MirrorColumns`). Evaluation reads them, runs no scalar gain code and builds
+no `UserSpec`: the scalar `los_gain`, `irs_gain` and `serving_branch_index`
+that the kernels are tested against live in `owcsim.reference`, which no
+evaluation module imports.
 
 An `Assignment` is an owner vector over the wall, the user holding each mirror
 or -1. With no per-user cap each mirror goes to its best user, the lowest index
@@ -192,19 +193,21 @@ class UserSpec:
 class Scenario:
     """Validated room, transmitter, mirror wall, users, and power budget.
 
-    Every user carries one `receiver`, as a config writes it: one or more
-    branches of one elevation, field of view and photodiode area.
-    `direct_table`, `serving_branches` and `mirror_table` are cached properties:
-    `replace` starts them empty, and they take no part in `==`, `hash` or `repr`.
-    Nor does `_aimed`, the `channel.aim` of every (user, aperture) pair, which
-    validation computes and `direct_table` scores.
+    Users are `positions`, as the `users.positions` row returns them, and
+    `blocked` flags, all carrying one `receiver`: branches of one elevation,
+    field of view and photodiode area. Validation keeps the read-only (users,
+    3) `_xyz` and `_aimed`, `channel.aim` of every (user, aperture) pair; they
+    and the cached `users`, `direct_table`, `serving_branches` and
+    `mirror_table` start empty on `replace`, outside `==`, `hash` and `repr`.
     """
 
     room_dims: tuple[float, float, float]
     receiver_z: float
     adt: AdtSpec
     irs: IrsPanel | None
-    users: tuple[UserSpec, ...]
+    positions: tuple[tuple[float, float, float], ...]  # m, of each user
+    blocked: tuple[bool, ...]  # of each user
+    receiver: tuple[AdrBranch, ...]  # of every user
     responsivity: float  # A/W, of every photodiode of every user
     noise: NoiseParams
     p_tot: float  # W, carried by each aimed beam
@@ -216,12 +219,14 @@ class Scenario:
         check_fields(
             ("seed", self.rng_seed),
             ("room.dims", self.room_dims),
-            ("users.k", len(self.users)),
+            ("users.k", len(self.positions)),
             ("users.responsivity_a_per_w", self.responsivity),
             ("power.p_tot_w", self.p_tot),
             ("power.eye_safety_cap_w", self.eye_safety_cap),
             ("power.max_mirrors_per_user", self.max_mirrors_per_user),
         )
+        if len(self.blocked) != len(self.positions):
+            raise ValueError("users.blocked must hold one flag per entry of users.positions")
         if not 0.0 <= self.receiver_z <= self.room_dims[2]:
             raise ValueError(
                 f"room.receiver_z must be inside the room height, got {self.receiver_z}"
@@ -229,36 +234,33 @@ class Scenario:
         # One mask over every transmitter aperture and every user. A user on an
         # aperture, or a subnormal distance from one, has no beam direction; the
         # first such user and its lowest such branch are named.
-        apertures = self.adt.branch_positions()
-        points = [*apertures, *(user.position for user in self.users)]
-        xyz = coordinates(points)
+        apertures = len(self.adt.branch_positions())
+        points = [*map(Vec3.as_tuple, self.adt.branch_positions()), *self.positions]
+        xyz = np.array(points, dtype=np.float64)
+        xyz.flags.writeable = False
         outside = ~((xyz >= 0.0) & (xyz <= self.room_dims)).all(axis=1)
         if outside.any():
             k = int(outside.argmax())
-            i = k - len(apertures)  # the user index, negative for an aperture
+            i = k - apertures  # the user index, negative for an aperture
             name = (
                 f"users.positions[{i}]" if i >= 0
                 else "adt.center" if k == 0
                 else f"adt branch {k} (adt.center, adt.side_offset_m)"
             )
-            raise ValueError(f"{name}: position out of bounds of room.dims {points[k].as_tuple()}")
-        aimed = vars(self)["_aimed"] = aim(xyz[: len(apertures)], xyz[len(apertures) :])
-        unaimable = aimed[2]
-        if unaimable.any():
-            i, b = np.argwhere(unaimable)[0].tolist()
+            raise ValueError(f"{name}: position out of bounds of room.dims {tuple(points[k])}")
+        vars(self).update(_xyz=xyz[apertures:], _aimed=aim(xyz[:apertures], xyz[apertures:]))
+        if self._aimed[2].any():
+            i, b = np.argwhere(self._aimed[2])[0].tolist()
             raise ValueError(
                 f"users.positions[{i}] is at the aperture of transmitter branch {b} "
                 "(adt.center, adt.side_offset_m), or too near it for a beam to be aimed at it"
             )
-        # Every user carries user 0's receiver, of the one kind a config writes.
+        # The one receiver, of the one kind a config writes.
         receiver = self.receiver
         kinds = {(b.orientation.elevation_deg, b.fov_half_angle_deg, b.pd_area) for b in receiver}
-        odd = 0 if len(kinds) != 1 else next(
-            (i for i, user in enumerate(self.users) if user.branches != receiver), None
-        )
-        if odd is not None:
+        if len(kinds) != 1:
             raise ValueError(
-                f"users[{odd}] holds a receiver a config cannot write: users.branch_azimuths_deg, "
+                "receiver holds branches a config cannot write: users.branch_azimuths_deg, "
                 "users.branch_elevation_deg, users.fov_deg and users.pd_area_m2 set one receiver "
                 "of one or more branches for every user"
             )
@@ -294,10 +296,11 @@ class Scenario:
                 "power.p_tot_w exceeds power.eye_safety_cap_w: every aimed beam carries p_tot_w"
             )
 
-    @property
-    def receiver(self) -> tuple[AdrBranch, ...]:
-        """The receiver branches that every user carries."""
-        return self.users[0].branches
+    @cached_property
+    def users(self) -> tuple[UserSpec, ...]:
+        """The users as `UserSpec`s for the scalar reference, built on first read."""
+        flags = zip(self.positions, self.blocked)
+        return tuple(UserSpec(Vec3(*xyz), blocked, self.receiver) for xyz, blocked in flags)
 
     @cached_property
     def direct_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -307,11 +310,7 @@ class Scenario:
         serving receiver branch, -1 where there is none.
         """
         table = aimed_los_gain_table(
-            self._aimed,
-            self.receiver,
-            [user.blocked for user in self.users],
-            self.adt.beam_waist,
-            self.adt.beam_wavelength,
+            self._aimed, self.receiver, self.blocked, self.adt.beam_waist, self.adt.beam_wavelength
         )
         for array in table:
             array.flags.writeable = False
@@ -335,14 +334,13 @@ class Scenario:
         Read-only (users, mirrors) arrays of the mirror-path gain and of the
         serving receiver branch, -1 where there is none.
         """
-        shape = (len(self.users), 0)
+        shape = (len(self.positions), 0)
         table = (np.zeros(shape), np.full(shape, -1))
         if self.irs is not None:
-            positions = self.adt.branch_positions()
             table = irs_gain_table(
-                [positions[branch] for branch in self.serving_branches],
+                coordinates(self.adt.branch_positions())[list(self.serving_branches)],
                 self.irs.columns,
-                [user.position for user in self.users],
+                self._xyz,
                 self.receiver,
                 self.adt.beam_waist,
                 self.adt.beam_wavelength,
@@ -363,8 +361,8 @@ class Scenario:
         prefix = object.__new__(type(self))
         separation, directions, unaimable = self._aimed
         vars(prefix).update(
-            vars(self),
-            users=self.users[:k],
+            {name: value for name, value in vars(self).items() if name != "users"},
+            positions=self.positions[:k], blocked=self.blocked[:k], _xyz=self._xyz[:k],
             _aimed=(separation[:k], tuple(array[:k] for array in directions), unaimable[:k]),
             direct_table=tuple(array[:k] for array in self.direct_table),
             mirror_table=tuple(array[:k] for array in self.mirror_table),
@@ -540,9 +538,8 @@ def without_irs(scenario: Scenario) -> Scenario:
 def _fallback_branch(scenario: Scenario, user_index: int) -> int:
     """Branch for a user no branch reaches directly: the one nearest the
     mirror wall's centre, or the user when there is no wall."""
-    positions = scenario.adt.branch_positions()
-    user = scenario.users[user_index]
-    target = scenario.irs.panel_center if scenario.irs is not None else user.position
+    irs, positions = scenario.irs, scenario.adt.branch_positions()
+    target = irs.panel_center if irs is not None else Vec3(*scenario.positions[user_index])
     distances = [pos.distance_to(target) for pos in positions]
     return min(range(len(positions)), key=lambda b: (distances[b], b))
 
@@ -567,11 +564,11 @@ def assign_mirrors(
     tie: a column argmax, and only a finite cap runs the greedy loop. `gains`
     is a (users, mirrors) array of finite gains or a list of equal-length rows.
     """
-    if len(gains) != len(scenario.users):
+    if len(gains) != len(scenario.positions):
         raise ValueError(
-            f"dimension mismatch: gains has {len(gains)} rows for {len(scenario.users)} users"
+            f"dimension mismatch: gains has {len(gains)} rows for {len(scenario.positions)} users"
         )
-    if len({len(row) for row in gains}) > 1:
+    if not isinstance(gains, np.ndarray) and len({len(row) for row in gains}) > 1:
         raise ValueError("dimension mismatch: gains rows have unequal lengths")
     matrix = np.asarray(gains, dtype=np.float64)
     if matrix.ndim != 2:
@@ -616,7 +613,7 @@ def _gains(scenario: Scenario, assignment: Assignment) -> tuple[np.ndarray, ...]
     transmitter branch, and each held mirror's, summed in mirror order. The
     mirror path's receiver branch is the best held mirror's, the lowest
     mirror index on a tie. Temporaries have a size fixed by the scene."""
-    users = np.arange(len(scenario.users))
+    users = np.arange(len(scenario.positions))
     gain, receiver = scenario.direct_table
     branch = np.array(scenario.serving_branches)
     h_los, los_branch = gain[users, branch], receiver[users, branch]
@@ -688,13 +685,13 @@ def _rate_table(
     assignment are computed once; its rate path runs in chunks of
     `_RATE_ELEMENTS // points` users (at least one) written in place into the
     run, the variance in one flat buffer, and its sums are one `sum_rate`."""
-    points, users = len(p_tot), [len(variant.users) for _, variant in cases]
+    points, users = len(p_tot), [len(variant.positions) for _, variant in cases]
     names = sorted({label for label, _ in cases})
     code = np.repeat([names.index(label) for label, _ in cases], points)
     sweep = np.asarray(sweep_var, dtype=np.float64)
     order = np.lexsort((sweep, code))
     power = np.tile(p_tot, len(cases))[order]  # each row's per-beam power
-    block, sums = np.zeros((max(users), len(order))), np.empty(len(order))
+    block, sums = np.empty((max(users), len(order))), np.empty(len(order))
     step = max(1, _RATE_ELEMENTS // points)  # users per chunk
     variance = np.empty(min(step, max(users)) * points)
     for start in range(0, len(order), points):  # one run of rows per case
@@ -706,6 +703,7 @@ def _rate_table(
             scratch = variance[: n * points].reshape(n, points)
             _link(variant, q[u : u + n], power[run], scratch, block[u : u + n, run])
         sums[run] = sum_rate(block[: users[c], run])
+        block[users[c] :, run] = 0.0  # a case with fewer users pads its rows with zeros
     labels = []
     for name in names:  # one run of rows per variant name, as the order sorts them
         labels += [name] * (points * sum(label == name for label, _ in cases))
@@ -828,13 +826,13 @@ def sweep_users(scenario: Scenario, k_values: Sequence[int]) -> ResultTable:
     ks = SCHEMA["sweep.k_values"][1](
         "k_values", [int(k) if isinstance(k, np.integer) else k for k in k_values]
     )
-    positions = place_users_uniform(
+    placed = place_users_uniform(
         max(ks), scenario.room_dims, scenario.rng_seed, scenario.receiver_z
     )
-    users = tuple(UserSpec(position, False, scenario.receiver) for position in positions)
+    users = {"positions": tuple(map(Vec3.as_tuple, placed)), "blocked": (False,) * len(placed)}
     variants = (
-        ("none", replace(scenario, irs=None, users=users)),
-        (scenario.irs.label(), replace(scenario, users=users)),
+        ("none", replace(scenario, irs=None, **users)),
+        (scenario.irs.label(), replace(scenario, **users)),
     )
     cases = [(label, variant._first_users(k)) for k in ks for label, variant in variants]
     sweep_var = [float(k) for k in ks for _ in variants]

@@ -25,7 +25,6 @@ from owcsim.geometry import Orientation
 from owcsim.link import NoiseParams
 from owcsim.network import (
     AdtSpec,
-    UserSpec,
     build_irs_panel,
     default_adr_branches,
     simulate_scenario,
@@ -144,43 +143,37 @@ class TestLoadConfig:
         assert reloaded == scenario
 
     @staticmethod
-    def assert_receiver_refused(user: int, receiver: tuple) -> None:
-        """A default scenario with user `user` on `receiver` does not build,
-        naming that user; with the user restored, it builds and dumps."""
+    def assert_receiver_refused(receiver: tuple) -> None:
+        """A default scenario on `receiver` does not build; on its own
+        receiver again, it builds and dumps."""
         scenario = build_default_scenario(None)
-        users = list(scenario.users)
-        users[user] = dataclasses.replace(users[user], branches=receiver)
         with pytest.raises(ValueError) as err:
-            dataclasses.replace(scenario, users=tuple(users))
+            dataclasses.replace(scenario, receiver=receiver)
         assert str(err.value) == (
-            f"users[{user}] holds a receiver a config cannot write: users.branch_azimuths_deg, "
+            "receiver holds branches a config cannot write: users.branch_azimuths_deg, "
             "users.branch_elevation_deg, users.fov_deg and users.pd_area_m2 set one "
             "receiver of one or more branches for every user"
         )
-        users[user] = scenario.users[user]
-        assert effective_config(dataclasses.replace(scenario, users=tuple(users)))
+        assert effective_config(dataclasses.replace(scenario, receiver=scenario.receiver))
 
-    @pytest.mark.parametrize(
-        "user, fov_of_branch", [(1, (60.0,) * 4), (0, (25.0, 25.0, 40.0, 25.0))]
-    )
-    def test_receivers_a_config_cannot_write_are_refused(self, user, fov_of_branch):
-        # The document has one receiver for every user, and a scenario keeps
-        # the same rule: user 1 cannot hold a 60 deg field of view while user
-        # 0 holds 25, and one fov_deg cannot hold branches that differ.
+    def test_receivers_a_config_cannot_write_are_refused(self):
+        # The document has one receiver for every user, of one kind, and a
+        # scenario keeps the same rule: one fov_deg cannot hold branches that
+        # differ. Every user holds the scenario's one `receiver`, so no user
+        # can hold a receiver of its own.
         receiver = tuple(
             dataclasses.replace(branch, fov_half_angle_deg=fov)
-            for branch, fov in zip(default_adr_branches(), fov_of_branch)
+            for branch, fov in zip(default_adr_branches(), (25.0, 25.0, 40.0, 25.0))
         )
-        self.assert_receiver_refused(user, receiver)
+        self.assert_receiver_refused(receiver)
 
-    @pytest.mark.parametrize("user", [0, 2])
     @pytest.mark.parametrize("receiver", [
         (),
         default_adr_branches()[:1] + default_adr_branches((90.0, 180.0), elevation_deg=30.0),
     ], ids=["empty", "two-elevations"])
-    def test_receivers_without_one_branch_kind_are_refused(self, user, receiver):
+    def test_receivers_without_one_branch_kind_are_refused(self, receiver):
         # No branch at all, or one users.branch_elevation_deg that cannot hold both.
-        self.assert_receiver_refused(user, receiver)
+        self.assert_receiver_refused(receiver)
 
     @pytest.mark.parametrize(
         "fov_deg, pd_area, k_values, key",
@@ -197,10 +190,9 @@ class TestLoadConfig:
         # built, so no dump is reached, and no written document fails to load.
         scenario = build_default_scenario(None)
         receiver = default_adr_branches(fov_deg=fov_deg, pd_area=pd_area)
-        users = tuple(dataclasses.replace(user, branches=receiver) for user in scenario.users)
         with pytest.raises(ValueError, match="^" + re.escape(key)):
             effective_config(
-                dataclasses.replace(scenario, users=users), SweepSpec(k_values=k_values)
+                dataclasses.replace(scenario, receiver=receiver), SweepSpec(k_values=k_values)
             )
 
     def test_parse_error(self, tmp_path):
@@ -452,34 +444,32 @@ BRANCHES = st.lists(
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     kinds=BRANCH_KINDS,
-    receivers=st.lists(BRANCHES, min_size=1, max_size=2),
-    users=st.lists(st.tuples(st.integers(0, 1), st.booleans()), min_size=1, max_size=4),
+    branches=BRANCHES,
+    blocked=st.lists(st.booleans(), min_size=1, max_size=4),
 )
-def test_every_scenario_that_builds_reloads_from_its_effective_config(kinds, receivers, users):
-    # Users pick one of up to two receivers, whose branches pick one of up to
-    # two kinds: a scenario builds only on one receiver of one kind, and then
-    # its dump, through JSON, reloads to an equal scenario.
-    def receiver(branches):
-        return tuple(
-            AdrBranch(Orientation(azimuth, elevation), fov, area)
-            for azimuth, k in branches
-            for elevation, fov, area in [kinds[k % len(kinds)]]
-        )
-
-    base = build_default_scenario(None)
-    held = tuple(
-        UserSpec(spec.position, blocked, receiver(receivers[pick % len(receivers)]))
-        for spec, (pick, blocked) in zip(base.users, users)
+def test_every_scenario_that_builds_reloads_from_its_effective_config(kinds, branches, blocked):
+    # The receiver's branches pick one of up to two kinds: a scenario builds
+    # only on a receiver of one kind, and then its dump, through JSON,
+    # reloads to an equal scenario, blocked users included.
+    receiver = tuple(
+        AdrBranch(Orientation(azimuth, elevation), fov, area)
+        for azimuth, k in branches
+        for elevation, fov, area in [kinds[k % len(kinds)]]
     )
-    one_receiver = len({spec.branches for spec in held}) == 1
+    base = build_default_scenario(None)
+    held = {
+        "positions": base.positions[: len(blocked)],
+        "blocked": tuple(blocked),
+        "receiver": receiver,
+    }
     one_kind = len({
-        (b.orientation.elevation_deg, b.fov_half_angle_deg, b.pd_area) for b in held[0].branches
+        (b.orientation.elevation_deg, b.fov_half_angle_deg, b.pd_area) for b in receiver
     }) == 1
-    if not (one_receiver and one_kind):
-        with pytest.raises(ValueError, match=r"^users\[\d\] holds a receiver a config cannot"):
-            dataclasses.replace(base, users=held)
+    if not one_kind:
+        with pytest.raises(ValueError, match=r"^receiver holds branches a config cannot"):
+            dataclasses.replace(base, **held)
         return
-    scenario = dataclasses.replace(base, users=held)
+    scenario = dataclasses.replace(base, **held)
     document = json.loads(json.dumps(effective_config(scenario)))
     assert parse_config(document)[0] == scenario
 

@@ -20,7 +20,6 @@ from owcsim.channel import AdrBranch, los_gain_table
 from owcsim.config import build_default_scenario
 from owcsim.geometry import GeometryError, Orientation, Vec3
 from owcsim.network import (
-    UserSpec,
     default_adr_branches,
     evaluate_scenario,
 )
@@ -398,8 +397,7 @@ class TestScenarioCache:
 
     def test_replaced_users_get_a_new_table(self):
         s = build_default_scenario({"users": {"k": 4}})
-        moved = UserSpec(Vec3(0.3, 4.7, 0.0), False, s.users[0].branches)
-        other = replace(s, users=(moved,) + s.users[1:])
+        other = replace(s, positions=((0.3, 4.7, 0.0),) + s.positions[1:])
         assert other.direct_table[0][1:].tolist() == s.direct_table[0][1:].tolist()
         assert_scenario_matches(other)
 

@@ -230,7 +230,7 @@ class TestMirrorTable:
         s = build_default_scenario({"irs": {"grid_m": 7}, "users": {"k": 6}})
         for k in (1, 4, 6):
             sliced = s._first_users(k).mirror_table
-            fresh = replace(s, users=s.users[:k]).mirror_table
+            fresh = replace(s, positions=s.positions[:k], blocked=s.blocked[:k]).mirror_table
             assert all(np.array_equal(a, b) for a, b in zip(sliced, fresh))
 
 

@@ -157,8 +157,7 @@ def _above(key: str) -> float:
 
 
 def _with_receiver(s, **fields):
-    branches = default_adr_branches(**fields)
-    return replace(s, users=tuple(replace(user, branches=branches) for user in s.users))
+    return replace(s, receiver=default_adr_branches(**fields))
 
 
 class TestLibraryBuiltValuesAreFinite:
@@ -188,7 +187,7 @@ class TestLibraryBuiltValuesAreFinite:
         "power.max_mirrors_per_user": lambda s, v: replace(s, max_mirrors_per_user=v),
         "room.dims": lambda s, v: replace(s, room_dims=(5.0, v, 3.0)),
         "seed": lambda s, v: replace(s, rng_seed=v),
-        "users.k": lambda s, v: replace(s, users=s.users[:1] * v),
+        "users.k": lambda s, v: replace(s, positions=s.positions[:1] * v, blocked=(False,) * v),
         "users.responsivity_a_per_w": lambda s, v: replace(s, responsivity=v),
         "users.pd_area_m2": lambda s, v: _with_receiver(s, pd_area=v),
         "users.fov_deg": lambda s, v: _with_receiver(s, fov_deg=v),
@@ -453,6 +452,25 @@ class TestAssignMirrors:
             assign_mirrors(s, [[1.0, 2.0]], max_per_user=1)
         with pytest.raises(ValueError, match="dimension mismatch"):
             assign_mirrors(s, [[1.0, 2.0], [1.0]], max_per_user=1)
+
+    @pytest.mark.parametrize("cap", [None, 1])
+    def test_a_matrix_without_mirrors_assigns_nothing(self, cap):
+        s = self.scenario_with_users(3)
+        assignment = assign_mirrors(s, np.zeros((3, 0)), max_per_user=cap)
+        assert assignment.owner.shape == (0,) and assignment.per_user == ((), (), ())
+
+    def test_an_array_is_not_walked_row_by_row(self):
+        # An array's rows have one length by construction, so only a list of
+        # rows has its lengths compared.
+        class Unwalkable(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("a row of the gain array was read in Python")
+
+        s = self.scenario_with_users(2)
+        gains = np.array([[0.5, 0.0, 0.2], [0.1, 0.7, 0.0]])
+        for cap in (None, 1):
+            got = assign_mirrors(s, gains.view(Unwalkable), max_per_user=cap)
+            assert got == assign_mirrors(s, gains.tolist(), max_per_user=cap)
 
     def test_negative_gain_rejected(self):
         s = self.scenario_with_users(1)
@@ -814,8 +832,7 @@ class TestStructure:
             serving_branch_index(s, i) for i in range(len(s.users))
         )
         assert s == fresh and hash(s) == hash(fresh)  # the cache is not compared
-        moved = UserSpec(Vec3(0.3, 4.7, 0.0), False, s.users[0].branches)
-        other = replace(s, users=(moved,) + s.users[1:])
+        other = replace(s, positions=((0.3, 4.7, 0.0),) + s.positions[1:])
         assert other.serving_branches[1:] == s.serving_branches[1:]
         assert other.serving_branches[0] == serving_branch_index(other, 0)
 
@@ -1430,10 +1447,13 @@ class TestSweepUsers:
             positions = place_users_uniform(max(ks), s.room_dims, s.rng_seed, s.receiver_z)
             rows = []
             for k in ks:
-                users = tuple(UserSpec(positions[i], False, s.users[0].branches) for i in range(k))
+                users = {
+                    "positions": tuple(p.as_tuple() for p in positions[:k]),
+                    "blocked": (False,) * k,
+                }
                 for label, variant in (
-                    ("none", replace(s, irs=None, users=users)),
-                    (s.irs.label(), replace(s, users=users)),
+                    ("none", replace(s, irs=None, **users)),
+                    (s.irs.label(), replace(s, **users)),
                 ):
                     rates = [result.rate for result in evaluate_scenario(variant)]
                     rows.append(ResultRow(float(k), label, sum_rate(rates), tuple(rates)))
@@ -1449,12 +1469,17 @@ class TestSweepUsers:
 
         def arrays(scenario):
             separation, directions, unaimable = scenario._aimed
-            return [separation, *directions, unaimable, *scenario.direct_table,
+            return [scenario._xyz, separation, *directions, unaimable, *scenario.direct_table,
                     *scenario.mirror_table, np.array(scenario.serving_branches)]
 
-        for k in range(1, len(s.users) + 1):
-            prefix, rebuilt = s._first_users(k), replace(s, users=s.users[:k])
-            assert prefix == rebuilt and len(prefix.users) == k
+        assert len(s.users) == len(s.positions)  # cached on s, and not carried into a prefix
+        for k in range(1, len(s.positions) + 1):
+            rebuilt = replace(s, positions=s.positions[:k], blocked=s.blocked[:k])
+            prefix = s._first_users(k)
+            assert prefix == rebuilt and len(prefix.positions) == k
+            # `==` compares every field; the three user fields are sliced, not copied whole.
+            assert (prefix.positions, prefix.blocked) == (s.positions[:k], s.blocked[:k])
+            assert prefix.receiver is s.receiver and "users" not in vars(prefix)
             for got, expected in zip(arrays(prefix), arrays(rebuilt), strict=True):
                 assert got.dtype == expected.dtype and got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
@@ -1479,6 +1504,27 @@ class TestSweepUsers:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             sweep_users(build_default_scenario(None), [0, 1])
+
+    def test_padding_is_positive_zero_on_an_uninitialised_block(self, monkeypatch):
+        # The rate block starts uninitialised: each row past its user count is
+        # written +0.0, whatever the allocator hands back (NaN here).
+        s = build_default_scenario({"irs": {"grid_m": 6}})
+        want = sweep_users(s, [1, 5, 3])
+        empty = np.empty
+
+        def dirty(*args, **kwargs):
+            array = empty(*args, **kwargs)
+            if array.dtype.kind == "f":
+                array.fill(-np.nan)
+            return array
+
+        monkeypatch.setattr(owcsim.network.np, "empty", dirty)
+        table = sweep_users(s, [1, 5, 3])
+        assert table == want
+        rates = table.user_rates_bps
+        pad = np.arange(rates.shape[1]) >= table.user_counts[:, None]
+        assert pad.sum() == 2 * (4 + 2) and (rates[pad] == 0.0).all()
+        assert not np.signbit(rates[pad]).any()
 
     def test_no_wall_rejected_naming_irs_enabled(self):
         # The sweep compares the configured wall against none; with the wall
