@@ -121,25 +121,25 @@ _REACH = 1e-5
 
 
 def irs_gain_table(
-    ap_branch_positions: Sequence[Vec3],
+    ap_branch_positions: Sequence[Vec3] | np.ndarray,
     mirrors: MirrorColumns,
-    user_positions: Sequence[Vec3],
+    user_positions: Sequence[Vec3] | np.ndarray,
     receiver: Sequence[AdrBranch],
     waist_w0: float,
     wavelength: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mirror-path gain to every user via every mirror, each mirror steered per pair.
 
-    Vectorised form of `reference.steer_mirror` followed by
-    `reference.irs_gain` for a unit-power beam of the given waist and
-    wavelength, with user i served from the transmitter branch at
-    `ap_branch_positions[i]` and every user carrying `receiver`. Returns two
-    (users, mirrors) arrays: the gain of mirror j steered to bounce that branch
-    onto user i, and the serving receiver branch (-1 for None). Pairs the
-    reference scores 0 (zero-length leg, degenerate steering, an endpoint
-    behind the steered plane, no branch inside its field of view) are exactly
-    0 here too. A receiver whose branches differ in photodiode area or field
-    of view raises ValueError.
+    Vectorised form of `reference.steer_mirror` followed by `reference.irs_gain`
+    for a unit-power beam of the given waist and wavelength, with user i served
+    from the transmitter branch at `ap_branch_positions[i]` and every user
+    carrying `receiver`; either positions argument may be an (n, 3) array, taken
+    as it is. Returns two (users, mirrors) arrays: the gain of mirror j steered
+    to bounce that branch onto user i, and the serving receiver branch (-1 for
+    None). Pairs the reference scores 0 (zero-length leg, degenerate steering,
+    an endpoint behind the steered plane, no branch inside its field of view)
+    are exactly 0 here too. A receiver whose branches differ in photodiode area
+    or field of view raises ValueError.
 
     Stage 1, `_reachable`, drops the pairs no branch can see. Steering makes
     the reflected direction r the outgoing leg's unit vector l^ = (user -

@@ -142,12 +142,12 @@ def test_bytecode_runs_load_a_compiled_copy_and_sets_accumulate(tool, trees, tmp
     out = tmp_path / "BENCH.json"
     base = [str(parent), str(change), "--workload", "paper", "--pairs", "1", "--out", str(out)]
     assert tool.main(base) == 0
-    assert tool.main([*base, "--bytecode", "--name", "paper, bytecode"]) == 0
+    assert tool.main([*base, "--bytecode"]) == 0
     data = json.loads(out.read_text())
-    assert list(data["runs"]) == ["paper seed 1", "paper, bytecode"]
-    (pair,) = data["runs"]["paper, bytecode"]
+    assert list(data["runs"]) == ["paper seed 1", "paper seed 1, bytecode compiled"]
+    (pair,) = data["runs"]["paper seed 1, bytecode compiled"]
     assert pair["parent_environment"] == {"compiled": True, "dont_write_bytecode": None}
-    assert data["summary"]["paper, bytecode"]["mode"] == "bytecode"
+    assert data["summary"]["paper seed 1, bytecode compiled"]["mode"] == "bytecode"
 
 
 def test_a_file_of_other_trees_is_refused(tool, trees, tmp_path):
@@ -158,6 +158,7 @@ def test_a_file_of_other_trees_is_refused(tool, trees, tmp_path):
         tool.main([str(parent), str(change), "--workload", "paper", "--pairs", "1",
                    "--out", str(out)])
     assert json.loads(out.read_text()) == {"trees": {"parent": {"tree_hash": "0" * 64}}}
+    assert not (tmp_path / "log.txt").exists()  # no perfbench run was started
 
 
 def test_a_failing_run_stops_the_set(tool, tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 """Alternating perfbench pairs of two owcsim checkouts, summarised into a BENCH set.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload snr-dense --seeds 1 --pairs 10 \\
-        --seconds 30 --out BENCH_32.json --name "snr-dense seed 1"
+        --seconds 30 --out BENCH_32.json
     python3 tools/bench_pairs.py PARENT CHANGE --workload wall-scale --seeds 1 --pairs 10 \\
         --seconds 30 --bytecode --out BENCH_32.json
 
@@ -16,19 +16,20 @@ the parent first. By default each run compiles the package from source
 byte-compiled first (`python -m compileall src perfbench`) and the run loads
 that bytecode, with PYTHONDONTWRITEBYTECODE unset.
 
-The set goes into the `--out` JSON file, beside any sets already there, in
-the layout of `BENCH_31.json`: `runs[name]` holds each pair (which tree ran
-first, each side's `correct`, `attempted`, `failed` and end-to-end metrics,
-its environment stamp, and whether the per-op sha256 digests agree over the
-ops both runs completed), and `summary[name]` holds, per metric, each side's
-median and quartiles over the pairs (inclusive linear interpolation, as
-numpy's default percentile), `rel_change` (change median over parent median,
-minus 1) and `pairs_change_lower` (the pairs in which the change read
-strictly lower), plus the pair count, the digest agreement over every pair,
-the failed ops of each side and the command. Both trees are stamped with
-`interleave_ab.tree_hash` of their `src`, in the set and in the file's
-`trees`; a file whose `trees` name other trees is refused, so one file never
-mixes the sets of different trees.
+The set, named by its workload, seeds and mode (as "wall-scale seed 1,
+bytecode compiled"), goes into the `--out` JSON file, beside any sets
+already there, in the layout of `BENCH_31.json`: `runs[name]` holds each
+pair (which tree ran first, each side's `correct`, `attempted`, `failed` and
+end-to-end metrics, its environment stamp, and whether the per-op sha256
+digests agree over the ops both runs completed), and `summary[name]` holds,
+per metric, each side's median and quartiles over the pairs (inclusive
+linear interpolation, as numpy's default percentile), `rel_change` (change
+median over parent median, minus 1) and `pairs_change_lower` (the pairs in
+which the change read strictly lower), plus the pair count, the digest
+agreement over every pair, the failed ops of each side and the command. Both
+trees are stamped with `interleave_ab.tree_hash` of their `src`, in the set
+and in the file's `trees`; a file whose `trees` name other trees is refused
+before any run, so one file never mixes the sets of different trees.
 """
 
 from __future__ import annotations
@@ -38,14 +39,14 @@ import json
 import os
 import shlex
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from interleave_ab import tree_hash  # noqa: E402  (the same stamp as the in-process A/B)
+# The same tree stamp and quartile rule as the in-process A/B.
+from interleave_ab import quartiles, tree_hash  # noqa: E402
 
 SIDES = ("parent", "change")  # names of one length, so both copies' paths have one length
 METRICS = ("op_s_p50", "setup_s", "peak_rss_mb")
@@ -107,14 +108,6 @@ def digests_agree(a: list, b: list) -> bool:
     return all(x == y for x, y in zip(a, b) if x is not None and y is not None)
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    # quantiles() needs two values; one value is its own quartiles.
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
-
-
 def summarize(pairs: list[dict]) -> dict:
     """Per metric, each side's median and quartiles over the pairs, the change
     median's relative change and the pairs in which the change read lower."""
@@ -160,13 +153,21 @@ def run_pairs(
     return records
 
 
-def write_set(path: Path, name: str, hashes: dict, records: list[dict], summary: dict) -> None:
-    """Add the set to the BENCH file at `path`, refusing a file of other trees."""
+def read_sets(path: Path, hashes: dict) -> dict:
+    """The BENCH file at `path`, empty if there is none; a file of other trees
+    raises ValueError."""
     data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    trees = data.setdefault("trees", {})
+    trees = data.get("trees", {})
     held = {side: trees.get(side, {}).get("tree_hash", hashes[side]) for side in SIDES}
     if held != hashes:
         raise ValueError(f"{path} holds sets of other trees: {held}, not {hashes}")
+    return data
+
+
+def write_set(path: Path, name: str, hashes: dict, records: list[dict], summary: dict) -> None:
+    """Add the set to the BENCH file at `path`, as it reads now."""
+    data = read_sets(path, hashes)
+    trees = data.setdefault("trees", {})
     for side in SIDES:
         trees.setdefault(side, {})["tree_hash"] = hashes[side]
     data.setdefault("runs", {})[name] = records
@@ -184,14 +185,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--bytecode", action="store_true", help="load bytecode compiled first")
     parser.add_argument("--out", type=Path, required=True, help="BENCH JSON file to add to")
-    parser.add_argument("--name", help="set name (default: workload, seeds and mode)")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     hashes = {side: tree_hash(trees[side] / "src") for side in SIDES}
-    name = args.name or (
-        f"{args.workload} seed {' '.join(map(str, args.seeds))}"
-        + (", bytecode compiled" if args.bytecode else "")
+    name = f"{args.workload} seed {' '.join(map(str, args.seeds))}" + (
+        ", bytecode compiled" if args.bytecode else ""
     )
+    read_sets(args.out, hashes)  # a file of other trees is refused before any run
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
         records = run_pairs(
             trees, args.workload, args.seeds, args.pairs, args.seconds, args.bytecode, Path(work)
@@ -207,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
             "python3", "tools/bench_pairs.py", "PARENT", "CHANGE", "--workload", args.workload,
             "--seeds", *map(str, args.seeds), "--pairs", str(args.pairs),
             "--seconds", f"{args.seconds:g}", *(["--bytecode"] if args.bytecode else []),
-            "--out", args.out.name, *(["--name", args.name] if args.name else []),
+            "--out", args.out.name,
         ]),
     )
     write_set(args.out, name, hashes, records, summary)

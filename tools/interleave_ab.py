@@ -192,14 +192,20 @@ def interleave_setup(srcs: tuple, documents: list[tuple[str, dict]], inputs: int
     }
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile, by inclusive linear
+    interpolation (numpy's default percentile); one value is its own quartiles."""
+    if len(values) == 1:  # quantiles() needs two values
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
 def ratio_summary(times: tuple[list[float], list[float]]) -> dict:
     """Each side's median time, the quartiles of the per-input ratio B/A and
     the share of inputs on which B ran faster."""
     ratios = [b / a for a, b in zip(*times)]
-    # quantiles() needs two ratios; one ratio is its own quartiles.
-    q1, _, q3 = (
-        statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
-    )
+    q1, _, q3 = quartiles(ratios)
     return {
         "a_op_s_p50": statistics.median(times[0]),
         "b_op_s_p50": statistics.median(times[1]),
