@@ -27,6 +27,12 @@ is known from that leg before the mirror is steered: the first stage, over
 blocks of users, keeps only the pairs whose leg arrives inside some branch's
 field of view widened by a small margin, and the second steers and scores the
 pairs kept, gathered into 1-D arrays, with the arithmetic of the reference.
+A wall's `MirrorColumns` keep each field in the shape it varies over (a
+panel's centres as a row along the wall and a column of heights, and its
+shared plane coordinate, sizes and reflectivity as 0-d values), so the first
+stage computes per-row and per-column terms once per row or column, and the
+second gathers only the fields that vary. A list of mirrors runs the same
+code with one (n,) column per field.
 Where a lower bound on the mirror's intercept, first taken from the incidence
 cosine alone, clears the photodiode capture, the capture is the minimum, as
 it is with the true intercept; only the other pairs build the mirror axes,
@@ -39,7 +45,9 @@ at the edge, and pick the serving branch with another.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -81,8 +89,14 @@ class AdrBranch:
 class MirrorColumns:
     """A wall of mirrors as columns: centre coordinates, sizes, reflectivity.
 
-    The elements' normals are not kept: `irs_gain_table` steers every mirror
-    itself.
+    Each field is an array that broadcasts to the wall's `shape`, of one or
+    two axes, whose entries in row-major order are the mirrors. A field is
+    0-d where every mirror shares it, and otherwise has every axis of
+    `shape`, of length 1 along the axes it does not vary over: `of` gives
+    (n,) columns, and `IrsPanel.columns` an (M, M) grid whose centres along
+    the wall are a (1, M) row, whose heights are an (M, 1) column and whose
+    other fields are 0-d. The elements' normals are not kept:
+    `irs_gain_table` steers every mirror itself.
     """
 
     cx: np.ndarray
@@ -100,18 +114,38 @@ class MirrorColumns:
         ]
         return cls(*np.array(rows, dtype=np.float64).reshape(len(rows), 6).T.copy())
 
+    @functools.cached_property
+    def shape(self) -> tuple[int, ...]:
+        """The shape every field broadcasts to."""
+        return np.broadcast(*self.fields()).shape
+
+    def fields(self) -> tuple[np.ndarray, ...]:
+        return self.cx, self.cy, self.cz, self.width, self.height, self.reflectivity
+
     def __len__(self) -> int:
-        return len(self.cx)
+        return math.prod(self.shape)
 
     def take(self, j: np.ndarray) -> MirrorColumns:
-        """The columns of mirrors `j`, one entry per index."""
-        columns = (self.cx, self.cy, self.cz, self.width, self.height, self.reflectivity)
-        return MirrorColumns(*(column[j] for column in columns))
+        """The mirrors at flat indices `j`: each field that varies gathered to
+        one entry per index, and each 0-d field as it is."""
+        at = {}
+        if len(self.shape) == 2:
+            # Row-major: flat index j of a (rows, cols) shape is row * cols + col.
+            rows, cols = self.shape
+            at[rows, 1], at[1, cols] = np.divmod(j, cols)
+        return MirrorColumns(*(
+            field if field.ndim == 0 else field.reshape(-1)[at.get(field.shape, j)]
+            for field in self.fields()
+        ))
 
 
-# (user, mirror) pairs per block of either stage of `irs_gain_table`: its
-# few dozen temporaries of this many floats then stay under a megabyte.
+# (user, mirror) pairs per block of stage 2 of `irs_gain_table`: its few
+# dozen temporaries of this many floats then stay under a megabyte.
 _BLOCK_PAIRS = 4096
+# Most (user, mirror) pairs per block of stage 1, `_reachable`: each of its
+# full-size temporaries then stays under 128 KiB, glibc malloc's default
+# size from which an array gets freshly mapped pages.
+_REACH_PAIRS = 15 * 1024
 
 _ERF_1 = math.erf(1.0)
 _COSINE_GUARD, _TILT_GUARD = 1e-2, 1.0 - 1e-4  # for the cosine bound: least |n.u|, most |n_z|
@@ -152,11 +186,13 @@ def irs_gain_table(
     band where the gate takes acos, and the exact pass would score it 0,
     served by -1. A NaN leg fails the comparison and is dropped; the exact
     pass scores it 0 too. The tables are bitwise those of a call keeping
-    every pair.
+    every pair. The test runs on the mirrors' own shape, with the users
+    prepended as an axis (see `_reachable`).
 
     Stage 2, `_irs_gain_pairs`, steers and scores the pairs kept, `_BLOCK_PAIRS`
-    at a time, as 1-D arrays gathered from the coordinates and mirror
-    columns, and writes them into the tables. Each pair goes through the
+    at a time, as 1-D arrays gathered from the coordinates and from the
+    mirror fields that vary (`MirrorColumns.take`; a 0-d field broadcasts as
+    it is), and writes them into the tables. Each pair goes through the
     reference's operations in its order: dot and cross products are written
     out by component; erf and acos go through `math`, as numpy has no erf and
     its acos may differ from libm's in the last bit. A valid pair some
@@ -188,22 +224,42 @@ def _reachable(
     outgoing leg l, from the mirror centre to the user, arrives inside some
     branch's field of view widened by `_REACH`: l.b < (_REACH - cos fov) |l|
     for some branch normal b. The users are (3, users) coordinates, taken in
-    blocks of about `_BLOCK_PAIRS` pairs."""
-    normals = [branch.normal().as_tuple() for branch in receiver]
+    blocks of at most `_REACH_PAIRS` pairs.
+
+    A block's users axis is prepended to the mirrors' shape, and broadcasting
+    builds the legs, so each leg component, and each term built from
+    components alone, keeps only the axes its centre coordinate varies over:
+    on a grid, the squares and the horizontal dot products l_x b_x + l_y b_y
+    are per row or per column. Branches of one elevation share b_z, and so
+    the edge bound - l_z b_z, and some l.b is below the edge exactly where
+    the least of them is (a NaN fails both), so the least is taken on those
+    small arrays and compared once. Only the sum of squares, its root, the
+    bound, the edge, the compare and its nonzero indices span every (user,
+    mirror) pair."""
+    # Each elevation's (b_x, b_y) pairs, stacked on an axis ahead of a block's.
+    pairs: dict[float, list] = {}
+    for bx, by, bz in (branch.normal().as_tuple() for branch in receiver):
+        pairs.setdefault(bz, []).append((bx, by))
+    ahead = (1,) * (1 + len(mirrors.shape))
+    elevations = [(bz, *np.array(xy).T.reshape((2, -1) + ahead)) for bz, xy in pairs.items()]
     reach = _REACH - math.cos(fov)
-    step = max(1, _BLOCK_PAIRS // max(1, len(mirrors)))
+    step = max(1, _REACH_PAIRS // max(1, len(mirrors)))
     kept = [np.empty(0, dtype=np.intp)]
     for start in range(0, users.shape[1], step):
-        px, py, pz = users[:, start : start + step, None]
-        lx, ly, lz = px - mirrors.cx, py - mirrors.cy, pz - mirrors.cz
-        bound = reach * np.sqrt(lx * lx + ly * ly + lz * lz)
-        seen = np.zeros(lx.shape, dtype=bool)
-        # Branches of one elevation share b_z, so their bound - l_z b_z too.
-        for bz in dict.fromkeys(b[2] for b in normals):
-            edge = bound - lz * bz
-            for bx, by, _ in (b for b in normals if b[2] == bz):
-                seen |= lx * bx + ly * by < edge
-        kept.append(np.flatnonzero(seen) + start * len(mirrors))
+        block = users[:, start : start + step].reshape((3, -1) + ahead[1:])
+        lx, ly, lz = block[0] - mirrors.cx, block[1] - mirrors.cy, block[2] - mirrors.cz
+        # The root, the bound and the last elevation's edge are taken in
+        # place, so a receiver of one elevation holds one (users, mirrors)
+        # float array at a time.
+        bound = lx * lx + ly * ly + lz * lz
+        np.sqrt(bound, out=bound)
+        bound *= reach
+        hits = [
+            (lx * bx + ly * by).min(axis=0)
+            < np.subtract(bound, lz * bz, out=bound if k == len(elevations) - 1 else None)
+            for k, (bz, bx, by) in enumerate(elevations)
+        ]
+        kept.append(np.flatnonzero(functools.reduce(operator.or_, hits)) + start * len(mirrors))
     return np.concatenate(kept)
 
 

@@ -30,7 +30,10 @@ receiver branches, from the (users, 3) positions that validation holds:
 `direct_table` (one `channel.aimed_los_gain_table` call, on the pairs that
 validation `aim`ed) and `mirror_table` (one `channel.irs_gain_table` call
 over every user, each from its serving transmitter branch, and the wall's
-`MirrorColumns`). Evaluation reads them, runs no scalar gain code and builds
+`MirrorColumns`: an (M, M) grid whose centres along the wall are one row,
+whose heights are one column, and whose plane coordinate, sizes and
+reflectivity are single values, so the kernel's first stage works on rows
+and columns). Evaluation reads them, runs no scalar gain code and builds
 no `UserSpec`: the scalar `los_gain`, `irs_gain` and `serving_branch_index`
 that the kernels are tested against live in `owcsim.reference`, which no
 evaluation module imports.
@@ -127,7 +130,8 @@ class AdtSpec:
 @dataclass(frozen=True)
 class IrsPanel:
     """M x M contiguous mirror tiling on one wall, normals facing the room,
-    stored as `columns`, row-major by height then along the wall."""
+    stored as `columns`, an (M, M) grid, row-major by height then along the
+    wall."""
 
     wall: str
     grid_m: int
@@ -147,17 +151,19 @@ class IrsPanel:
 
     @cached_property
     def columns(self) -> MirrorColumns:
-        """The mirrors as read-only arrays, built on first read."""
+        """The mirrors as read-only arrays, built on first read: the centres
+        along the wall as a (1, M) row, their heights as an (M, 1) column, and
+        the plane coordinate, width, height and reflectivity as 0-d values."""
         _, along, _ = _WALLS[self.wall]
         width, height = self.element_size
-        # (6, mirrors): centre x, y, z, width, height and reflectivity of each.
         values = [*self.panel_center.as_tuple(), width, height, self.reflectivity]
-        table = np.repeat(np.array(values)[:, None], self.grid_m**2, axis=1)
+        fields = [np.array(value) for value in values]
         offsets = np.arange(self.grid_m) - (self.grid_m - 1) / 2.0
-        table[along] = np.tile(values[along] + offsets * width, self.grid_m)
-        table[2] = np.repeat(values[2] + offsets * height, self.grid_m)
-        table.flags.writeable = False
-        return MirrorColumns(*table)
+        fields[along] = (values[along] + offsets * width).reshape(1, -1)
+        fields[2] = (values[2] + offsets * height).reshape(-1, 1)
+        for field in fields:
+            field.flags.writeable = False
+        return MirrorColumns(*fields)
 
     @cached_property
     def elements(self) -> tuple[MirrorElement, ...]:
@@ -166,9 +172,10 @@ class IrsPanel:
 
         c, inward = self.columns, _WALLS[self.wall][0]
         width, height = self.element_size
+        centres = (np.broadcast_to(axis, c.shape).ravel().tolist() for axis in (c.cx, c.cy, c.cz))
         return tuple(
             MirrorElement(Vec3(x, y, z), inward, width, height, self.reflectivity)
-            for x, y, z in zip(c.cx.tolist(), c.cy.tolist(), c.cz.tolist())
+            for x, y, z in zip(*centres)
         )
 
     @property
@@ -624,10 +631,15 @@ def _gains(scenario: Scenario, assignment: Assignment) -> tuple[np.ndarray, ...]
     h_nlos, nlos_branch = np.zeros(len(users)), np.full(len(users), -1)
     if mirrors:  # else there is no wall
         # An unheld mirror (owner -1) reads the last user's row into bin 0, which is dropped.
-        held = mirror_gain[owner, np.arange(mirrors)]
+        column = np.arange(mirrors)
+        held = mirror_gain[owner, column]
         h_nlos = np.bincount(owner + 1, held, len(users) + 1)[1:]
-        # argmax takes the first maximum: the lowest mirror index wins a tie.
-        best = np.where(owner == users[:, None], held, -1.0).argmax(axis=1)
+        # Each held gain in its owner's row, shifted down one as in the bincount,
+        # and -1 elsewhere: argmax takes the first maximum, so the lowest
+        # mirror index wins a tie.
+        rows = np.full((len(users) + 1, mirrors), -1.0)
+        rows[owner + 1, column] = held
+        best = rows[1:].argmax(axis=1)
         # A user holding no mirror gets mirror 0, which that user does not hold.
         nlos_branch = np.where(owner[best] == users, mirror_receiver[users, best], -1)
     return h_los, h_nlos, h_los + h_nlos, los_branch, nlos_branch

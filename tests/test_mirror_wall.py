@@ -6,6 +6,7 @@ holds the gains and receiver branches of one `irs_gain_table` call over every
 user, and the evaluation reads it instead of running any scalar gain code.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +16,12 @@ import owcsim.channel
 import owcsim.geometry
 import owcsim.network
 from owcsim.config import build_default_scenario, parse_config
-from owcsim.geometry import Vec3
+from owcsim.channel import AdrBranch, MirrorColumns, coordinates, irs_gain_table
+from owcsim.geometry import Orientation, Vec3
 from owcsim.network import (
     Assignment,
     IrsPanel,
+    assign_mirrors,
     build_irs_panel,
     evaluate_scenario,
     evaluate_user,
@@ -31,6 +34,7 @@ from owcsim.network import (
 from owcsim.reference import MirrorElement, serving_branch_index
 
 from test_gain_kernel import scalar_path as pair_path
+from test_gain_kernel import wall_scale_document
 
 ROOM = (12.0, 9.0, 5.0)
 WALLS = ("x_min", "x_max", "y_min", "y_max")
@@ -58,6 +62,11 @@ def hexes(values):
     return [tuple(float(v).hex() for v in point) for point in values]
 
 
+def flat(columns):
+    """Each field of `columns` as one (mirrors,) array, in row-major order."""
+    return [np.broadcast_to(field, columns.shape).ravel() for field in columns.fields()]
+
+
 class TestColumns:
     @pytest.mark.parametrize("wall", WALLS)
     @pytest.mark.parametrize("grid_m", [1, 2, 5, 30])
@@ -66,12 +75,13 @@ class TestColumns:
         panel = build_irs_panel(ROOM, wall, grid_m, args[0], args[1], 0.93, args[2], args[3])
         want = loop_centers(ROOM, wall, grid_m, *args)
         c = panel.columns
+        cx, cy, cz, width, height, reflectivity = flat(c)
         assert len(c) == grid_m**2
-        assert hexes(zip(c.cx.tolist(), c.cy.tolist(), c.cz.tolist())) == hexes(want)
+        assert hexes(zip(cx.tolist(), cy.tolist(), cz.tolist())) == hexes(want)
         assert hexes(m.center.as_tuple() for m in panel.elements) == hexes(want)
-        assert c.width.tolist() == [0.137] * grid_m**2
-        assert c.height.tolist() == [0.093] * grid_m**2
-        assert c.reflectivity.tolist() == [0.93] * grid_m**2
+        assert width.tolist() == [0.137] * grid_m**2
+        assert height.tolist() == [0.093] * grid_m**2
+        assert reflectivity.tolist() == [0.93] * grid_m**2
         assert all(m.normal == INWARD[wall] for m in panel.elements)
         assert {(m.width, m.height, m.reflectivity) for m in panel.elements} == {
             (0.137, 0.093, 0.93)
@@ -79,9 +89,9 @@ class TestColumns:
 
     def test_columns_are_read_only(self):
         c = build_irs_panel(ROOM, grid_m=3).columns
-        for array in (c.cx, c.cy, c.cz, c.width, c.height, c.reflectivity):
+        for array in c.fields():
             with pytest.raises(ValueError):
-                array[0] = 1.0
+                array[...] = 1.0
 
     def test_elements_are_built_once(self):
         panel = build_irs_panel(ROOM, grid_m=4)
@@ -92,8 +102,107 @@ class TestColumns:
         panel = build_irs_panel(ROOM, grid_m=2)
         moved = replace(panel, reflectivity=0.5, grid_m=3)
         assert len(moved.columns) == 9
-        assert moved.columns.reflectivity.tolist() == [0.5] * 9
+        assert flat(moved.columns)[5].tolist() == [0.5] * 9
         assert len(moved.elements) == 9
+
+
+# Branches at three elevations, so `_reachable` takes three edges.
+MIXED = tuple(
+    AdrBranch(Orientation(azimuth, elevation), 40.0, 2.0e-5)
+    for azimuth, elevation in ((0.0, 60.0), (90.0, 30.0), (180.0, 60.0), (270.0, 90.0))
+)
+
+
+def grid_and_flat(s, receiver, call):
+    """`call` of the scene's users and serving branches on its wall as the
+    panel's grid columns and as `MirrorColumns.of` its elements."""
+    ap = coordinates(s.adt.branch_positions())[list(s.serving_branches)]
+    return [
+        call(ap, columns, s._xyz, receiver)
+        for columns in (s.irs.columns, MirrorColumns.of(s.irs.elements))
+    ]
+
+
+def table(ap, columns, users, receiver, s):
+    return irs_gain_table(ap, columns, users, receiver, s.adt.beam_waist, s.adt.beam_wavelength)
+
+
+def kept(ap, columns, users, receiver):
+    fov = receiver[0].fov_half_angle_rad()
+    return owcsim.channel._reachable(columns, users.T.copy(), receiver, fov)
+
+
+GRID_SCENES = [
+    *(({"irs": {"grid_m": m, "wall": w}, "users": {"k": 8, "fov_deg": 50.0}}, f"{w}-{m}")
+      for w in WALLS for m in (1, 2, 5, 30)),
+    *((wall_scale_document(seed), f"wall-scale-{seed}") for seed in (1, 7, 42)),
+]
+
+
+class TestGridForm:
+    """A panel's grid columns and the same mirrors as a flat list run the
+    same code, and give the same tables bitwise."""
+
+    @pytest.mark.parametrize("doc", [d for d, _ in GRID_SCENES], ids=[i for _, i in GRID_SCENES])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["receiver", "mixed-elevations"])
+    def test_tables_and_kept_pairs_equal_the_flat_form(self, doc, mixed):
+        s = build_default_scenario(doc)
+        receiver = MIXED if mixed else s.receiver
+        grid, flat_form = grid_and_flat(s, receiver, lambda *a: table(*a, s))
+        for got, want in zip(grid, flat_form):
+            assert got.shape == want.shape == (len(s.positions), s.irs.grid_m**2)
+            assert got.tobytes() == want.tobytes()
+        grid_kept, flat_kept = grid_and_flat(s, receiver, kept)
+        assert grid_kept.tolist() == flat_kept.tolist()
+        assert np.isin(np.flatnonzero(grid[0]), grid_kept).all()
+        if s.irs.grid_m >= 5:
+            assert (grid[0] > 0.0).any()
+
+    @pytest.mark.parametrize("doc", [d for d, _ in GRID_SCENES], ids=[i for _, i in GRID_SCENES])
+    @pytest.mark.parametrize("receiver", [None, MIXED], ids=["receiver", "mixed-elevations"])
+    def test_kept_pairs_equal_the_test_branch_by_branch(self, doc, receiver):
+        # Each pair's leg compared with every branch's edge in turn, on flat
+        # columns, as the stage was first written.
+        s = build_default_scenario(doc)
+        receiver = receiver or s.receiver
+        cx, cy, cz = flat(s.irs.columns)[:3]
+        (px, py, pz), fov = s._xyz.T[:, :, None], receiver[0].fov_half_angle_rad()
+        lx, ly, lz = px - cx, py - cy, pz - cz
+        bound = (owcsim.channel._REACH - math.cos(fov)) * np.sqrt(lx * lx + ly * ly + lz * lz)
+        seen = np.zeros(lx.shape, dtype=bool)
+        for bx, by, bz in (branch.normal().as_tuple() for branch in receiver):
+            seen |= lx * bx + ly * by < bound - lz * bz
+        grid_kept, flat_kept = grid_and_flat(s, receiver, kept)
+        assert grid_kept.tolist() == flat_kept.tolist() == np.flatnonzero(seen).tolist()
+
+    @pytest.mark.parametrize("wall", WALLS)
+    def test_take_equals_the_flat_gather_and_keeps_shared_fields_0d(self, wall):
+        c = build_irs_panel(ROOM, wall, 7, 0.2, 0.1, 0.9, 2.0).columns
+        j = np.array([0, 6, 7, 13, 48, 48, 20, 35])
+        taken = c.take(j)
+        for got, field, column in zip(taken.fields(), c.fields(), flat(c)):
+            assert np.broadcast_to(got, j.shape).tobytes() == column[j].tobytes()
+            assert got.ndim == (0 if field.ndim == 0 else 1)
+        assert [field.ndim for field in c.fields()].count(0) == 4
+        assert len(taken) == len(j)
+
+    def test_take_of_a_flat_list_gathers_every_field(self):
+        s = build_default_scenario({"irs": {"grid_m": 3}})
+        c = MirrorColumns.of(s.irs.elements)
+        j = np.array([8, 0, 4])
+        for got, column in zip(c.take(j).fields(), flat(s.irs.columns)):
+            assert got.tobytes() == column[j].tobytes()
+
+    @pytest.mark.parametrize("pairs", [1, 7, 1000])
+    def test_small_stage_one_blocks_give_the_same_tables(self, monkeypatch, pairs):
+        # Blocks of one user, or of several with a partial last block.
+        s = build_default_scenario(wall_scale_document(3, users=11))
+        whole = grid_and_flat(s, s.receiver, lambda *a: (table(*a, s), kept(*a)))
+        monkeypatch.setattr(owcsim.channel, "_REACH_PAIRS", pairs)
+        for got, want in zip(grid_and_flat(s, s.receiver, lambda *a: (table(*a, s), kept(*a))),
+                             whole):
+            assert got[1].tolist() == want[1].tolist()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got[0], want[0]))
 
 
 class TestCachesOutsideEquality:
@@ -210,6 +319,22 @@ class TestMirrorTable:
         gain = evaluate_user(s, Assignment([-1, 0, 0, 0], 1), 0)
         assert gain.serving_branch_nlos == 2
         assert gain.h_nlos == 0.3 + 0.1 + 0.3
+
+    def test_ties_go_to_the_lowest_index_and_a_zero_column_to_nobody(self):
+        # Users 0 and 2 tie on mirror 1, user 2's mirrors 3 and 5 tie, mirror
+        # 0 is zero for everyone, and user 1 holds nothing.
+        s = build_default_scenario({"irs": {"grid_m": 2}, "users": {"k": 3}})
+        gains = np.array([[0.0, 0.4, 0.0, 0.1, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                          [0.0, 0.4, 0.2, 0.3, 0.1, 0.3]])
+        assignment = assign_mirrors(s, gains)
+        assert assignment.owner.tolist() == [-1, 0, 2, 2, 2, 2]
+        # The largest gain of the wall, on the unheld mirror 0, is read by nobody.
+        gains[:, 0] = 0.9
+        vars(s)["mirror_table"] = (gains, np.array([[0, 1, 2, 3, 0, 1]] * 3))
+        results = [evaluate_user(s, assignment, i) for i in range(3)]
+        assert [r.serving_branch_nlos for r in results] == [1, None, 3]
+        assert [r.h_nlos for r in results] == [0.4, 0.0, 0.2 + 0.3 + 0.1 + 0.3]
 
     def test_no_wall_gives_empty_read_only_tables(self):
         s = build_default_scenario({"irs": {"enabled": False}})

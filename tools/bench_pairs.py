@@ -164,15 +164,25 @@ def read_sets(path: Path, hashes: dict) -> dict:
     return data
 
 
-def write_set(path: Path, name: str, hashes: dict, records: list[dict], summary: dict) -> None:
-    """Add the set to the BENCH file at `path`, as it reads now."""
+def update_sets(path: Path, hashes: dict, add) -> None:
+    """Rewrite the BENCH file at `path`, as it reads now, with both trees
+    stamped and `add` applied to its data."""
     data = read_sets(path, hashes)
     trees = data.setdefault("trees", {})
     for side in SIDES:
         trees.setdefault(side, {})["tree_hash"] = hashes[side]
-    data.setdefault("runs", {})[name] = records
-    data.setdefault("summary", {})[name] = summary
+    add(data)
     path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+
+
+def write_set(path: Path, name: str, hashes: dict, records: list[dict], summary: dict) -> None:
+    """Add the set to the BENCH file at `path`, as it reads now."""
+
+    def add(data: dict) -> None:
+        data.setdefault("runs", {})[name] = records
+        data.setdefault("summary", {})[name] = summary
+
+    update_sets(path, hashes, add)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -37,7 +37,8 @@ interpolation, as numpy's default percentile), the share of inputs on which
 B ran faster (`b_faster_frac`, the in-process form of a perfbench pair
 count), and whether every op's output digest agrees between the trees; the
 last line is the same as one JSON object, which also stamps each tree with
-`tree_hash` (`a_tree`, `b_tree`), so a result names the code it measured.
+`tree_hash` (`a_tree`, `b_tree`), so a result names the code it measured,
+and holds the seed.
 
 Each side's median count of minor page faults per op is reported too
 (`a_minflt_per_op_p50`, `b_minflt_per_op_p50`): `ru_minflt` of this process
@@ -46,6 +47,11 @@ released after its check, before the next op runs, as perfbench's `run_op`
 does, so no op's faults depend on whether the previous table is still held.
 A `paper` op's work runs in child processes, whose faults this process does
 not count.
+
+With `--out BENCH_n.json`, the JSON line, with the command added, is also
+appended to that file's `interleave_ab.runs`, A stamped as the file's parent
+tree and B as its change, as `tools/bench_pairs.py` stamps its sets; a file
+whose sets ran on other trees is refused before any op runs.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ import importlib.util
 import json
 import os
 import resource
+import shlex
 import statistics
 import subprocess
 import sys
@@ -266,6 +273,14 @@ def interleave(
     }
 
 
+def bench_pairs() -> ModuleType:
+    """`tools/bench_pairs.py`, imported on first use, as it imports this module."""
+    tools = str(Path(__file__).resolve().parent)
+    if tools not in sys.path:
+        sys.path.insert(0, tools)
+    return importlib.import_module("bench_pairs")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a_src", help="directory holding the A tree's owcsim package")
@@ -275,7 +290,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--inputs", type=int, default=300)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", type=Path, help="BENCH JSON file to append the result line to")
     args = parser.parse_args(argv)
+    hashes = {"parent": tree_hash(args.a_src), "change": tree_hash(args.b_src)}
+    if args.out is not None:
+        sets = bench_pairs()
+        sets.read_sets(args.out, hashes)  # a file of other trees is refused before any op
     packages = (load_tree(args.a_src, "owcsim_a"), load_tree(args.b_src, "owcsim_b"))
     workloads = import_workloads(packages[0])
     if args.workload == "setup":
@@ -289,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         kind = workloads.SnrDense if args.workload == "snr-dense" else workloads.WallScale
         result = interleave(workloads, kind(args.seed), packages, args.inputs)
-    result.update(a_tree=tree_hash(args.a_src), b_tree=tree_hash(args.b_src))
+    result.update(a_tree=hashes["parent"], b_tree=hashes["change"], seed=args.seed)
     print(f"workload {result['workload']}  seed {args.seed}  inputs {args.inputs}")
     print(f"A op_s_p50 {result['a_op_s_p50']:.6g} s  ({args.a_src}, tree {result['a_tree']})")
     print(f"B op_s_p50 {result['b_op_s_p50']:.6g} s  ({args.b_src}, tree {result['b_tree']})")
@@ -310,6 +330,17 @@ def main(argv: list[str] | None = None) -> int:
         print("minor page faults per op, median  A {:g}  B {:g}".format(*faults))
         print(f"per-op digests equal: {result['digests_equal']}")
     print(json.dumps(result))
+    if args.out is not None:
+        command = shlex.join([
+            "python3", "tools/interleave_ab.py", "PARENT/src", "CHANGE/src", "--workload",
+            args.workload, "--inputs", str(args.inputs), "--seed", str(args.seed),
+            "--out", args.out.name,
+        ])
+        line = {**result, "command": command}
+        sets.update_sets(
+            args.out, hashes,
+            lambda data: data.setdefault("interleave_ab", {}).setdefault("runs", []).append(line),
+        )
     return 0 if result.get("digests_equal", True) else 1
 
 
