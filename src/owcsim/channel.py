@@ -31,16 +31,19 @@ A wall's `MirrorColumns` keep each field in the shape it varies over (a
 panel's centres as a row along the wall and a column of heights, and its
 shared plane coordinate, sizes and reflectivity as 0-d values), so the first
 stage computes per-row and per-column terms once per row or column, and the
-second gathers only the fields that vary. A list of mirrors runs the same
-code with one (n,) column per field.
+second gathers only the fields that vary, each with one 1-D `take` along one
+axis. A list of mirrors runs the same code with one (n,) column per field.
 Where a lower bound on the mirror's intercept, first taken from the incidence
 cosine alone, clears the photodiode capture, the capture is the minimum, as
 it is with the true intercept; only the other pairs build the mirror axes,
 and fewer still call erf. Both kernels take points as `Vec3`s or an (n, 3)
 array, and one receiver, carried by every user, whose branches share one
 photodiode and field of view, so a pair has one captured fraction. Both gate
-the field of view with one helper that compares cosines and takes acos only
-at the edge, and pick the serving branch with another.
+the field of view with one helper, and pick the serving branch with another.
+The gate writes every branch's dot product with the arrivals into one array,
+taking the vertical term once per branch elevation, decides each arrival by
+the sign of its offset from the edge's cosine, and takes acos only within
+1e-9 of the edge.
 """
 
 from __future__ import annotations
@@ -76,6 +79,11 @@ class AdrBranch:
             )
 
     def normal(self) -> Vec3:
+        return self._normal
+
+    @functools.cached_property
+    def _normal(self) -> Vec3:
+        """The unit normal, computed on first read and kept outside `==`."""
         return direction_from_orientation(self.orientation)
 
     def aperture_radius(self) -> float:
@@ -132,9 +140,10 @@ class MirrorColumns:
         if len(self.shape) == 2:
             # Row-major: flat index j of a (rows, cols) shape is row * cols + col.
             rows, cols = self.shape
-            at[rows, 1], at[1, cols] = np.divmod(j, cols)
+            row = j // cols
+            at[rows, 1], at[1, cols] = row, j - row * cols
         return MirrorColumns(*(
-            field if field.ndim == 0 else field.reshape(-1)[at.get(field.shape, j)]
+            field if field.ndim == 0 else field.reshape(-1).take(at.get(field.shape, j))
             for field in self.fields()
         ))
 
@@ -190,9 +199,14 @@ def irs_gain_table(
     prepended as an axis (see `_reachable`).
 
     Stage 2, `_irs_gain_pairs`, steers and scores the pairs kept, `_BLOCK_PAIRS`
-    at a time, as 1-D arrays gathered from the coordinates and from the
-    mirror fields that vary (`MirrorColumns.take`; a 0-d field broadcasts as
-    it is), and writes them into the tables. Each pair goes through the
+    at a time, as 1-D arrays, and writes them into the tables. A block's flat
+    indices are split into users and mirrors by one floor-divide and a
+    subtract; the (3, users) coordinates are gathered by one `take` along
+    their second axis, and each mirror field that varies by one 1-D `take`
+    (`MirrorColumns.take`; a 0-d field broadcasts as it is). The field of view
+    is gated by `_fov_masks`: one offset from cos fov per (branch, pair), its
+    sign deciding away from the edge and acos within 1e-9 of it, as the
+    reference's acos would. Each pair goes through the
     reference's operations in its order: dot and cross products are written
     out by component; erf and acos go through `math`, as numpy has no erf and
     its acos may differ from libm's in the last bit. A valid pair some
@@ -210,9 +224,11 @@ def irs_gain_table(
     kept = _reachable(mirrors, users, receiver, fov)
     for start in range(0, len(kept), _BLOCK_PAIRS):
         flat = kept[start : start + _BLOCK_PAIRS]
-        i, j = np.divmod(flat, len(mirrors))
+        i = flat // len(mirrors)
+        j = flat - i * len(mirrors)
         gain.reshape(-1)[flat], index.reshape(-1)[flat] = _irs_gain_pairs(
-            ap[:, i], mirrors.take(j), users[:, i], receiver, radius, fov, waist_w0, wavelength
+            ap.take(i, axis=1), mirrors.take(j), users.take(i, axis=1), receiver, radius, fov,
+            waist_w0, wavelength,
         )
     return gain, index
 
@@ -286,7 +302,6 @@ def _irs_gain_pairs(
         uix, uiy, uiz = tx * inv, ty * inv, tz * inv
         # Each name is dropped after its last read, so that few pair arrays
         # are alive at once.
-        del tx, ty, tz
         lx, ly, lz = px - mirrors.cx, py - mirrors.cy, pz - mirrors.cz
         leg_out = np.sqrt(lx * lx + ly * ly + lz * lz)
         inv = 1.0 / leg_out
@@ -297,8 +312,9 @@ def _irs_gain_pairs(
         del dx, dy, dz, inv
         # NaN from a zero-length leg fails every comparison, so it lands here.
         valid = (diff >= 1e-9) & (lx * nx + ly * ny + lz * nz > 0.0)
-        valid &= (ax - mirrors.cx) * nx + (ay - mirrors.cy) * ny + (az - mirrors.cz) * nz > 0.0
-        del lx, ly, lz, diff
+        # The transmitter's leg a - c is exactly -t, so (a - c).n > 0 is t.n < 0.
+        valid &= tx * nx + ty * ny + tz * nz < 0.0
+        del lx, ly, lz, diff, tx, ty, tz
 
         twice = 2.0 * (uix * nx + uiy * ny + uiz * nz)
         seen = _fov_masks(receiver, fov, uix - nx * twice, uiy - ny * twice, uiz - nz * twice)
@@ -453,9 +469,34 @@ def _photodiode(receiver: Sequence[AdrBranch]) -> tuple[float, float]:
 def _fov_masks(
     receiver: Sequence[AdrBranch], fov: float, x: np.ndarray, y: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
-    """The (branches, ...) stack of `_fov_seen` of arrivals (x, y, z) at each branch."""
-    normals = (branch.normal().as_tuple() for branch in receiver)
-    return np.array([_fov_seen(-(x * bx + y * by + z * bz), fov) for bx, by, bz in normals])
+    """The (branches, ...) stack of masks of the arrivals (x, y, z) that each
+    branch sees, as `fov_gate` decides them.
+
+    The reference gates on acos of c = -(x b_x + y b_y + z b_z), clipped to
+    [-1, 1], <= fov, for branch normal b. More than 1e-9 from cos(fov), the
+    angle is too (|d acos / dc| >= 1), so comparing cosines decides the same;
+    nearer the edge, take acos as it does. Each branch's dot product goes into
+    one (branches, ...) array, in the reference's order, with z b_z taken once
+    per elevation, and one offset, off = dot + cos(fov), decides both tests: c
+    > cos(fov) exactly where off < 0, as a rounded sum keeps the exact sum's
+    sign, and |c - cos(fov)| is |off| bitwise, as rounding is symmetric. A NaN
+    fails both.
+    """
+    normals = [branch.normal().as_tuple() for branch in receiver]
+    dot = np.empty((len(normals),) + np.broadcast(x, y, z).shape)
+    lifted: dict[float, np.ndarray] = {}
+    for row, (bx, by, bz) in zip(dot, normals):
+        np.multiply(x, bx, out=row)
+        row += y * by
+        if bz not in lifted:
+            lifted[bz] = z * bz
+        row += lifted[bz]
+    off = dot + math.cos(fov)
+    seen = off < 0.0
+    edge = np.abs(off, out=off) <= 1e-9
+    if edge.any():
+        seen[edge] = _map(math.acos, np.clip(-dot[edge], -1.0, 1.0)) <= fov
+    return seen
 
 
 def _select_best(gain: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -472,21 +513,6 @@ def _select_best(gain: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.nda
     rank = (seen * ranks.reshape((n,) + (1,) * (seen.ndim - 1))).max(axis=0)
     served = (rank > 0) & (gain > 0.0)
     return np.where(served, gain, 0.0), np.where(served, (n - rank).astype(np.intp), -1)
-
-
-def _fov_seen(cosine: np.ndarray, fov: float) -> np.ndarray:
-    """`fov_gate` of each arrival, given -cos of its angle to the branch normal.
-
-    The reference gates on acos(cosine), clipped to [-1, 1], <= fov. More than
-    1e-9 from cos(fov), the angle is too (|d acos / dc| >= 1), so comparing
-    cosines decides the same; nearer the edge, take acos as it does.
-    """
-    cos_fov = math.cos(fov)
-    seen = cosine > cos_fov
-    edge = np.abs(cosine - cos_fov) <= 1e-9
-    if edge.any():
-        seen[edge] = _map(math.acos, np.clip(cosine[edge], -1.0, 1.0)) <= fov
-    return seen
 
 
 def _beam_radius(distance: np.ndarray, waist_w0: float, wavelength: float) -> np.ndarray:

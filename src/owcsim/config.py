@@ -9,6 +9,15 @@ path. The built types hold their fields to the same rows, so every dump
 reloads; users pass as the row's position tuples, blocked flags and one
 receiver. This module owns the document format; `network` works on the
 built Scenario. docs/config_schema.md documents the same table.
+
+Consecutive documents often differ only in their users, so the transmitter
+(`AdtSpec`, with its branch positions) and the receiver tuple come from
+one-entry memos (`network.one_entry_memo`), as do the mirror wall's columns
+(`IrsPanel.columns`); each panel is still built afresh, so the scalar
+`elements` a caller reads do not outlive its scenario. The memos key on
+`repr` of the checked values, so values that compare equal but are written
+differently, such as -0.0 and 0.0, never share an entry and every field reads
+as an unmemoized build's.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .network import (
     Scenario,
     build_irs_panel,
     default_adr_branches,
+    one_entry_memo,
     place_users_uniform,
 )
 from .schema import CHECKED_DEFAULTS, SCHEMA, check_fields
@@ -113,17 +123,23 @@ def _flatten(document: object) -> dict[str, object]:
     return flat
 
 
+@one_entry_memo
+def _adt(center, beam_waist, wavelength, side_offset) -> AdtSpec:
+    return AdtSpec(Vec3(*center), beam_waist, wavelength, side_offset)
+
+
+# The receiver every user carries: azimuths, elevation, fov and pd_area.
+_receiver = one_entry_memo(default_adr_branches)
+
+
 def _scenario(values: Mapping[str, object]) -> Scenario:
     """Build the Scenario from checked values; cross-key rules raise here
     or in the dataclass checks, naming every key involved."""
     dims = values["room.dims"]
     receiver_z = values["room.receiver_z"]
     center = values["adt.center"] or (dims[0] / 2.0, dims[1] / 2.0, dims[2])
-    adt = AdtSpec(
-        center_pos=Vec3(*center),
-        beam_waist=values["adt.beam_waist_m"],
-        beam_wavelength=values["adt.wavelength_m"],
-        side_offset=values["adt.side_offset_m"],
+    adt = _adt(
+        center, values["adt.beam_waist_m"], values["adt.wavelength_m"], values["adt.side_offset_m"]
     )
 
     irs = None
@@ -161,11 +177,11 @@ def _scenario(values: Mapping[str, object]) -> Scenario:
         irs=irs,
         positions=positions,
         blocked=tuple(i in blocked for i in range(k)),
-        receiver=default_adr_branches(
-            azimuths_deg=values["users.branch_azimuths_deg"],
-            elevation_deg=values["users.branch_elevation_deg"],
-            fov_deg=values["users.fov_deg"],
-            pd_area=values["users.pd_area_m2"],
+        receiver=_receiver(
+            values["users.branch_azimuths_deg"],
+            values["users.branch_elevation_deg"],
+            values["users.fov_deg"],
+            values["users.pd_area_m2"],
         ),
         responsivity=values["users.responsivity_a_per_w"],
         noise=NoiseParams(

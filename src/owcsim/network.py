@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -91,6 +91,30 @@ _WALLS = {
     "y_min": (Vec3(0.0, 1.0, 0.0), 0, 0.0),
     "y_max": (Vec3(0.0, -1.0, 0.0), 0, 1.0),
 }
+
+
+def one_entry_memo(build):
+    """`build` with its last result kept, keyed on `repr` of its arguments.
+
+    A scene's parts repeat from one config document to the next while its
+    users change, so one entry is enough. The `repr` key keeps apart values
+    that compare equal but are written differently, such as -0.0 and 0.0 or
+    1 and 1.0, so a result equals a fresh build's field for field and in
+    `repr`. A build that raises keeps nothing. `cache_clear()` drops the entry.
+    """
+    last: list = [(None, None)]
+
+    @wraps(build)
+    def memoized(*args):
+        key = repr(args)
+        seen, value = last[0]
+        if key != seen:
+            value = build(*args)
+            last[0] = key, value
+        return value
+
+    memoized.cache_clear = lambda: last.__setitem__(0, (None, None))
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -153,17 +177,11 @@ class IrsPanel:
     def columns(self) -> MirrorColumns:
         """The mirrors as read-only arrays, built on first read: the centres
         along the wall as a (1, M) row, their heights as an (M, 1) column, and
-        the plane coordinate, width, height and reflectivity as 0-d values."""
-        _, along, _ = _WALLS[self.wall]
-        width, height = self.element_size
-        values = [*self.panel_center.as_tuple(), width, height, self.reflectivity]
-        fields = [np.array(value) for value in values]
-        offsets = np.arange(self.grid_m) - (self.grid_m - 1) / 2.0
-        fields[along] = (values[along] + offsets * width).reshape(1, -1)
-        fields[2] = (values[2] + offsets * height).reshape(-1, 1)
-        for field in fields:
-            field.flags.writeable = False
-        return MirrorColumns(*fields)
+        the plane coordinate, width, height and reflectivity as 0-d values.
+        Panels of one value share one `MirrorColumns`, the last one built."""
+        return _panel_columns(
+            self.wall, self.grid_m, self.element_size, self.reflectivity, self.panel_center
+        )
 
     @cached_property
     def elements(self) -> tuple[MirrorElement, ...]:
@@ -185,6 +203,24 @@ class IrsPanel:
 
     def label(self) -> str:
         return f"{self.grid_m}x{self.grid_m}"
+
+
+@one_entry_memo
+def _panel_columns(
+    wall: str, grid_m: int, element_size: tuple[float, float], reflectivity: float,
+    panel_center: Vec3,
+) -> MirrorColumns:
+    """`IrsPanel.columns` of a panel of these fields."""
+    _, along, _ = _WALLS[wall]
+    width, height = element_size
+    values = [*panel_center.as_tuple(), width, height, reflectivity]
+    fields = [np.array(value) for value in values]
+    offsets = np.arange(grid_m) - (grid_m - 1) / 2.0
+    fields[along] = (values[along] + offsets * width).reshape(1, -1)
+    fields[2] = (values[2] + offsets * height).reshape(-1, 1)
+    for field in fields:
+        field.flags.writeable = False
+    return MirrorColumns(*fields)
 
 
 @dataclass(frozen=True)

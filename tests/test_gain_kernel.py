@@ -330,10 +330,12 @@ class TestManyUsers:
 
     def test_table_spanning_several_blocks(self):
         mirrors = build_default_scenario({"irs": {"grid_m": 20}}).irs.elements
-        users = floor_users(random.Random(11), 23)
-        per_block = owcsim.channel._BLOCK_PAIRS // len(mirrors)
-        assert len(users) * len(mirrors) > 2 * owcsim.channel._BLOCK_PAIRS
-        assert per_block >= 1 and len(users) % per_block
+        users = floor_users(random.Random(11), 83)
+        # Several blocks of each stage, the last of each one part-filled.
+        for pairs in (owcsim.channel._REACH_PAIRS, owcsim.channel._BLOCK_PAIRS):
+            per_block = pairs // len(mirrors)
+            assert len(users) * len(mirrors) > 2 * pairs
+            assert per_block >= 1 and len(users) % per_block
         aps = [Vec3(2.5 + 0.3 * (i % 2), 2.5, 3.0) for i in range(len(users))]
         served = []
         for receiver in (self.WIDE, self.TILTED):
@@ -613,8 +615,10 @@ class TestPrefilter:
         assert scored == {True, False}
 
     def test_small_blocks_give_the_same_tables(self, monkeypatch):
-        # 7 pairs per block: every user of the 5x5 wall is a stage-1 block
-        # of its own, and the exact pass runs over many chunks.
+        # 7 pairs per block of stage 2, which then runs over many chunks;
+        # stage 1 is sized by `_REACH_PAIRS` and still takes every user of
+        # the 5x5 wall in one block (test_mirror_wall.py's TestGridForm
+        # shrinks its blocks).
         s = build_default_scenario({"irs": {"grid_m": 5}})
         args = ([s.adt.branch_positions()[b] for b in s.serving_branches], s.irs.columns,
                 [user.position for user in s.users], s.receiver, s.adt.beam_waist,

@@ -58,3 +58,19 @@ def test_ratio_quartiles_and_faster_share(tool, monkeypatch):
     one = tool.interleave(workloads, workload, (package, package), inputs=1)
     assert one["ratio_q1"] == one["ratio_p50"] == one["ratio_q3"] == 1.0
     assert one["b_faster_frac"] == 0.0
+
+
+def test_a_second_load_under_one_name_binds_the_new_tree(tool, tmp_path):
+    # Two tiny trees whose modules each name their tree.
+    for side in ("first", "second"):
+        package = tmp_path / side / "owcsim"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(f"TREE = {side!r}\n")
+        for sub in tool.SUBMODULES:
+            (package / f"{sub}.py").write_text(f"TREE = {side!r}\n")
+    first = tool.load_tree(tmp_path / "first", "owcsim_a")
+    second = tool.load_tree(tmp_path / "second", "owcsim_a")
+    assert first.TREE == "first" and second.TREE == "second"
+    for sub in tool.SUBMODULES:
+        assert getattr(second, sub).TREE == "second"
+        assert sys.modules[f"owcsim_a.{sub}"] is getattr(second, sub)

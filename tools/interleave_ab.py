@@ -89,7 +89,13 @@ def tree_hash(src: str | Path) -> str:
 
 
 def load_tree(src: str | Path, name: str) -> ModuleType:
-    """The `owcsim` package under `src`, imported as the top-level package `name`."""
+    """The `owcsim` package under `src`, imported as the top-level package `name`.
+
+    Any package loaded earlier under `name`, with its submodules, is first
+    dropped from `sys.modules`, so a second load under one name binds the
+    new tree's submodules, not the first load's."""
+    for loaded in [key for key in sys.modules if key == name or key.startswith(f"{name}.")]:
+        del sys.modules[loaded]
     init = Path(src).resolve() / "owcsim" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)]
